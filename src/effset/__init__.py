@@ -17,6 +17,7 @@ from .errors import (
     EffsetError,
     EnumerationBudgetExceeded,
     GenerationFailed,
+    InvariantViolated,
     ParseError,
     UnboundedDomain,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "GenerationFailed",
     "GeneratorConfig",
     "InstanceCertificate",
+    "InvariantViolated",
     "ParseError",
     "ProblemInstance",
     "SearchReport",

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 no solutions (infeasible instance or empty
 intersection, the empty set is still printed), 2 assumption violation,
-3 malformed instance file, 4 enumeration budget exceeded.
+3 malformed instance file, 4 enumeration budget exceeded, 5 internal
+invariant violated (a solver defect, not an input problem).
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from .errors import (
     AssumptionViolated,
     EnumerationBudgetExceeded,
     GenerationFailed,
+    InvariantViolated,
     ParseError,
 )
 from .generator import GeneratorConfig, generate
@@ -25,6 +27,7 @@ EXIT_EMPTY = 1
 EXIT_ASSUMPTION = 2
 EXIT_PARSE = 3
 EXIT_BUDGET = 4
+EXIT_INVARIANT = 5
 
 _OBJECTIVE = {"f1": 0, "f2": 1}
 
@@ -280,6 +283,8 @@ def main(argv=None) -> int:
         return _fail(str(exc), EXIT_ASSUMPTION)
     except EnumerationBudgetExceeded as exc:
         return _fail(str(exc), EXIT_BUDGET)
+    except InvariantViolated as exc:
+        return _fail(f"internal invariant violated: {exc}", EXIT_INVARIANT)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InfeasiblePoint
+from .errors import InfeasiblePoint, InvariantViolated
 from .milp import MilpProblem, MilpResult, solve_milp
 from .model import FractionalObjective, Point, ProblemInstance, evaluate, is_feasible
 from .simplex import EQUAL, LESS_EQ, ZERO, LinearProgram, LinearRow
@@ -82,7 +82,8 @@ def _run(problem: MilpProblem, point: Sequence[int], aux: int) -> MilpResult:
 
 def _witness(result: MilpResult, n: int) -> Point:
     xs = result.point[:n]
-    assert all(v.denominator == 1 for v in xs)
+    if any(v.denominator != 1 for v in xs):
+        raise InvariantViolated(f"membership witness {xs} is not integral")
     return tuple(int(v) for v in xs)
 
 
@@ -93,7 +94,10 @@ def is_in_solution_set(inst: ProblemInstance, point: Sequence[int]) -> Efficienc
     n = inst.variable_count
     mm_result = _run(build_mm(inst, point), point, len(inst.criteria))
     t2_result = _run(build_t2(inst, point), point, 2)
-    assert mm_result.value >= 0 and t2_result.value >= 0
+    if mm_result.value < 0 or t2_result.value < 0:
+        raise InvariantViolated(
+            f"membership values {mm_result.value}, {t2_result.value} below the seed's 0"
+        )
     mo = mm_result.value == 0
     bo = t2_result.value == 0
     witness = None

@@ -17,6 +17,11 @@ class NotOptimal(EffsetError):
     """An operation needed an optimal simplex state but got another status."""
 
 
+class InvariantViolated(EffsetError):
+    """An internal invariant of the solvers failed: a defect in this
+    package, never a property of the input."""
+
+
 class UnboundedDomain(EffsetError):
     """The feasible region admits an unbounded improving ray; the model
     requires a bounded polytope."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import AssumptionViolated, UnboundedDomain
+from .errors import AssumptionViolated, InvariantViolated, UnboundedDomain
 from .model import AffineForm, FractionalObjective
 from .simplex import (
     EQUAL,
@@ -29,6 +29,7 @@ from .simplex import (
     SimplexState,
     Status,
     feasible_tableau,
+    integer_cost,
     reduced_row,
     solve_lp,
 )
@@ -59,22 +60,28 @@ def solve_lfp(num_vars: int, rows: Sequence[LinearRow], objective: FractionalObj
             SimplexState(Status.INFEASIBLE, ncols, (), (), (), ()),
         )
 
-    p_cost = list(objective.numerator.coeffs) + [ZERO] * (tab.ncols - num_vars)
-    q_cost = list(objective.denominator.coeffs) + [ZERO] * (tab.ncols - num_vars)
-    p_const = objective.numerator.constant
-    q_const = objective.denominator.constant
+    pad = [0] * (tab.ncols - num_vars)
+    p_cost, p_scale = integer_cost((*objective.numerator.coeffs, objective.numerator.constant))
+    q_cost, q_scale = integer_cost((*objective.denominator.coeffs, objective.denominator.constant))
+    p_const, q_const = p_cost.pop(), q_cost.pop()
+    p_cost += pad
+    q_cost += pad
 
+    # Tableau quantities come scaled by det and by each cost's own positive
+    # scale: p_val = p_scale*det*P(x), nu = p_scale*det*(reduced P row), and
+    # likewise for Q, so Q*nu_j - P*mu_j has the sign of q_val*nu_j - p_val*mu_j.
     value = None
     while True:
         p_val = tab.value_of(p_cost, p_const)
         q_val = tab.value_of(q_cost, q_const)
         if q_val <= 0:
             raise AssumptionViolated(
-                f"denominator evaluates to {q_val} at a feasible vertex"
+                f"denominator evaluates to {Fraction(q_val, q_scale * tab.det)} "
+                "at a feasible vertex"
             )
-        current = p_val / q_val
+        current = Fraction(p_val * q_scale, q_val * p_scale)
         if value is not None and current < value:
-            raise AssertionError("ratio value decreased across a pivot")
+            raise InvariantViolated("ratio value decreased across a pivot")
         value = current
 
         nu = tab.reduced(p_cost)
@@ -87,19 +94,7 @@ def solve_lfp(num_vars: int, rows: Sequence[LinearRow], objective: FractionalObj
         if enter < 0:
             break
 
-        leave = -1
-        best_ratio = None
-        best_var = -1
-        for i, row in enumerate(tab.rows):
-            a = row[enter]
-            if a > 0:
-                t = tab.rhs[i] / a
-                if (
-                    best_ratio is None
-                    or t < best_ratio
-                    or (t == best_ratio and tab.basis[i] < best_var)
-                ):
-                    best_ratio, best_var, leave = t, tab.basis[i], i
+        leave = tab.leaving_row(enter)
         if leave < 0:
             raise UnboundedDomain(
                 "improving ray with no blocking row; the domain is not a polytope"

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import UnboundedRelaxation
+from .errors import InvariantViolated, UnboundedRelaxation
 from .simplex import GREATER_EQ, LESS_EQ, LinearProgram, LinearRow, Status, solve_lp
 
 
@@ -87,7 +87,7 @@ def solve_milp(
         if state.status is Status.UNBOUNDED:
             if first:
                 raise UnboundedRelaxation("root relaxation has no finite optimum")
-            raise AssertionError("bounded root produced an unbounded child")
+            raise InvariantViolated("bounded root produced an unbounded child")
         first = False
 
         point = state.structural_point(base.num_vars)

@@ -23,6 +23,22 @@ def as_fraction(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
+def _dot(coeffs: Sequence, point: Sequence, constant=0) -> tuple[int, int]:
+    """constant + coeffs . point over ints and Fractions, as an unreduced
+    (numerator, denominator > 0). Integer data stays in int arithmetic; one
+    gcd when the caller builds a Fraction replaces one per term."""
+    num, den = constant.numerator, constant.denominator
+    for c, v in zip(coeffs, point):
+        if c and v:
+            n = c.numerator * v.numerator
+            d = c.denominator * v.denominator
+            if d == den:
+                num += n
+            else:
+                num, den = num * d + n * den, den * d
+    return num, den
+
+
 @dataclass(frozen=True)
 class AffineForm:
     """A linear form with constant term: coeffs . x + constant."""
@@ -35,16 +51,16 @@ class AffineForm:
         return cls(tuple(as_fraction(c) for c in coeffs), as_fraction(constant))
 
     def at(self, point: Sequence) -> Fraction:
+        return Fraction(*self._at(point))
+
+    def _at(self, point: Sequence) -> tuple[int, int]:
+        """The value at point as an unreduced (numerator, denominator > 0)."""
         if len(point) != len(self.coeffs):
             raise LengthMismatch(
                 f"form over {len(self.coeffs)} variables evaluated at "
                 f"{len(point)}-vector"
             )
-        total = self.constant
-        for c, v in zip(self.coeffs, point):
-            if c:
-                total += c * v
-        return total
+        return _dot(self.coeffs, point, self.constant)
 
 
 @dataclass(frozen=True)
@@ -69,10 +85,11 @@ def ratio(num_coeffs, num_const, den_coeffs, den_const) -> FractionalObjective:
 
 
 def evaluate(objective: FractionalObjective, point: Sequence) -> Fraction:
-    den = objective.denominator.at(point)
-    if den == 0:
+    q_num, q_den = objective.denominator._at(point)
+    if q_num == 0:
         raise ZeroDenominator(f"denominator vanishes at {tuple(point)}")
-    return objective.numerator.at(point) / den
+    p_num, p_den = objective.numerator._at(point)
+    return Fraction(p_num * q_den, p_den * q_num)
 
 
 @dataclass(frozen=True)
@@ -129,11 +146,8 @@ def is_feasible(inst: ProblemInstance, point: Sequence) -> bool:
     if any(v < 0 for v in point):
         return False
     for row, rhs in zip(inst.a_matrix, inst.b_vector):
-        total = Fraction(0)
-        for c, v in zip(row, point):
-            if c:
-                total += c * v
-        if total > rhs:
+        num, den = _dot(row, point)
+        if num * rhs.denominator > rhs.numerator * den:
             return False
     return True
 

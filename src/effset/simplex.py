@@ -1,4 +1,4 @@
-"""Exact two-phase primal simplex over Fractions.
+"""Exact two-phase primal simplex on an integer-preserving tableau.
 
 Rows may mix <=, >= and == relations. Standardization appends one slack or
 surplus variable per inequality row, in row order, so a row's added variable
@@ -6,21 +6,35 @@ has a predictable index (structural count + row position when every row adds
 one). Added variables are first-class: later rows may reference them, which
 is how branch-and-cut expresses its rounds over slack coordinates.
 
+Pivots run on integers (Edmonds 1967, Bareiss 1968, as in Avis' lrs). The
+tableau keeps integer rows and right-hand sides plus one positive common
+denominator `det`, so the exact tableau is rows / det. Each input row is
+scaled to integers by the lcm of its denominators, and det starts as the
+product of those scales: the determinant of the starting unit basis in the
+scaled system. A pivot on element p sets det to |p|, the determinant of
+the new basis (times a constant factor once phase one drops a redundant
+row), so every division in a pivot is exact, entries stay bounded by
+minors of the scaled input, and `Fraction`s appear only in the returned
+`SimplexState`.
+
 Bland's rule everywhere (smallest eligible index entering, smallest basic
-index on ratio ties), so solves are deterministic and never cycle.
+index on ratio ties), so solves are deterministic and never cycle. Every
+test compares the sign of an integer multiple (by a positive factor) of
+the rational quantity it stands for, so the walk is the one the rational
+tableau takes.
 """
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import NotOptimal
+from .errors import InvariantViolated, NotOptimal
 from .model import AffineForm, as_fraction
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 LESS_EQ = "<="
 GREATER_EQ = ">="
@@ -89,15 +103,18 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class SimplexState:
-    """Final tableau snapshot. matrix holds B^-1 A over all real variables,
-    one row per constraint; basic_values is B^-1 b."""
+    """Final tableau snapshot. matrix / det is B^-1 A over all real
+    variables, one integer row per constraint; basic_values is B^-1 b.
+    The matrix rows are the tableau's own lists, shared without a copy;
+    pivots replace rows instead of writing into them."""
 
     status: Status
     num_vars: int
     basis: tuple[int, ...]
     nonbasis: tuple[int, ...]
     basic_values: tuple[Fraction, ...]
-    matrix: tuple[tuple[Fraction, ...], ...]
+    matrix: tuple[list[int], ...]
+    det: int = 1
 
     def full_point(self) -> tuple[Fraction, ...]:
         point = [ZERO] * self.num_vars
@@ -109,71 +126,102 @@ class SimplexState:
         return self.full_point()[:n]
 
 
+def integer_cost(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(scale * values as ints, scale), scale the lcm of the denominators."""
+    scale = 1
+    for v in values:
+        scale = math.lcm(scale, v.denominator)
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def _scaled_reduced(rows, basis, det: int, cost: Sequence[int]) -> list[int]:
+    red = [det * c for c in cost]
+    for row, var in zip(rows, basis):
+        cb = cost[var]
+        if cb:
+            red = [a - cb * b for a, b in zip(red, row)]
+    return red
+
+
 class Tableau:
-    """Mutable dense tableau. Internal to the solvers; snapshot with
-    `state()` before handing results out."""
+    """Mutable dense integer tableau; the exact tableau is rows / det and
+    rhs / det. Internal to the solvers; snapshot with `state()` before
+    handing results out. Costs passed in are integer (see integer_cost)."""
 
-    __slots__ = ("ncols", "rows", "rhs", "basis")
+    __slots__ = ("ncols", "rows", "rhs", "basis", "det")
 
-    def __init__(self, ncols, rows, rhs, basis):
+    def __init__(self, ncols, rows, rhs, basis, det):
         self.ncols = ncols
         self.rows = rows
         self.rhs = rhs
         self.basis = basis
+        self.det = det
 
     def pivot(self, row_idx: int, col: int) -> None:
-        rows, rhs = self.rows, self.rhs
+        rows, rhs, det = self.rows, self.rhs, self.det
         prow = rows[row_idx]
         piv = prow[col]
-        if piv != 1:
-            inv = ONE / piv
-            prow = [v * inv if v else v for v in prow]
-            rows[row_idx] = prow
-            rhs[row_idx] *= inv
+        if piv < 0:
+            # Scaling a row by -1 leaves the system and the pivot's result
+            # unchanged and keeps det positive.
+            piv = -piv
+            prow = rows[row_idx] = [-v for v in prow]
+            rhs[row_idx] = -rhs[row_idx]
         pivot_rhs = rhs[row_idx]
         for i, row in enumerate(rows):
             if i == row_idx:
                 continue
             factor = row[col]
             if factor:
-                rows[i] = [a - factor * b if b else a for a, b in zip(row, prow)]
-                if pivot_rhs:
-                    rhs[i] -= factor * pivot_rhs
+                rows[i] = [(piv * a - factor * b) // det for a, b in zip(row, prow)]
+                rhs[i] = (piv * rhs[i] - factor * pivot_rhs) // det
+            elif piv != det:
+                rows[i] = [piv * a // det for a in row]
+                rhs[i] = piv * rhs[i] // det
         self.basis[row_idx] = col
+        self.det = piv
 
-    def reduced(self, cost: Sequence[Fraction]) -> list[Fraction]:
-        """cost - cost_B . B^-1 A over every column (zero at basic ones)."""
-        red = list(cost)
-        for i, var in enumerate(self.basis):
-            cb = cost[var]
-            if cb:
-                row = self.rows[i]
-                red = [a - cb * b if b else a for a, b in zip(red, row)]
-        return red
+    def reduced(self, cost: Sequence[int]) -> list[int]:
+        """det * (cost - cost_B . B^-1 A) over every column (zero at basic
+        ones): the reduced costs scaled by the positive det."""
+        return _scaled_reduced(self.rows, self.basis, self.det, cost)
 
-    def value_of(self, cost: Sequence[Fraction], constant: Fraction = ZERO) -> Fraction:
-        total = constant
+    def value_of(self, cost: Sequence[int], constant: int = 0) -> int:
+        """det * (constant + cost . x) at the tableau's point."""
+        total = self.det * constant
         for var, val in zip(self.basis, self.rhs):
             c = cost[var]
             if c and val:
                 total += c * val
         return total
 
-    def point(self) -> list[Fraction]:
-        point = [ZERO] * self.ncols
-        for var, val in zip(self.basis, self.rhs):
-            point[var] = val
-        return point
+    def leaving_row(self, col: int) -> int:
+        """Bland's ratio test on a column: the row with the smallest
+        rhs / a over a > 0, ties to the smallest basic index; -1 if none.
+        det cancels from rhs / a, and ratios compare by cross-multiplying
+        positive pivots."""
+        rhs, basis = self.rhs, self.basis
+        leave = best_var = -1
+        best_num = best_den = 0
+        for i, row in enumerate(self.rows):
+            a = row[col]
+            if a > 0:
+                left, right = rhs[i] * best_den, best_num * a
+                if leave < 0 or left < right or (left == right and basis[i] < best_var):
+                    leave, best_var, best_num, best_den = i, basis[i], rhs[i], a
+        return leave
 
     def state(self, status: Status) -> SimplexState:
         basic = set(self.basis)
+        det = self.det
         return SimplexState(
             status=status,
             num_vars=self.ncols,
             basis=tuple(self.basis),
             nonbasis=tuple(j for j in range(self.ncols) if j not in basic),
-            basic_values=tuple(self.rhs),
-            matrix=tuple(tuple(row) for row in self.rows),
+            basic_values=tuple(Fraction(v, det) for v in self.rhs),
+            matrix=tuple(self.rows),
+            det=det,
         )
 
 
@@ -181,38 +229,45 @@ def _infeasible_state(ncols: int) -> SimplexState:
     return SimplexState(Status.INFEASIBLE, ncols, (), (), (), ())
 
 
-def standardize(program: LinearProgram) -> tuple[list[list[Fraction]], list[Fraction], int]:
-    """Dense equality system with one slack/surplus per inequality row.
-    Returns (matrix, rhs, total_columns)."""
+def _integer_system(program: LinearProgram) -> tuple[list[list[int]], list[int], int, int]:
+    """Dense equality system with one slack/surplus per inequality row,
+    scaled to integers over one common denominator: row i is multiplied by
+    det = product of the lcm of each row's denominators. Returns (rows, rhs,
+    det, total_columns)."""
     num_added = sum(1 for r in program.rows if r.relation != EQUAL)
     total = program.num_vars + num_added
-    matrix: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    det = 1
+    for row in program.rows:
+        scale = row.rhs.denominator
+        for _, c in row.coeffs:
+            scale = math.lcm(scale, c.denominator)
+        det *= scale
+    matrix: list[list[int]] = []
+    rhs: list[int] = []
     added_so_far = 0
     for i, row in enumerate(program.rows):
         allowed = program.num_vars + added_so_far
-        dense = [ZERO] * total
+        dense = [0] * total
         for j, coeff in row.coeffs:
             if j >= allowed:
                 raise ValueError(
                     f"row {i} references variable x{j} which does not exist yet"
                 )
-            dense[j] = coeff
+            dense[j] = coeff.numerator * (det // coeff.denominator)
         if row.relation != EQUAL:
             dense[program.num_vars + added_so_far] = (
-                ONE if row.relation == LESS_EQ else -ONE
+                det if row.relation == LESS_EQ else -det
             )
             added_so_far += 1
         matrix.append(dense)
-        rhs.append(row.rhs)
-    return matrix, rhs, total
+        rhs.append(row.rhs.numerator * (det // row.rhs.denominator))
+    return matrix, rhs, det, total
 
 
-def _bland(tab: Tableau, cost: Sequence[Fraction], enter_limit: int | None = None) -> Status:
-    """Maximize cost over the tableau. Entering column restricted to
-    indices below enter_limit (used to keep artificials out)."""
+def _bland(tab: Tableau, cost: Sequence[int], enter_limit: int | None = None) -> Status:
+    """Maximize an integer cost over the tableau. Entering column
+    restricted to indices below enter_limit (used to keep artificials out)."""
     limit = tab.ncols if enter_limit is None else enter_limit
-    rows, rhs, basis = tab.rows, tab.rhs, tab.basis
     while True:
         red = tab.reduced(cost)
         enter = -1
@@ -222,19 +277,7 @@ def _bland(tab: Tableau, cost: Sequence[Fraction], enter_limit: int | None = Non
                 break
         if enter < 0:
             return Status.OPTIMAL
-        leave = -1
-        best_ratio = None
-        best_var = -1
-        for i, row in enumerate(rows):
-            a = row[enter]
-            if a > 0:
-                t = rhs[i] / a
-                if (
-                    best_ratio is None
-                    or t < best_ratio
-                    or (t == best_ratio and basis[i] < best_var)
-                ):
-                    best_ratio, best_var, leave = t, basis[i], i
+        leave = tab.leaving_row(enter)
         if leave < 0:
             return Status.UNBOUNDED
         tab.pivot(leave, enter)
@@ -243,7 +286,7 @@ def _bland(tab: Tableau, cost: Sequence[Fraction], enter_limit: int | None = Non
 def feasible_tableau(program: LinearProgram) -> Tableau | None:
     """Phase one: returns a primal-feasible tableau over the real columns,
     or None when the system is infeasible. Redundant rows are dropped."""
-    matrix, rhs, ncols = standardize(program)
+    matrix, rhs, det, ncols = _integer_system(program)
     m = len(matrix)
     for i in range(m):
         if rhs[i] < 0:
@@ -257,7 +300,7 @@ def feasible_tableau(program: LinearProgram) -> Tableau | None:
         for i in range(m):
             v = matrix[i][j]
             if v:
-                if hit >= 0 or v != 1:
+                if hit >= 0 or v != det:
                     ok = False
                     break
                 hit = i
@@ -266,19 +309,19 @@ def feasible_tableau(program: LinearProgram) -> Tableau | None:
 
     art_cols = [i for i in range(m) if basis[i] < 0]
     if not art_cols:
-        return Tableau(ncols, matrix, rhs, basis)
+        return Tableau(ncols, matrix, rhs, basis, det)
 
     total = ncols + len(art_cols)
     for i in range(m):
-        matrix[i] = matrix[i] + [ZERO] * len(art_cols)
+        matrix[i] = matrix[i] + [0] * len(art_cols)
     for order, i in enumerate(art_cols):
-        matrix[i][ncols + order] = ONE
+        matrix[i][ncols + order] = det
         basis[i] = ncols + order
 
-    tab = Tableau(total, matrix, rhs, basis)
-    cost = [ZERO] * ncols + [-ONE] * len(art_cols)
-    status = _bland(tab, cost, enter_limit=ncols)
-    assert status is Status.OPTIMAL  # -sum(artificials) <= 0 is bounded
+    tab = Tableau(total, matrix, rhs, basis, det)
+    cost = [0] * ncols + [-1] * len(art_cols)
+    if _bland(tab, cost, enter_limit=ncols) is not Status.OPTIMAL:
+        raise InvariantViolated("phase one is unbounded, but -sum(artificials) <= 0")
     if tab.value_of(cost) != 0:
         return None
 
@@ -297,6 +340,9 @@ def feasible_tableau(program: LinearProgram) -> Tableau | None:
         del tab.rows[i]
         del tab.rhs[i]
         del tab.basis[i]
+    # A dropped row's artificial stays a factor of det: det is then the
+    # basis determinant of the kept rows times that row's scale, a constant
+    # that every later pivot carries along, so divisions stay exact.
     tab.rows = [row[:ncols] for row in tab.rows]
     tab.ncols = ncols
     return tab
@@ -311,7 +357,8 @@ def solve_lp(program: LinearProgram) -> SimplexState:
             1 for r in program.rows if r.relation != EQUAL
         )
         return _infeasible_state(ncols)
-    cost = list(program.objective) + [ZERO] * (tab.ncols - program.num_vars)
+    cost, _ = integer_cost(program.objective)
+    cost += [0] * (tab.ncols - program.num_vars)
     status = _bland(tab, cost)
     return tab.state(status)
 
@@ -325,13 +372,9 @@ def reduced_row(state: SimplexState, form: AffineForm) -> tuple[dict[int, Fracti
     """
     if state.status is not Status.OPTIMAL:
         raise NotOptimal(f"reduced rows need an optimal state, got {state.status}")
-    cost = list(form.coeffs) + [ZERO] * (state.num_vars - len(form.coeffs))
-    red = list(cost)
-    value = form.constant
-    for i, var in enumerate(state.basis):
-        cb = cost[var]
-        if cb:
-            row = state.matrix[i]
-            red = [a - cb * b if b else a for a, b in zip(red, row)]
-            value += cb * state.basic_values[i]
-    return {j: red[j] for j in state.nonbasis}, value
+    cost, scale = integer_cost(form.coeffs)
+    cost += [0] * (state.num_vars - len(cost))
+    red = _scaled_reduced(state.matrix, state.basis, state.det, cost)
+    value = sum((cost[var] * val for var, val in zip(state.basis, state.basic_values)), ZERO)
+    denominator = scale * state.det
+    return {j: Fraction(red[j], denominator) for j in state.nonbasis}, form.constant + value / scale

@@ -200,3 +200,18 @@ class TestFailures:
         code, _, err = run_cli(capsys, "solve", path)
         assert code == 2
         assert "error:" in err
+
+    def test_invariant_violation_exits_five(self, demo_file, capsys, monkeypatch):
+        # A membership MILP is seeded with the candidate at value 0, so a
+        # negative optimum can only come from a solver defect.
+        from effset import efficiency
+        from effset.milp import MilpResult
+        from effset.simplex import Status
+
+        def broken_milp(problem, cutoff=None, incumbent=None, node_limit=None):
+            return MilpResult(Status.OPTIMAL, incumbent[0], -1)
+
+        monkeypatch.setattr(efficiency, "solve_milp", broken_milp)
+        code, _, err = run_cli(capsys, "solve", demo_file)
+        assert code == 5
+        assert "internal invariant violated" in err

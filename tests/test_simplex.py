@@ -104,10 +104,21 @@ class TestSolveLp:
         assert value == 1
 
 
-def _vertex_oracle_max(rows, objective):
-    """Exact maximum over a 2-variable region by enumerating candidate
-    vertices: all pairwise intersections of constraint boundary lines and
-    the axes, filtered for feasibility."""
+def _lhs(coeffs, x, y):
+    return Fraction(coeffs.get(0, 0)) * x + Fraction(coeffs.get(1, 0)) * y
+
+
+def _satisfied(lhs, relation, rhs):
+    if relation == LESS_EQ:
+        return lhs <= rhs
+    if relation == GREATER_EQ:
+        return lhs >= rhs
+    return lhs == rhs
+
+
+def _feasible_vertices(rows):
+    """Every vertex of a 2-variable region: all pairwise intersections of
+    constraint boundary lines and the axes, filtered for feasibility."""
     lines = [(Fraction(1), Fraction(0), Fraction(0)), (Fraction(0), Fraction(1), Fraction(0))]
     for coeffs, _, rhs in rows:
         a = Fraction(coeffs.get(0, 0))
@@ -117,12 +128,9 @@ def _vertex_oracle_max(rows, objective):
     def feasible(x, y):
         if x < 0 or y < 0:
             return False
-        return all(
-            Fraction(c.get(0, 0)) * x + Fraction(c.get(1, 0)) * y <= rhs
-            for c, _, rhs in rows
-        )
+        return all(_satisfied(_lhs(c, x, y), rel, rhs) for c, rel, rhs in rows)
 
-    best = None
+    vertices = []
     for (a1, b1, r1), (a2, b2, r2) in itertools.combinations(lines, 2):
         det = a1 * b2 - a2 * b1
         if det == 0:
@@ -130,39 +138,70 @@ def _vertex_oracle_max(rows, objective):
         x = (r1 * b2 - r2 * b1) / det
         y = (a1 * r2 - a2 * r1) / det
         if feasible(x, y):
-            value = objective[0] * x + objective[1] * y
-            if best is None or value > best:
-                best = value
-    return best
+            vertices.append((x, y))
+    return vertices
 
 
-@settings(max_examples=60, deadline=None)
+def _vertex_oracle_max(rows, objective):
+    """Exact maximum over a 2-variable region by enumerating its vertices."""
+    values = [objective[0] * x + objective[1] * y for x, y in _feasible_vertices(rows)]
+    return max(values, default=None)
+
+
+def _slack_extended(rows, x, y):
+    """(x, y) followed by each inequality row's slack or surplus, in row
+    order, as solve_lp numbers its added variables."""
+    full = [Fraction(x), Fraction(y)]
+    for coeffs, rel, rhs in rows:
+        if rel == LESS_EQ:
+            full.append(rhs - _lhs(coeffs, x, y))
+        elif rel == GREATER_EQ:
+            full.append(_lhs(coeffs, x, y) - rhs)
+    return full
+
+
+_coeff = st.fractions(-5, 5, max_denominator=6)
+_rhs = st.fractions(-10, 20, max_denominator=6)
+
+
+@settings(max_examples=120, deadline=None)
 @given(
     st.lists(
-        st.tuples(
-            st.integers(-5, 5), st.integers(-5, 5), st.integers(-10, 20)
-        ),
+        st.tuples(_coeff, _coeff, st.sampled_from((LESS_EQ, GREATER_EQ, EQUAL)), _rhs),
         min_size=0,
         max_size=3,
     ),
-    st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
-    st.integers(1, 25),
+    st.none() | st.tuples(_coeff, _coeff, _rhs, st.fractions(-3, 3, max_denominator=4)),
+    st.tuples(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=6)),
+    st.fractions(1, 25, max_denominator=5),
 )
-def test_solve_lp_matches_vertex_enumeration(extra_rows, objective, box):
+def test_solve_lp_matches_vertex_enumeration(extra_rows, duplicated, objective, box):
+    # Rational data scales rows to integers over one common denominator;
+    # a scaled copy of an equality row is redundant and is dropped after
+    # phase one, leaving its scale as a constant factor of that denominator.
     rows = [({0: 1, 1: 1}, LESS_EQ, box)]
-    rows += [({0: a, 1: b}, LESS_EQ, r) for a, b, r in extra_rows]
+    rows += [({0: a, 1: b}, rel, r) for a, b, rel, r in extra_rows]
+    if duplicated is not None and duplicated[3]:
+        a, b, r, factor = duplicated
+        rows += [({0: a, 1: b}, EQUAL, r), ({0: a * factor, 1: b * factor}, EQUAL, r * factor)]
     program = lp(2, {0: objective[0], 1: objective[1]}, rows)
     state = solve_lp(program)
-    expected = _vertex_oracle_max(
-        [(dict(c), rel, rhs) for c, rel, rhs in rows], objective
-    )
+    expected = _vertex_oracle_max(rows, objective)
     if expected is None:
         assert state.status is Status.INFEASIBLE
-    else:
-        assert state.status is Status.OPTIMAL
-        point = state.structural_point(2)
-        value = objective[0] * point[0] + objective[1] * point[1]
-        assert value == expected
+        return
+    assert state.status is Status.OPTIMAL
+    point = state.structural_point(2)
+    value = objective[0] * point[0] + objective[1] * point[1]
+    assert value == expected
+
+    # z(y) = z(x*) + sum_j red_j * y_j over the slack-extended system, for
+    # every feasible y.
+    form = AffineForm.of([objective[1] - 2, objective[0]], Fraction(1, 3))
+    coeffs, base = reduced_row(state, form)
+    for x, y in _feasible_vertices(rows):
+        full = _slack_extended(rows, x, y)
+        assert base + sum(c * full[j] for j, c in coeffs.items()) == form.at((x, y))
 
 
 class TestReducedRow:
