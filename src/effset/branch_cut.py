@@ -24,7 +24,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -36,10 +36,9 @@ from .model import (
     Point,
     ProblemInstance,
     criteria_image,
-    scaled_constraints,
     utility_image,
 )
-from .simplex import GREATER_EQ, LESS_EQ, LinearRow, SimplexState, Status
+from .simplex import GREATER_EQ, LESS_EQ, LinearRow, SimplexState, Status, constraint_rows
 from .validate import validate_instance
 
 log = logging.getLogger(__name__)
@@ -82,9 +81,7 @@ class SearchReport:
     solutions: list[SolutionRecord]
     nodes_processed: int
     fathoms: dict[str, int]
-    edges: list[tuple[int, int, str]]
     trace: list[TraceRecord]
-    node_rows: dict[int, tuple[LinearRow, ...]] = field(default_factory=dict)
 
     def solution_points(self) -> set[Point]:
         return {rec.point for rec in self.solutions}
@@ -125,29 +122,12 @@ def build_cut_sets(
     return h, hp
 
 
-def _base_rows(inst: ProblemInstance) -> tuple[LinearRow, ...]:
-    a_int, b_int = scaled_constraints(inst)
-    return tuple(
-        LinearRow.of({j: c for j, c in enumerate(row) if c}, LESS_EQ, rhs)
-        for row, rhs in zip(a_int, b_int)
-    )
-
-
-def _cut_label(sets: Sequence[frozenset[int]]) -> str:
-    parts = []
-    for s in sets:
-        terms = " + ".join(f"x{j}" for j in sorted(s))
-        parts.append(f"{terms} >= 1")
-    return "; ".join(parts)
-
-
 def run(
     inst: ProblemInstance,
     strategy: str = "dfs",
     objective: int = 0,
     validate: bool = True,
     node_limit: int | None = None,
-    keep_rows: bool = False,
 ) -> SearchReport:
     """Enumerate every integer point simultaneously efficient for the
     ranking criteria and for the utility pair.
@@ -164,13 +144,13 @@ def run(
         validate_instance(inst)
 
     n = inst.variable_count
-    base = _base_rows(inst)
+    base = constraint_rows(inst.a_matrix, inst.b_vector)
     utility = inst.utilities[objective]
 
     root = SearchNode(0, None, (), 0)
     open_nodes: deque[SearchNode] = deque([root])
     next_id = 1
-    report = SearchReport([], 0, {FATHOM_INFEASIBLE: 0, FATHOM_EMPTY_H: 0, FATHOM_EMPTY_HPRIME: 0}, [], [])
+    report = SearchReport([], 0, {FATHOM_INFEASIBLE: 0, FATHOM_EMPTY_H: 0, FATHOM_EMPTY_HPRIME: 0}, [])
     seen_points: set[Point] = set()
 
     while open_nodes:
@@ -178,8 +158,6 @@ def run(
         report.nodes_processed += 1
         if node_limit is not None and report.nodes_processed > node_limit:
             raise RuntimeError(f"node limit {node_limit} exceeded")
-        if keep_rows:
-            report.node_rows[node.id] = node.rows
 
         result = solve_lfp(n, base + node.rows, utility)
         if result.status is Status.INFEASIBLE:
@@ -203,8 +181,6 @@ def run(
                 node.depth + 1,
             )
             next_id += 2
-            report.edges.append((node.id, floor_child.id, f"x{r} <= {lo}"))
-            report.edges.append((node.id, ceil_child.id, f"x{r} >= {lo + 1}"))
             report.trace.append(
                 TraceRecord(node.id, node.parent, BRANCH, point, result.value, None, None)
             )
@@ -258,8 +234,6 @@ def run(
             next_id, node.id, node.rows + tuple(cut_rows), node.depth + 1
         )
         next_id += 1
-        sets = [h] if hp == h else [h, hp]
-        report.edges.append((node.id, successor.id, _cut_label(sets)))
         report.trace.append(
             TraceRecord(node.id, node.parent, CUT, point, result.value, h, hp)
         )

@@ -23,7 +23,7 @@ from typing import Sequence
 from .errors import InfeasiblePoint, InvariantViolated
 from .milp import MilpProblem, MilpResult, solve_milp
 from .model import FractionalObjective, Point, ProblemInstance, evaluate, is_feasible
-from .simplex import EQUAL, LESS_EQ, ZERO, LinearProgram, LinearRow
+from .simplex import EQUAL, ZERO, LinearProgram, LinearRow, constraint_rows
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,7 @@ def _membership_program(
         coeffs[n + i] = Fraction(-1)
         rhs = level * obj.denominator.constant - obj.numerator.constant
         rows.append(LinearRow.of(coeffs, EQUAL, rhs))
-    for a_row, b in zip(inst.a_matrix, inst.b_vector):
-        rows.append(LinearRow.of({j: c for j, c in enumerate(a_row) if c}, LESS_EQ, b))
+    rows.extend(constraint_rows(inst.a_matrix, inst.b_vector))
     objective = {n + i: 1 for i in range(k)}
     program = LinearProgram.of(n + k, objective, rows)
     mask = (True,) * n + (False,) * k

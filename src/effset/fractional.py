@@ -9,7 +9,8 @@ feasible region.
 
 solve_lfp_cc solves the same problem through the variable-change
 t = 1/(q.x + beta), y = t x, which turns the ratio program into a plain LP.
-It shares no pivoting logic with solve_lfp and exists to cross-check it.
+It shares the pivot loop with solve_lfp but keeps its own formulation and
+prices its plain LP objective, so it cross-checks the ratio pricing.
 """
 from __future__ import annotations
 
@@ -21,15 +22,17 @@ from .errors import AssumptionViolated, InvariantViolated, UnboundedDomain
 from .model import AffineForm, FractionalObjective
 from .simplex import (
     EQUAL,
-    GREATER_EQ,
     LESS_EQ,
     ZERO,
     LinearProgram,
     LinearRow,
     SimplexState,
     Status,
+    Tableau,
+    _bland,
     feasible_tableau,
-    integer_cost,
+    infeasible_state,
+    integer_form,
     reduced_row,
     solve_lp,
 )
@@ -43,6 +46,26 @@ class LfpResult:
     state: SimplexState
 
 
+def _ratio_costs(objective: FractionalObjective, ncols: int):
+    """Numerator and denominator as integer forms (see integer_form)."""
+    return integer_form(objective.numerator, ncols), integer_form(objective.denominator, ncols)
+
+
+def _gamma(tab: Tableau, p, q) -> tuple[int, int, list[int]]:
+    """(p_val, q_val, gamma) at the tableau's vertex, over every column.
+
+    p_val = p_scale*det*P(x) and nu = tab.reduced(p_cost) = p_scale*det*(the
+    reduced P row), likewise for Q, so gamma_j = q_val*nu_j - p_val*mu_j is
+    Q(x)*(reduced P)_j - P(x)*(reduced Q)_j times p_scale*q_scale*det**2 > 0.
+    """
+    (p_cost, p_const, _), (q_cost, q_const, _) = p, q
+    p_val = tab.value_of(p_cost, p_const)
+    q_val = tab.value_of(q_cost, q_const)
+    nu = tab.reduced(p_cost)
+    mu = tab.reduced(q_cost)
+    return p_val, q_val, [q_val * a - p_val * b for a, b in zip(nu, mu)]
+
+
 def solve_lfp(num_vars: int, rows: Sequence[LinearRow], objective: FractionalObjective) -> LfpResult:
     """Maximize a fractional objective over the row system plus x >= 0.
 
@@ -52,28 +75,16 @@ def solve_lfp(num_vars: int, rows: Sequence[LinearRow], objective: FractionalObj
     program = LinearProgram.of(num_vars, {}, rows)
     tab = feasible_tableau(program)
     if tab is None:
-        ncols = num_vars + sum(1 for r in rows if r.relation != EQUAL)
-        return LfpResult(
-            Status.INFEASIBLE,
-            None,
-            None,
-            SimplexState(Status.INFEASIBLE, ncols, (), (), (), ()),
-        )
+        return LfpResult(Status.INFEASIBLE, None, None, infeasible_state(program))
 
-    pad = [0] * (tab.ncols - num_vars)
-    p_cost, p_scale = integer_cost((*objective.numerator.coeffs, objective.numerator.constant))
-    q_cost, q_scale = integer_cost((*objective.denominator.coeffs, objective.denominator.constant))
-    p_const, q_const = p_cost.pop(), q_cost.pop()
-    p_cost += pad
-    q_cost += pad
-
-    # Tableau quantities come scaled by det and by each cost's own positive
-    # scale: p_val = p_scale*det*P(x), nu = p_scale*det*(reduced P row), and
-    # likewise for Q, so Q*nu_j - P*mu_j has the sign of q_val*nu_j - p_val*mu_j.
+    p, q = _ratio_costs(objective, tab.ncols)
+    p_scale, q_scale = p[2], q[2]
     value = None
-    while True:
-        p_val = tab.value_of(p_cost, p_const)
-        q_val = tab.value_of(q_cost, q_const)
+
+    def price(tab: Tableau) -> int:
+        """Bland on gamma: the first column with gamma_j > 0."""
+        nonlocal value
+        p_val, q_val, gamma = _gamma(tab, p, q)
         if q_val <= 0:
             raise AssumptionViolated(
                 f"denominator evaluates to {Fraction(q_val, q_scale * tab.det)} "
@@ -83,24 +94,15 @@ def solve_lfp(num_vars: int, rows: Sequence[LinearRow], objective: FractionalObj
         if value is not None and current < value:
             raise InvariantViolated("ratio value decreased across a pivot")
         value = current
+        for j, g in enumerate(gamma):
+            if g > 0:
+                return j
+        return -1
 
-        nu = tab.reduced(p_cost)
-        mu = tab.reduced(q_cost)
-        enter = -1
-        for j in range(tab.ncols):
-            if q_val * nu[j] - p_val * mu[j] > 0:
-                enter = j
-                break
-        if enter < 0:
-            break
-
-        leave = tab.leaving_row(enter)
-        if leave < 0:
-            raise UnboundedDomain(
-                "improving ray with no blocking row; the domain is not a polytope"
-            )
-        tab.pivot(leave, enter)
-
+    if _bland(tab, price) is Status.UNBOUNDED:
+        raise UnboundedDomain(
+            "improving ray with no blocking row; the domain is not a polytope"
+        )
     state = tab.state(Status.OPTIMAL)
     return LfpResult(Status.OPTIMAL, state.structural_point(num_vars), value, state)
 
@@ -111,9 +113,11 @@ def fractional_gradient(state: SimplexState, objective: FractionalObjective) -> 
     At an optimum of `objective` every entry is <= 0; positive entries
     flag nonbasic directions along which the ratio still improves.
     """
-    nu, p_val = reduced_row(state, objective.numerator)
-    mu, q_val = reduced_row(state, objective.denominator)
-    return {j: q_val * nu[j] - p_val * mu[j] for j in state.nonbasis}
+    tab = Tableau.of_state(state)
+    p, q = _ratio_costs(objective, tab.ncols)
+    _, _, gamma = _gamma(tab, p, q)
+    scale = p[2] * q[2] * tab.det**2
+    return {j: Fraction(gamma[j], scale) for j in state.nonbasis}
 
 
 def _expand_rows(num_vars: int, rows: Sequence[LinearRow]):

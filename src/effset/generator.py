@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Sequence
 
 from .errors import AssumptionViolated, GenerationFailed
 from .model import AffineForm, FractionalObjective, ProblemInstance, instance
-from .simplex import LESS_EQ, LinearProgram, LinearRow, Status, solve_lp
-from .validate import validate_instance
+from .simplex import LinearRow, constraint_rows
+from .validate import denominator_minimum, validate_instance
 
 
 @dataclass(frozen=True)
@@ -41,20 +43,8 @@ class GeneratorConfig:
                 raise ValueError(f"{name} is empty: ({lo}, {hi})")
 
 
-def _denominator_minimum(a, b, den: AffineForm, n: int):
-    rows = [
-        LinearRow.of({j: c for j, c in enumerate(row) if c}, LESS_EQ, rhs)
-        for row, rhs in zip(a, b)
-    ]
-    cost = {j: -c for j, c in enumerate(den.coeffs) if c}
-    state = solve_lp(LinearProgram.of(n, cost, rows))
-    if state.status is not Status.OPTIMAL:
-        return None
-    return den.at(state.structural_point(n))
-
-
 def _draw_objective(
-    rng: random.Random, cfg: GeneratorConfig, a, b
+    rng: random.Random, cfg: GeneratorConfig, rows: Sequence[LinearRow]
 ) -> FractionalObjective:
     num_lo, num_hi = cfg.numerator_range
     den_lo, den_hi = cfg.denominator_range
@@ -64,12 +54,13 @@ def _draw_objective(
     )
     den_coeffs = [rng.randint(den_lo, den_hi) for _ in range(cfg.num_vars)]
     constant = rng.randint(den_lo, den_hi)
+    # Redraws change only the constant, so the linear part's minimum is
+    # solved once.
+    linear = denominator_minimum(rows, cfg.num_vars, AffineForm.of(den_coeffs))
     positive_lo = max(den_lo, 1)
     for _ in range(cfg.max_attempts):
-        denominator = AffineForm.of(den_coeffs, constant)
-        minimum = _denominator_minimum(a, b, denominator, cfg.num_vars)
-        if minimum is not None and minimum > 0:
-            return FractionalObjective(numerator, denominator)
+        if linear is not None and linear[0] + constant > 0:
+            return FractionalObjective(numerator, AffineForm.of(den_coeffs, constant))
         if positive_lo > den_hi:
             break
         constant = rng.randint(positive_lo, den_hi)
@@ -87,11 +78,12 @@ def generate(cfg: GeneratorConfig) -> ProblemInstance:
             for _ in range(cfg.num_constraints)
         ]
         b = [rng.randint(*cfg.b_range) for _ in range(cfg.num_constraints)]
+        rows = constraint_rows([list(map(Fraction, row)) for row in a], list(map(Fraction, b)))
         try:
             criteria = tuple(
-                _draw_objective(rng, cfg, a, b) for _ in range(cfg.num_criteria)
+                _draw_objective(rng, cfg, rows) for _ in range(cfg.num_criteria)
             )
-            utilities = tuple(_draw_objective(rng, cfg, a, b) for _ in range(2))
+            utilities = tuple(_draw_objective(rng, cfg, rows) for _ in range(2))
             inst = instance(a, b, criteria, utilities)
             validate_instance(inst)
             return inst

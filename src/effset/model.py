@@ -188,15 +188,19 @@ def pareto_filter(entries: Sequence[tuple[Point, ObjectiveVector]]) -> list[Poin
     return kept
 
 
+def denominator_lcm(values: Iterable[Fraction]) -> int:
+    scale = 1
+    for v in values:
+        scale = math.lcm(scale, v.denominator)
+    return scale
+
+
 def scaled_constraints(inst: ProblemInstance) -> tuple[list[list[int]], list[int]]:
     """Each row scaled by the lcm of its denominators: same halfspaces,
-    integer data. Slacks of scaled rows take integer values at integer
-    points, which the branch-and-cut rounds rely on."""
+    integer data."""
     a_int, b_int = [], []
     for row, rhs in zip(inst.a_matrix, inst.b_vector):
-        scale = 1
-        for v in (*row, rhs):
-            scale = scale * v.denominator // math.gcd(scale, v.denominator)
+        scale = denominator_lcm((*row, rhs))
         a_int.append([int(v * scale) for v in row])
         b_int.append(int(rhs * scale))
     return a_int, b_int

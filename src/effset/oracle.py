@@ -20,7 +20,7 @@ from .model import (
     pareto_filter,
     scaled_constraints,
 )
-from .simplex import LESS_EQ, LinearProgram, LinearRow, Status, solve_lp
+from .simplex import LinearProgram, Status, constraint_rows, solve_lp
 
 DEFAULT_BUDGET = 10**7
 
@@ -28,17 +28,14 @@ DEFAULT_BUDGET = 10**7
 def variable_upper_bounds(inst: ProblemInstance) -> list | None:
     """Continuous max of each variable, or None when the relaxation is
     empty. Raises UnboundedDomain if any variable can grow forever."""
-    rows = [
-        LinearRow.of({j: c for j, c in enumerate(row) if c}, LESS_EQ, rhs)
-        for row, rhs in zip(inst.a_matrix, inst.b_vector)
-    ]
+    rows = constraint_rows(inst.a_matrix, inst.b_vector)
     bounds = []
     for j in range(inst.variable_count):
         state = solve_lp(LinearProgram.of(inst.variable_count, {j: 1}, rows))
         if state.status is Status.INFEASIBLE:
             return None
         if state.status is Status.UNBOUNDED:
-            raise UnboundedDomain(f"variable x{j} is unbounded")
+            raise UnboundedDomain(f"variable x{j} is unbounded over the relaxation")
         bounds.append(state.full_point()[j])
     return bounds
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InvariantViolated, NotOptimal
-from .model import AffineForm, as_fraction
+from .model import AffineForm, as_fraction, denominator_lcm
 
 ZERO = Fraction(0)
 
@@ -74,6 +74,21 @@ class LinearRow:
                 merged[j] = merged.get(j, ZERO) + v
         pairs = tuple(sorted((j, v) for j, v in merged.items() if v))
         return cls(pairs, relation, as_fraction(rhs))
+
+
+def constraint_rows(a_matrix, b_vector) -> tuple[LinearRow, ...]:
+    """Ax <= b as rows, each scaled by the lcm of its denominators: the
+    same halfspaces over integer data, so slacks take integer values at
+    integer points (the branch-and-cut rounds rely on this). Integer rows
+    pass through without new arithmetic."""
+    rows = []
+    for a_row, rhs in zip(a_matrix, b_vector):
+        scale = denominator_lcm((*a_row, rhs))
+        if scale != 1:
+            a_row = [c * scale for c in a_row]
+            rhs = rhs * scale
+        rows.append(LinearRow(tuple((j, c) for j, c in enumerate(a_row) if c), LESS_EQ, rhs))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -126,27 +141,21 @@ class SimplexState:
         return self.full_point()[:n]
 
 
-def integer_cost(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(scale * values as ints, scale), scale the lcm of the denominators."""
-    scale = 1
-    for v in values:
-        scale = math.lcm(scale, v.denominator)
-    return [v.numerator * (scale // v.denominator) for v in values], scale
-
-
-def _scaled_reduced(rows, basis, det: int, cost: Sequence[int]) -> list[int]:
-    red = [det * c for c in cost]
-    for row, var in zip(rows, basis):
-        cb = cost[var]
-        if cb:
-            red = [a - cb * b for a, b in zip(red, row)]
-    return red
+def integer_form(form: AffineForm, ncols: int) -> tuple[list[int], int, int]:
+    """(cost, constant, scale): scale * form as integers, the cost padded
+    with zeros to ncols columns; scale is the lcm of the denominators."""
+    values = (*form.coeffs, form.constant)
+    scale = denominator_lcm(values)
+    cost = [v.numerator * (scale // v.denominator) for v in values]
+    constant = cost.pop()
+    cost += [0] * (ncols - len(cost))
+    return cost, constant, scale
 
 
 class Tableau:
     """Mutable dense integer tableau; the exact tableau is rows / det and
     rhs / det. Internal to the solvers; snapshot with `state()` before
-    handing results out. Costs passed in are integer (see integer_cost)."""
+    handing results out. Costs passed in are integer (see integer_form)."""
 
     __slots__ = ("ncols", "rows", "rhs", "basis", "det")
 
@@ -156,6 +165,15 @@ class Tableau:
         self.rhs = rhs
         self.basis = basis
         self.det = det
+
+    @classmethod
+    def of_state(cls, state: SimplexState) -> "Tableau":
+        """The integer tableau behind an optimal state, for reduced rows."""
+        if state.status is not Status.OPTIMAL:
+            raise NotOptimal(f"reduced rows need an optimal state, got {state.status}")
+        det = state.det
+        rhs = [v.numerator * (det // v.denominator) for v in state.basic_values]
+        return cls(state.num_vars, state.matrix, rhs, state.basis, det)
 
     def pivot(self, row_idx: int, col: int) -> None:
         rows, rhs, det = self.rows, self.rhs, self.det
@@ -184,7 +202,12 @@ class Tableau:
     def reduced(self, cost: Sequence[int]) -> list[int]:
         """det * (cost - cost_B . B^-1 A) over every column (zero at basic
         ones): the reduced costs scaled by the positive det."""
-        return _scaled_reduced(self.rows, self.basis, self.det, cost)
+        red = [self.det * c for c in cost]
+        for row, var in zip(self.rows, self.basis):
+            cb = cost[var]
+            if cb:
+                red = [a - cb * b for a, b in zip(red, row)]
+        return red
 
     def value_of(self, cost: Sequence[int], constant: int = 0) -> int:
         """det * (constant + cost . x) at the tableau's point."""
@@ -225,7 +248,8 @@ class Tableau:
         )
 
 
-def _infeasible_state(ncols: int) -> SimplexState:
+def infeasible_state(program: LinearProgram) -> SimplexState:
+    ncols = program.num_vars + sum(1 for r in program.rows if r.relation != EQUAL)
     return SimplexState(Status.INFEASIBLE, ncols, (), (), (), ())
 
 
@@ -264,17 +288,23 @@ def _integer_system(program: LinearProgram) -> tuple[list[list[int]], list[int],
     return matrix, rhs, det, total
 
 
-def _bland(tab: Tableau, cost: Sequence[int], enter_limit: int | None = None) -> Status:
-    """Maximize an integer cost over the tableau. Entering column
-    restricted to indices below enter_limit (used to keep artificials out)."""
-    limit = tab.ncols if enter_limit is None else enter_limit
-    while True:
+def _first_positive(cost: Sequence[int], limit: int):
+    """Bland pricing on a linear cost: the first column below limit with a
+    positive reduced cost, or -1 at an optimum."""
+    def enter(tab: Tableau) -> int:
         red = tab.reduced(cost)
-        enter = -1
         for j in range(limit):
             if red[j] > 0:
-                enter = j
-                break
+                return j
+        return -1
+    return enter
+
+
+def _bland(tab: Tableau, price) -> Status:
+    """The pivot loop of every solver: `price(tab)` names the entering
+    column (-1 at an optimum) and Bland's ratio test the leaving row."""
+    while True:
+        enter = price(tab)
         if enter < 0:
             return Status.OPTIMAL
         leave = tab.leaving_row(enter)
@@ -320,7 +350,7 @@ def feasible_tableau(program: LinearProgram) -> Tableau | None:
 
     tab = Tableau(total, matrix, rhs, basis, det)
     cost = [0] * ncols + [-1] * len(art_cols)
-    if _bland(tab, cost, enter_limit=ncols) is not Status.OPTIMAL:
+    if _bland(tab, _first_positive(cost, ncols)) is not Status.OPTIMAL:
         raise InvariantViolated("phase one is unbounded, but -sum(artificials) <= 0")
     if tab.value_of(cost) != 0:
         return None
@@ -353,13 +383,10 @@ def solve_lp(program: LinearProgram) -> SimplexState:
     final bases."""
     tab = feasible_tableau(program)
     if tab is None:
-        ncols = program.num_vars + sum(
-            1 for r in program.rows if r.relation != EQUAL
-        )
-        return _infeasible_state(ncols)
-    cost, _ = integer_cost(program.objective)
-    cost += [0] * (tab.ncols - program.num_vars)
-    status = _bland(tab, cost)
+        return infeasible_state(program)
+    objective = AffineForm(program.objective, program.objective_constant)
+    cost, _, _ = integer_form(objective, tab.ncols)
+    status = _bland(tab, _first_positive(cost, tab.ncols))
     return tab.state(status)
 
 
@@ -370,11 +397,9 @@ def reduced_row(state: SimplexState, form: AffineForm) -> tuple[dict[int, Fracti
     the state's point). The form is over structural variables; added
     variables carry zero cost.
     """
-    if state.status is not Status.OPTIMAL:
-        raise NotOptimal(f"reduced rows need an optimal state, got {state.status}")
-    cost, scale = integer_cost(form.coeffs)
-    cost += [0] * (state.num_vars - len(cost))
-    red = _scaled_reduced(state.matrix, state.basis, state.det, cost)
-    value = sum((cost[var] * val for var, val in zip(state.basis, state.basic_values)), ZERO)
-    denominator = scale * state.det
-    return {j: Fraction(red[j], denominator) for j in state.nonbasis}, form.constant + value / scale
+    tab = Tableau.of_state(state)
+    cost, constant, scale = integer_form(form, tab.ncols)
+    red = tab.reduced(cost)
+    denominator = scale * tab.det
+    value = Fraction(tab.value_of(cost, constant), denominator)
+    return {j: Fraction(red[j], denominator) for j in state.nonbasis}, value

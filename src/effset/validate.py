@@ -5,13 +5,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from .errors import AssumptionViolated, UnboundedRelaxation
+from .errors import AssumptionViolated, UnboundedDomain, UnboundedRelaxation
 from .milp import MilpProblem, solve_milp
-from .model import ProblemInstance
-from .simplex import LESS_EQ, LinearProgram, LinearRow, Status, solve_lp
-
-_ZERO = Fraction(0)
+from .model import AffineForm, ProblemInstance
+from .oracle import variable_upper_bounds
+from .simplex import LinearProgram, LinearRow, Status, constraint_rows, solve_lp
 
 
 @dataclass(frozen=True)
@@ -29,40 +29,35 @@ class InstanceCertificate:
     integer_witness: tuple[int, ...]
 
 
-def _relaxation_rows(inst: ProblemInstance) -> list[LinearRow]:
-    return [
-        LinearRow.of({j: c for j, c in enumerate(row) if c}, LESS_EQ, rhs)
-        for row, rhs in zip(inst.a_matrix, inst.b_vector)
-    ]
+def denominator_minimum(
+    rows: Sequence[LinearRow], n: int, den: AffineForm
+) -> tuple[Fraction, tuple[Fraction, ...]] | None:
+    """(minimum, minimizer) of an affine form over the rows plus x >= 0,
+    or None when that LP has no optimum."""
+    state = solve_lp(LinearProgram.of(n, [-c for c in den.coeffs], rows))
+    if state.status is not Status.OPTIMAL:
+        return None
+    point = state.structural_point(n)
+    return den.at(point), point
 
 
 def validate_instance(inst: ProblemInstance) -> InstanceCertificate:
     n = inst.variable_count
-    rows = _relaxation_rows(inst)
-
-    maxima = []
-    for j in range(n):
-        state = solve_lp(LinearProgram.of(n, {j: 1}, rows))
-        if state.status is Status.INFEASIBLE:
-            raise AssumptionViolated(
-                "the continuous relaxation is empty", reason="empty-domain"
-            )
-        if state.status is Status.UNBOUNDED:
-            raise AssumptionViolated(
-                f"variable x{j} is unbounded over the relaxation", reason="unbounded"
-            )
-        maxima.append(state.full_point()[j])
+    rows = constraint_rows(inst.a_matrix, inst.b_vector)
+    try:
+        maxima = variable_upper_bounds(inst)
+    except UnboundedDomain as exc:
+        raise AssumptionViolated(str(exc), reason="unbounded") from None
+    if maxima is None:
+        raise AssumptionViolated("the continuous relaxation is empty", reason="empty-domain")
 
     minima = []
     objectives = list(inst.criteria) + list(inst.utilities)
     for idx, obj in enumerate(objectives):
-        den = obj.denominator
-        cost = {j: -c for j, c in enumerate(den.coeffs) if c}
-        state = solve_lp(LinearProgram.of(n, cost, rows))
-        if state.status is not Status.OPTIMAL:
+        found = denominator_minimum(rows, n, obj.denominator)
+        if found is None:
             raise AssumptionViolated("denominator minimization did not solve")
-        point = state.structural_point(n)
-        value = den.at(point)
+        value, point = found
         if value <= 0:
             raise AssumptionViolated(
                 f"denominator {idx} reaches {value} at {point}; it must stay positive"

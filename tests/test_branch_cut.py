@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from effset import branch_cut
 from effset.branch_cut import (
     BRANCH,
     CUT,
@@ -13,23 +15,61 @@ from effset.branch_cut import (
     run,
     select_branch_variable,
 )
+from effset.efficiency import is_in_solution_set
 from effset.errors import AllInteger, AssumptionViolated, NonIntegerPoint, NotOptimal
 from effset.fractional import _expand_rows, solve_lfp
 from effset.generator import GeneratorConfig, generate
-from effset.model import criteria_image, instance, ratio, utility_image
-from effset.oracle import efficient_sets
-from effset.simplex import LESS_EQ, LinearRow
+from effset.model import (
+    criteria_image,
+    instance,
+    ratio,
+    scaled_constraints,
+    utility_image,
+)
+from effset.oracle import efficient_sets, enumerate_feasible
+from effset.simplex import GREATER_EQ, LESS_EQ, LinearRow, constraint_rows
+from effset.validate import validate_instance
 
 from conftest import DEMO_SOLUTION_SET, build_demo
+from test_model import rationals
 
 
 @pytest.fixture(scope="module")
 def demo_report():
-    return run(build_demo(), keep_rows=True)
+    return run(build_demo())
 
 
 def by_node(report):
     return {rec.node_id: rec for rec in report.trace}
+
+
+def edges_and_rows(report):
+    """The search tree rebuilt from the trace: ([(parent, child, label)],
+    {node id: rows the search added to the base system}). A branch node's
+    lower-id child is its floor child; a cut node's successor carries the
+    H round, then the H' round when it differs."""
+    children = {}
+    for rec in report.trace:
+        children.setdefault(rec.parent, []).append(rec.node_id)
+    edges, rows = [], {0: ()}
+    for rec in sorted(report.trace, key=lambda r: r.node_id):
+        node, kids = rec.node_id, sorted(children.get(rec.node_id, []))
+        if rec.action == BRANCH:
+            r = select_branch_variable(rec.point)
+            lo = math.floor(rec.point[r])
+            floor_id, ceil_id = kids
+            edges += [(node, floor_id, f"x{r} <= {lo}"), (node, ceil_id, f"x{r} >= {lo + 1}")]
+            rows[floor_id] = rows[node] + (LinearRow.of({r: 1}, LESS_EQ, lo),)
+            rows[ceil_id] = rows[node] + (LinearRow.of({r: 1}, GREATER_EQ, lo + 1),)
+        elif rec.action == CUT:
+            (succ,) = kids
+            sets = [rec.h] if rec.hprime == rec.h else [rec.h, rec.hprime]
+            label = "; ".join(" + ".join(f"x{j}" for j in sorted(s)) + " >= 1" for s in sets)
+            edges.append((node, succ, label))
+            rows[succ] = rows[node] + tuple(
+                LinearRow.of({j: 1 for j in s}, GREATER_EQ, 1) for s in sets
+            )
+    return edges, rows
 
 
 class TestDemoSearch:
@@ -91,7 +131,7 @@ class TestDemoSearch:
             assert rec.hprime == frozenset(hp), node_id
 
     def test_edges(self, demo_report):
-        labels = {(a, b): label for a, b, label in demo_report.edges}
+        labels = {(a, b): label for a, b, label in edges_and_rows(demo_report)[0]}
         assert labels[(0, 1)] == "x0 <= 4"
         assert labels[(0, 2)] == "x0 >= 5"
         assert labels[(3, 4)] == "x1 <= 0"
@@ -109,7 +149,7 @@ class TestDemoSearch:
 
     def test_values_never_increase_down_an_edge(self, demo_report):
         records = by_node(demo_report)
-        for parent, child, _ in demo_report.edges:
+        for parent, child, _ in edges_and_rows(demo_report)[0]:
             child_rec = records[child]
             if child_rec.value is not None:
                 assert child_rec.value <= records[parent].value
@@ -136,15 +176,16 @@ class TestRoundProperties:
 
     def test_cut_removes_the_optimum_and_keeps_solutions(self, demo_report, demo):
         records = by_node(demo_report)
+        edges, added_rows = edges_and_rows(demo_report)
         succ_of = {}
-        for parent, child, label in demo_report.edges:
+        for parent, child, label in edges:
             if "<=" not in label and records[parent].action == CUT:
                 succ_of[parent] = child
         assert set(succ_of) == {1, 4, 6, 7, 8}
-        base = branch_cut._base_rows(demo)
+        base = constraint_rows(demo.a_matrix, demo.b_vector)
         for node_id, succ_id in succ_of.items():
-            node_rows = base + demo_report.node_rows[node_id]
-            succ_rows = base + demo_report.node_rows[succ_id]
+            node_rows = base + added_rows[node_id]
+            succ_rows = base + added_rows[succ_id]
             optimum = records[node_id].point
             assert _satisfies(2, node_rows, optimum)
             assert not _satisfies(2, succ_rows, optimum)
@@ -193,6 +234,42 @@ class TestInvariance:
                 assert report.solution_points() == expected, (seed, strategy, objective)
 
 
+def _rational_instances():
+    """Two variables under a row of coefficients >= 1/2 (a bounded box) and
+    a free row, both with rational data and right-hand sides >= 0 (the
+    origin is feasible); denominators have coefficients >= 0 and a
+    constant >= 1, so they stay positive."""
+    small = rationals.map(lambda v: v / 10)
+    pair = st.lists(small, min_size=2, max_size=2)
+    objective = st.builds(
+        lambda p, p0, q, q0: ratio(p, p0, [abs(c) for c in q], 1 + abs(q0)),
+        pair, small, pair, small,
+    )
+    return st.builds(
+        lambda bound, free, b, c, u: instance(
+            [[abs(v) + Fraction(1, 2) for v in bound], free], [2 + abs(b[0]), abs(b[1])], c, u
+        ),
+        pair, pair, pair,
+        st.lists(objective, min_size=2, max_size=2),
+        st.lists(objective, min_size=2, max_size=2),
+    )
+
+
+class TestRationalConstraintData:
+    @settings(max_examples=40, deadline=None)
+    @given(_rational_instances())
+    def test_search_membership_and_certificate(self, inst):
+        x_e, x_ep, both = efficient_sets(inst)
+        assert run(inst).solution_points() == set(both)
+        for point in enumerate_feasible(inst):
+            verdict = is_in_solution_set(inst, point)
+            assert verdict.moilfp_efficient == (point in x_e), point
+            assert verdict.boilfp_efficient == (point in x_ep), point
+        a_int, b_int = scaled_constraints(inst)
+        integer_copy = instance(a_int, b_int, inst.criteria, inst.utilities)
+        assert validate_instance(inst) == validate_instance(integer_copy)
+
+
 class TestGuards:
     def test_select_branch_variable(self):
         assert select_branch_variable((Fraction(3), Fraction(1, 2), Fraction(7, 3))) == 1
@@ -200,13 +277,13 @@ class TestGuards:
             select_branch_variable((Fraction(2), Fraction(0)))
 
     def test_cut_sets_need_an_optimal_state(self, demo):
-        rows = branch_cut._base_rows(demo) + (LinearRow.of({0: 1}, ">=", 9),)
+        rows = constraint_rows(demo.a_matrix, demo.b_vector) + (LinearRow.of({0: 1}, ">=", 9),)
         result = solve_lfp(2, rows, demo.utilities[0])
         with pytest.raises(NotOptimal):
             build_cut_sets(result.state, demo)
 
     def test_cut_sets_need_an_integer_point(self, demo):
-        result = solve_lfp(2, branch_cut._base_rows(demo), demo.utilities[0])
+        result = solve_lfp(2, constraint_rows(demo.a_matrix, demo.b_vector), demo.utilities[0])
         with pytest.raises(NonIntegerPoint):
             build_cut_sets(result.state, demo)
 

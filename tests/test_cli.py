@@ -1,9 +1,14 @@
+import re
+from pathlib import Path
+
 import pytest
 
-from effset.cli import main
+from effset.cli import build_parser, main
 from effset.instances import dumps, loads
 
 from conftest import build_demo
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 EMPTY_INTERSECTION = """\
 effset-instance 1
@@ -215,3 +220,18 @@ class TestFailures:
         code, _, err = run_cli(capsys, "solve", demo_file)
         assert code == 5
         assert "internal invariant violated" in err
+
+
+class TestReadme:
+    def test_command_line_usage_lines_parse(self, demo_file):
+        """Each `effset ...` usage line of the README's Command line
+        section, with its placeholders filled in, parses."""
+        section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+        lines = re.findall(r"^- `(effset [^`]*)`", section, re.M)
+        assert len(lines) == 6
+        values = {"FILE": demo_file, "RxMxN": "2x2x2", "N": "2", "M": "3", "K": "2", "S": "1"}
+        parser = build_parser()
+        for line in lines:
+            words = re.sub(r"\[[^]]*\]", "", line).split()[1:]
+            args = parser.parse_args([values.get(w, w) for w in words])
+            assert args.command == words[0], line
