@@ -3,8 +3,13 @@
 Each node carries a row system over the structural variables plus every
 slack introduced so far. The node's ratio program is solved exactly; a
 fractional optimum branches on the first fractional structural variable,
-an integer optimum x* is membership-tested and then removed by rounds over
-the nonbasic coordinates:
+an integer optimum x* is tested for the solution set and then removed by
+rounds over the nonbasic coordinates. The test first looks for an integer
+point the search has already met (an earlier optimum or a membership
+witness) that strictly dominates x* in criteria or in utility space; such a
+point is a feasible dominating witness, so x* is rejected without a MILP.
+Only the optima no met point dominates go to the two membership MILPs.
+The rounds are:
 
     H  = {j nonbasic : some criterion gradient lambda_j > 0}
          union {j : every lambda_j == 0}
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import AllInteger, NonIntegerPoint, NotOptimal
+from .errors import AllInteger, NodeLimitExceeded, NonIntegerPoint, NotOptimal
 from .efficiency import is_in_solution_set
 from .fractional import fractional_gradient, solve_lfp
 from .model import (
@@ -36,6 +41,7 @@ from .model import (
     Point,
     ProblemInstance,
     criteria_image,
+    dominates,
     utility_image,
 )
 from .simplex import GREATER_EQ, LESS_EQ, LinearRow, SimplexState, Status, constraint_rows
@@ -48,6 +54,8 @@ CUT = "cut"
 FATHOM_INFEASIBLE = "fathom-infeasible"
 FATHOM_EMPTY_H = "fathom-empty-H"
 FATHOM_EMPTY_HPRIME = "fathom-empty-Hprime"
+ARCHIVE = "archive"
+MILP = "milp"
 
 
 @dataclass(frozen=True)
@@ -78,13 +86,22 @@ class TraceRecord:
 
 @dataclass
 class SearchReport:
+    """`fathoms` counts fathomed nodes by reason. `candidates` counts the
+    distinct integer node optima by how they were decided: rejected by an
+    archived point (ARCHIVE) or by the membership MILPs (MILP)."""
+
     solutions: list[SolutionRecord]
     nodes_processed: int
     fathoms: dict[str, int]
     trace: list[TraceRecord]
+    candidates: dict[str, int]
 
     def solution_points(self) -> set[Point]:
         return {rec.point for rec in self.solutions}
+
+
+def _record(inst: ProblemInstance, point: Point) -> SolutionRecord:
+    return SolutionRecord(point, criteria_image(inst, point), utility_image(inst, point))
 
 
 def select_branch_variable(point: Sequence[Fraction]) -> int:
@@ -150,14 +167,22 @@ def run(
     root = SearchNode(0, None, (), 0)
     open_nodes: deque[SearchNode] = deque([root])
     next_id = 1
-    report = SearchReport([], 0, {FATHOM_INFEASIBLE: 0, FATHOM_EMPTY_H: 0, FATHOM_EMPTY_HPRIME: 0}, [])
+    report = SearchReport(
+        [],
+        0,
+        {FATHOM_INFEASIBLE: 0, FATHOM_EMPTY_H: 0, FATHOM_EMPTY_HPRIME: 0},
+        [],
+        {ARCHIVE: 0, MILP: 0},
+    )
     seen_points: set[Point] = set()
+    # Every integer point met so far with its criteria and utility images.
+    archive: list[SolutionRecord] = []
 
     while open_nodes:
         node = open_nodes.pop() if strategy == "dfs" else open_nodes.popleft()
         report.nodes_processed += 1
         if node_limit is not None and report.nodes_processed > node_limit:
-            raise RuntimeError(f"node limit {node_limit} exceeded")
+            raise NodeLimitExceeded(f"node limit {node_limit} exceeded")
 
         result = solve_lfp(n, base + node.rows, utility)
         if result.status is Status.INFEASIBLE:
@@ -195,23 +220,39 @@ def run(
         integer_point = tuple(int(v) for v in point)
         if integer_point not in seen_points:
             seen_points.add(integer_point)
-            verdict = is_in_solution_set(inst, integer_point)
-            if verdict.in_solution_set:
-                report.solutions.append(
-                    SolutionRecord(
-                        integer_point,
-                        criteria_image(inst, integer_point),
-                        utility_image(inst, integer_point),
-                    )
-                )
-                log.debug("node %d: %s joins the solution set", node.id, integer_point)
-            elif verdict.witness is not None:
+            candidate = _record(inst, integer_point)
+            dominator = next(
+                (
+                    rec
+                    for rec in archive
+                    if dominates(rec.criteria_values, candidate.criteria_values)
+                    or dominates(rec.utility_values, candidate.utility_values)
+                ),
+                None,
+            )
+            archive.append(candidate)
+            if dominator is not None:
+                report.candidates[ARCHIVE] += 1
                 log.debug(
-                    "node %d: %s discarded, dominated by %s",
+                    "node %d: %s discarded, dominated by archived %s",
                     node.id,
                     integer_point,
-                    verdict.witness,
+                    dominator.point,
                 )
+            else:
+                report.candidates[MILP] += 1
+                verdict = is_in_solution_set(inst, integer_point)
+                if verdict.in_solution_set:
+                    report.solutions.append(candidate)
+                    log.debug("node %d: %s joins the solution set", node.id, integer_point)
+                elif verdict.witness is not None:
+                    archive.append(_record(inst, verdict.witness))
+                    log.debug(
+                        "node %d: %s discarded, dominated by %s",
+                        node.id,
+                        integer_point,
+                        verdict.witness,
+                    )
 
         h, hp = build_cut_sets(result.state, inst, solved=objective)
         if not h:

@@ -73,6 +73,10 @@ def _cmd_solve(args) -> int:
                 f"{_point_text(rec.utility_values)}"
             )
         print(f"nodes processed: {report.nodes_processed}")
+        print(
+            f"candidates: {report.candidates[branch_cut.ARCHIVE]} by archive, "
+            f"{report.candidates[branch_cut.MILP]} by MILP"
+        )
     return EXIT_OK if report.solutions else EXIT_EMPTY
 
 

@@ -22,6 +22,11 @@ class InvariantViolated(EffsetError):
     package, never a property of the input."""
 
 
+class NodeLimitExceeded(EffsetError):
+    """A search or branch-and-bound processed more nodes than its
+    node_limit allows."""
+
+
 class UnboundedDomain(EffsetError):
     """The feasible region admits an unbounded improving ray; the model
     requires a bounded polytope."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InvariantViolated, UnboundedRelaxation
+from .errors import InvariantViolated, NodeLimitExceeded, UnboundedRelaxation
 from .simplex import GREATER_EQ, LESS_EQ, LinearProgram, LinearRow, Status, solve_lp
 
 
@@ -73,7 +73,7 @@ def solve_milp(
         extra = stack.pop()
         nodes += 1
         if node_limit is not None and nodes > node_limit:
-            raise RuntimeError(f"node limit {node_limit} exceeded")
+            raise NodeLimitExceeded(f"node limit {node_limit} exceeded")
         program = LinearProgram(
             base.num_vars,
             base.objective,

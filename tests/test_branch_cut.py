@@ -5,18 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import effset.branch_cut as branch_cut
 from effset.branch_cut import (
+    ARCHIVE,
     BRANCH,
     CUT,
     FATHOM_EMPTY_H,
     FATHOM_EMPTY_HPRIME,
     FATHOM_INFEASIBLE,
+    MILP,
     build_cut_sets,
     run,
     select_branch_variable,
 )
 from effset.efficiency import is_in_solution_set
-from effset.errors import AllInteger, AssumptionViolated, NonIntegerPoint, NotOptimal
+from effset.errors import (
+    AllInteger,
+    AssumptionViolated,
+    NodeLimitExceeded,
+    NonIntegerPoint,
+    NotOptimal,
+)
 from effset.fractional import _expand_rows, solve_lfp
 from effset.generator import GeneratorConfig, generate
 from effset.model import (
@@ -234,6 +243,56 @@ class TestInvariance:
                 assert report.solution_points() == expected, (seed, strategy, objective)
 
 
+class TestArchive:
+    """Candidates an integer point met earlier in the search strictly
+    dominates are rejected without a membership MILP."""
+
+    def test_rejections_are_exact_and_routing_is_counted(self, monkeypatch):
+        tested = []
+
+        def counting(inst, point):
+            tested.append(point)
+            return is_in_solution_set(inst, point)
+
+        monkeypatch.setattr(branch_cut, "is_in_solution_set", counting)
+        rejected_total = 0
+        for seed in range(10):
+            inst = generate(
+                GeneratorConfig(num_vars=5, num_constraints=10, num_criteria=3, seed=seed)
+            )
+            tested.clear()
+            report = run(inst, validate=False)
+            optima = {
+                tuple(int(v) for v in rec.point)
+                for rec in report.trace
+                if rec.action != BRANCH and rec.point is not None
+            }
+            assert len(tested) == report.candidates[MILP], seed
+            assert report.candidates[ARCHIVE] + report.candidates[MILP] == len(optima), seed
+            rejected = optima - set(tested)
+            assert len(rejected) == report.candidates[ARCHIVE], seed
+            for point in rejected:
+                assert is_in_solution_set(inst, point).in_solution_set is False, (seed, point)
+            rejected_total += len(rejected)
+        assert rejected_total > 0
+
+    @pytest.mark.parametrize("strategy", ["dfs", "bfs"])
+    @pytest.mark.parametrize("objective", [0, 1])
+    def test_points_with_equal_images_are_all_kept(self, strategy, objective):
+        # Every objective depends on x0 + x1 only, so (1, 0) and (0, 1)
+        # have the same criteria and utility images and neither dominates
+        # the other; both are in the solution set.
+        inst = instance(
+            [[1, 1], [1, 0], [0, 1]],
+            [1, 1, 1],
+            [ratio([1, 1], 0, [0, 0], 1), ratio([1, 1], 0, [1, 1], 1)],
+            [ratio([1, 1], 1, [1, 1], 2), ratio([-1, -1], 4, [0, 0], 1)],
+        )
+        assert set(efficient_sets(inst)[2]) == {(1, 0), (0, 1)}
+        report = run(inst, strategy=strategy, objective=objective)
+        assert report.solution_points() == {(1, 0), (0, 1)}
+
+
 def _rational_instances():
     """Two variables under a row of coefficients >= 1/2 (a bounded box) and
     a free row, both with rational data and right-hand sides >= 0 (the
@@ -294,7 +353,7 @@ class TestGuards:
             run(demo, objective=2)
 
     def test_node_limit(self, demo):
-        with pytest.raises(RuntimeError):
+        with pytest.raises(NodeLimitExceeded):
             run(demo, node_limit=3)
 
     def test_validation_rejects_unbounded_domain(self):

@@ -58,6 +58,7 @@ class TestSolve:
         assert "x = (1, 0)" in out
         assert "x = (0, 0)" in out
         assert "nodes processed: 10" in out
+        assert "candidates: 2 by archive, 3 by MILP" in out
 
     def test_csv_output(self, demo_file, capsys):
         code, out, _ = run_cli(capsys, "solve", demo_file, "--format", "csv")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from effset.errors import UnboundedRelaxation
+from effset.errors import NodeLimitExceeded, UnboundedRelaxation
 from effset.milp import MilpProblem, MilpResult, solve_milp
 from effset.simplex import GREATER_EQ, LESS_EQ, LinearProgram, LinearRow, Status
 
@@ -80,7 +80,7 @@ def test_node_limit():
         {0: 2, 1: 2},
         [({0: 2, 1: 2}, LESS_EQ, 21)],
     )
-    with pytest.raises(RuntimeError):
+    with pytest.raises(NodeLimitExceeded):
         solve_milp(problem, node_limit=1)
 
 
