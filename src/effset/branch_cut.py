@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -63,7 +63,6 @@ class SearchNode:
     id: int
     parent: int | None
     rows: tuple[LinearRow, ...]
-    depth: int
 
 
 @dataclass(frozen=True)
@@ -86,15 +85,23 @@ class TraceRecord:
 
 @dataclass
 class SearchReport:
-    """`fathoms` counts fathomed nodes by reason. `candidates` counts the
-    distinct integer node optima by how they were decided: rejected by an
-    archived point (ARCHIVE) or by the membership MILPs (MILP)."""
+    """The trace holds one record per processed node. `candidates` counts
+    the distinct integer node optima by how they were decided: rejected by
+    an archived point (ARCHIVE) or by the membership MILPs (MILP)."""
 
     solutions: list[SolutionRecord]
-    nodes_processed: int
-    fathoms: dict[str, int]
     trace: list[TraceRecord]
     candidates: dict[str, int]
+
+    @property
+    def nodes_processed(self) -> int:
+        return len(self.trace)
+
+    @property
+    def fathoms(self) -> dict[str, int]:
+        """Fathomed nodes by reason, every reason present."""
+        counts = Counter(rec.action for rec in self.trace)
+        return {r: counts[r] for r in (FATHOM_INFEASIBLE, FATHOM_EMPTY_H, FATHOM_EMPTY_HPRIME)}
 
     def solution_points(self) -> set[Point]:
         return {rec.point for rec in self.solutions}
@@ -164,29 +171,20 @@ def run(
     base = constraint_rows(inst.a_matrix, inst.b_vector)
     utility = inst.utilities[objective]
 
-    root = SearchNode(0, None, (), 0)
-    open_nodes: deque[SearchNode] = deque([root])
+    open_nodes: deque[SearchNode] = deque([SearchNode(0, None, ())])
     next_id = 1
-    report = SearchReport(
-        [],
-        0,
-        {FATHOM_INFEASIBLE: 0, FATHOM_EMPTY_H: 0, FATHOM_EMPTY_HPRIME: 0},
-        [],
-        {ARCHIVE: 0, MILP: 0},
-    )
+    report = SearchReport([], [], {ARCHIVE: 0, MILP: 0})
     seen_points: set[Point] = set()
     # Every integer point met so far with its criteria and utility images.
     archive: list[SolutionRecord] = []
 
     while open_nodes:
         node = open_nodes.pop() if strategy == "dfs" else open_nodes.popleft()
-        report.nodes_processed += 1
-        if node_limit is not None and report.nodes_processed > node_limit:
+        if node_limit is not None and report.nodes_processed >= node_limit:
             raise NodeLimitExceeded(f"node limit {node_limit} exceeded")
 
         result = solve_lfp(n, base + node.rows, utility)
         if result.status is Status.INFEASIBLE:
-            report.fathoms[FATHOM_INFEASIBLE] += 1
             report.trace.append(
                 TraceRecord(node.id, node.parent, FATHOM_INFEASIBLE, None, None, None, None)
             )
@@ -197,13 +195,10 @@ def run(
             r = select_branch_variable(point)
             lo = math.floor(point[r])
             floor_child = SearchNode(
-                next_id, node.id, node.rows + (LinearRow.of({r: 1}, LESS_EQ, lo),), node.depth + 1
+                next_id, node.id, node.rows + (LinearRow.of({r: 1}, LESS_EQ, lo),)
             )
             ceil_child = SearchNode(
-                next_id + 1,
-                node.id,
-                node.rows + (LinearRow.of({r: 1}, GREATER_EQ, lo + 1),),
-                node.depth + 1,
+                next_id + 1, node.id, node.rows + (LinearRow.of({r: 1}, GREATER_EQ, lo + 1),)
             )
             next_id += 2
             report.trace.append(
@@ -256,13 +251,11 @@ def run(
 
         h, hp = build_cut_sets(result.state, inst, solved=objective)
         if not h:
-            report.fathoms[FATHOM_EMPTY_H] += 1
             report.trace.append(
                 TraceRecord(node.id, node.parent, FATHOM_EMPTY_H, point, result.value, h, hp)
             )
             continue
         if not hp:
-            report.fathoms[FATHOM_EMPTY_HPRIME] += 1
             report.trace.append(
                 TraceRecord(node.id, node.parent, FATHOM_EMPTY_HPRIME, point, result.value, h, hp)
             )
@@ -271,9 +264,7 @@ def run(
         cut_rows = [LinearRow.of({j: 1 for j in h}, GREATER_EQ, 1)]
         if hp != h:
             cut_rows.append(LinearRow.of({j: 1 for j in hp}, GREATER_EQ, 1))
-        successor = SearchNode(
-            next_id, node.id, node.rows + tuple(cut_rows), node.depth + 1
-        )
+        successor = SearchNode(next_id, node.id, node.rows + tuple(cut_rows))
         next_id += 1
         report.trace.append(
             TraceRecord(node.id, node.parent, CUT, point, result.value, h, hp)

@@ -21,6 +21,7 @@ from .errors import (
 )
 from .generator import GeneratorConfig, generate
 from .model import ProblemInstance
+from .validate import validate_instance
 
 EXIT_OK = 0
 EXIT_EMPTY = 1
@@ -109,6 +110,7 @@ def _cmd_trace(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     inst = _load(args.file)
+    validate_instance(inst)
     x_e, x_ep, both = oracle.efficient_sets(inst, args.budget)
     sections = (
         ("criteria-efficient", x_e),
@@ -143,12 +145,15 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    cfg = GeneratorConfig(
-        num_vars=args.vars,
-        num_constraints=args.constraints,
-        num_criteria=args.criteria,
-        seed=args.seed,
-    )
+    try:
+        cfg = GeneratorConfig(
+            num_vars=args.vars,
+            num_constraints=args.constraints,
+            num_criteria=args.criteria,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_ASSUMPTION)
     text = instances.dumps(generate(cfg))
     if args.output:
         with open(args.output, "w") as handle:
@@ -165,6 +170,10 @@ def _parse_group(token: str) -> tuple[int, int, int]:
             f"group {token!r} must look like RxMxN, e.g. 3x10x5"
         )
     r, m, n = map(int, parts)
+    try:
+        GeneratorConfig(num_vars=n, num_constraints=m, num_criteria=r)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"group {token!r}: {exc}") from None
     return r, m, n
 
 

@@ -31,7 +31,6 @@ from .simplex import (
     Tableau,
     _bland,
     feasible_tableau,
-    infeasible_state,
     integer_form,
     reduced_row,
     solve_lp,
@@ -75,7 +74,9 @@ def solve_lfp(num_vars: int, rows: Sequence[LinearRow], objective: FractionalObj
     program = LinearProgram.of(num_vars, {}, rows)
     tab = feasible_tableau(program)
     if tab is None:
-        return LfpResult(Status.INFEASIBLE, None, None, infeasible_state(program))
+        return LfpResult(
+            Status.INFEASIBLE, None, None, SimplexState(Status.INFEASIBLE, num_vars, (), ())
+        )
 
     p, q = _ratio_costs(objective, tab.ncols)
     p_scale, q_scale = p[2], q[2]

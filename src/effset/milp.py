@@ -39,7 +39,7 @@ class MilpResult:
 
 
 def _objective_value(program: LinearProgram, point: Sequence[Fraction]) -> Fraction:
-    total = program.objective_constant
+    total = Fraction(0)
     for c, v in zip(program.objective, point):
         if c and v:
             total += c * v
@@ -74,12 +74,7 @@ def solve_milp(
         nodes += 1
         if node_limit is not None and nodes > node_limit:
             raise NodeLimitExceeded(f"node limit {node_limit} exceeded")
-        program = LinearProgram(
-            base.num_vars,
-            base.objective,
-            base.objective_constant,
-            base.rows + extra,
-        )
+        program = LinearProgram(base.num_vars, base.objective, base.rows + extra)
         state = solve_lp(program)
         if state.status is Status.INFEASIBLE:
             first = False

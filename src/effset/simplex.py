@@ -7,15 +7,16 @@ one). Added variables are first-class: later rows may reference them, which
 is how branch-and-cut expresses its rounds over slack coordinates.
 
 Pivots run on integers (Edmonds 1967, Bareiss 1968, as in Avis' lrs). The
-tableau keeps integer rows and right-hand sides plus one positive common
-denominator `det`, so the exact tableau is rows / det. Each input row is
-scaled to integers by the lcm of its denominators, and det starts as the
-product of those scales: the determinant of the starting unit basis in the
-scaled system. A pivot on element p sets det to |p|, the determinant of
-the new basis (times a constant factor once phase one drops a redundant
-row), so every division in a pivot is exact, entries stay bounded by
-minors of the scaled input, and `Fraction`s appear only in the returned
-`SimplexState`.
+tableau keeps integer rows, each ending in its right-hand side, plus one
+positive common denominator `det`, so the exact tableau [B^-1 A | B^-1 b]
+is rows / det. Each input row is scaled to integers by the lcm of its
+denominators, and det starts as the product of those scales: the
+determinant of the starting unit basis in the scaled system. A pivot on
+element p sets det to |p|, the determinant of the new basis (times a
+constant factor once phase one drops a redundant row), so every division in
+a pivot is exact and entries stay bounded by minors of the scaled input.
+A `SimplexState` keeps the final integer rows; `Fraction`s are built only
+when a point or a reduced row is read off it.
 
 Bland's rule everywhere (smallest eligible index entering, smallest basic
 index on ratio ties), so solves are deterministic and never cycle. Every
@@ -93,7 +94,7 @@ def constraint_rows(a_matrix, b_vector) -> tuple[LinearRow, ...]:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Maximize objective . x + constant over the rows plus x >= 0.
+    """Maximize objective . x over the rows plus x >= 0.
 
     num_vars counts structural variables; the objective is over those.
     Row coefficients may also touch slack variables of earlier rows.
@@ -101,11 +102,10 @@ class LinearProgram:
 
     num_vars: int
     objective: tuple[Fraction, ...]
-    objective_constant: Fraction
     rows: tuple[LinearRow, ...]
 
     @classmethod
-    def of(cls, num_vars, objective, rows, constant=0) -> "LinearProgram":
+    def of(cls, num_vars, objective, rows) -> "LinearProgram":
         dense = [ZERO] * num_vars
         if isinstance(objective, Mapping):
             for j, v in objective.items():
@@ -113,28 +113,33 @@ class LinearProgram:
         else:
             for j, v in enumerate(objective):
                 dense[j] = as_fraction(v)
-        return cls(num_vars, tuple(dense), as_fraction(constant), tuple(rows))
+        return cls(num_vars, tuple(dense), tuple(rows))
 
 
 @dataclass(frozen=True)
 class SimplexState:
-    """Final tableau snapshot. matrix / det is B^-1 A over all real
-    variables, one integer row per constraint; basic_values is B^-1 b.
-    The matrix rows are the tableau's own lists, shared without a copy;
-    pivots replace rows instead of writing into them."""
+    """Final tableau snapshot: rows / det is [B^-1 A | B^-1 b] over all
+    real variables, one integer row per constraint with its right-hand
+    side last. The rows are the tableau's own lists, shared without a copy;
+    pivots replace rows instead of writing into them. An INFEASIBLE state
+    has no basis and no rows, and its num_vars counts the structural
+    variables only."""
 
     status: Status
     num_vars: int
     basis: tuple[int, ...]
-    nonbasis: tuple[int, ...]
-    basic_values: tuple[Fraction, ...]
-    matrix: tuple[list[int], ...]
+    rows: tuple[list[int], ...]
     det: int = 1
+
+    @property
+    def nonbasis(self) -> tuple[int, ...]:
+        basic = set(self.basis)
+        return tuple(j for j in range(self.num_vars) if j not in basic)
 
     def full_point(self) -> tuple[Fraction, ...]:
         point = [ZERO] * self.num_vars
-        for var, val in zip(self.basis, self.basic_values):
-            point[var] = val
+        for var, row in zip(self.basis, self.rows):
+            point[var] = Fraction(row[-1], self.det)
         return tuple(point)
 
     def structural_point(self, n: int) -> tuple[Fraction, ...]:
@@ -153,30 +158,29 @@ def integer_form(form: AffineForm, ncols: int) -> tuple[list[int], int, int]:
 
 
 class Tableau:
-    """Mutable dense integer tableau; the exact tableau is rows / det and
-    rhs / det. Internal to the solvers; snapshot with `state()` before
-    handing results out. Costs passed in are integer (see integer_form)."""
+    """Mutable dense integer tableau; the exact tableau is rows / det, each
+    row ending in its right-hand side. Internal to the solvers; snapshot
+    with `state()` before handing results out. Costs passed in are integer
+    (see integer_form)."""
 
-    __slots__ = ("ncols", "rows", "rhs", "basis", "det")
+    __slots__ = ("ncols", "rows", "basis", "det")
 
-    def __init__(self, ncols, rows, rhs, basis, det):
+    def __init__(self, ncols, rows, basis, det):
         self.ncols = ncols
         self.rows = rows
-        self.rhs = rhs
         self.basis = basis
         self.det = det
 
     @classmethod
     def of_state(cls, state: SimplexState) -> "Tableau":
-        """The integer tableau behind an optimal state, for reduced rows."""
+        """The integer tableau behind an optimal state, for reduced rows or
+        further pivots; pivoting it leaves the state unchanged."""
         if state.status is not Status.OPTIMAL:
             raise NotOptimal(f"reduced rows need an optimal state, got {state.status}")
-        det = state.det
-        rhs = [v.numerator * (det // v.denominator) for v in state.basic_values]
-        return cls(state.num_vars, state.matrix, rhs, state.basis, det)
+        return cls(state.num_vars, list(state.rows), list(state.basis), state.det)
 
     def pivot(self, row_idx: int, col: int) -> None:
-        rows, rhs, det = self.rows, self.rhs, self.det
+        rows, det = self.rows, self.det
         prow = rows[row_idx]
         piv = prow[col]
         if piv < 0:
@@ -184,18 +188,14 @@ class Tableau:
             # unchanged and keeps det positive.
             piv = -piv
             prow = rows[row_idx] = [-v for v in prow]
-            rhs[row_idx] = -rhs[row_idx]
-        pivot_rhs = rhs[row_idx]
         for i, row in enumerate(rows):
             if i == row_idx:
                 continue
             factor = row[col]
             if factor:
                 rows[i] = [(piv * a - factor * b) // det for a, b in zip(row, prow)]
-                rhs[i] = (piv * rhs[i] - factor * pivot_rhs) // det
             elif piv != det:
                 rows[i] = [piv * a // det for a in row]
-                rhs[i] = piv * rhs[i] // det
         self.basis[row_idx] = col
         self.det = piv
 
@@ -212,10 +212,10 @@ class Tableau:
     def value_of(self, cost: Sequence[int], constant: int = 0) -> int:
         """det * (constant + cost . x) at the tableau's point."""
         total = self.det * constant
-        for var, val in zip(self.basis, self.rhs):
+        for var, row in zip(self.basis, self.rows):
             c = cost[var]
-            if c and val:
-                total += c * val
+            if c:
+                total += c * row[-1]
         return total
 
     def leaving_row(self, col: int) -> int:
@@ -223,41 +223,26 @@ class Tableau:
         rhs / a over a > 0, ties to the smallest basic index; -1 if none.
         det cancels from rhs / a, and ratios compare by cross-multiplying
         positive pivots."""
-        rhs, basis = self.rhs, self.basis
+        basis = self.basis
         leave = best_var = -1
         best_num = best_den = 0
         for i, row in enumerate(self.rows):
             a = row[col]
             if a > 0:
-                left, right = rhs[i] * best_den, best_num * a
+                left, right = row[-1] * best_den, best_num * a
                 if leave < 0 or left < right or (left == right and basis[i] < best_var):
-                    leave, best_var, best_num, best_den = i, basis[i], rhs[i], a
+                    leave, best_var, best_num, best_den = i, basis[i], row[-1], a
         return leave
 
     def state(self, status: Status) -> SimplexState:
-        basic = set(self.basis)
-        det = self.det
-        return SimplexState(
-            status=status,
-            num_vars=self.ncols,
-            basis=tuple(self.basis),
-            nonbasis=tuple(j for j in range(self.ncols) if j not in basic),
-            basic_values=tuple(Fraction(v, det) for v in self.rhs),
-            matrix=tuple(self.rows),
-            det=det,
-        )
+        return SimplexState(status, self.ncols, tuple(self.basis), tuple(self.rows), self.det)
 
 
-def infeasible_state(program: LinearProgram) -> SimplexState:
-    ncols = program.num_vars + sum(1 for r in program.rows if r.relation != EQUAL)
-    return SimplexState(Status.INFEASIBLE, ncols, (), (), (), ())
-
-
-def _integer_system(program: LinearProgram) -> tuple[list[list[int]], list[int], int, int]:
+def _integer_system(program: LinearProgram) -> tuple[list[list[int]], int, int]:
     """Dense equality system with one slack/surplus per inequality row,
     scaled to integers over one common denominator: row i is multiplied by
-    det = product of the lcm of each row's denominators. Returns (rows, rhs,
-    det, total_columns)."""
+    det = product of the lcm of each row's denominators, and ends in its
+    right-hand side. Returns (rows, det, total_columns)."""
     num_added = sum(1 for r in program.rows if r.relation != EQUAL)
     total = program.num_vars + num_added
     det = 1
@@ -267,7 +252,6 @@ def _integer_system(program: LinearProgram) -> tuple[list[list[int]], list[int],
             scale = math.lcm(scale, c.denominator)
         det *= scale
     matrix: list[list[int]] = []
-    rhs: list[int] = []
     added_so_far = 0
     for i, row in enumerate(program.rows):
         allowed = program.num_vars + added_so_far
@@ -283,9 +267,9 @@ def _integer_system(program: LinearProgram) -> tuple[list[list[int]], list[int],
                 det if row.relation == LESS_EQ else -det
             )
             added_so_far += 1
+        dense.append(row.rhs.numerator * (det // row.rhs.denominator))
         matrix.append(dense)
-        rhs.append(row.rhs.numerator * (det // row.rhs.denominator))
-    return matrix, rhs, det, total
+    return matrix, det, total
 
 
 def _first_positive(cost: Sequence[int], limit: int):
@@ -316,12 +300,11 @@ def _bland(tab: Tableau, price) -> Status:
 def feasible_tableau(program: LinearProgram) -> Tableau | None:
     """Phase one: returns a primal-feasible tableau over the real columns,
     or None when the system is infeasible. Redundant rows are dropped."""
-    matrix, rhs, det, ncols = _integer_system(program)
+    matrix, det, ncols = _integer_system(program)
     m = len(matrix)
     for i in range(m):
-        if rhs[i] < 0:
+        if matrix[i][-1] < 0:
             matrix[i] = [-v for v in matrix[i]]
-            rhs[i] = -rhs[i]
 
     basis = [-1] * m
     for j in range(ncols):
@@ -339,16 +322,17 @@ def feasible_tableau(program: LinearProgram) -> Tableau | None:
 
     art_cols = [i for i in range(m) if basis[i] < 0]
     if not art_cols:
-        return Tableau(ncols, matrix, rhs, basis, det)
+        return Tableau(ncols, matrix, basis, det)
 
     total = ncols + len(art_cols)
     for i in range(m):
-        matrix[i] = matrix[i] + [0] * len(art_cols)
+        row = matrix[i]
+        matrix[i] = row[:ncols] + [0] * len(art_cols) + row[ncols:]
     for order, i in enumerate(art_cols):
         matrix[i][ncols + order] = det
         basis[i] = ncols + order
 
-    tab = Tableau(total, matrix, rhs, basis, det)
+    tab = Tableau(total, matrix, basis, det)
     cost = [0] * ncols + [-1] * len(art_cols)
     if _bland(tab, _first_positive(cost, ncols)) is not Status.OPTIMAL:
         raise InvariantViolated("phase one is unbounded, but -sum(artificials) <= 0")
@@ -368,12 +352,11 @@ def feasible_tableau(program: LinearProgram) -> Tableau | None:
                 drop.append(i)
     for i in reversed(drop):
         del tab.rows[i]
-        del tab.rhs[i]
         del tab.basis[i]
     # A dropped row's artificial stays a factor of det: det is then the
     # basis determinant of the kept rows times that row's scale, a constant
     # that every later pivot carries along, so divisions stay exact.
-    tab.rows = [row[:ncols] for row in tab.rows]
+    tab.rows = [row[:ncols] + row[-1:] for row in tab.rows]
     tab.ncols = ncols
     return tab
 
@@ -383,9 +366,8 @@ def solve_lp(program: LinearProgram) -> SimplexState:
     final bases."""
     tab = feasible_tableau(program)
     if tab is None:
-        return infeasible_state(program)
-    objective = AffineForm(program.objective, program.objective_constant)
-    cost, _, _ = integer_form(objective, tab.ncols)
+        return SimplexState(Status.INFEASIBLE, program.num_vars, (), ())
+    cost, _, _ = integer_form(AffineForm(program.objective), tab.ncols)
     status = _bland(tab, _first_positive(cost, tab.ncols))
     return tab.state(status)
 

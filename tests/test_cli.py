@@ -29,6 +29,19 @@ BAD_DENOMINATOR = EMPTY_INTERSECTION.replace(
     "criterion num 1 0 den 0 1", "criterion num 1 0 den 1 -1", 1
 ).replace("b 1", "b 2")
 
+UNBOUNDED = """\
+effset-instance 1
+vars 2
+constraints 1
+criteria 2
+a 1 -1
+b 3
+criterion num 1 0 0 den 0 0 1
+criterion num 0 1 0 den 0 0 1
+utility num 1 0 0 den 0 0 1
+utility num 0 1 0 den 0 0 1
+"""
+
 
 @pytest.fixture
 def demo_file(tmp_path):
@@ -188,6 +201,18 @@ class TestBench:
         with pytest.raises(SystemExit):
             main(["bench", "3x10"])
 
+    def test_out_of_range_group_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "1x2x2"])
+        assert exc.value.code == 2
+        assert "at least two ranking criteria" in capsys.readouterr().err
+
+    def test_out_of_range_generate_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "generate", "-n", "2", "-m", "2", "-k", "1")
+        assert code == 2
+        assert out == ""
+        assert "at least two ranking criteria" in err
+
 
 class TestFailures:
     def test_missing_file_exits_three(self, capsys):
@@ -201,11 +226,19 @@ class TestFailures:
         assert code == 3
         assert "error:" in err
 
-    def test_denominator_violation_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["solve", "trace", "enumerate", "check"])
+    def test_denominator_violation_exits_two(self, tmp_path, capsys, command):
         path = write(tmp_path, BAD_DENOMINATOR)
-        code, _, err = run_cli(capsys, "solve", path)
+        code, _, err = run_cli(capsys, command, path)
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("command", ["solve", "trace", "enumerate", "check"])
+    def test_unbounded_domain_exits_two(self, tmp_path, capsys, command):
+        path = write(tmp_path, UNBOUNDED)
+        code, _, err = run_cli(capsys, command, path)
+        assert code == 2
+        assert "unbounded" in err
 
     def test_invariant_violation_exits_five(self, demo_file, capsys, monkeypatch):
         # A membership MILP is seeded with the candidate at value 0, so a

@@ -14,17 +14,17 @@ from effset.simplex import (
     LinearProgram,
     LinearRow,
     Status,
+    Tableau,
     reduced_row,
     solve_lp,
 )
 
 
-def lp(num_vars, objective, rows, constant=0):
+def lp(num_vars, objective, rows):
     return LinearProgram.of(
         num_vars,
         objective,
         [LinearRow.of(c, rel, rhs) for c, rel, rhs in rows],
-        constant,
     )
 
 
@@ -249,3 +249,22 @@ class TestReducedRow:
         state = solve_lp(program)
         with pytest.raises(NotOptimal):
             reduced_row(state, AffineForm.of([1]))
+
+
+class TestContinuation:
+    def test_pivoting_from_a_solved_state_leaves_the_state_unchanged(self):
+        rows = [
+            LinearRow.of({0: -1, 1: 4}, LESS_EQ, 0),
+            LinearRow.of({0: 2, 1: -1}, LESS_EQ, 8),
+        ]
+        state = solve_lp(LinearProgram.of(2, {0: 1, 1: 1}, rows))
+        basis, matrix, point = state.basis, [list(r) for r in state.rows], state.full_point()
+
+        tab = Tableau.of_state(state)
+        row_idx = next(i for i, row in enumerate(tab.rows) if row[2])
+        tab.pivot(row_idx, 2)
+
+        assert 2 in tab.basis
+        assert state.basis == basis
+        assert [list(r) for r in state.rows] == matrix
+        assert state.full_point() == point == (Fraction(32, 7), Fraction(8, 7), 0, 0)
