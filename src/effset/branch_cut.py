@@ -63,6 +63,8 @@ class SearchNode:
     id: int
     parent: int | None
     rows: tuple[LinearRow, ...]
+    # The parent's final state: infeasible children are decided from it.
+    parent_state: SimplexState | None = None
 
 
 @dataclass(frozen=True)
@@ -183,7 +185,7 @@ def run(
         if node_limit is not None and report.nodes_processed >= node_limit:
             raise NodeLimitExceeded(f"node limit {node_limit} exceeded")
 
-        result = solve_lfp(n, base + node.rows, utility)
+        result = solve_lfp(n, base + node.rows, utility, node.parent_state)
         if result.status is Status.INFEASIBLE:
             report.trace.append(
                 TraceRecord(node.id, node.parent, FATHOM_INFEASIBLE, None, None, None, None)
@@ -195,10 +197,16 @@ def run(
             r = select_branch_variable(point)
             lo = math.floor(point[r])
             floor_child = SearchNode(
-                next_id, node.id, node.rows + (LinearRow.of({r: 1}, LESS_EQ, lo),)
+                next_id,
+                node.id,
+                node.rows + (LinearRow.of({r: 1}, LESS_EQ, lo),),
+                result.state,
             )
             ceil_child = SearchNode(
-                next_id + 1, node.id, node.rows + (LinearRow.of({r: 1}, GREATER_EQ, lo + 1),)
+                next_id + 1,
+                node.id,
+                node.rows + (LinearRow.of({r: 1}, GREATER_EQ, lo + 1),),
+                result.state,
             )
             next_id += 2
             report.trace.append(
@@ -264,7 +272,7 @@ def run(
         cut_rows = [LinearRow.of({j: 1 for j in h}, GREATER_EQ, 1)]
         if hp != h:
             cut_rows.append(LinearRow.of({j: 1 for j in hp}, GREATER_EQ, 1))
-        successor = SearchNode(next_id, node.id, node.rows + tuple(cut_rows))
+        successor = SearchNode(next_id, node.id, node.rows + tuple(cut_rows), result.state)
         next_id += 1
         report.trace.append(
             TraceRecord(node.id, node.parent, CUT, point, result.value, h, hp)

@@ -32,6 +32,13 @@ EXIT_INVARIANT = 5
 
 _OBJECTIVE = {"f1": 0, "f2": 1}
 
+# The first line each command prints under --format csv.
+_CSV_HEADER = {
+    "solve": "point,criteria,utilities",
+    "trace": "node,parent,action,point,value,h,hprime",
+    "enumerate": "set,point",
+}
+
 
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -59,7 +66,7 @@ def _run_search(inst: ProblemInstance, args) -> branch_cut.SearchReport:
 def _cmd_solve(args) -> int:
     report = _run_search(_load(args.file), args)
     if args.format == "csv":
-        print("point,criteria,utilities")
+        print(_CSV_HEADER["solve"])
         for rec in report.solutions:
             print(
                 f"{_values(rec.point)},{_values(rec.criteria_values)},"
@@ -87,7 +94,7 @@ def _cmd_trace(args) -> int:
         return "{" + ",".join(f"x{j}" for j in sorted(s)) + "}" if s is not None else "-"
 
     if args.format == "csv":
-        print("node,parent,action,point,value,h,hprime")
+        print(_CSV_HEADER["trace"])
         for rec in report.trace:
             parent = "" if rec.parent is None else rec.parent
             point = _values(rec.point) if rec.point is not None else ""
@@ -118,7 +125,7 @@ def _cmd_enumerate(args) -> int:
         ("common", both),
     )
     if args.format == "csv":
-        print("set,point")
+        print(_CSV_HEADER["enumerate"])
         for name, points in sections:
             for pt in points:
                 print(f"{name},{_values(pt)}")
@@ -289,7 +296,8 @@ def main(argv=None) -> int:
         return _fail(str(exc), EXIT_PARSE)
     except AssumptionViolated as exc:
         if exc.reason == "empty-domain":
-            print("solution set: 0 point(s)")
+            csv = getattr(args, "format", None) == "csv" and args.command in _CSV_HEADER
+            print(_CSV_HEADER[args.command] if csv else "solution set: 0 point(s)")
             return _fail(str(exc), EXIT_EMPTY)
         return _fail(str(exc), EXIT_ASSUMPTION)
     except GenerationFailed as exc:

@@ -31,6 +31,7 @@ from .simplex import (
     Tableau,
     _bland,
     feasible_tableau,
+    infeasible_after,
     integer_form,
     reduced_row,
     solve_lp,
@@ -45,13 +46,19 @@ class LfpResult:
     state: SimplexState
 
 
+def _infeasible(num_vars: int) -> LfpResult:
+    state = SimplexState(Status.INFEASIBLE, num_vars, (), ())
+    return LfpResult(Status.INFEASIBLE, None, None, state)
+
+
 def _ratio_costs(objective: FractionalObjective, ncols: int):
     """Numerator and denominator as integer forms (see integer_form)."""
     return integer_form(objective.numerator, ncols), integer_form(objective.denominator, ncols)
 
 
 def _gamma(tab: Tableau, p, q) -> tuple[int, int, list[int]]:
-    """(p_val, q_val, gamma) at the tableau's vertex, over every column.
+    """(p_val, q_val, gamma) at the tableau's vertex, over every column,
+    with the reduced P and Q rows carried as tab.costs (see Tableau.carry).
 
     p_val = p_scale*det*P(x) and nu = tab.reduced(p_cost) = p_scale*det*(the
     reduced P row), likewise for Q, so gamma_j = q_val*nu_j - p_val*mu_j is
@@ -60,26 +67,49 @@ def _gamma(tab: Tableau, p, q) -> tuple[int, int, list[int]]:
     (p_cost, p_const, _), (q_cost, q_const, _) = p, q
     p_val = tab.value_of(p_cost, p_const)
     q_val = tab.value_of(q_cost, q_const)
-    nu = tab.reduced(p_cost)
-    mu = tab.reduced(q_cost)
+    nu, mu = tab.costs
     return p_val, q_val, [q_val * a - p_val * b for a, b in zip(nu, mu)]
 
 
-def solve_lfp(num_vars: int, rows: Sequence[LinearRow], objective: FractionalObjective) -> LfpResult:
+def _appended_rows(num_vars: int, rows: Sequence[LinearRow], parent: SimplexState):
+    """The rows past those `parent` was solved on: its columns are the
+    structural ones plus one slack per inequality row it was solved on."""
+    solved, i = parent.num_vars - num_vars, 0
+    while solved > 0 and i < len(rows):
+        solved -= rows[i].relation != EQUAL
+        i += 1
+    if solved:
+        raise ValueError("rows do not extend the rows the parent state was solved on")
+    return rows[i:]
+
+
+def solve_lfp(
+    num_vars: int,
+    rows: Sequence[LinearRow],
+    objective: FractionalObjective,
+    parent: SimplexState | None = None,
+) -> LfpResult:
     """Maximize a fractional objective over the row system plus x >= 0.
 
     The returned point is the structural part; the full state (with slack
     coordinates and final tableau) rides along for reduced-row consumers.
+
+    parent: the optimal final state of a solve on a prefix of `rows` (a
+    search node's parent). The rows past that prefix may reference the
+    parent's columns only. When they make the system infeasible, that is
+    decided from the parent's basis (simplex.infeasible_after); otherwise
+    the solve runs from scratch, so the result does not depend on parent.
     """
+    if parent is not None and infeasible_after(parent, _appended_rows(num_vars, rows, parent)):
+        return _infeasible(num_vars)
     program = LinearProgram.of(num_vars, {}, rows)
     tab = feasible_tableau(program)
     if tab is None:
-        return LfpResult(
-            Status.INFEASIBLE, None, None, SimplexState(Status.INFEASIBLE, num_vars, (), ())
-        )
+        return _infeasible(num_vars)
 
     p, q = _ratio_costs(objective, tab.ncols)
     p_scale, q_scale = p[2], q[2]
+    tab.carry(p[0], q[0])
     value = None
 
     def price(tab: Tableau) -> int:
@@ -116,6 +146,7 @@ def fractional_gradient(state: SimplexState, objective: FractionalObjective) -> 
     """
     tab = Tableau.of_state(state)
     p, q = _ratio_costs(objective, tab.ncols)
+    tab.carry(p[0], q[0])
     _, _, gamma = _gamma(tab, p, q)
     scale = p[2] * q[2] * tab.det**2
     return {j: Fraction(gamma[j], scale) for j in state.nonbasis}

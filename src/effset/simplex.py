@@ -18,6 +18,19 @@ a pivot is exact and entries stay bounded by minors of the scaled input.
 A `SimplexState` keeps the final integer rows; `Fraction`s are built only
 when a point or a reduced row is read off it.
 
+Two more invariants keep the integers the rational tableau's:
+- Carried cost rows. A tableau carries the reduced rows of the costs it
+  prices (`Tableau.costs`, seeded by one `reduced` call per cost). A
+  reduced row det * (c - c_B B^-1 A) changes under a pivot as a constraint
+  row does, so `pivot` updates it with the same exact formula, and it
+  equals a fresh `reduced(c)` entry for entry after every pivot.
+- Appended rows keep det. `infeasible_after` writes a new row, scaled to
+  integers as a, in an optimal basis as det*a - sum_i a[basis_i]*row_i and
+  gives it a slack or artificial column with entry det. The extended basis
+  matrix is block triangular over the old basis and a unit entry, so its
+  determinant is the old one up to sign: det keeps its relation to the
+  basis determinant, and every later division stays exact.
+
 Bland's rule everywhere (smallest eligible index entering, smallest basic
 index on ratio ties), so solves are deterministic and never cycle. Every
 test compares the sign of an integer multiple (by a positive factor) of
@@ -159,17 +172,19 @@ def integer_form(form: AffineForm, ncols: int) -> tuple[list[int], int, int]:
 
 class Tableau:
     """Mutable dense integer tableau; the exact tableau is rows / det, each
-    row ending in its right-hand side. Internal to the solvers; snapshot
-    with `state()` before handing results out. Costs passed in are integer
-    (see integer_form)."""
+    row ending in its right-hand side. `costs` holds the reduced rows of the
+    costs being priced, carried through every pivot (see `carry`). Internal
+    to the solvers; snapshot with `state()` before handing results out.
+    Costs passed in are integer (see integer_form)."""
 
-    __slots__ = ("ncols", "rows", "basis", "det")
+    __slots__ = ("ncols", "rows", "basis", "det", "costs")
 
     def __init__(self, ncols, rows, basis, det):
         self.ncols = ncols
         self.rows = rows
         self.basis = basis
         self.det = det
+        self.costs: list[list[int]] = []
 
     @classmethod
     def of_state(cls, state: SimplexState) -> "Tableau":
@@ -188,16 +203,22 @@ class Tableau:
             # unchanged and keeps det positive.
             piv = -piv
             prow = rows[row_idx] = [-v for v in prow]
-        for i, row in enumerate(rows):
-            if i == row_idx:
-                continue
-            factor = row[col]
-            if factor:
-                rows[i] = [(piv * a - factor * b) // det for a, b in zip(row, prow)]
-            elif piv != det:
-                rows[i] = [piv * a // det for a in row]
+        for target, skip in ((rows, row_idx), (self.costs, -1)):
+            for i, row in enumerate(target):
+                if i == skip:
+                    continue
+                factor = row[col]
+                if factor:
+                    target[i] = [(piv * a - factor * b) // det for a, b in zip(row, prow)]
+                elif piv != det:
+                    target[i] = [piv * a // det for a in row]
         self.basis[row_idx] = col
         self.det = piv
+
+    def carry(self, *costs: Sequence[int]) -> None:
+        """Price these costs from now on: `costs` becomes their reduced
+        rows, which every later pivot updates in place of a recomputation."""
+        self.costs = [self.reduced(cost) for cost in costs]
 
     def reduced(self, cost: Sequence[int]) -> list[int]:
         """det * (cost - cost_B . B^-1 A) over every column (zero at basic
@@ -238,6 +259,26 @@ class Tableau:
         return SimplexState(status, self.ncols, tuple(self.basis), tuple(self.rows), self.det)
 
 
+def _row_scale(row: LinearRow) -> int:
+    """The lcm of a row's denominators: scaled by it, the row is integer."""
+    scale = row.rhs.denominator
+    for _, c in row.coeffs:
+        scale = math.lcm(scale, c.denominator)
+    return scale
+
+
+def _dense_row(row: LinearRow, ncols: int, scale: int, allowed: int) -> list[int]:
+    """scale * row over ncols zero-padded columns, right-hand side last; no
+    slack entry is set. The row may reference variables below `allowed`."""
+    dense = [0] * ncols
+    for j, coeff in row.coeffs:
+        if j >= allowed:
+            raise ValueError(f"a row references variable x{j}, which does not exist yet")
+        dense[j] = coeff.numerator * (scale // coeff.denominator)
+    dense.append(row.rhs.numerator * (scale // row.rhs.denominator))
+    return dense
+
+
 def _integer_system(program: LinearProgram) -> tuple[list[list[int]], int, int]:
     """Dense equality system with one slack/surplus per inequality row,
     scaled to integers over one common denominator: row i is multiplied by
@@ -245,38 +286,23 @@ def _integer_system(program: LinearProgram) -> tuple[list[list[int]], int, int]:
     right-hand side. Returns (rows, det, total_columns)."""
     num_added = sum(1 for r in program.rows if r.relation != EQUAL)
     total = program.num_vars + num_added
-    det = 1
-    for row in program.rows:
-        scale = row.rhs.denominator
-        for _, c in row.coeffs:
-            scale = math.lcm(scale, c.denominator)
-        det *= scale
+    det = math.prod(_row_scale(row) for row in program.rows)
     matrix: list[list[int]] = []
-    added_so_far = 0
-    for i, row in enumerate(program.rows):
-        allowed = program.num_vars + added_so_far
-        dense = [0] * total
-        for j, coeff in row.coeffs:
-            if j >= allowed:
-                raise ValueError(
-                    f"row {i} references variable x{j} which does not exist yet"
-                )
-            dense[j] = coeff.numerator * (det // coeff.denominator)
+    slack = program.num_vars
+    for row in program.rows:
+        dense = _dense_row(row, total, det, slack)
         if row.relation != EQUAL:
-            dense[program.num_vars + added_so_far] = (
-                det if row.relation == LESS_EQ else -det
-            )
-            added_so_far += 1
-        dense.append(row.rhs.numerator * (det // row.rhs.denominator))
+            dense[slack] = det if row.relation == LESS_EQ else -det
+            slack += 1
         matrix.append(dense)
     return matrix, det, total
 
 
-def _first_positive(cost: Sequence[int], limit: int):
-    """Bland pricing on a linear cost: the first column below limit with a
-    positive reduced cost, or -1 at an optimum."""
+def _first_positive(limit: int):
+    """Bland pricing on the tableau's carried cost row: the first column
+    below limit with a positive reduced cost, or -1 at an optimum."""
     def enter(tab: Tableau) -> int:
-        red = tab.reduced(cost)
+        red = tab.costs[0]
         for j in range(limit):
             if red[j] > 0:
                 return j
@@ -295,6 +321,35 @@ def _bland(tab: Tableau, price) -> Status:
         if leave < 0:
             return Status.UNBOUNDED
         tab.pivot(leave, enter)
+
+
+def _phase_one(matrix: list[list[int]], basis: list[int], det: int, ncols: int) -> Tableau | None:
+    """Phase one from a partial basis. Every right-hand side is >= 0, and
+    each row whose basis entry is -1 gets an artificial column (entry det)
+    after the ncols real ones; the others name a column that is det in
+    their row and 0 in every other. Bland on -sum(artificials), pricing the
+    real columns, then returns the tableau (artificial columns kept, no
+    cost rows) when the artificials reach zero, or None when the rows are
+    infeasible."""
+    art_rows = [i for i, var in enumerate(basis) if var < 0]
+    if not art_rows:
+        return Tableau(ncols, matrix, basis, det)
+    k = len(art_rows)
+    for i, row in enumerate(matrix):
+        matrix[i] = row[:ncols] + [0] * k + row[ncols:]
+    for order, i in enumerate(art_rows):
+        matrix[i][ncols + order] = det
+        basis[i] = ncols + order
+
+    tab = Tableau(ncols + k, matrix, basis, det)
+    cost = [0] * ncols + [-1] * k
+    tab.carry(cost)
+    if _bland(tab, _first_positive(ncols)) is not Status.OPTIMAL:
+        raise InvariantViolated("phase one is unbounded, but -sum(artificials) <= 0")
+    if tab.value_of(cost) != 0:
+        return None
+    tab.costs = []
+    return tab
 
 
 def feasible_tableau(program: LinearProgram) -> Tableau | None:
@@ -320,24 +375,9 @@ def feasible_tableau(program: LinearProgram) -> Tableau | None:
         if ok and hit >= 0 and basis[hit] < 0:
             basis[hit] = j
 
-    art_cols = [i for i in range(m) if basis[i] < 0]
-    if not art_cols:
-        return Tableau(ncols, matrix, basis, det)
-
-    total = ncols + len(art_cols)
-    for i in range(m):
-        row = matrix[i]
-        matrix[i] = row[:ncols] + [0] * len(art_cols) + row[ncols:]
-    for order, i in enumerate(art_cols):
-        matrix[i][ncols + order] = det
-        basis[i] = ncols + order
-
-    tab = Tableau(total, matrix, basis, det)
-    cost = [0] * ncols + [-1] * len(art_cols)
-    if _bland(tab, _first_positive(cost, ncols)) is not Status.OPTIMAL:
-        raise InvariantViolated("phase one is unbounded, but -sum(artificials) <= 0")
-    if tab.value_of(cost) != 0:
-        return None
+    tab = _phase_one(matrix, basis, det, ncols)
+    if tab is None or tab.ncols == ncols:
+        return tab
 
     drop: list[int] = []
     for i, var in enumerate(tab.basis):
@@ -361,6 +401,46 @@ def feasible_tableau(program: LinearProgram) -> Tableau | None:
     return tab
 
 
+def infeasible_after(state: SimplexState, rows: Sequence[LinearRow]) -> bool:
+    """Whether the system `state` was solved on, plus `rows`, is infeasible.
+
+    Decided from the state's basis, with no phase one from scratch. Each
+    row, scaled to integers as a, is written in that basis as
+    det*a - sum_i a[basis_i]*row_i: no division. The rows may reference the
+    state's columns only; the inequality rows take slack columns from
+    state.num_vars on, in order, with entry det. A row whose slack would be
+    negative, and every equality row, gets an artificial, and phase one
+    runs from that basis. The state is left unchanged.
+    """
+    tab = Tableau.of_state(state)
+    det, width = tab.det, tab.ncols
+    ncols = width + sum(1 for r in rows if r.relation != EQUAL)
+    pad = [0] * (ncols - width)
+    matrix = [row[:-1] + pad + row[-1:] for row in tab.rows]
+    basis = tab.basis
+    slack = width
+    for row in rows:
+        a = _dense_row(row, ncols, _row_scale(row), width)
+        new = [det * v for v in a]
+        for var, basic_row in zip(state.basis, matrix):
+            factor = a[var]
+            if factor:
+                new = [x - factor * y for x, y in zip(new, basic_row)]
+        var = -1
+        if row.relation != EQUAL:
+            if row.relation == GREATER_EQ:
+                new = [-v for v in new]
+            new[slack] = det
+            if new[-1] >= 0:
+                var = slack
+            slack += 1
+        if new[-1] < 0:
+            new = [-v for v in new]
+        matrix.append(new)
+        basis.append(var)
+    return _phase_one(matrix, basis, det, ncols) is None
+
+
 def solve_lp(program: LinearProgram) -> SimplexState:
     """Two-phase exact simplex. Deterministic: equal inputs give equal
     final bases."""
@@ -368,7 +448,8 @@ def solve_lp(program: LinearProgram) -> SimplexState:
     if tab is None:
         return SimplexState(Status.INFEASIBLE, program.num_vars, (), ())
     cost, _, _ = integer_form(AffineForm(program.objective), tab.ncols)
-    status = _bland(tab, _first_positive(cost, tab.ncols))
+    tab.carry(cost)
+    status = _bland(tab, _first_positive(tab.ncols))
     return tab.state(status)
 
 

@@ -100,6 +100,21 @@ class TestSolve:
         assert "solution set: 0 point(s)" in out
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "command, header",
+        [
+            ("solve", "point,criteria,utilities"),
+            ("trace", "node,parent,action,point,value,h,hprime"),
+            ("enumerate", "set,point"),
+        ],
+    )
+    def test_empty_domain_csv_prints_the_header_only(self, tmp_path, capsys, command, header):
+        path = write(tmp_path, EMPTY_DOMAIN)
+        code, out, err = run_cli(capsys, command, path, "--format", "csv")
+        assert code == 1
+        assert out == header + "\n"
+        assert "error:" in err
+
 
 class TestTrace:
     def test_text_output(self, demo_file, capsys):

@@ -92,6 +92,27 @@ class TestBehaviors:
         with pytest.raises(AssumptionViolated):
             solve_lfp(1, rows, objective)
 
+    @pytest.mark.parametrize(
+        "child",
+        [
+            (LinearRow.of({0: 1}, LESS_EQ, 4),),
+            (LinearRow.of({0: 1}, GREATER_EQ, 5),),
+            (LinearRow.of({0: 1}, GREATER_EQ, 9),),
+            (LinearRow.of({2: 1, 3: 1}, GREATER_EQ, 1), LinearRow.of({3: 1}, GREATER_EQ, 1)),
+        ],
+    )
+    def test_parent_state_leaves_the_answer_unchanged(self, demo, child):
+        # x0 >= 5 and x0 >= 9 are infeasible children of the root (32/7, 8/7).
+        root = solve_lfp(2, demo_rows(), demo.utilities[0])
+        rows = demo_rows() + child
+        warm = solve_lfp(2, rows, demo.utilities[0], root.state)
+        assert warm == solve_lfp(2, rows, demo.utilities[0])
+
+    def test_parent_state_must_fit_the_rows(self, demo):
+        root = solve_lfp(2, demo_rows(), demo.utilities[0])
+        with pytest.raises(ValueError):
+            solve_lfp(2, demo_rows()[:1], demo.utilities[0], root.state)
+
     def test_gradient_certificate_at_optimum(self, demo):
         for utility in demo.utilities:
             result = solve_lfp(2, demo_rows(), utility)

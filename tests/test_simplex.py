@@ -1,12 +1,17 @@
 import itertools
+import math
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from effset import simplex
 from effset.errors import NotOptimal
-from effset.model import AffineForm
+from effset.fractional import solve_lfp
+from effset.model import AffineForm, ratio
 from effset.simplex import (
     EQUAL,
     GREATER_EQ,
@@ -15,6 +20,8 @@ from effset.simplex import (
     LinearRow,
     Status,
     Tableau,
+    feasible_tableau,
+    infeasible_after,
     reduced_row,
     solve_lp,
 )
@@ -160,6 +167,31 @@ def _slack_extended(rows, x, y):
     return full
 
 
+@contextmanager
+def carried_costs_checked():
+    """Within the block, every pivot of a tableau that carries cost rows
+    checks them against a fresh Tableau.reduced of the costs they were
+    seeded with. Yields the number of pivots checked so far."""
+    seeded: dict[int, tuple] = {}
+    checked = [0]
+    carry, pivot = Tableau.carry, Tableau.pivot
+
+    def seeding_carry(tab, *costs):
+        seeded[id(tab)] = costs
+        carry(tab, *costs)
+
+    def checking_pivot(tab, row_idx, col):
+        pivot(tab, row_idx, col)
+        if tab.costs:
+            assert tab.costs == [tab.reduced(cost) for cost in seeded[id(tab)]]
+            checked[0] += 1
+
+    with mock.patch.object(Tableau, "carry", seeding_carry), mock.patch.object(
+        Tableau, "pivot", checking_pivot
+    ):
+        yield checked
+
+
 _coeff = st.fractions(-5, 5, max_denominator=6)
 _rhs = st.fractions(-10, 20, max_denominator=6)
 
@@ -185,7 +217,13 @@ def test_solve_lp_matches_vertex_enumeration(extra_rows, duplicated, objective, 
         a, b, r, factor = duplicated
         rows += [({0: a, 1: b}, EQUAL, r), ({0: a * factor, 1: b * factor}, EQUAL, r * factor)]
     program = lp(2, {0: objective[0], 1: objective[1]}, rows)
-    state = solve_lp(program)
+    # Pricing reads carried cost rows; they must equal fresh reduced rows
+    # after every pivot of phase one, solve_lp and solve_lfp, or the walk
+    # would differ from recomputing them.
+    with carried_costs_checked():
+        state = solve_lp(program)
+        utility = ratio([objective[0], objective[1]], 1, [1, 2], box)
+        assert solve_lfp(2, program.rows, utility).status is state.status
     expected = _vertex_oracle_max(rows, objective)
     if expected is None:
         assert state.status is Status.INFEASIBLE
@@ -268,3 +306,104 @@ class TestContinuation:
         assert state.basis == basis
         assert [list(r) for r in state.rows] == matrix
         assert state.full_point() == point == (Fraction(32, 7), Fraction(8, 7), 0, 0)
+
+
+_row_coeff = st.fractions(-4, 4, max_denominator=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    extra_rows=st.lists(
+        st.tuples(
+            st.tuples(_row_coeff, _row_coeff, _row_coeff),
+            st.sampled_from((LESS_EQ, GREATER_EQ)),
+            st.fractions(0, 12, max_denominator=4),
+        ),
+        max_size=4,
+    ),
+    objective=st.tuples(*[st.integers(-4, 4)] * 3),
+    box=st.integers(1, 9),
+    doubled_box=st.booleans(),
+    data=st.data(),
+)
+def test_infeasible_after_matches_a_phase_one_from_scratch(
+    extra_rows, objective, box, doubled_box, data
+):
+    # Rows with rhs 0 and a doubled box row make degenerate parents: a
+    # basic variable at zero.
+    rows = [LinearRow.of([1, 1, 1], LESS_EQ, box)]
+    if doubled_box:
+        rows.append(LinearRow.of([2, 2, 2], LESS_EQ, 2 * box))
+    rows += [LinearRow.of(c, rel, rhs) for c, rel, rhs in extra_rows]
+    state = solve_lp(LinearProgram.of(3, objective, rows))
+    assume(state.status is Status.OPTIMAL)
+
+    point = state.full_point()
+    kind = data.draw(st.sampled_from(("floor", "ceil", "cut")), label="kind")
+    if kind == "cut":
+        subsets = st.sets(st.sampled_from(state.nonbasis), min_size=1)
+        count = data.draw(st.integers(1, 2), label="cuts")
+        new_rows = [
+            LinearRow.of({j: 1 for j in data.draw(subsets, label="H")}, GREATER_EQ, 1)
+            for _ in range(count)
+        ]
+    else:
+        fractional = [j for j in range(3) if point[j].denominator != 1] or [0, 1, 2]
+        j = data.draw(st.sampled_from(fractional), label="branch variable")
+        lo = math.floor(point[j])
+        if kind == "floor":
+            new_rows = [LinearRow.of({j: 1}, LESS_EQ, lo)]
+        else:
+            new_rows = [LinearRow.of({j: 1}, GREATER_EQ, lo + 1)]
+
+    basis, parent_rows = state.basis, [list(r) for r in state.rows]
+    built = []
+    phase_one, pivot = simplex._phase_one, Tableau.pivot
+
+    def recording_phase_one(matrix, basis, det, ncols):
+        built.append([list(row) for row in matrix[len(parent_rows):]])
+        return phase_one(matrix, basis, det, ncols)
+
+    def exact_pivot(tab, row_idx, col):
+        # Every division the pivot makes must be exact, which holds only
+        # while det keeps its relation to the basis determinant.
+        piv, det = abs(tab.rows[row_idx][col]), tab.det
+        sign = 1 if tab.rows[row_idx][col] > 0 else -1
+        prow = [sign * v for v in tab.rows[row_idx]]
+        for i, row in enumerate(tab.rows + tab.costs):
+            if i != row_idx:
+                assert all((piv * a - row[col] * b) % det == 0 for a, b in zip(row, prow))
+        pivot(tab, row_idx, col)
+
+    with mock.patch.object(simplex, "_phase_one", recording_phase_one), mock.patch.object(
+        Tableau, "pivot", exact_pivot
+    ):
+        verdict = infeasible_after(state, new_rows)
+
+    cold = feasible_tableau(LinearProgram.of(3, {}, rows + new_rows))
+    assert verdict == (cold is None)
+    assert state.basis == basis
+    assert [list(r) for r in state.rows] == parent_rows
+    assert state.full_point() == point
+    assert len(built) == 1 and len(built[0]) == len(new_rows)
+    assert all(type(v) is int for row in built[0] for v in row)
+
+
+class TestInfeasibleAfter:
+    ROWS = [LinearRow.of({0: -1, 1: 4}, LESS_EQ, 0), LinearRow.of({0: 2, 1: -1}, LESS_EQ, 8)]
+
+    def test_needs_an_optimal_state(self):
+        program = lp(1, {0: 1}, [({0: 1}, GREATER_EQ, 3), ({0: 1}, LESS_EQ, 1)])
+        with pytest.raises(NotOptimal):
+            infeasible_after(solve_lp(program), [LinearRow.of({0: 1}, LESS_EQ, 1)])
+
+    def test_rows_reference_the_states_columns_only(self):
+        state = solve_lp(LinearProgram.of(2, {0: 1, 1: 1}, self.ROWS))
+        with pytest.raises(ValueError):
+            infeasible_after(state, [LinearRow.of({4: 1}, LESS_EQ, 1)])
+
+    def test_equality_rows(self):
+        # The optimum is (32/7, 8/7) with both slacks nonbasic.
+        state = solve_lp(LinearProgram.of(2, {0: 1, 1: 1}, self.ROWS))
+        assert not infeasible_after(state, [LinearRow.of({0: 1, 1: -4}, EQUAL, 0)])
+        assert infeasible_after(state, [LinearRow.of({0: 1}, EQUAL, 5)])
