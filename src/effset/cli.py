@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 no solutions (infeasible instance or empty
 intersection, the empty set is still printed), 2 assumption violation,
-3 malformed instance file, 4 enumeration budget exceeded, 5 internal
-invariant violated (a solver defect, not an input problem).
+3 unreadable, malformed or unwritable file, 4 enumeration budget exceeded,
+5 internal invariant violated (a solver defect, not an input problem).
 """
 from __future__ import annotations
 
@@ -54,7 +54,21 @@ def _point_text(pt) -> str:
 
 
 def _load(path: str) -> ProblemInstance:
-    return instances.load(path)
+    try:
+        return instances.load(path)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"cannot read {path}: not UTF-8 text") from None
+
+
+def _write(path: str, emit) -> int:
+    try:
+        with open(path, "w", newline="") as handle:
+            emit(handle)
+    except OSError as exc:
+        return _fail(f"cannot write {path}: {exc.strerror}", EXIT_PARSE)
+    return EXIT_OK
 
 
 def _run_search(inst: ProblemInstance, args) -> branch_cut.SearchReport:
@@ -163,10 +177,8 @@ def _cmd_generate(args) -> int:
         return _fail(str(exc), EXIT_ASSUMPTION)
     text = instances.dumps(generate(cfg))
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+        return _write(args.output, lambda handle: handle.write(text))
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -184,6 +196,12 @@ def _parse_group(token: str) -> tuple[int, int, int]:
     return r, m, n
 
 
+def _seed_count(token: str) -> int:
+    if not token.isdigit() or int(token) < 1:
+        raise argparse.ArgumentTypeError(f"seed count {token!r} must be a whole number >= 1")
+    return int(token)
+
+
 def _cmd_bench(args) -> int:
     records = bench_mod.run_benchmark(
         args.groups,
@@ -193,8 +211,9 @@ def _cmd_bench(args) -> int:
         compare=not args.no_compare,
     )
     if args.detail:
-        with open(args.detail, "w", newline="") as handle:
-            bench_mod.write_detail_csv(records, handle)
+        code = _write(args.detail, lambda handle: bench_mod.write_detail_csv(records, handle))
+        if code != EXIT_OK:
+            return code
     if args.format == "csv":
         bench_mod.write_summary_csv(records, sys.stdout)
     else:
@@ -275,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time the search against brute force")
     p.add_argument("groups", nargs="+", type=_parse_group, metavar="RxMxN")
-    p.add_argument("--seeds", type=int, default=10)
+    p.add_argument("--seeds", type=_seed_count, default=10)
     p.add_argument("--seed", type=int, default=0, help="first seed of the run")
     p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
     p.add_argument("--no-compare", action="store_true", help="skip brute force")
@@ -290,8 +309,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except FileNotFoundError as exc:
-        return _fail(f"cannot read {exc.filename}", EXIT_PARSE)
     except ParseError as exc:
         return _fail(str(exc), EXIT_PARSE)
     except AssumptionViolated as exc:

@@ -67,7 +67,7 @@ class EnumerationBudgetExceeded(EffsetError):
 
 
 class ParseError(EffsetError):
-    """An instance file is malformed. Carries the offending line number."""
+    """An instance file cannot be read or is malformed; carries its line number if any."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line

@@ -17,7 +17,7 @@ from typing import Sequence
 from .errors import AssumptionViolated, GenerationFailed
 from .model import AffineForm, FractionalObjective, ProblemInstance, instance
 from .simplex import LinearRow, constraint_rows
-from .validate import denominator_minimum, validate_instance
+from .validate import check_relaxation, denominator_minimum, integer_witness
 
 
 @dataclass(frozen=True)
@@ -84,9 +84,10 @@ def generate(cfg: GeneratorConfig) -> ProblemInstance:
                 _draw_objective(rng, cfg, rows) for _ in range(cfg.num_criteria)
             )
             utilities = tuple(_draw_objective(rng, cfg, rows) for _ in range(2))
-            inst = instance(a, b, criteria, utilities)
-            validate_instance(inst)
-            return inst
+            # _draw_objective proved each denominator positive over these rows.
+            check_relaxation(rows, cfg.num_vars)
+            integer_witness(rows, cfg.num_vars)
+            return instance(a, b, criteria, utilities)
         except (GenerationFailed, AssumptionViolated) as exc:
             last_error = exc
     raise GenerationFailed(f"no valid instance after {cfg.max_attempts} attempts: {last_error}")

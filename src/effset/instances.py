@@ -150,4 +150,4 @@ def loads(text: str) -> ProblemInstance:
 
 
 def load(path) -> ProblemInstance:
-    return loads(Path(path).read_text())
+    return loads(Path(path).read_text(encoding="utf-8"))

@@ -1,16 +1,15 @@
 """Checks that an instance satisfies the assumptions the search relies on:
 a bounded feasible region, strictly positive denominators over it, and at
-least one feasible integer point."""
+least one feasible integer point, checked in that order."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import AssumptionViolated, UnboundedDomain, UnboundedRelaxation
+from .errors import AssumptionViolated, InvariantViolated
 from .milp import MilpProblem, solve_milp
 from .model import AffineForm, ProblemInstance
-from .oracle import variable_upper_bounds
 from .simplex import LinearProgram, LinearRow, Status, constraint_rows, solve_lp
 
 
@@ -18,15 +17,24 @@ from .simplex import LinearProgram, LinearRow, Status, constraint_rows, solve_lp
 class InstanceCertificate:
     """Evidence gathered while validating.
 
-    variable_maxima: continuous max of each variable over the relaxation.
     denominator_minima: continuous min of each denominator, in instance
     order (criteria first, then utilities).
     integer_witness: one feasible integer point.
     """
 
-    variable_maxima: tuple[Fraction, ...]
     denominator_minima: tuple[Fraction, ...]
     integer_witness: tuple[int, ...]
+
+
+def check_relaxation(rows: Sequence[LinearRow], n: int) -> None:
+    """Raise AssumptionViolated unless the rows plus x >= 0 describe a
+    nonempty bounded region. Over x >= 0 the region is bounded exactly when
+    max sum(x) is finite, so one LP decides both."""
+    status = solve_lp(LinearProgram.of(n, [1] * n, rows)).status
+    if status is Status.INFEASIBLE:
+        raise AssumptionViolated("the continuous relaxation is empty", reason="empty-domain")
+    if status is Status.UNBOUNDED:
+        raise AssumptionViolated("the continuous relaxation is unbounded", reason="unbounded")
 
 
 def denominator_minimum(
@@ -41,22 +49,24 @@ def denominator_minimum(
     return den.at(point), point
 
 
+def integer_witness(rows: Sequence[LinearRow], n: int) -> tuple[int, ...]:
+    """One integer point of the rows plus x >= 0, or AssumptionViolated."""
+    result = solve_milp(MilpProblem(LinearProgram.of(n, {}, rows), (True,) * n))
+    if result.point is None:
+        raise AssumptionViolated("no feasible integer point exists", reason="empty-domain")
+    return tuple(int(v) for v in result.point)
+
+
 def validate_instance(inst: ProblemInstance) -> InstanceCertificate:
     n = inst.variable_count
     rows = constraint_rows(inst.a_matrix, inst.b_vector)
-    try:
-        maxima = variable_upper_bounds(inst)
-    except UnboundedDomain as exc:
-        raise AssumptionViolated(str(exc), reason="unbounded") from None
-    if maxima is None:
-        raise AssumptionViolated("the continuous relaxation is empty", reason="empty-domain")
+    check_relaxation(rows, n)
 
     minima = []
-    objectives = list(inst.criteria) + list(inst.utilities)
-    for idx, obj in enumerate(objectives):
+    for idx, obj in enumerate(inst.criteria + inst.utilities):
         found = denominator_minimum(rows, n, obj.denominator)
         if found is None:
-            raise AssumptionViolated("denominator minimization did not solve")
+            raise InvariantViolated(f"denominator {idx} has no minimum over a bounded region")
         value, point = found
         if value <= 0:
             raise AssumptionViolated(
@@ -64,16 +74,4 @@ def validate_instance(inst: ProblemInstance) -> InstanceCertificate:
             )
         minima.append(value)
 
-    program = LinearProgram.of(n, {}, rows)
-    milp = MilpProblem(program, (True,) * n)
-    try:
-        result = solve_milp(milp)
-    except UnboundedRelaxation:
-        raise AssumptionViolated(
-            "the continuous relaxation is unbounded", reason="unbounded"
-        ) from None
-    if result.status is not Status.OPTIMAL or result.point is None:
-        raise AssumptionViolated("no feasible integer point exists", reason="empty-domain")
-    witness = tuple(int(v) for v in result.point)
-
-    return InstanceCertificate(tuple(maxima), tuple(minima), witness)
+    return InstanceCertificate(tuple(minima), integer_witness(rows, n))

@@ -1,3 +1,5 @@
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -36,3 +38,21 @@ def demo():
 
 def frac(text) -> Fraction:
     return Fraction(text)
+
+
+def count_calls(monkeypatch, fn) -> Counter:
+    """Route every effset module's binding of fn (the defining one and each
+    `from ... import` copy) through a counter keyed by the binding module's
+    short name, the way effbench/tracing.py rebinds names."""
+    counts = Counter()
+    for modname, module in list(sys.modules.items()):
+        if not modname.startswith("effset."):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is fn:
+                def counted(*args, _key=modname.split(".", 1)[1], **kwargs):
+                    counts[_key] += 1
+                    return fn(*args, **kwargs)
+
+                monkeypatch.setattr(module, attr, counted)
+    return counts

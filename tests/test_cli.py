@@ -212,6 +212,13 @@ class TestBench:
         assert out.splitlines()[0].startswith("r,m,n,cpu_mean")
         assert detail.read_text().splitlines()[0].startswith("r,m,n,seed")
 
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_seed_count_below_one_exits_two(self, capsys, seeds):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "2x2x2", "--seeds", seeds])
+        assert exc.value.code == 2
+        assert "--seeds" in capsys.readouterr().err
+
     def test_bad_group_token(self, capsys):
         with pytest.raises(SystemExit):
             main(["bench", "3x10"])
@@ -234,6 +241,33 @@ class TestFailures:
         code, _, err = run_cli(capsys, "solve", "/nonexistent/path.txt")
         assert code == 3
         assert "cannot read" in err
+
+    @pytest.mark.parametrize("kind", ["directory", "not UTF-8"])
+    def test_unreadable_file_exits_three(self, tmp_path, capsys, kind):
+        path = tmp_path / "inst.txt"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff" + EMPTY_INTERSECTION.encode())
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == 3
+        assert out == ""
+        assert f"cannot read {path}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "-n", "2", "-m", "2", "-k", "2", "-o", "{dir}"],
+            ["generate", "-n", "2", "-m", "2", "-k", "2", "-o", "{dir}/missing/x.txt"],
+            ["bench", "2x2x2", "--seeds", "1", "--no-compare", "--detail", "{dir}"],
+        ],
+    )
+    def test_unwritable_output_exits_three(self, tmp_path, capsys, argv):
+        argv = [arg.format(dir=tmp_path) for arg in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert f"cannot write {argv[-1]}" in err
 
     def test_parse_error_exits_three(self, tmp_path, capsys):
         path = write(tmp_path, "effset-instance 1\nvars 2\nbogus\n")

@@ -1,8 +1,11 @@
 import pytest
 
+from effset import simplex, validate
 from effset.errors import GenerationFailed
 from effset.generator import GeneratorConfig, generate
 from effset.validate import validate_instance
+
+from conftest import count_calls
 
 
 def cfg(**overrides):
@@ -57,6 +60,17 @@ class TestGenerate:
         certificate = validate_instance(inst)
         assert all(m > 0 for m in certificate.denominator_minima)
         assert certificate.integer_witness is not None
+
+    def test_each_denominator_solved_once(self, monkeypatch):
+        """k+2 denominator LPs, one relaxation LP and the witness MILP."""
+        minima = count_calls(monkeypatch, validate.denominator_minimum)
+        lps = count_calls(monkeypatch, simplex.solve_lp)
+        inst = generate(cfg(num_vars=5, num_constraints=10, num_criteria=3, seed=0))
+        k = len(inst.criteria)
+        assert sum(minima.values()) == k + 2
+        assert lps["validate"] == k + 2 + 1
+        assert lps["milp"] >= 1
+        assert set(lps) == {"validate", "milp"}
 
     def test_positive_denominator_unreachable(self):
         with pytest.raises(GenerationFailed):

@@ -1,10 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from effset.errors import AssumptionViolated
+from effset import oracle, simplex
+from effset.errors import AssumptionViolated, UnboundedDomain
+from effset.generator import GeneratorConfig, generate
 from effset.model import instance, is_feasible, ratio
-from effset.validate import validate_instance
+from effset.simplex import constraint_rows
+from effset.validate import denominator_minimum, validate_instance
+
+from conftest import count_calls
 
 
 def one_var(a, b, den_coeff=0, den_const=1):
@@ -17,7 +24,6 @@ def one_var(a, b, den_coeff=0, den_const=1):
 
 def test_demo_certificate(demo):
     cert = validate_instance(demo)
-    assert cert.variable_maxima == (Fraction(32, 7), Fraction(8, 7))
     assert cert.denominator_minima == (
         Fraction(6, 7),
         Fraction(1),
@@ -41,6 +47,15 @@ def test_unbounded_relaxation():
     assert info.value.reason == "unbounded"
 
 
+def test_unbounded_in_a_later_variable_only():
+    # x0 <= 2 bounds x0; nothing bounds x1.
+    objectives = [ratio([1, 0], 0, [0, 0], 1), ratio([0, 1], 0, [0, 0], 1)]
+    with pytest.raises(AssumptionViolated) as info:
+        validate_instance(instance([[1, 0]], [2], objectives, objectives))
+    assert info.value.reason == "unbounded"
+    assert "unbounded" in str(info.value)
+
+
 def test_sign_changing_denominator():
     with pytest.raises(AssumptionViolated) as info:
         validate_instance(one_var(1, 2, den_coeff=1, den_const=-1))
@@ -54,3 +69,70 @@ def test_no_integer_point():
     with pytest.raises(AssumptionViolated) as info:
         validate_instance(inst)
     assert info.value.reason == "empty-domain"
+
+
+def test_denominator_checked_before_integer_point():
+    # 1/3 <= x <= 2/3 has no lattice point, and x - 1/2 changes sign on it:
+    # the denominator is reported, because it is checked first.
+    objectives = [ratio([1], 0, [1], Fraction(-1, 2)), ratio([-1], 0, [0], 1)]
+    inst = instance([[3], [-3]], [2, -1], objectives, objectives)
+    with pytest.raises(AssumptionViolated) as info:
+        validate_instance(inst)
+    assert info.value.reason == "denominator"
+
+
+def test_lp_count(monkeypatch):
+    """One relaxation LP, one LP per denominator, then the witness MILP's
+    node LPs; nothing else."""
+    inst = generate(GeneratorConfig(num_vars=5, num_constraints=10, num_criteria=3, seed=0))
+    lps = count_calls(monkeypatch, simplex.solve_lp)
+    validate_instance(inst)
+    assert lps["validate"] == 1 + len(inst.criteria) + 2
+    assert lps["milp"] >= 1
+    assert set(lps) == {"validate", "milp"}
+
+
+@st.composite
+def tiny_instances(draw):
+    """n, m <= 3 with small coefficients, zeros included: empty, single-point
+    and unbounded relaxations, relaxations with no lattice point, and
+    denominators that change sign all occur."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    coef = st.integers(-3, 3)
+    a = [[draw(coef) for _ in range(n)] for _ in range(m)]
+    b = [draw(st.integers(-3, 6)) for _ in range(m)]
+    objectives = [
+        ratio([0] * n, 1, [draw(coef) for _ in range(n)], draw(st.integers(-3, 6)))
+        for _ in range(4)
+    ]
+    return instance(a, b, objectives[:2], objectives[2:])
+
+
+def reference_reason(inst) -> str | None:
+    """The verdict validate_instance must reach, from the oracle's n
+    variable maxima and its lattice scan, in the same order of checks."""
+    try:
+        if oracle.variable_upper_bounds(inst) is None:
+            return "empty-domain"
+    except UnboundedDomain:
+        return "unbounded"
+    rows = constraint_rows(inst.a_matrix, inst.b_vector)
+    for obj in inst.criteria + inst.utilities:
+        if denominator_minimum(rows, inst.variable_count, obj.denominator)[0] <= 0:
+            return "denominator"
+    return None if oracle.enumerate_feasible(inst) else "empty-domain"
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiny_instances())
+def test_agrees_with_oracle_reference(inst):
+    expected = reference_reason(inst)
+    try:
+        cert = validate_instance(inst)
+    except AssumptionViolated as exc:
+        assert exc.reason == expected
+    else:
+        assert expected is None
+        assert is_feasible(inst, cert.integer_witness)
+        assert all(m > 0 for m in cert.denominator_minima)
