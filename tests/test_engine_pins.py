@@ -1,19 +1,37 @@
-"""Walk-identity pins for the simplex engine.
+"""Pins for the simplex engine and for the search walk.
 
-The search's answers depend on more than the solution set: node counts,
-the final basis at degenerate optima (which decides H and H') and the
-witnesses of the membership MILPs all follow from the exact pivot sequence
-Bland's rule picks. These digests were computed with the Fraction-tableau
-engine that preceded the integer-preserving one, so any change of engine
-that moves a single Bland decision fails here.
+Engine pins. The search's answers depend on more than the solution set:
+node counts, the final basis at degenerate optima (which decides H and H')
+and the witnesses of the membership MILPs all follow from the exact pivot
+sequence Bland's rule picks. `data/search_node_programs.txt` holds the 379
+node programs of the 3x10x5 walk on seeds 0-9, and ENGINE_PINS digests
+solve_lfp's status, basis, value and point on each, solved from scratch.
+MEMBERSHIP_PINS digest every membership verdict and witness. Neither depends
+on the search, so any change of engine that moves a single Bland decision
+fails here, and a change of the search alone does not. The membership
+digests were computed with the Fraction-tableau engine that preceded the
+integer-preserving one. The programs are the walk's as it stood when they
+were recorded; they stay fixed when the search changes.
+
+Search pins. SEARCH_PINS digest the whole walk of branch_cut.run on the same
+instances: each node's action, point, value and rounds. They change only in
+a change of the search, never of the engine. Such a change recomputes them,
+lists the old and new node counts per seed, and keeps the engine pins and the
+oracle-equivalence and walk-invariance acceptance checks unchanged.
 """
 import hashlib
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from effset import branch_cut, oracle
 from effset.efficiency import is_in_solution_set
+from effset.fractional import solve_lfp
 from effset.generator import GeneratorConfig, generate
+from effset.simplex import LinearRow, constraint_rows
+
+PROGRAMS = Path(__file__).parent / "data" / "search_node_programs.txt"
 
 
 def _instance(seed):
@@ -26,6 +44,26 @@ def _text(values):
 
 def _digest(items) -> str:
     return hashlib.sha256(repr(list(items)).encode()).hexdigest()
+
+
+def _row(text):
+    *coeffs, relation, rhs = text.split()
+    pairs = (c.split(":") for c in coeffs)
+    return LinearRow.of({int(j): Fraction(c) for j, c in pairs}, relation, Fraction(rhs))
+
+
+def node_programs(seed):
+    """[(node id, parent id or None, appended rows)] in processing order."""
+    programs = []
+    for line in PROGRAMS.read_text().splitlines():
+        if line.startswith("#"):
+            continue
+        head, rows = line.split("|")
+        line_seed, node, parent = head.split()
+        if int(line_seed) == seed:
+            parsed = tuple(_row(r) for r in rows.split(";") if r.strip())
+            programs.append((int(node), None if parent == "-" else int(parent), parsed))
+    return programs
 
 
 def walk_digest(report) -> str:
@@ -50,8 +88,29 @@ def membership_digest(inst) -> str:
     return _digest(verdicts)
 
 
+# seed: (programs, SHA-256 of (node, status, basis, value, point) over them)
+ENGINE_PINS = {
+    0: (32, "03b65dbc571b7b47559a97fa6e32aa580d729c9d65baa972f459b8c51699e6d1"),
+    1: (74, "6b837665973c698b148d4e65dab3916ed6fb1738a858664117e4d55fd16d0f8b"),
+    2: (57, "68fd9fd271596f703e0afcea1c4d30a78ad66d3badbbdb2c036de381363badaf"),
+    3: (51, "4808c78a9332ff14d30129793784f5d740bd09fc269bc3eeed8adb871e7f0954"),
+    4: (23, "93847205d3e951f3f1e31db84e44c17cd3baacb8484eac2a6a019f74faaa5305"),
+    5: (24, "9e660bef2e1d41f0eeebf32cb4f18dfb3eb5db6a846f31f93f9a4e7ee774f295"),
+    6: (43, "a7d64842252bd3ad0ee51024985fa8bc69f5dfeafa3fb3e0da6e0d96290b0f84"),
+    7: (18, "05a63a8986f2961ab9d62709114ffd73cc0661633fed94846d60967b4fe391d7"),
+    8: (43, "4929060eb61642c7a241b9670231e9385b67c6b6cc5f8b0364774228bd1af37f"),
+    9: (14, "6894dbcd8a6a333762352ae2cc9a630135d53aa1a3b2f06419ada35f399711c8"),
+}
+
+# seed: SHA-256 of (point, criteria verdict, utility verdict, witness) over
+# every feasible point, in enumeration order
+MEMBERSHIP_PINS = {
+    0: "a2afa46a57e5178b69c19fbc63217d269b21347a43ad1622c54b8ce52572dca5",
+    1: "b5db3a42f092106bed82f6b7b2dec68d48d3eff7a8fc78221aaf5779099d8d54",
+}
+
 # seed: (nodes_processed, SHA-256 of the trace tuples)
-WALK_PINS = {
+SEARCH_PINS = {
     0: (32, "3e8eab5e69a0f6d5923d1cc7595124e773d754e5cc7274f8a49a0c445faf7536"),
     1: (74, "f0b776484f70191fcfe4df52d2451924567fd24f111f3e57ffcf944cc0325c69"),
     2: (57, "6cc8f2252c9464b5b08993575d94dde0834ad87ea9061012b71fef3567ac151c"),
@@ -64,20 +123,39 @@ WALK_PINS = {
     9: (14, "d1930e51bf01f9af05229c8fb73b4a6322230ae33f7dc26daf7757ed48b9bbee"),
 }
 
-# seed: SHA-256 of (point, criteria verdict, utility verdict, witness) over
-# every feasible point, in enumeration order
-MEMBERSHIP_PINS = {
-    0: "a2afa46a57e5178b69c19fbc63217d269b21347a43ad1622c54b8ce52572dca5",
-    1: "b5db3a42f092106bed82f6b7b2dec68d48d3eff7a8fc78221aaf5779099d8d54",
-}
 
-
-@pytest.mark.parametrize("seed", sorted(WALK_PINS))
-def test_search_walk_is_pinned(seed):
-    report = branch_cut.run(_instance(seed))
-    assert (report.nodes_processed, walk_digest(report)) == WALK_PINS[seed]
+@pytest.mark.parametrize("seed", sorted(ENGINE_PINS))
+def test_node_program_solves_are_pinned(seed):
+    """Each program solved from scratch matches its pin, and solving it with
+    its parent's final state (the search's path) gives the same status."""
+    inst = _instance(seed)
+    base = constraint_rows(inst.a_matrix, inst.b_vector)
+    n, utility = inst.variable_count, inst.utilities[0]
+    states, solved = {}, []
+    for node, parent, rows in node_programs(seed):
+        result = solve_lfp(n, base + rows, utility)
+        states[node] = result.state
+        if parent is not None:
+            warm = solve_lfp(n, base + rows, utility, states[parent])
+            assert warm.status is result.status, (seed, node)
+        solved.append(
+            (
+                node,
+                result.status.value,
+                result.state.basis,
+                None if result.value is None else str(result.value),
+                _text(result.point),
+            )
+        )
+    assert (len(solved), _digest(solved)) == ENGINE_PINS[seed]
 
 
 @pytest.mark.parametrize("seed", sorted(MEMBERSHIP_PINS))
 def test_membership_verdicts_are_pinned(seed):
     assert membership_digest(_instance(seed)) == MEMBERSHIP_PINS[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(SEARCH_PINS))
+def test_search_walk_is_pinned(seed):
+    report = branch_cut.run(_instance(seed))
+    assert (report.nodes_processed, walk_digest(report)) == SEARCH_PINS[seed]
