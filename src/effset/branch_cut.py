@@ -23,6 +23,19 @@ in criteria space (and likewise for H' in utility space), so discarding a
 node when either set is empty loses no solution. Every solution survives in
 the successor: solutions distinct from x* keep a positive coordinate in
 both sets, and coordinates are integral, so each round stays satisfied.
+
+After the test of an integer optimum, and before any branch or round, a
+feasible node is fathomed at its utility ideal point (Ehrgott & Gandibleux
+2007; Przybylski & Gandibleux 2017). The corner pairs the node's value with
+the companion utility's maximum over the node, solved by ratio pivots from
+the node's final basis. When a met integer point's utility image is >= the
+corner and differs from it, the node goes. This is exact: every point of
+the node lies at or under the corner in both utilities, so the met point
+strictly dominates each of them in utility space, and none is in the
+solution set. An image equal to the corner keeps the node, so ties survive.
+The maximum is solved only when some met image is at or above the node
+vertex's image, the one place such a point can lie. Because the optimum is
+tested first, every integer optimum is decided and counted as before.
 """
 from __future__ import annotations
 
@@ -35,13 +48,15 @@ from typing import Sequence
 
 from .errors import AllInteger, NodeLimitExceeded, NonIntegerPoint, NotOptimal
 from .efficiency import is_in_solution_set
-from .fractional import fractional_gradient, solve_lfp
+from .fractional import LfpResult, fractional_gradient, maximize_from, solve_lfp
 from .model import (
+    FractionalObjective,
     ObjectiveVector,
     Point,
     ProblemInstance,
     criteria_image,
     dominates,
+    evaluate,
     utility_image,
 )
 from .simplex import GREATER_EQ, LESS_EQ, LinearRow, SimplexState, Status, constraint_rows
@@ -54,6 +69,7 @@ CUT = "cut"
 FATHOM_INFEASIBLE = "fathom-infeasible"
 FATHOM_EMPTY_H = "fathom-empty-H"
 FATHOM_EMPTY_HPRIME = "fathom-empty-Hprime"
+FATHOM_IDEAL = "fathom-ideal"
 ARCHIVE = "archive"
 MILP = "milp"
 
@@ -103,7 +119,8 @@ class SearchReport:
     def fathoms(self) -> dict[str, int]:
         """Fathomed nodes by reason, every reason present."""
         counts = Counter(rec.action for rec in self.trace)
-        return {r: counts[r] for r in (FATHOM_INFEASIBLE, FATHOM_EMPTY_H, FATHOM_EMPTY_HPRIME)}
+        reasons = (FATHOM_INFEASIBLE, FATHOM_EMPTY_H, FATHOM_EMPTY_HPRIME, FATHOM_IDEAL)
+        return {r: counts[r] for r in reasons}
 
     def solution_points(self) -> set[Point]:
         return {rec.point for rec in self.solutions}
@@ -119,6 +136,32 @@ def select_branch_variable(point: Sequence[Fraction]) -> int:
         if v.denominator != 1:
             return j
     raise AllInteger(f"no fractional coordinate in {tuple(point)}")
+
+
+def ideal_point_beaten(
+    archive: Sequence[SolutionRecord],
+    result: LfpResult,
+    companion: FractionalObjective,
+    solved: int,
+) -> bool:
+    """Whether an archived point strictly dominates the node's utility ideal
+    point: the corner of the node's value and the companion utility's
+    maximum over the node. Only archived images at or above the node
+    vertex's image can, so the maximum is solved only when one is there."""
+
+    def corner(other):
+        return (result.value, other) if solved == 0 else (other, result.value)
+
+    vertex = corner(evaluate(companion, result.point))
+    rivals = [
+        rec.utility_values
+        for rec in archive
+        if all(a >= b for a, b in zip(rec.utility_values, vertex))
+    ]
+    if not rivals:
+        return False
+    ideal = corner(maximize_from(result.state, companion))
+    return any(dominates(u, ideal) for u in rivals)
 
 
 def build_cut_sets(
@@ -171,7 +214,7 @@ def run(
 
     n = inst.variable_count
     base = constraint_rows(inst.a_matrix, inst.b_vector)
-    utility = inst.utilities[objective]
+    utility, companion = inst.utilities[objective], inst.utilities[1 - objective]
 
     open_nodes: deque[SearchNode] = deque([SearchNode(0, None, ())])
     next_id = 1
@@ -193,35 +236,9 @@ def run(
             continue
 
         point = result.point
-        if any(v.denominator != 1 for v in point):
-            r = select_branch_variable(point)
-            lo = math.floor(point[r])
-            floor_child = SearchNode(
-                next_id,
-                node.id,
-                node.rows + (LinearRow.of({r: 1}, LESS_EQ, lo),),
-                result.state,
-            )
-            ceil_child = SearchNode(
-                next_id + 1,
-                node.id,
-                node.rows + (LinearRow.of({r: 1}, GREATER_EQ, lo + 1),),
-                result.state,
-            )
-            next_id += 2
-            report.trace.append(
-                TraceRecord(node.id, node.parent, BRANCH, point, result.value, None, None)
-            )
-            if strategy == "dfs":
-                open_nodes.append(ceil_child)
-                open_nodes.append(floor_child)
-            else:
-                open_nodes.append(floor_child)
-                open_nodes.append(ceil_child)
-            continue
-
-        integer_point = tuple(int(v) for v in point)
-        if integer_point not in seen_points:
+        fractional = any(v.denominator != 1 for v in point)
+        integer_point = None if fractional else tuple(int(v) for v in point)
+        if integer_point is not None and integer_point not in seen_points:
             seen_points.add(integer_point)
             candidate = _record(inst, integer_point)
             dominator = next(
@@ -256,6 +273,39 @@ def run(
                         integer_point,
                         verdict.witness,
                     )
+
+        if ideal_point_beaten(archive, result, companion, objective):
+            report.trace.append(
+                TraceRecord(node.id, node.parent, FATHOM_IDEAL, point, result.value, None, None)
+            )
+            continue
+
+        if fractional:
+            r = select_branch_variable(point)
+            lo = math.floor(point[r])
+            floor_child = SearchNode(
+                next_id,
+                node.id,
+                node.rows + (LinearRow.of({r: 1}, LESS_EQ, lo),),
+                result.state,
+            )
+            ceil_child = SearchNode(
+                next_id + 1,
+                node.id,
+                node.rows + (LinearRow.of({r: 1}, GREATER_EQ, lo + 1),),
+                result.state,
+            )
+            next_id += 2
+            report.trace.append(
+                TraceRecord(node.id, node.parent, BRANCH, point, result.value, None, None)
+            )
+            if strategy == "dfs":
+                open_nodes.append(ceil_child)
+                open_nodes.append(floor_child)
+            else:
+                open_nodes.append(floor_child)
+                open_nodes.append(ceil_child)
+            continue
 
         h, hp = build_cut_sets(result.state, inst, solved=objective)
         if not h:

@@ -5,7 +5,8 @@ reduced numerator row nu and reduced denominator row mu, combines them into
 gamma_j = Q(x*) nu_j - P(x*) mu_j, and pivots on the smallest index with
 gamma_j > 0. All gamma_j <= 0 certifies a global maximum of the ratio,
 because a linear ratio with positive denominator is pseudolinear over the
-feasible region.
+feasible region. maximize_from runs the same ratio phase from a solved
+state's basis, with no phase one, for another ratio over the same rows.
 
 solve_lfp_cc solves the same problem through the variable-change
 t = 1/(q.x + beta), y = t x, which turns the ratio program into a plain LP.
@@ -107,13 +108,31 @@ def solve_lfp(
     if tab is None:
         return _infeasible(num_vars)
 
+    value = _ratio_phase(tab, objective)
+    state = tab.state(Status.OPTIMAL)
+    return LfpResult(Status.OPTIMAL, state.structural_point(num_vars), value, state)
+
+
+def maximize_from(state: SimplexState, objective: FractionalObjective) -> Fraction:
+    """The maximum of `objective` over the rows `state` was solved on.
+
+    Ratio pivots from the state's optimal basis, with no phase one; the
+    state is left unchanged (Tableau.of_state copies the row list).
+    """
+    return _ratio_phase(Tableau.of_state(state), objective)
+
+
+def _ratio_phase(tab: Tableau, objective: FractionalObjective) -> Fraction:
+    """Pivot a primal-feasible tableau to the ratio maximum and return it.
+
+    Prices Bland on gamma: the first column with gamma_j > 0.
+    """
     p, q = _ratio_costs(objective, tab.ncols)
     p_scale, q_scale = p[2], q[2]
     tab.carry(p[0], q[0])
     value = None
 
     def price(tab: Tableau) -> int:
-        """Bland on gamma: the first column with gamma_j > 0."""
         nonlocal value
         p_val, q_val, gamma = _gamma(tab, p, q)
         if q_val <= 0:
@@ -134,8 +153,7 @@ def solve_lfp(
         raise UnboundedDomain(
             "improving ray with no blocking row; the domain is not a polytope"
         )
-    state = tab.state(Status.OPTIMAL)
-    return LfpResult(Status.OPTIMAL, state.structural_point(num_vars), value, state)
+    return value
 
 
 def fractional_gradient(state: SimplexState, objective: FractionalObjective) -> dict[int, Fraction]:

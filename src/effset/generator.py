@@ -57,9 +57,11 @@ def _draw_objective(
     # Redraws change only the constant, so the linear part's minimum is
     # solved once.
     linear = denominator_minimum(rows, cfg.num_vars, AffineForm.of(den_coeffs))
+    if linear is None:
+        raise GenerationFailed("the denominator has no minimum over the region")
     positive_lo = max(den_lo, 1)
     for _ in range(cfg.max_attempts):
-        if linear is not None and linear[0] + constant > 0:
+        if linear[0] + constant > 0:
             return FractionalObjective(numerator, AffineForm.of(den_coeffs, constant))
         if positive_lo > den_hi:
             break

@@ -12,6 +12,7 @@ from effset.branch_cut import (
     CUT,
     FATHOM_EMPTY_H,
     FATHOM_EMPTY_HPRIME,
+    FATHOM_IDEAL,
     FATHOM_INFEASIBLE,
     MILP,
     build_cut_sets,
@@ -30,6 +31,7 @@ from effset.fractional import _expand_rows, solve_lfp
 from effset.generator import GeneratorConfig, generate
 from effset.model import (
     criteria_image,
+    dominates,
     instance,
     ratio,
     scaled_constraints,
@@ -91,6 +93,7 @@ class TestDemoSearch:
             FATHOM_INFEASIBLE: 3,
             FATHOM_EMPTY_H: 0,
             FATHOM_EMPTY_HPRIME: 0,
+            FATHOM_IDEAL: 0,
         }
 
     def test_processing_order(self, demo_report):
@@ -265,7 +268,7 @@ class TestArchive:
             optima = {
                 tuple(int(v) for v in rec.point)
                 for rec in report.trace
-                if rec.action != BRANCH and rec.point is not None
+                if rec.point is not None and all(v.denominator == 1 for v in rec.point)
             }
             assert len(tested) == report.candidates[MILP], seed
             assert report.candidates[ARCHIVE] + report.candidates[MILP] == len(optima), seed
@@ -291,6 +294,38 @@ class TestArchive:
         assert set(efficient_sets(inst)[2]) == {(1, 0), (0, 1)}
         report = run(inst, strategy=strategy, objective=objective)
         assert report.solution_points() == {(1, 0), (0, 1)}
+
+
+class TestIdealFathoming:
+    """A node is fathomed when an archived point strictly dominates the
+    corner (node value, companion maximum) in utility space."""
+
+    @pytest.mark.parametrize("strategy", ["dfs", "bfs"])
+    @pytest.mark.parametrize("objective", [0, 1])
+    def test_every_point_of_a_fathomed_node_is_dominated(self, strategy, objective):
+        fathomed = covered = 0
+        for seed in range(10):
+            inst = generate(
+                GeneratorConfig(num_vars=5, num_constraints=10, num_criteria=3, seed=seed)
+            )
+            report = run(inst, strategy=strategy, objective=objective, validate=False)
+            base = constraint_rows(inst.a_matrix, inst.b_vector)
+            _, added_rows = edges_and_rows(report)
+            images = {p: utility_image(inst, p) for p in enumerate_feasible(inst)}
+            for rec in report.trace:
+                if rec.action != FATHOM_IDEAL:
+                    continue
+                fathomed += 1
+                rows = base + added_rows[rec.node_id]
+                for point, image in images.items():
+                    if _satisfies(5, rows, point):
+                        covered += 1
+                        assert any(dominates(u, image) for u in images.values()), (
+                            seed,
+                            rec.node_id,
+                            point,
+                        )
+        assert fathomed > 0 and covered > 0
 
 
 def _rational_instances():

@@ -112,15 +112,15 @@ MEMBERSHIP_PINS = {
 # seed: (nodes_processed, SHA-256 of the trace tuples)
 SEARCH_PINS = {
     0: (32, "3e8eab5e69a0f6d5923d1cc7595124e773d754e5cc7274f8a49a0c445faf7536"),
-    1: (74, "f0b776484f70191fcfe4df52d2451924567fd24f111f3e57ffcf944cc0325c69"),
-    2: (57, "6cc8f2252c9464b5b08993575d94dde0834ad87ea9061012b71fef3567ac151c"),
-    3: (51, "994568e77b79f928810ea0e05a2159eba2661295f19b76d2081dbda8fa35b8e8"),
-    4: (23, "c353764a747e9ea2e7026b83a47a4b94e0deb33a71fdf8d587f2591363ccc34b"),
-    5: (24, "72471ccd52d15994be729dea79cfe5c8aa6e7c6f77ef41bd9bf2c0ba74a41316"),
-    6: (43, "6793ad02f70cef9fffba93b7dff7b5264690ba64f05be044e79967da65fb90f3"),
-    7: (18, "621f88cde5e67c86b4e37baa5da659ad0713588a90f77ae5e4e66029db892178"),
-    8: (43, "22c8f6e734727e67ac9bf12669429f77a7e39d13268512f88018cf6be58eb4b7"),
-    9: (14, "d1930e51bf01f9af05229c8fb73b4a6322230ae33f7dc26daf7757ed48b9bbee"),
+    1: (11, "0bcd217e46f9a49f2c2cd09a327e09d245629f861996f75305693f3d743e8431"),
+    2: (45, "b71574f069ea5697d25b68e28e8de10b9c62cd06995ab1194734d75055feacc1"),
+    3: (25, "d61c33351f8876518cc51315b42561b64c2f036f95a71c3ea043803614dfc8a8"),
+    4: (18, "686c1ca016294b16b26bf0d37e6755a203e992fb0d118e888f5b858c52bf38bc"),
+    5: (14, "1216c83c9c808f21c5d7bf5efc73067730e2ebb80be29294be86a1024749bbb4"),
+    6: (30, "cebcac3c9838dd87f47afeb4dc63aec1e12ea1ddeccb10f5d990114422636410"),
+    7: (7, "d9329495b98c1266e0d2e15f7c8819fbf329d63a1f3361b41823cfed91159b62"),
+    8: (38, "8d2929b5f855e0425257c4cc5a1400d9610770e7bcb94577e43b4dcc082b5247"),
+    9: (6, "16451caa5dee174bdb753d91b690d5370a97ef968e9e26969270461b7e7e8882"),
 }
 
 

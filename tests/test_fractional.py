@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effset.errors import AssumptionViolated, UnboundedDomain
-from effset.fractional import fractional_gradient, solve_lfp, solve_lfp_cc
+from effset.fractional import fractional_gradient, maximize_from, solve_lfp, solve_lfp_cc
 from effset.model import evaluate, ratio
 from effset.simplex import GREATER_EQ, LESS_EQ, LinearRow, Status
 
@@ -146,3 +146,35 @@ def test_pivot_and_transform_solvers_agree(a, b, lower, p, q):
     if status is Status.OPTIMAL:
         assert direct.value == value
         assert evaluate(objective, direct.point) == value
+
+
+objective_data = st.tuples(
+    st.tuples(coeff, coeff, coeff), st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(1, 8))
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    a=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=1, max_size=3),
+    b=st.lists(st.integers(3, 15), min_size=3, max_size=3),
+    lower=st.integers(0, 6),
+    solved=objective_data,
+    companion=objective_data,
+)
+def test_continuation_matches_a_solve_from_scratch(a, b, lower, solved, companion):
+    """maximize_from pivots on from a solved state to the companion's
+    maximum over the same rows, and leaves that state as it was."""
+    rows = [
+        LinearRow.of({0: r[0], 1: r[1]}, LESS_EQ, rhs)
+        for r, rhs in zip(a, b)
+    ] + [LinearRow.of({0: 1, 1: 1}, GREATER_EQ, lower)]
+    first, other = (ratio([p[0], p[1]], p[2], [q[0], q[1]], q[2]) for p, q in (solved, companion))
+    result = solve_lfp(2, rows, first)
+    if result.status is not Status.OPTIMAL:
+        return
+    state = result.state
+    basis, matrix, point = state.basis, [list(r) for r in state.rows], state.full_point()
+    assert maximize_from(state, other) == solve_lfp(2, rows, other).value
+    assert state.basis == basis
+    assert [list(r) for r in state.rows] == matrix
+    assert state.full_point() == point

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from effset import simplex, validate
+from effset import generator, simplex, validate
 from effset.errors import GenerationFailed
 from effset.generator import GeneratorConfig, generate
 from effset.validate import validate_instance
@@ -79,3 +81,35 @@ class TestGenerate:
     def test_unbounded_region_exhausts_attempts(self):
         with pytest.raises(GenerationFailed):
             generate(cfg(a_range=(0, 0), max_attempts=3))
+
+    def test_no_constant_redrawn_for_a_denominator_without_minimum(self, monkeypatch):
+        """With a = 0 the region is unbounded, so a denominator with a
+        negative coefficient has no minimum and no constant can make it
+        positive: the objective fails with no redraw of its constant, which
+        is the only draw from (1, 1), the positive part of (-1, 1)."""
+        minima, redraws = [], []
+        real_minimum, real_randint = validate.denominator_minimum, random.Random.randint
+
+        def minimum(*args):
+            minima.append(real_minimum(*args))
+            return minima[-1]
+
+        def randint(self, lo, hi):
+            if (lo, hi) == (1, 1) and minima[-1] is None:
+                redraws.append(lo)
+            return real_randint(self, lo, hi)
+
+        monkeypatch.setattr(generator, "denominator_minimum", minimum)
+        monkeypatch.setattr(random.Random, "randint", randint)
+        config = GeneratorConfig(
+            num_vars=2,
+            num_constraints=1,
+            num_criteria=2,
+            a_range=(0, 0),
+            denominator_range=(-1, 1),
+            max_attempts=3,
+        )
+        with pytest.raises(GenerationFailed):
+            generate(config)
+        assert None in minima
+        assert redraws == []
