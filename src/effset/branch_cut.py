@@ -1,14 +1,16 @@
 """Branch-and-cut search for the full solution set.
 
-Each node carries a row system over the structural variables plus every
-slack introduced so far. The node's ratio program is solved exactly; a
-fractional optimum branches on the first fractional structural variable,
-an integer optimum x* is tested for the solution set and then removed by
-rounds over the nonbasic coordinates. The test first looks for an integer
-point the search has already met (an earlier optimum or a membership
-witness) that strictly dominates x* in criteria or in utility space; such a
-point is a feasible dominating witness, so x* is rejected without a MILP.
-Only the optima no met point dominates go to the two membership MILPs.
+Each node adds a branch row or one or two round rows to its parent's row
+system, over the structural variables plus every slack introduced so far.
+The node's ratio program is solved exactly, once, from its parent's final
+tableau (the root's from scratch); a fractional optimum branches on the
+first fractional structural variable, an integer optimum x* is tested for
+the solution set and then removed by rounds over the nonbasic coordinates.
+The test first looks for an integer point the search has already met (an
+earlier optimum or a membership witness) that strictly dominates x* in
+criteria or in utility space; such a point is a feasible dominating
+witness, so x* is rejected without a MILP. Only the optima no met point
+dominates go to the two membership MILPs.
 The rounds are:
 
     H  = {j nonbasic : some criterion gradient lambda_j > 0}
@@ -76,10 +78,12 @@ MILP = "milp"
 
 @dataclass(frozen=True)
 class SearchNode:
+    """`rows` are the rows the node adds to its parent's system, solved from
+    the parent's final state; the root's are the instance's rows."""
+
     id: int
     parent: int | None
     rows: tuple[LinearRow, ...]
-    # The parent's final state: infeasible children are decided from it.
     parent_state: SimplexState | None = None
 
 
@@ -213,10 +217,10 @@ def run(
         validate_instance(inst)
 
     n = inst.variable_count
-    base = constraint_rows(inst.a_matrix, inst.b_vector)
     utility, companion = inst.utilities[objective], inst.utilities[1 - objective]
 
-    open_nodes: deque[SearchNode] = deque([SearchNode(0, None, ())])
+    root = SearchNode(0, None, constraint_rows(inst.a_matrix, inst.b_vector))
+    open_nodes: deque[SearchNode] = deque([root])
     next_id = 1
     report = SearchReport([], [], {ARCHIVE: 0, MILP: 0})
     seen_points: set[Point] = set()
@@ -228,7 +232,7 @@ def run(
         if node_limit is not None and report.nodes_processed >= node_limit:
             raise NodeLimitExceeded(f"node limit {node_limit} exceeded")
 
-        result = solve_lfp(n, base + node.rows, utility, node.parent_state)
+        result = solve_lfp(n, node.rows, utility, node.parent_state)
         if result.status is Status.INFEASIBLE:
             report.trace.append(
                 TraceRecord(node.id, node.parent, FATHOM_INFEASIBLE, None, None, None, None)
@@ -283,18 +287,10 @@ def run(
         if fractional:
             r = select_branch_variable(point)
             lo = math.floor(point[r])
-            floor_child = SearchNode(
-                next_id,
-                node.id,
-                node.rows + (LinearRow.of({r: 1}, LESS_EQ, lo),),
-                result.state,
-            )
-            ceil_child = SearchNode(
-                next_id + 1,
-                node.id,
-                node.rows + (LinearRow.of({r: 1}, GREATER_EQ, lo + 1),),
-                result.state,
-            )
+            floor_row = LinearRow.of({r: 1}, LESS_EQ, lo)
+            ceil_row = LinearRow.of({r: 1}, GREATER_EQ, lo + 1)
+            floor_child = SearchNode(next_id, node.id, (floor_row,), result.state)
+            ceil_child = SearchNode(next_id + 1, node.id, (ceil_row,), result.state)
             next_id += 2
             report.trace.append(
                 TraceRecord(node.id, node.parent, BRANCH, point, result.value, None, None)
@@ -322,7 +318,7 @@ def run(
         cut_rows = [LinearRow.of({j: 1 for j in h}, GREATER_EQ, 1)]
         if hp != h:
             cut_rows.append(LinearRow.of({j: 1 for j in hp}, GREATER_EQ, 1))
-        successor = SearchNode(next_id, node.id, node.rows + tuple(cut_rows), result.state)
+        successor = SearchNode(next_id, node.id, tuple(cut_rows), result.state)
         next_id += 1
         report.trace.append(
             TraceRecord(node.id, node.parent, CUT, point, result.value, h, hp)

@@ -31,8 +31,8 @@ from .simplex import (
     Status,
     Tableau,
     _bland,
+    feasible_after,
     feasible_tableau,
-    infeasible_after,
     integer_form,
     reduced_row,
     solve_lp,
@@ -45,11 +45,6 @@ class LfpResult:
     point: tuple[Fraction, ...] | None
     value: Fraction | None
     state: SimplexState
-
-
-def _infeasible(num_vars: int) -> LfpResult:
-    state = SimplexState(Status.INFEASIBLE, num_vars, (), ())
-    return LfpResult(Status.INFEASIBLE, None, None, state)
 
 
 def _ratio_costs(objective: FractionalObjective, ncols: int):
@@ -72,18 +67,6 @@ def _gamma(tab: Tableau, p, q) -> tuple[int, int, list[int]]:
     return p_val, q_val, [q_val * a - p_val * b for a, b in zip(nu, mu)]
 
 
-def _appended_rows(num_vars: int, rows: Sequence[LinearRow], parent: SimplexState):
-    """The rows past those `parent` was solved on: its columns are the
-    structural ones plus one slack per inequality row it was solved on."""
-    solved, i = parent.num_vars - num_vars, 0
-    while solved > 0 and i < len(rows):
-        solved -= rows[i].relation != EQUAL
-        i += 1
-    if solved:
-        raise ValueError("rows do not extend the rows the parent state was solved on")
-    return rows[i:]
-
-
 def solve_lfp(
     num_vars: int,
     rows: Sequence[LinearRow],
@@ -95,18 +78,23 @@ def solve_lfp(
     The returned point is the structural part; the full state (with slack
     coordinates and final tableau) rides along for reduced-row consumers.
 
-    parent: the optimal final state of a solve on a prefix of `rows` (a
-    search node's parent). The rows past that prefix may reference the
-    parent's columns only. When they make the system infeasible, that is
-    decided from the parent's basis (simplex.infeasible_after); otherwise
-    the solve runs from scratch, so the result does not depend on parent.
+    parent: the optimal final state of an earlier solve (a search node's
+    parent). Without it, `rows` are the whole system, solved from scratch.
+    With it, `rows` are the rows appended to the system parent was solved
+    on, and may reference the parent's columns only: phase one and the
+    ratio phase both run from the parent's basis (simplex.feasible_after),
+    and the parent's state is left unchanged. An appended row's slack is
+    the slack of the row scaled to integers by the lcm of its denominators.
+    The final basis, and the point where optima tie, may differ from a
+    solve from scratch; the status and the value do not.
     """
-    if parent is not None and infeasible_after(parent, _appended_rows(num_vars, rows, parent)):
-        return _infeasible(num_vars)
-    program = LinearProgram.of(num_vars, {}, rows)
-    tab = feasible_tableau(program)
+    if parent is None:
+        tab = feasible_tableau(LinearProgram.of(num_vars, {}, rows))
+    else:
+        tab = feasible_after(parent, rows)
     if tab is None:
-        return _infeasible(num_vars)
+        state = SimplexState(Status.INFEASIBLE, num_vars, (), ())
+        return LfpResult(Status.INFEASIBLE, None, None, state)
 
     value = _ratio_phase(tab, objective)
     state = tab.state(Status.OPTIMAL)

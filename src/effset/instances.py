@@ -26,7 +26,7 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import LengthMismatch, ParseError
 from .model import FractionalObjective, ProblemInstance, instance, ratio
 
 HEADER = "effset-instance"
@@ -134,8 +134,8 @@ def loads(text: str) -> ProblemInstance:
     n = _count(tokens, lineno, "vars")
     lineno, tokens = reader.next("constraints")
     m = _count(tokens, lineno, "constraints")
-    lineno, tokens = reader.next("criteria")
-    k = _count(tokens, lineno, "criteria")
+    criteria_line, tokens = reader.next("criteria")
+    k = _count(tokens, criteria_line, "criteria")
 
     a = []
     for _ in range(m):
@@ -146,7 +146,12 @@ def loads(text: str) -> ProblemInstance:
     criteria = [_objective(reader, "criterion", n) for _ in range(k)]
     utilities = [_objective(reader, "utility", n) for _ in range(2)]
     reader.finished()
-    return instance(a, b, criteria, utilities)
+    # Every row and objective has its counted length by now, so the model
+    # can only reject the number of criteria.
+    try:
+        return instance(a, b, criteria, utilities)
+    except LengthMismatch as exc:
+        raise ParseError(f"criteria: {exc}", criteria_line) from None
 
 
 def load(path) -> ProblemInstance:

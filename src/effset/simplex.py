@@ -24,12 +24,15 @@ Two more invariants keep the integers the rational tableau's:
   reduced row det * (c - c_B B^-1 A) changes under a pivot as a constraint
   row does, so `pivot` updates it with the same exact formula, and it
   equals a fresh `reduced(c)` entry for entry after every pivot.
-- Appended rows keep det. `infeasible_after` writes a new row, scaled to
-  integers as a, in an optimal basis as det*a - sum_i a[basis_i]*row_i and
-  gives it a slack or artificial column with entry det. The extended basis
-  matrix is block triangular over the old basis and a unit entry, so its
-  determinant is the old one up to sign: det keeps its relation to the
-  basis determinant, and every later division stays exact.
+- Appended rows keep det. `feasible_after` writes a new row, scaled to
+  integers as a by its own lcm, in an optimal basis as
+  det*a - sum_i a[basis_i]*row_i and gives it a slack or artificial column
+  with entry det. The extended basis matrix is block triangular over the
+  old basis and a unit entry, so its determinant is the old one up to sign:
+  det keeps its relation to the basis determinant, and every later
+  division stays exact. The new slack is that of the integer-scaled row,
+  as `constraint_rows` gives it; a system solved from scratch gives each
+  slack to the row as written.
 
 Bland's rule everywhere (smallest eligible index entering, smallest basic
 index on ratio ties), so solves are deterministic and never cycle. Every
@@ -324,13 +327,16 @@ def _bland(tab: Tableau, price) -> Status:
 
 
 def _phase_one(matrix: list[list[int]], basis: list[int], det: int, ncols: int) -> Tableau | None:
-    """Phase one from a partial basis. Every right-hand side is >= 0, and
-    each row whose basis entry is -1 gets an artificial column (entry det)
-    after the ncols real ones; the others name a column that is det in
-    their row and 0 in every other. Bland on -sum(artificials), pricing the
-    real columns, then returns the tableau (artificial columns kept, no
-    cost rows) when the artificials reach zero, or None when the rows are
-    infeasible."""
+    """Phase one from a partial basis: a primal-feasible tableau over the
+    ncols real columns, or None when the rows are infeasible.
+
+    Every right-hand side is >= 0, and each row whose basis entry is -1
+    gets an artificial column (entry det) after the real ones; the others
+    name a column that is det in their row and 0 in every other. Bland on
+    -sum(artificials) prices the real columns. An artificial left basic at
+    zero is swapped for a real column of its row, and a row with none is
+    redundant and dropped.
+    """
     art_rows = [i for i, var in enumerate(basis) if var < 0]
     if not art_rows:
         return Tableau(ncols, matrix, basis, det)
@@ -349,12 +355,30 @@ def _phase_one(matrix: list[list[int]], basis: list[int], det: int, ncols: int) 
     if tab.value_of(cost) != 0:
         return None
     tab.costs = []
+
+    drop: list[int] = []
+    for i, var in enumerate(tab.basis):
+        if var >= ncols:
+            row = tab.rows[i]
+            enter = next((j for j in range(ncols) if row[j]), -1)
+            if enter >= 0:
+                tab.pivot(i, enter)
+            else:
+                drop.append(i)
+    for i in reversed(drop):
+        del tab.rows[i]
+        del tab.basis[i]
+    # A dropped row's artificial stays a factor of det: det is then the
+    # basis determinant of the kept rows times that artificial's entry, a
+    # constant that every later pivot carries along, so divisions stay exact.
+    tab.rows = [row[:ncols] + row[-1:] for row in tab.rows]
+    tab.ncols = ncols
     return tab
 
 
 def feasible_tableau(program: LinearProgram) -> Tableau | None:
-    """Phase one: returns a primal-feasible tableau over the real columns,
-    or None when the system is infeasible. Redundant rows are dropped."""
+    """Phase one from scratch: a primal-feasible tableau over the real
+    columns, or None when the system is infeasible."""
     matrix, det, ncols = _integer_system(program)
     m = len(matrix)
     for i in range(m):
@@ -374,43 +398,20 @@ def feasible_tableau(program: LinearProgram) -> Tableau | None:
                 hit = i
         if ok and hit >= 0 and basis[hit] < 0:
             basis[hit] = j
-
-    tab = _phase_one(matrix, basis, det, ncols)
-    if tab is None or tab.ncols == ncols:
-        return tab
-
-    drop: list[int] = []
-    for i, var in enumerate(tab.basis):
-        if var >= ncols:
-            # Artificial stuck at zero: swap a real column in, else the row
-            # is redundant.
-            row = tab.rows[i]
-            enter = next((j for j in range(ncols) if row[j]), -1)
-            if enter >= 0:
-                tab.pivot(i, enter)
-            else:
-                drop.append(i)
-    for i in reversed(drop):
-        del tab.rows[i]
-        del tab.basis[i]
-    # A dropped row's artificial stays a factor of det: det is then the
-    # basis determinant of the kept rows times that row's scale, a constant
-    # that every later pivot carries along, so divisions stay exact.
-    tab.rows = [row[:ncols] + row[-1:] for row in tab.rows]
-    tab.ncols = ncols
-    return tab
+    return _phase_one(matrix, basis, det, ncols)
 
 
-def infeasible_after(state: SimplexState, rows: Sequence[LinearRow]) -> bool:
-    """Whether the system `state` was solved on, plus `rows`, is infeasible.
+def feasible_after(state: SimplexState, rows: Sequence[LinearRow]) -> Tableau | None:
+    """Phase one for the system `state` was solved on plus `rows`, from the
+    state's optimal basis: a primal-feasible tableau, or None when the
+    extended system is infeasible. The state is left unchanged.
 
-    Decided from the state's basis, with no phase one from scratch. Each
-    row, scaled to integers as a, is written in that basis as
-    det*a - sum_i a[basis_i]*row_i: no division. The rows may reference the
-    state's columns only; the inequality rows take slack columns from
-    state.num_vars on, in order, with entry det. A row whose slack would be
-    negative, and every equality row, gets an artificial, and phase one
-    runs from that basis. The state is left unchanged.
+    Each row, scaled to integers as a by the lcm of its denominators, is
+    written in that basis as det*a - sum_i a[basis_i]*row_i: no division.
+    The rows may reference the state's columns only; the inequality rows
+    take slack columns from state.num_vars on, in order, with entry det, so
+    a row's slack is the slack of its integer-scaled form. A row whose slack
+    would be negative, and every equality row, gets an artificial.
     """
     tab = Tableau.of_state(state)
     det, width = tab.det, tab.ncols
@@ -438,7 +439,7 @@ def infeasible_after(state: SimplexState, rows: Sequence[LinearRow]) -> bool:
             new = [-v for v in new]
         matrix.append(new)
         basis.append(var)
-    return _phase_one(matrix, basis, det, ncols) is None
+    return _phase_one(matrix, basis, det, ncols)
 
 
 def solve_lp(program: LinearProgram) -> SimplexState:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from effset.model import instance, ratio
+from effset.simplex import EQUAL, LESS_EQ
 
 # Two-variable instance used throughout: three ranking criteria and two
 # utilities over {x >= 0 integer : -x1 + 4*x2 <= 0, 2*x1 - x2 <= 8}.
@@ -56,3 +57,20 @@ def count_calls(monkeypatch, fn) -> Counter:
 
                 monkeypatch.setattr(module, attr, counted)
     return counts
+
+
+def assert_fits(num_vars, rows, full_point):
+    """The full point (structural coordinates, then one slack per inequality
+    row in row order) is >= 0, gives each row's slack its value as the row
+    is written, and so satisfies every row."""
+    assert all(v >= 0 for v in full_point)
+    slack = num_vars
+    for row in rows:
+        lhs = sum(c * full_point[j] for j, c in row.coeffs)
+        if row.relation == EQUAL:
+            assert lhs == row.rhs
+            continue
+        gap = row.rhs - lhs if row.relation == LESS_EQ else lhs - row.rhs
+        assert full_point[slack] == gap
+        slack += 1
+    assert slack == len(full_point)

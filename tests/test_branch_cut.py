@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import effset.branch_cut as branch_cut
+from effset import simplex
 from effset.branch_cut import (
     ARCHIVE,
     BRANCH,
@@ -41,7 +42,7 @@ from effset.oracle import efficient_sets, enumerate_feasible
 from effset.simplex import GREATER_EQ, LESS_EQ, LinearRow, constraint_rows
 from effset.validate import validate_instance
 
-from conftest import DEMO_SOLUTION_SET, build_demo
+from conftest import DEMO_SOLUTION_SET, build_demo, count_calls
 from test_model import rationals
 
 
@@ -362,6 +363,20 @@ class TestRationalConstraintData:
         a_int, b_int = scaled_constraints(inst)
         integer_copy = instance(a_int, b_int, inst.criteria, inst.utilities)
         assert validate_instance(inst) == validate_instance(integer_copy)
+
+
+@pytest.mark.parametrize("seed", [None, 0], ids=["demo", "3x10x5-seed0"])
+def test_only_the_root_is_solved_from_scratch(monkeypatch, seed):
+    """Every other node is solved once, from its parent's tableau."""
+    if seed is None:
+        inst = build_demo()
+    else:
+        inst = generate(GeneratorConfig(num_vars=5, num_constraints=10, num_criteria=3, seed=seed))
+    from_scratch = count_calls(monkeypatch, simplex.feasible_tableau)
+    from_parent = count_calls(monkeypatch, simplex.feasible_after)
+    report = run(inst)
+    assert from_scratch["fractional"] == 1
+    assert from_parent["fractional"] == report.nodes_processed - 1 > 0
 
 
 class TestGuards:

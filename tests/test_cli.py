@@ -275,6 +275,17 @@ class TestFailures:
         assert code == 3
         assert "error:" in err
 
+    def test_a_single_criterion_exits_three(self, tmp_path, capsys):
+        one = EMPTY_INTERSECTION.replace("criteria 2", "criteria 1").replace(
+            "criterion num 1 0 den 0 1\n", "", 1
+        )
+        path = write(tmp_path, one)
+        code, out, err = run_cli(capsys, "solve", path)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: line 4: criteria: ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["solve", "trace", "enumerate", "check"])
     def test_denominator_violation_exits_two(self, tmp_path, capsys, command):
         path = write(tmp_path, BAD_DENOMINATOR)

@@ -111,12 +111,12 @@ MEMBERSHIP_PINS = {
 
 # seed: (nodes_processed, SHA-256 of the trace tuples)
 SEARCH_PINS = {
-    0: (32, "3e8eab5e69a0f6d5923d1cc7595124e773d754e5cc7274f8a49a0c445faf7536"),
-    1: (11, "0bcd217e46f9a49f2c2cd09a327e09d245629f861996f75305693f3d743e8431"),
+    0: (32, "e5ad903100fb77741420610b081f391aea5d28e5e9b1addc36321181b9c1f411"),
+    1: (13, "4cbe5691ac6cf4340adc38a7c8b28873d713bedc49ccc95e068ad5c275d65358"),
     2: (45, "b71574f069ea5697d25b68e28e8de10b9c62cd06995ab1194734d75055feacc1"),
-    3: (25, "d61c33351f8876518cc51315b42561b64c2f036f95a71c3ea043803614dfc8a8"),
+    3: (13, "8a577169c4c8f9d1d6c2b1960bbcc0fc031012fb87364358c9438c129875627a"),
     4: (18, "686c1ca016294b16b26bf0d37e6755a203e992fb0d118e888f5b858c52bf38bc"),
-    5: (14, "1216c83c9c808f21c5d7bf5efc73067730e2ebb80be29294be86a1024749bbb4"),
+    5: (14, "2feb748c8eb4f9c205142f9eae98747d00ffa0d5ad194ca0eff04b745c82bf91"),
     6: (30, "cebcac3c9838dd87f47afeb4dc63aec1e12ea1ddeccb10f5d990114422636410"),
     7: (7, "d9329495b98c1266e0d2e15f7c8819fbf329d63a1f3361b41823cfed91159b62"),
     8: (38, "8d2929b5f855e0425257c4cc5a1400d9610770e7bcb94577e43b4dcc082b5247"),
@@ -126,18 +126,21 @@ SEARCH_PINS = {
 
 @pytest.mark.parametrize("seed", sorted(ENGINE_PINS))
 def test_node_program_solves_are_pinned(seed):
-    """Each program solved from scratch matches its pin, and solving it with
-    its parent's final state (the search's path) gives the same status."""
+    """Each program solved from scratch matches its pin, and solving the rows
+    it adds to its parent's from the parent's final state (the search's
+    path) gives the same status and value."""
     inst = _instance(seed)
     base = constraint_rows(inst.a_matrix, inst.b_vector)
     n, utility = inst.variable_count, inst.utilities[0]
-    states, solved = {}, []
+    added, states, solved = {}, {}, []
     for node, parent, rows in node_programs(seed):
         result = solve_lfp(n, base + rows, utility)
-        states[node] = result.state
+        added[node], states[node] = rows, result.state
         if parent is not None:
-            warm = solve_lfp(n, base + rows, utility, states[parent])
-            assert warm.status is result.status, (seed, node)
+            before = added[parent]
+            assert rows[: len(before)] == before, (seed, node)
+            warm = solve_lfp(n, rows[len(before) :], utility, states[parent])
+            assert (warm.status, warm.value) == (result.status, result.value), (seed, node)
         solved.append(
             (
                 node,

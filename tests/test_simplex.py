@@ -20,11 +20,13 @@ from effset.simplex import (
     LinearRow,
     Status,
     Tableau,
-    feasible_tableau,
-    infeasible_after,
+    constraint_rows,
+    feasible_after,
     reduced_row,
     solve_lp,
 )
+
+from conftest import assert_fits
 
 
 def lp(num_vars, objective, rows):
@@ -322,13 +324,18 @@ _row_coeff = st.fractions(-4, 4, max_denominator=3)
         max_size=4,
     ),
     objective=st.tuples(*[st.integers(-4, 4)] * 3),
+    denominator=st.tuples(*[st.integers(0, 3)] * 3, st.integers(1, 4)),
     box=st.integers(1, 9),
     doubled_box=st.booleans(),
     data=st.data(),
 )
 def test_infeasible_after_matches_a_phase_one_from_scratch(
-    extra_rows, objective, box, doubled_box, data
+    extra_rows, objective, denominator, box, doubled_box, data
 ):
+    """A child solved from its parent's tableau (feasible_after, then the
+    ratio phase) has the status and the exact optimal value of a solve from
+    scratch, and a point that fits every row. Every pivot on the way, in
+    phase one and after it, divides exactly."""
     # Rows with rhs 0 and a doubled box row make degenerate parents: a
     # basic variable at zero.
     rows = [LinearRow.of([1, 1, 1], LESS_EQ, box)]
@@ -375,13 +382,17 @@ def test_infeasible_after_matches_a_phase_one_from_scratch(
                 assert all((piv * a - row[col] * b) % det == 0 for a, b in zip(row, prow))
         pivot(tab, row_idx, col)
 
+    utility = ratio(list(objective), 0, list(denominator[:3]), denominator[3])
     with mock.patch.object(simplex, "_phase_one", recording_phase_one), mock.patch.object(
         Tableau, "pivot", exact_pivot
     ):
-        verdict = infeasible_after(state, new_rows)
+        warm = solve_lfp(3, new_rows, utility, state)
 
-    cold = feasible_tableau(LinearProgram.of(3, {}, rows + new_rows))
-    assert verdict == (cold is None)
+    cold = solve_lfp(3, rows + new_rows, utility)
+    assert warm.status is cold.status
+    assert warm.value == cold.value
+    if warm.status is Status.OPTIMAL:
+        assert_fits(3, rows + new_rows, warm.state.full_point())
     assert state.basis == basis
     assert [list(r) for r in state.rows] == parent_rows
     assert state.full_point() == point
@@ -392,18 +403,37 @@ def test_infeasible_after_matches_a_phase_one_from_scratch(
 class TestInfeasibleAfter:
     ROWS = [LinearRow.of({0: -1, 1: 4}, LESS_EQ, 0), LinearRow.of({0: 2, 1: -1}, LESS_EQ, 8)]
 
+    """feasible_after: the tableau of a solved system plus appended rows."""
+
+    ROWS = [LinearRow.of({0: -1, 1: 4}, LESS_EQ, 0), LinearRow.of({0: 2, 1: -1}, LESS_EQ, 8)]
+
     def test_needs_an_optimal_state(self):
         program = lp(1, {0: 1}, [({0: 1}, GREATER_EQ, 3), ({0: 1}, LESS_EQ, 1)])
         with pytest.raises(NotOptimal):
-            infeasible_after(solve_lp(program), [LinearRow.of({0: 1}, LESS_EQ, 1)])
+            feasible_after(solve_lp(program), [LinearRow.of({0: 1}, LESS_EQ, 1)])
 
     def test_rows_reference_the_states_columns_only(self):
         state = solve_lp(LinearProgram.of(2, {0: 1, 1: 1}, self.ROWS))
         with pytest.raises(ValueError):
-            infeasible_after(state, [LinearRow.of({4: 1}, LESS_EQ, 1)])
+            feasible_after(state, [LinearRow.of({4: 1}, LESS_EQ, 1)])
 
     def test_equality_rows(self):
-        # The optimum is (32/7, 8/7) with both slacks nonbasic.
+        # The optimum is (32/7, 8/7) with both slacks nonbasic. x0 = 4 x1
+        # holds there, so its artificial stays basic at zero and is swapped
+        # for a real column.
         state = solve_lp(LinearProgram.of(2, {0: 1, 1: 1}, self.ROWS))
-        assert not infeasible_after(state, [LinearRow.of({0: 1, 1: -4}, EQUAL, 0)])
-        assert infeasible_after(state, [LinearRow.of({0: 1}, EQUAL, 5)])
+        tab = feasible_after(state, [LinearRow.of({0: 1, 1: -4}, EQUAL, 0)])
+        assert tab.ncols == 4 and all(var < 4 for var in tab.basis)
+        assert tab.state(Status.OPTIMAL).full_point() == state.full_point()
+        assert feasible_after(state, [LinearRow.of({0: 1}, EQUAL, 5)]) is None
+
+    def test_an_appended_rows_slack_is_that_of_its_integer_scaled_row(self):
+        # x0/2 <= 3 is scaled to x0 <= 6, as constraint_rows writes it, so
+        # its slack at x0 = 32/7 is 10/7, not 3 - 16/7.
+        state = solve_lp(LinearProgram.of(2, {0: 1, 1: 1}, self.ROWS))
+        (scaled,) = constraint_rows([[Fraction(1, 2), 0]], [3])
+        assert scaled == LinearRow.of({0: 1}, LESS_EQ, 6)
+        tab = feasible_after(state, [LinearRow.of({0: Fraction(1, 2)}, LESS_EQ, 3)])
+        full = tab.state(Status.OPTIMAL).full_point()
+        assert full[4] == Fraction(10, 7)
+        assert_fits(2, self.ROWS + [scaled], full)
