@@ -4,6 +4,15 @@ Depth-first, floor child explored first, branching always on the first
 masked variable with a fractional value. Bounding prunes any node whose
 relaxation value is <= the incumbent, so equal-value alternatives are
 dropped once one optimum is known. Deterministic by construction.
+
+Only the root relaxation is solved from scratch (`simplex.solve_lp`). A
+child is its parent's system plus one branch row, x_j <= floor or
+x_j >= floor + 1, and is solved from its parent's final `SimplexState`:
+`simplex.feasible_after` appends the row and runs phase one from the
+parent's basis, and `simplex.optimize` runs phase two on the tableau it
+returns. A stack entry is (parent state, branch row), so no child's
+program is built. Branch rows are integer, so each appended slack
+is the one a from-scratch solve of the extended program would give it.
 """
 from __future__ import annotations
 
@@ -13,7 +22,17 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvariantViolated, NodeLimitExceeded, UnboundedRelaxation
-from .simplex import GREATER_EQ, LESS_EQ, LinearProgram, LinearRow, Status, solve_lp
+from .simplex import (
+    GREATER_EQ,
+    LESS_EQ,
+    LinearProgram,
+    LinearRow,
+    SimplexState,
+    Status,
+    feasible_after,
+    optimize,
+    solve_lp,
+)
 
 
 @dataclass(frozen=True)
@@ -46,6 +65,26 @@ def _objective_value(program: LinearProgram, point: Sequence[Fraction]) -> Fract
     return total
 
 
+def _relaxation(
+    program: LinearProgram, parent: SimplexState | None, row: LinearRow | None
+) -> SimplexState | None:
+    """A node's optimal LP state, or None when its LP is infeasible: the
+    root (no parent) from scratch, a child from its parent's final state
+    plus its branch row."""
+    if parent is None:
+        state = solve_lp(program)
+        if state.status is Status.UNBOUNDED:
+            raise UnboundedRelaxation("root relaxation has no finite optimum")
+        return state if state.status is Status.OPTIMAL else None
+    tab = feasible_after(parent, (row,))
+    if tab is None:
+        return None
+    state = optimize(tab, program.objective)
+    if state.status is Status.UNBOUNDED:
+        raise InvariantViolated("bounded root produced an unbounded child")
+    return state
+
+
 def solve_milp(
     problem: MilpProblem,
     cutoff: Fraction | None = None,
@@ -57,6 +96,7 @@ def solve_milp(
     cutoff: stop as soon as some integral solution exceeds it (the caller
     only cares whether anything beats that threshold, not by how much).
     incumbent: known feasible (point, value) used to seed pruning.
+    node_limit: most nodes to solve, infeasible ones included.
     """
     base = problem.program
     mask = problem.integer_mask
@@ -66,24 +106,18 @@ def solve_milp(
         best_point = tuple(incumbent[0])
         best_value = incumbent[1]
 
-    stack: list[tuple[LinearRow, ...]] = [()]
-    first = True
+    # A node to solve: its parent's final state (None at the root) and the
+    # branch row it appends to the parent's system.
+    stack: list[tuple[SimplexState | None, LinearRow | None]] = [(None, None)]
     nodes = 0
     while stack:
-        extra = stack.pop()
+        parent, row = stack.pop()
         nodes += 1
         if node_limit is not None and nodes > node_limit:
             raise NodeLimitExceeded(f"node limit {node_limit} exceeded")
-        program = LinearProgram(base.num_vars, base.objective, base.rows + extra)
-        state = solve_lp(program)
-        if state.status is Status.INFEASIBLE:
-            first = False
+        state = _relaxation(base, parent, row)
+        if state is None:
             continue
-        if state.status is Status.UNBOUNDED:
-            if first:
-                raise UnboundedRelaxation("root relaxation has no finite optimum")
-            raise InvariantViolated("bounded root produced an unbounded child")
-        first = False
 
         point = state.structural_point(base.num_vars)
         value = _objective_value(base, point)
@@ -102,10 +136,8 @@ def solve_milp(
             continue
 
         lo = math.floor(point[branch_var])
-        ceil_row = LinearRow.of({branch_var: 1}, GREATER_EQ, lo + 1)
-        floor_row = LinearRow.of({branch_var: 1}, LESS_EQ, lo)
-        stack.append(extra + (ceil_row,))
-        stack.append(extra + (floor_row,))
+        stack.append((state, LinearRow.of({branch_var: 1}, GREATER_EQ, lo + 1)))
+        stack.append((state, LinearRow.of({branch_var: 1}, LESS_EQ, lo)))
 
     if best_point is None:
         return MilpResult(Status.INFEASIBLE, None, None)

@@ -32,7 +32,10 @@ Two more invariants keep the integers the rational tableau's:
   det keeps its relation to the basis determinant, and every later
   division stays exact. The new slack is that of the integer-scaled row,
   as `constraint_rows` gives it; a system solved from scratch gives each
-  slack to the row as written.
+  slack to the row as written. Two callers solve children this way: the
+  search (`fractional.solve_lfp` with a parent, which runs its ratio phase
+  on the returned tableau) and branch-and-bound (`milp.solve_milp`, which
+  runs `optimize`, the phase two that `solve_lp` also ends with).
 
 Bland's rule everywhere (smallest eligible index entering, smallest basic
 index on ratio ties), so solves are deterministic and never cycle. Every
@@ -412,6 +415,10 @@ def feasible_after(state: SimplexState, rows: Sequence[LinearRow]) -> Tableau | 
     take slack columns from state.num_vars on, in order, with entry det, so
     a row's slack is the slack of its integer-scaled form. A row whose slack
     would be negative, and every equality row, gets an artificial.
+
+    Callers: `fractional.solve_lfp` for a search child (its cut and branch
+    rows) and `milp.solve_milp` for a branch-and-bound child (one branch
+    row), each on its parent's final state.
     """
     tab = Tableau.of_state(state)
     det, width = tab.det, tab.ncols
@@ -442,16 +449,22 @@ def feasible_after(state: SimplexState, rows: Sequence[LinearRow]) -> Tableau | 
     return _phase_one(matrix, basis, det, ncols)
 
 
+def optimize(tab: Tableau, objective: Sequence[Fraction]) -> SimplexState:
+    """Phase two: maximize objective . x (over the leading columns; the
+    rest cost zero) by Bland pivots from the primal-feasible `tab`, which
+    it pivots in place. The final state is OPTIMAL or UNBOUNDED."""
+    cost, _, _ = integer_form(AffineForm(objective), tab.ncols)
+    tab.carry(cost)
+    return tab.state(_bland(tab, _first_positive(tab.ncols)))
+
+
 def solve_lp(program: LinearProgram) -> SimplexState:
     """Two-phase exact simplex. Deterministic: equal inputs give equal
     final bases."""
     tab = feasible_tableau(program)
     if tab is None:
         return SimplexState(Status.INFEASIBLE, program.num_vars, (), ())
-    cost, _, _ = integer_form(AffineForm(program.objective), tab.ncols)
-    tab.carry(cost)
-    status = _bland(tab, _first_positive(tab.ncols))
-    return tab.state(status)
+    return optimize(tab, program.objective)
 
 
 def reduced_row(state: SimplexState, form: AffineForm) -> tuple[dict[int, Fraction], Fraction]:

@@ -5,9 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from effset import simplex
+from effset.efficiency import build_mm
 from effset.errors import NodeLimitExceeded, UnboundedRelaxation
+from effset.generator import GeneratorConfig, generate
 from effset.milp import MilpProblem, MilpResult, solve_milp
-from effset.simplex import GREATER_EQ, LESS_EQ, LinearProgram, LinearRow, Status
+from effset.oracle import enumerate_feasible
+from effset.simplex import EQUAL, GREATER_EQ, LESS_EQ, LinearProgram, LinearRow, Status
+
+from conftest import count_calls
 
 
 def milp(num_vars, objective, rows, mask=None):
@@ -151,3 +157,65 @@ def test_matches_lattice_enumeration(rows, objective, bound):
     else:
         assert result.status is Status.OPTIMAL
         assert result.value == expected
+
+
+_frac = st.fractions(-4, 4, max_denominator=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    levels=st.lists(st.tuples(st.tuples(_frac, _frac, _frac), _frac), min_size=1, max_size=2),
+    rows=st.lists(
+        st.tuples(st.tuples(_frac, _frac, _frac), st.fractions(-2, 12, max_denominator=4)),
+        max_size=2,
+    ),
+    objective=st.tuples(*[st.fractions(-3, 3, max_denominator=4)] * 5),
+    bound=st.integers(1, 5),
+)
+def test_membership_shaped_programs_match_lattice_enumeration(levels, rows, objective, bound):
+    """Programs shaped as efficiency._membership_program builds them: three
+    integer variables y, one continuous auxiliary per EQUAL row
+    c . y - aux = r with fractional data, then fractional <= rows. A child
+    appends an integer branch row to a tableau scaled from those rows. The
+    optimum is the best lattice point y whose auxiliaries are >= 0."""
+    k = len(levels)
+    all_rows = [
+        LinearRow.of({**dict(enumerate(c)), 3 + i: -1}, EQUAL, r) for i, (c, r) in enumerate(levels)
+    ]
+    all_rows += [LinearRow.of({j: 1}, LESS_EQ, bound) for j in range(3)]
+    all_rows += [LinearRow.of(c, LESS_EQ, r) for c, r in rows]
+    program = LinearProgram.of(3 + k, objective[: 3 + k], all_rows)
+    result = solve_milp(MilpProblem(program, (True,) * 3 + (False,) * k))
+
+    expected = None
+    for y in itertools.product(range(bound + 1), repeat=3):
+        aux = [sum(a * v for a, v in zip(c, y)) - r for c, r in levels]
+        fits = all(sum(a * v for a, v in zip(c, y)) <= r for c, r in rows)
+        if fits and min(aux) >= 0:
+            value = sum(c * v for c, v in zip(program.objective, (*y, *aux)))
+            if expected is None or value > expected:
+                expected = value
+    if expected is None:
+        assert result.status is Status.INFEASIBLE
+        return
+    assert result.status is Status.OPTIMAL
+    assert result.value == expected
+    assert all(v.denominator == 1 for v in result.point[:3])
+    assert sum(c * v for c, v in zip(program.objective, result.point)) == expected
+
+
+def test_only_the_root_is_solved_from_scratch(monkeypatch):
+    """Each MILP solves its root LP from scratch and every other node from
+    its parent's final state."""
+    inst = generate(GeneratorConfig(num_vars=5, num_constraints=10, num_criteria=3, seed=0))
+    problems = [build_mm(inst, point) for point in enumerate_feasible(inst)]
+    from_scratch = count_calls(monkeypatch, simplex.solve_lp)
+    from_parent = count_calls(monkeypatch, simplex.feasible_after)
+    children = 0
+    for problem in problems:
+        solve_milp(problem)
+        assert from_scratch["milp"] == 1
+        children += from_parent["milp"]
+        from_scratch.clear()
+        from_parent.clear()
+    assert children > 0

@@ -311,19 +311,54 @@ class TestContinuation:
 
 
 _row_coeff = st.fractions(-4, 4, max_denominator=3)
+_parent_rows = st.lists(
+    st.tuples(
+        st.tuples(_row_coeff, _row_coeff, _row_coeff),
+        st.sampled_from((LESS_EQ, GREATER_EQ)),
+        st.fractions(0, 12, max_denominator=4),
+    ),
+    max_size=4,
+)
+_objective3 = st.tuples(*[st.integers(-4, 4)] * 3)
+
+
+def _parent_system(extra_rows, box, doubled_box):
+    """The rows of a parent over three variables. Rows with rhs 0 and a
+    doubled box row make degenerate parents: a basic variable at zero.
+    Without the box row the region may be unbounded."""
+    rows = []
+    if box is not None:
+        rows.append(LinearRow.of([1, 1, 1], LESS_EQ, box))
+        if doubled_box:
+            rows.append(LinearRow.of([2, 2, 2], LESS_EQ, 2 * box))
+    return rows + [LinearRow.of(c, rel, rhs) for c, rel, rhs in extra_rows]
+
+
+def _child_rows(data, state):
+    """Rows a child appends to an optimal parent: a floor or a ceil branch
+    row on a structural variable, or one or two cut rows over nonbasic
+    columns, the search's kinds of child."""
+    point = state.full_point()
+    kind = data.draw(st.sampled_from(("floor", "ceil", "cut")), label="kind")
+    if kind == "cut":
+        subsets = st.sets(st.sampled_from(state.nonbasis), min_size=1)
+        count = data.draw(st.integers(1, 2), label="cuts")
+        return [
+            LinearRow.of({j: 1 for j in data.draw(subsets, label="H")}, GREATER_EQ, 1)
+            for _ in range(count)
+        ]
+    fractional = [j for j in range(3) if point[j].denominator != 1] or [0, 1, 2]
+    j = data.draw(st.sampled_from(fractional), label="branch variable")
+    lo = math.floor(point[j])
+    if kind == "floor":
+        return [LinearRow.of({j: 1}, LESS_EQ, lo)]
+    return [LinearRow.of({j: 1}, GREATER_EQ, lo + 1)]
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    extra_rows=st.lists(
-        st.tuples(
-            st.tuples(_row_coeff, _row_coeff, _row_coeff),
-            st.sampled_from((LESS_EQ, GREATER_EQ)),
-            st.fractions(0, 12, max_denominator=4),
-        ),
-        max_size=4,
-    ),
-    objective=st.tuples(*[st.integers(-4, 4)] * 3),
+    extra_rows=_parent_rows,
+    objective=_objective3,
     denominator=st.tuples(*[st.integers(0, 3)] * 3, st.integers(1, 4)),
     box=st.integers(1, 9),
     doubled_box=st.booleans(),
@@ -336,34 +371,12 @@ def test_infeasible_after_matches_a_phase_one_from_scratch(
     ratio phase) has the status and the exact optimal value of a solve from
     scratch, and a point that fits every row. Every pivot on the way, in
     phase one and after it, divides exactly."""
-    # Rows with rhs 0 and a doubled box row make degenerate parents: a
-    # basic variable at zero.
-    rows = [LinearRow.of([1, 1, 1], LESS_EQ, box)]
-    if doubled_box:
-        rows.append(LinearRow.of([2, 2, 2], LESS_EQ, 2 * box))
-    rows += [LinearRow.of(c, rel, rhs) for c, rel, rhs in extra_rows]
+    rows = _parent_system(extra_rows, box, doubled_box)
     state = solve_lp(LinearProgram.of(3, objective, rows))
     assume(state.status is Status.OPTIMAL)
+    new_rows = _child_rows(data, state)
 
-    point = state.full_point()
-    kind = data.draw(st.sampled_from(("floor", "ceil", "cut")), label="kind")
-    if kind == "cut":
-        subsets = st.sets(st.sampled_from(state.nonbasis), min_size=1)
-        count = data.draw(st.integers(1, 2), label="cuts")
-        new_rows = [
-            LinearRow.of({j: 1 for j in data.draw(subsets, label="H")}, GREATER_EQ, 1)
-            for _ in range(count)
-        ]
-    else:
-        fractional = [j for j in range(3) if point[j].denominator != 1] or [0, 1, 2]
-        j = data.draw(st.sampled_from(fractional), label="branch variable")
-        lo = math.floor(point[j])
-        if kind == "floor":
-            new_rows = [LinearRow.of({j: 1}, LESS_EQ, lo)]
-        else:
-            new_rows = [LinearRow.of({j: 1}, GREATER_EQ, lo + 1)]
-
-    basis, parent_rows = state.basis, [list(r) for r in state.rows]
+    basis, parent_rows, point = state.basis, [list(r) for r in state.rows], state.full_point()
     built = []
     phase_one, pivot = simplex._phase_one, Tableau.pivot
 
@@ -400,9 +413,57 @@ def test_infeasible_after_matches_a_phase_one_from_scratch(
     assert all(type(v) is int for row in built[0] for v in row)
 
 
-class TestInfeasibleAfter:
-    ROWS = [LinearRow.of({0: -1, 1: 4}, LESS_EQ, 0), LinearRow.of({0: 2, 1: -1}, LESS_EQ, 8)]
+@settings(max_examples=150, deadline=None)
+@given(
+    extra_rows=_parent_rows,
+    objective=_objective3,
+    child_objective=st.none() | _objective3,
+    box=st.none() | st.integers(1, 9),
+    doubled_box=st.booleans(),
+    data=st.data(),
+)
+def test_optimize_after_feasible_after_matches_solve_lp(
+    extra_rows, objective, child_objective, box, doubled_box, data
+):
+    """Phase two (optimize) on the tableau feasible_after returns, as a
+    MILP child is solved, has the status of solve_lp on the extended
+    program, INFEASIBLE and UNBOUNDED included, and at an optimum its exact
+    value and a point that fits every row. The carried cost row equals a
+    fresh reduced row after every pivot. A child objective other than the
+    parent's can be unbounded where the parent's was not."""
+    rows = _parent_system(extra_rows, box, doubled_box)
+    state = solve_lp(LinearProgram.of(3, objective, rows))
+    assume(state.status is Status.OPTIMAL)
+    new_rows = _child_rows(data, state)
+    child = LinearProgram.of(3, child_objective or objective, rows + new_rows)
 
+    with carried_costs_checked():
+        tab = feasible_after(state, new_rows)
+        warm = None if tab is None else simplex.optimize(tab, child.objective)
+    cold = solve_lp(child)
+    if warm is None:
+        assert cold.status is Status.INFEASIBLE
+        return
+    assert warm.status is cold.status
+    if warm.status is Status.OPTIMAL:
+        value = sum(c * v for c, v in zip(child.objective, warm.structural_point(3)))
+        assert value == sum(c * v for c, v in zip(child.objective, cold.structural_point(3)))
+        assert_fits(3, child.rows, warm.full_point())
+
+
+def test_optimize_reports_an_unbounded_child():
+    # x0 - x1 <= 1 is bounded for max -x0 - x1 (at 0), and a child with
+    # x0 >= 1 appended is not for max x1: x1 grows along x0 = x1 + 1.
+    rows = [LinearRow.of({0: 1, 1: -1}, LESS_EQ, 1)]
+    state = solve_lp(LinearProgram.of(2, {0: -1, 1: -1}, rows))
+    assert state.status is Status.OPTIMAL
+    ceil_row = LinearRow.of({0: 1}, GREATER_EQ, 1)
+    child = LinearProgram.of(2, {1: 1}, rows + [ceil_row])
+    warm = simplex.optimize(feasible_after(state, [ceil_row]), child.objective)
+    assert warm.status is solve_lp(child).status is Status.UNBOUNDED
+
+
+class TestInfeasibleAfter:
     """feasible_after: the tableau of a solved system plus appended rows."""
 
     ROWS = [LinearRow.of({0: -1, 1: 4}, LESS_EQ, 0), LinearRow.of({0: 2, 1: -1}, LESS_EQ, 8)]
