@@ -2,17 +2,19 @@
 criteria, and efficient for the two utilities?
 
 Both tests share one construction. Given objectives Z_i = (c_i.y + c0_i) /
-(d_i.y + d0_i) and a candidate x*, introduce one auxiliary variable per
-objective and require
+(d_i.y + d0_i) and a candidate x*, require one row per objective,
 
-    [c_i - Z_i(x*) d_i] . y - aux_i = Z_i(x*) d0_i - c0_i,   aux_i >= 0,
+    [c_i - Z_i(x*) d_i] . y >= Z_i(x*) d0_i - c0_i,
 
-with y ranging over the original integer feasible set. Because denominators
-are positive, aux_i >= 0 is equivalent to Z_i(y) >= Z_i(x*), so maximizing
-sum(aux) answers dominance: the optimum is 0 exactly when no feasible y
-weakly improves every objective with one strict improvement, i.e. when x*
-is efficient. Any feasible solution with positive sum exhibits a dominating
-y, so the search may stop at the first one.
+with y ranging over the original integer feasible set. Row i's surplus
+aux_i is the difference of the two sides, and because denominators are
+positive, aux_i >= 0 is equivalent to Z_i(y) >= Z_i(x*). The k rows come
+first, so aux_i is column n + i of the program, and the objective
+sum(aux) prices those surplus columns; y is the only variable. The optimum
+is 0 exactly when no feasible y weakly improves every objective with one
+strict improvement, i.e. when x* is efficient. Any feasible solution with
+positive sum exhibits a dominating y, so the search may stop at the first
+one.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from typing import Sequence
 from .errors import InfeasiblePoint, InvariantViolated
 from .milp import MilpProblem, MilpResult, solve_milp
 from .model import FractionalObjective, Point, ProblemInstance, evaluate, is_feasible
-from .simplex import EQUAL, ZERO, LinearProgram, LinearRow, constraint_rows
+from .simplex import GREATER_EQ, ZERO, LinearProgram, LinearRow, constraint_rows
 
 
 @dataclass(frozen=True)
@@ -41,23 +43,19 @@ def _membership_program(
     inst: ProblemInstance, point: Sequence[int], objectives: Sequence[FractionalObjective]
 ) -> MilpProblem:
     n = inst.variable_count
-    k = len(objectives)
     rows = []
-    for i, obj in enumerate(objectives):
+    for obj in objectives:
         level = evaluate(obj, point)
         coeffs: dict[int, Fraction] = {}
         for j in range(n):
             c = obj.numerator.coeffs[j] - level * obj.denominator.coeffs[j]
             if c:
                 coeffs[j] = c
-        coeffs[n + i] = Fraction(-1)
         rhs = level * obj.denominator.constant - obj.numerator.constant
-        rows.append(LinearRow.of(coeffs, EQUAL, rhs))
+        rows.append(LinearRow.of(coeffs, GREATER_EQ, rhs))
     rows.extend(constraint_rows(inst.a_matrix, inst.b_vector))
-    objective = {n + i: 1 for i in range(k)}
-    program = LinearProgram.of(n + k, objective, rows)
-    mask = (True,) * n + (False,) * k
-    return MilpProblem(program, mask)
+    program = LinearProgram.of(n, {n + i: 1 for i in range(len(objectives))}, rows)
+    return MilpProblem(program, (True,) * n)
 
 
 def build_mm(inst: ProblemInstance, point: Sequence[int]) -> MilpProblem:
@@ -74,13 +72,13 @@ def build_t2(inst: ProblemInstance, point: Sequence[int]) -> MilpProblem:
     return _membership_program(inst, point, inst.utilities)
 
 
-def _run(problem: MilpProblem, point: Sequence[int], aux: int) -> MilpResult:
-    seed = tuple(Fraction(int(v)) for v in point) + (ZERO,) * aux
+def _run(problem: MilpProblem, point: Sequence[int]) -> MilpResult:
+    seed = tuple(Fraction(int(v)) for v in point)
     return solve_milp(problem, cutoff=ZERO, incumbent=(seed, ZERO))
 
 
-def _witness(result: MilpResult, n: int) -> Point:
-    xs = result.point[:n]
+def _witness(result: MilpResult) -> Point:
+    xs = result.point
     if any(v.denominator != 1 for v in xs):
         raise InvariantViolated(f"membership witness {xs} is not integral")
     return tuple(int(v) for v in xs)
@@ -90,9 +88,8 @@ def is_in_solution_set(inst: ProblemInstance, point: Sequence[int]) -> Efficienc
     """Run both membership tests. The candidate x* itself seeds the search
     at value zero, so the solver only has to decide whether anything beats
     zero; the first dominating point found (if any) is the witness."""
-    n = inst.variable_count
-    mm_result = _run(build_mm(inst, point), point, len(inst.criteria))
-    t2_result = _run(build_t2(inst, point), point, 2)
+    mm_result = _run(build_mm(inst, point), point)
+    t2_result = _run(build_t2(inst, point), point)
     if mm_result.value < 0 or t2_result.value < 0:
         raise InvariantViolated(
             f"membership values {mm_result.value}, {t2_result.value} below the seed's 0"
@@ -101,7 +98,7 @@ def is_in_solution_set(inst: ProblemInstance, point: Sequence[int]) -> Efficienc
     bo = t2_result.value == 0
     witness = None
     if not mo:
-        witness = _witness(mm_result, n)
+        witness = _witness(mm_result)
     elif not bo:
-        witness = _witness(t2_result, n)
+        witness = _witness(t2_result)
     return EfficiencyVerdict(mo, bo, witness)

@@ -81,10 +81,11 @@ def solve_lfp(
     parent: the optimal final state of an earlier solve (a search node's
     parent). Without it, `rows` are the whole system, solved from scratch.
     With it, `rows` are the rows appended to the system parent was solved
-    on, and may reference the parent's columns only: phase one and the
-    ratio phase both run from the parent's basis (simplex.feasible_after),
-    and the parent's state is left unchanged. An appended row's slack is
-    the slack of the row scaled to integers by the lcm of its denominators.
+    on, and may reference the parent's columns and the slacks of earlier
+    rows among them: phase one and the ratio phase both run from the
+    parent's basis (simplex.feasible_after), and the parent's state is left
+    unchanged. An appended row's slack is that of the row as written, as in
+    a solve from scratch.
     The final basis, and the point where optima tie, may differ from a
     solve from scratch; the status and the value do not.
     """

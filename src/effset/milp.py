@@ -11,8 +11,12 @@ x_j >= floor + 1, and is solved from its parent's final `SimplexState`:
 `simplex.feasible_after` appends the row and runs phase one from the
 parent's basis, and `simplex.optimize` runs phase two on the tableau it
 returns. A stack entry is (parent state, branch row), so no child's
-program is built. Branch rows are integer, so each appended slack
-is the one a from-scratch solve of the extended program would give it.
+program is built. An appended slack belongs to its row as written, as in
+a from-scratch solve, so a child's system is its extended program's.
+
+The objective may price the added columns of the program's rows (see
+`simplex.LinearProgram`), so a node's value is read off its full point;
+the point a result reports is the structural part.
 """
 from __future__ import annotations
 
@@ -119,8 +123,9 @@ def solve_milp(
         if state is None:
             continue
 
-        point = state.structural_point(base.num_vars)
-        value = _objective_value(base, point)
+        full = state.full_point()
+        point = full[: base.num_vars]
+        value = _objective_value(base, full)
         if best_value is not None and value <= best_value:
             continue
 

@@ -9,33 +9,37 @@ is how branch-and-cut expresses its rounds over slack coordinates.
 Pivots run on integers (Edmonds 1967, Bareiss 1968, as in Avis' lrs). The
 tableau keeps integer rows, each ending in its right-hand side, plus one
 positive common denominator `det`, so the exact tableau [B^-1 A | B^-1 b]
-is rows / det. Each input row is scaled to integers by the lcm of its
-denominators, and det starts as the product of those scales: the
-determinant of the starting unit basis in the scaled system. A pivot on
-element p sets det to |p|, the determinant of the new basis (times a
-constant factor once phase one drops a redundant row), so every division in
-a pivot is exact and entries stay bounded by minors of the scaled input.
-A `SimplexState` keeps the final integer rows; `Fraction`s are built only
-when a point or a reduced row is read off it.
+is rows / det. A pivot on element p sets det to |p|, the determinant of the
+new basis (times a constant factor once phase one drops a redundant row),
+so every division in a pivot is exact and entries stay bounded by minors
+of the scaled input. A `SimplexState` keeps the final integer rows;
+`Fraction`s are built only when a point or a reduced row is read off it.
 
-Two more invariants keep the integers the rational tableau's:
-- Carried cost rows. A tableau carries the reduced rows of the costs it
-  prices (`Tableau.costs`, seeded by one `reduced` call per cost). A
-  reduced row det * (c - c_B B^-1 A) changes under a pivot as a constraint
-  row does, so `pivot` updates it with the same exact formula, and it
-  equals a fresh `reduced(c)` entry for entry after every pivot.
-- Appended rows keep det. `feasible_after` writes a new row, scaled to
-  integers as a by its own lcm, in an optimal basis as
-  det*a - sum_i a[basis_i]*row_i and gives it a slack or artificial column
-  with entry det. The extended basis matrix is block triangular over the
-  old basis and a unit entry, so its determinant is the old one up to sign:
-  det keeps its relation to the basis determinant, and every later
-  division stays exact. The new slack is that of the integer-scaled row,
-  as `constraint_rows` gives it; a system solved from scratch gives each
-  slack to the row as written. Two callers solve children this way: the
-  search (`fractional.solve_lfp` with a parent, which runs its ratio phase
-  on the returned tableau) and branch-and-bound (`milp.solve_milp`, which
-  runs `optimize`, the phase two that `solve_lp` also ends with).
+One builder makes every tableau: `feasible_after` appends rows to a solved
+state, and a solve from scratch appends every row to the empty state over
+the structural columns. It writes a new row a (scaled to integers by the
+lcm s of its denominators) in the state's basis as
+det*a - sum_i a[basis_i]*row_i, multiplies the earlier rows and det by s,
+and gives the row a slack or artificial column with entry det. The
+extended basis matrix is block triangular over the old basis and the new
+column's entry s, so det keeps its relation to the basis determinant and
+every later division stays exact. From scratch, det ends as the product of
+the row scales, the determinant of the starting unit basis, and each row
+is the row as written times det. Each slack belongs to its row as written, on every
+path. A row may reference the slack of an earlier row of the same call;
+that slack then leaves the starting basis instead of being eliminated, as
+a column that is no longer a unit column. Solves from scratch
+(`feasible_tableau`, for `solve_lp` and a search root) build this way, and
+so do children from their parent's state: the search's
+(`fractional.solve_lfp` with a parent, which runs its ratio phase on the
+returned tableau) and branch-and-bound's (`milp.solve_milp`, which runs
+`optimize`, the phase two that `solve_lp` also ends with).
+
+A tableau carries the reduced rows of the costs it prices (`Tableau.costs`,
+seeded by one `reduced` call per cost). A reduced row det * (c - c_B B^-1 A)
+changes under a pivot as a constraint row does, so `pivot` updates it with
+the same exact formula, and it equals a fresh `reduced(c)` entry for entry
+after every pivot.
 
 Bland's rule everywhere (smallest eligible index entering, smallest basic
 index on ratio ties), so solves are deterministic and never cycle. Every
@@ -115,8 +119,10 @@ def constraint_rows(a_matrix, b_vector) -> tuple[LinearRow, ...]:
 class LinearProgram:
     """Maximize objective . x over the rows plus x >= 0.
 
-    num_vars counts structural variables; the objective is over those.
-    Row coefficients may also touch slack variables of earlier rows.
+    num_vars counts structural variables. Row coefficients may also touch
+    slack variables of earlier rows, and the objective may price any added
+    column: inequality row i adds column num_vars + (its position among
+    the inequality rows).
     """
 
     num_vars: int
@@ -125,14 +131,18 @@ class LinearProgram:
 
     @classmethod
     def of(cls, num_vars, objective, rows) -> "LinearProgram":
-        dense = [ZERO] * num_vars
-        if isinstance(objective, Mapping):
-            for j, v in objective.items():
-                dense[j] = as_fraction(v)
-        else:
-            for j, v in enumerate(objective):
-                dense[j] = as_fraction(v)
-        return cls(num_vars, tuple(dense), tuple(rows))
+        """objective may be a {index: value} mapping or a dense sequence;
+        it is sized to num_vars or to the last column it names."""
+        rows = tuple(rows)
+        items = objective.items() if isinstance(objective, Mapping) else enumerate(objective)
+        named = {j: as_fraction(v) for j, v in items}
+        columns = num_vars + sum(1 for r in rows if r.relation != EQUAL)
+        if any(not 0 <= j < columns for j in named):
+            raise ValueError(f"the objective names a column outside the program's {columns}")
+        dense = [ZERO] * max(num_vars, 1 + max(named, default=-1))
+        for j, v in named.items():
+            dense[j] = v
+        return cls(num_vars, tuple(dense), rows)
 
 
 @dataclass(frozen=True)
@@ -285,25 +295,6 @@ def _dense_row(row: LinearRow, ncols: int, scale: int, allowed: int) -> list[int
     return dense
 
 
-def _integer_system(program: LinearProgram) -> tuple[list[list[int]], int, int]:
-    """Dense equality system with one slack/surplus per inequality row,
-    scaled to integers over one common denominator: row i is multiplied by
-    det = product of the lcm of each row's denominators, and ends in its
-    right-hand side. Returns (rows, det, total_columns)."""
-    num_added = sum(1 for r in program.rows if r.relation != EQUAL)
-    total = program.num_vars + num_added
-    det = math.prod(_row_scale(row) for row in program.rows)
-    matrix: list[list[int]] = []
-    slack = program.num_vars
-    for row in program.rows:
-        dense = _dense_row(row, total, det, slack)
-        if row.relation != EQUAL:
-            dense[slack] = det if row.relation == LESS_EQ else -det
-            slack += 1
-        matrix.append(dense)
-    return matrix, det, total
-
-
 def _first_positive(limit: int):
     """Bland pricing on the tableau's carried cost row: the first column
     below limit with a positive reduced cost, or -1 at an optimum."""
@@ -380,28 +371,11 @@ def _phase_one(matrix: list[list[int]], basis: list[int], det: int, ncols: int) 
 
 
 def feasible_tableau(program: LinearProgram) -> Tableau | None:
-    """Phase one from scratch: a primal-feasible tableau over the real
-    columns, or None when the system is infeasible."""
-    matrix, det, ncols = _integer_system(program)
-    m = len(matrix)
-    for i in range(m):
-        if matrix[i][-1] < 0:
-            matrix[i] = [-v for v in matrix[i]]
-
-    basis = [-1] * m
-    for j in range(ncols):
-        hit = -1
-        ok = True
-        for i in range(m):
-            v = matrix[i][j]
-            if v:
-                if hit >= 0 or v != det:
-                    ok = False
-                    break
-                hit = i
-        if ok and hit >= 0 and basis[hit] < 0:
-            basis[hit] = j
-    return _phase_one(matrix, basis, det, ncols)
+    """Phase one from scratch: `feasible_after` on the empty system over
+    the program's structural columns, so every row is appended. A primal-
+    feasible tableau over the real columns, or None when the system is
+    infeasible."""
+    return feasible_after(SimplexState(Status.OPTIMAL, program.num_vars, (), ()), program.rows)
 
 
 def feasible_after(state: SimplexState, rows: Sequence[LinearRow]) -> Tableau | None:
@@ -409,16 +383,25 @@ def feasible_after(state: SimplexState, rows: Sequence[LinearRow]) -> Tableau | 
     state's optimal basis: a primal-feasible tableau, or None when the
     extended system is infeasible. The state is left unchanged.
 
-    Each row, scaled to integers as a by the lcm of its denominators, is
-    written in that basis as det*a - sum_i a[basis_i]*row_i: no division.
-    The rows may reference the state's columns only; the inequality rows
-    take slack columns from state.num_vars on, in order, with entry det, so
-    a row's slack is the slack of its integer-scaled form. A row whose slack
-    would be negative, and every equality row, gets an artificial.
+    Each row, scaled to integers as a by the lcm s of its denominators, is
+    written in the state's basis as det*a - sum_i a[basis_i]*row_i, each
+    a[basis_i] read off det*a by an exact division (every basic column is
+    det times a unit column). Then every earlier row and det are
+    multiplied by s. An inequality row takes the next slack column from
+    state.num_vars on: a >= row is negated first, and the slack gets the
+    entry det, so it is the slack of the row as written. A row whose
+    right-hand side is then negative is negated (again).
 
-    Callers: `fractional.solve_lfp` for a search child (its cut and branch
-    rows) and `milp.solve_milp` for a branch-and-bound child (one branch
-    row), each on its parent's final state.
+    A row may reference the state's columns and the slacks of earlier rows
+    in `rows`. A basic state column is eliminated; a referenced slack of
+    this call is not, and leaves the basis instead. A row's slack starts
+    basic when its entry is det and no later row references it; every
+    other row, equality rows included, gets an artificial.
+
+    Callers: `feasible_tableau` on the empty state, `fractional.solve_lfp`
+    for a search child (its cut and branch rows) and `milp.solve_milp` for
+    a branch-and-bound child (one branch row), each on its parent's final
+    state.
     """
     tab = Tableau.of_state(state)
     det, width = tab.det, tab.ncols
@@ -426,26 +409,32 @@ def feasible_after(state: SimplexState, rows: Sequence[LinearRow]) -> Tableau | 
     pad = [0] * (ncols - width)
     matrix = [row[:-1] + pad + row[-1:] for row in tab.rows]
     basis = tab.basis
-    slack = width
+    owner: list[int] = []  # the matrix row of each slack this call adds
     for row in rows:
-        a = _dense_row(row, ncols, _row_scale(row), width)
-        new = [det * v for v in a]
+        scale = _row_scale(row)
+        new = _dense_row(row, ncols, det * scale, width + len(owner))
         for var, basic_row in zip(state.basis, matrix):
-            factor = a[var]
+            factor = new[var] // det
             if factor:
                 new = [x - factor * y for x, y in zip(new, basic_row)]
+        for j, _ in reversed(row.coeffs):
+            if j < width:
+                break
+            basis[owner[j - width]] = -1
+        if scale != 1:
+            matrix = [[scale * v for v in r] for r in matrix]
+            det *= scale
         var = -1
         if row.relation != EQUAL:
+            var = width + len(owner)
             if row.relation == GREATER_EQ:
                 new = [-v for v in new]
-            new[slack] = det
-            if new[-1] >= 0:
-                var = slack
-            slack += 1
+            new[var] = det
+            owner.append(len(matrix))
         if new[-1] < 0:
             new = [-v for v in new]
         matrix.append(new)
-        basis.append(var)
+        basis.append(var if var >= 0 and new[var] > 0 else -1)
     return _phase_one(matrix, basis, det, ncols)
 
 

@@ -173,35 +173,46 @@ _frac = st.fractions(-4, 4, max_denominator=6)
     bound=st.integers(1, 5),
 )
 def test_membership_shaped_programs_match_lattice_enumeration(levels, rows, objective, bound):
-    """Programs shaped as efficiency._membership_program builds them: three
-    integer variables y, one continuous auxiliary per EQUAL row
-    c . y - aux = r with fractional data, then fractional <= rows. A child
-    appends an integer branch row to a tableau scaled from those rows. The
-    optimum is the best lattice point y whose auxiliaries are >= 0."""
+    """One membership-shaped program in two forms over three integer
+    variables y, each with a bound row per variable and fractional <= rows.
+    The aux form has a continuous auxiliary per EQUAL row c . y - aux = r
+    with fractional data. The surplus form, as efficiency._membership_program
+    builds it, writes c . y >= r instead, with no auxiliary: the row's
+    surplus takes the aux's column and the objective prices it. Both reach
+    the best lattice point y whose auxiliaries are >= 0, with the same
+    value; a child appends an integer branch row to a tableau scaled from
+    the fractional rows."""
     k = len(levels)
-    all_rows = [
+    bounds = [LinearRow.of({j: 1}, LESS_EQ, bound) for j in range(3)]
+    bounds += [LinearRow.of(c, LESS_EQ, r) for c, r in rows]
+    aux_rows = [
         LinearRow.of({**dict(enumerate(c)), 3 + i: -1}, EQUAL, r) for i, (c, r) in enumerate(levels)
     ]
-    all_rows += [LinearRow.of({j: 1}, LESS_EQ, bound) for j in range(3)]
-    all_rows += [LinearRow.of(c, LESS_EQ, r) for c, r in rows]
-    program = LinearProgram.of(3 + k, objective[: 3 + k], all_rows)
-    result = solve_milp(MilpProblem(program, (True,) * 3 + (False,) * k))
+    aux_form = LinearProgram.of(3 + k, objective[: 3 + k], aux_rows + bounds)
+    surplus_rows = [LinearRow.of(c, GREATER_EQ, r) for c, r in levels]
+    surplus_form = LinearProgram.of(3, objective[: 3 + k], surplus_rows + bounds)
+    assert surplus_form.objective == aux_form.objective
+
+    def value_at(y):
+        aux = [sum(a * v for a, v in zip(c, y)) - r for c, r in levels]
+        return sum(c * v for c, v in zip(aux_form.objective, (*y, *aux))), min(aux)
 
     expected = None
     for y in itertools.product(range(bound + 1), repeat=3):
-        aux = [sum(a * v for a, v in zip(c, y)) - r for c, r in levels]
+        value, least_aux = value_at(y)
         fits = all(sum(a * v for a, v in zip(c, y)) <= r for c, r in rows)
-        if fits and min(aux) >= 0:
-            value = sum(c * v for c, v in zip(program.objective, (*y, *aux)))
-            if expected is None or value > expected:
-                expected = value
-    if expected is None:
-        assert result.status is Status.INFEASIBLE
-        return
-    assert result.status is Status.OPTIMAL
-    assert result.value == expected
-    assert all(v.denominator == 1 for v in result.point[:3])
-    assert sum(c * v for c, v in zip(program.objective, result.point)) == expected
+        if fits and least_aux >= 0 and (expected is None or value > expected):
+            expected = value
+    for program, mask in ((aux_form, (True,) * 3 + (False,) * k), (surplus_form, (True,) * 3)):
+        result = solve_milp(MilpProblem(program, mask))
+        if expected is None:
+            assert result.status is Status.INFEASIBLE
+            continue
+        assert result.status is Status.OPTIMAL
+        assert result.value == expected
+        assert len(result.point) == program.num_vars
+        assert all(v.denominator == 1 for v in result.point[:3])
+        assert value_at(result.point[:3])[0] == expected
 
 
 def test_only_the_root_is_solved_from_scratch(monkeypatch):

@@ -18,9 +18,9 @@ from effset.simplex import (
     LESS_EQ,
     LinearProgram,
     LinearRow,
+    SimplexState,
     Status,
     Tableau,
-    constraint_rows,
     feasible_after,
     reduced_row,
     solve_lp,
@@ -51,6 +51,20 @@ class TestRowConstruction:
     def test_rejects_bad_relation(self):
         with pytest.raises(ValueError):
             LinearRow.of({0: 1}, "<", 3)
+
+    def test_objective_may_price_added_columns_only(self):
+        # Two structural columns and two inequality rows make columns 0-3;
+        # the equality row adds none.
+        rows = [
+            LinearRow.of({0: 1}, LESS_EQ, 1),
+            LinearRow.of({1: 1}, EQUAL, 1),
+            LinearRow.of({1: 1}, GREATER_EQ, 0),
+        ]
+        assert LinearProgram.of(2, {3: 1}, rows).objective == (0, 0, 0, 1)
+        assert LinearProgram.of(2, [1], rows).objective == (1, 0)
+        for objective in ({4: 1}, [0, 0, 0, 0, 1], {-1: 1}):
+            with pytest.raises(ValueError):
+                LinearProgram.of(2, objective, rows)
 
 
 class TestSolveLp:
@@ -488,13 +502,73 @@ class TestInfeasibleAfter:
         assert tab.state(Status.OPTIMAL).full_point() == state.full_point()
         assert feasible_after(state, [LinearRow.of({0: 1}, EQUAL, 5)]) is None
 
-    def test_an_appended_rows_slack_is_that_of_its_integer_scaled_row(self):
-        # x0/2 <= 3 is scaled to x0 <= 6, as constraint_rows writes it, so
-        # its slack at x0 = 32/7 is 10/7, not 3 - 16/7.
+    def test_an_appended_rows_slack_is_that_of_the_row_as_written(self):
+        # x0/2 <= 3 at x0 = 32/7 has slack 3 - 16/7 = 5/7, appended or
+        # solved from scratch; its integer-scaled form x0 <= 6 would give
+        # 10/7.
         state = solve_lp(LinearProgram.of(2, {0: 1, 1: 1}, self.ROWS))
-        (scaled,) = constraint_rows([[Fraction(1, 2), 0]], [3])
-        assert scaled == LinearRow.of({0: 1}, LESS_EQ, 6)
-        tab = feasible_after(state, [LinearRow.of({0: Fraction(1, 2)}, LESS_EQ, 3)])
-        full = tab.state(Status.OPTIMAL).full_point()
-        assert full[4] == Fraction(10, 7)
-        assert_fits(2, self.ROWS + [scaled], full)
+        half = LinearRow.of({0: Fraction(1, 2)}, LESS_EQ, 3)
+        full = feasible_after(state, [half]).state(Status.OPTIMAL).full_point()
+        assert full[4] == Fraction(5, 7)
+        assert_fits(2, self.ROWS + [half], full)
+        cold = solve_lp(LinearProgram.of(2, {0: 1, 1: 1}, self.ROWS + [half]))
+        assert cold.full_point() == full
+
+
+_fraction_row = st.tuples(
+    st.tuples(*[st.fractions(-4, 4, max_denominator=4)] * 3),
+    st.sampled_from((LESS_EQ, GREATER_EQ)),
+    st.fractions(-2, 12, max_denominator=4),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    extra_rows=_parent_rows,
+    objective=_objective3,
+    box=st.integers(1, 9),
+    doubled_box=st.booleans(),
+    first=_fraction_row,
+    second=st.tuples(
+        st.fractions(-3, 3, max_denominator=3).filter(bool),
+        st.integers(0, 2),
+        st.fractions(-2, 2, max_denominator=3),
+        st.sampled_from((LESS_EQ, GREATER_EQ)),
+        st.fractions(-2, 6, max_denominator=3),
+    ),
+)
+def test_a_row_over_an_appended_slack_means_the_same_in_one_call_or_two(
+    extra_rows, objective, box, doubled_box, first, second
+):
+    """A fractional-data row, then a row over that row's slack, appended in
+    one feasible_after call or in two chained ones (each solved to its
+    optimum) give the status and exact value of solve_lp on all the rows,
+    and a point that fits every row as written."""
+    rows = _parent_system(extra_rows, box, doubled_box)
+    state = solve_lp(LinearProgram.of(3, objective, rows))
+    assume(state.status is Status.OPTIMAL)
+    coeffs, relation, rhs = first
+    fractional = LinearRow.of(coeffs, relation, rhs)
+    assume(any(v.denominator != 1 for _, v in fractional.coeffs) or rhs.denominator != 1)
+    on_slack, j, on_j, relation, rhs = second
+    over_slack = LinearRow.of({j: on_j, state.num_vars: on_slack}, relation, rhs)
+    program = LinearProgram.of(3, objective, rows + [fractional, over_slack])
+
+    def solved(parent, new_rows):
+        tab = feasible_after(parent, new_rows)
+        if tab is None:
+            return SimplexState(Status.INFEASIBLE, 3, (), ())
+        return simplex.optimize(tab, objective)
+
+    one_call = solved(state, [fractional, over_slack])
+    first_call = solved(state, [fractional])
+    chained = first_call
+    if first_call.status is Status.OPTIMAL:
+        chained = solved(first_call, [over_slack])
+    cold = solve_lp(program)
+    for warm in (one_call, chained):
+        assert warm.status is cold.status
+        if warm.status is Status.OPTIMAL:
+            value = sum(c * v for c, v in zip(objective, warm.full_point()))
+            assert value == sum(c * v for c, v in zip(objective, cold.full_point()))
+            assert_fits(3, program.rows, warm.full_point())
