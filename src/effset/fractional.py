@@ -53,8 +53,9 @@ def _ratio_costs(objective: FractionalObjective, ncols: int):
 
 
 def _gamma(tab: Tableau, p, q) -> tuple[int, int, list[int]]:
-    """(p_val, q_val, gamma) at the tableau's vertex, over every column,
-    with the reduced P and Q rows carried as tab.costs (see Tableau.carry).
+    """(p_val, q_val, gamma) at the tableau's vertex, over the dictionary
+    columns, with the reduced P and Q rows carried as tab.costs (see
+    Tableau.carry).
 
     p_val = p_scale*det*P(x) and nu = tab.reduced(p_cost) = p_scale*det*(the
     reduced P row), likewise for Q, so gamma_j = q_val*nu_j - p_val*mu_j is
@@ -114,14 +115,15 @@ def maximize_from(state: SimplexState, objective: FractionalObjective) -> Fracti
 def _ratio_phase(tab: Tableau, objective: FractionalObjective) -> Fraction:
     """Pivot a primal-feasible tableau to the ratio maximum and return it.
 
-    Prices Bland on gamma: the first column with gamma_j > 0.
+    Prices Bland on gamma: of the columns with gamma_j > 0, the one
+    naming the smallest variable enters.
     """
     p, q = _ratio_costs(objective, tab.ncols)
     p_scale, q_scale = p[2], q[2]
     tab.carry(p[0], q[0])
     value = None
 
-    def price(tab: Tableau) -> int:
+    def price(tab: Tableau) -> list[int]:
         nonlocal value
         p_val, q_val, gamma = _gamma(tab, p, q)
         if q_val <= 0:
@@ -133,10 +135,7 @@ def _ratio_phase(tab: Tableau, objective: FractionalObjective) -> Fraction:
         if value is not None and current < value:
             raise InvariantViolated("ratio value decreased across a pivot")
         value = current
-        for j, g in enumerate(gamma):
-            if g > 0:
-                return j
-        return -1
+        return gamma
 
     if _bland(tab, price) is Status.UNBOUNDED:
         raise UnboundedDomain(
@@ -156,7 +155,7 @@ def fractional_gradient(state: SimplexState, objective: FractionalObjective) -> 
     tab.carry(p[0], q[0])
     _, _, gamma = _gamma(tab, p, q)
     scale = p[2] * q[2] * tab.det**2
-    return {j: Fraction(gamma[j], scale) for j in state.nonbasis}
+    return {j: Fraction(g, scale) for j, g in sorted(zip(tab.cols, gamma))}
 
 
 def _expand_rows(num_vars: int, rows: Sequence[LinearRow]):

@@ -14,18 +14,22 @@ returns. A stack entry is (parent state, branch row), so no child's
 program is built. An appended slack belongs to its row as written, as in
 a from-scratch solve, so a child's system is its extended program's.
 
-The objective may price the added columns of the program's rows (see
-`simplex.LinearProgram`), so a node's value is read off its full point;
-the point a result reports is the structural part.
+A node is read in integers: its value times det and the objective's
+scale is a sum over its basic rows, and a basic variable is fractional
+when its right-hand side is not a multiple of det. The objective may
+price the added columns of the program's rows (see
+`simplex.LinearProgram`), so that sum runs over every basic variable.
+`Fraction`s are built only for a kept incumbent, whose point is the
+structural part of the node's point.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvariantViolated, NodeLimitExceeded, UnboundedRelaxation
+from .model import AffineForm
 from .simplex import (
     GREATER_EQ,
     LESS_EQ,
@@ -34,6 +38,7 @@ from .simplex import (
     SimplexState,
     Status,
     feasible_after,
+    integer_form,
     optimize,
     solve_lp,
 )
@@ -59,14 +64,6 @@ class MilpResult:
     point: tuple[Fraction, ...] | None
     value: Fraction | None
     early_stop: bool = False
-
-
-def _objective_value(program: LinearProgram, point: Sequence[Fraction]) -> Fraction:
-    total = Fraction(0)
-    for c, v in zip(program.objective, point):
-        if c and v:
-            total += c * v
-    return total
 
 
 def _relaxation(
@@ -104,6 +101,10 @@ def solve_milp(
     """
     base = problem.program
     mask = problem.integer_mask
+    # scale * objective as integers; a node's det * scale * value is read
+    # off its basic rows.
+    cost, _, scale = integer_form(AffineForm(base.objective), len(base.objective))
+    priced = [(var, c) for var, c in enumerate(cost) if c]
     best_point: tuple[Fraction, ...] | None = None
     best_value: Fraction | None = None
     if incumbent is not None:
@@ -123,24 +124,26 @@ def solve_milp(
         if state is None:
             continue
 
-        full = state.full_point()
-        point = full[: base.num_vars]
-        value = _objective_value(base, full)
-        if best_value is not None and value <= best_value:
+        det = state.det
+        rhs = {var: r[-1] for var, r in zip(state.basis, state.rows)}
+        scaled = sum(c * rhs.get(var, 0) for var, c in priced)
+        if best_value is not None and (
+            scaled * best_value.denominator <= best_value.numerator * det * scale
+        ):
             continue
 
-        branch_var = -1
-        for j, integral in enumerate(mask):
-            if integral and point[j].denominator != 1:
-                branch_var = j
-                break
+        branch_var = min(
+            (var for var, b in rhs.items() if var < len(mask) and mask[var] and b % det),
+            default=-1,
+        )
         if branch_var < 0:
-            best_point, best_value = point, value
-            if cutoff is not None and value > cutoff:
+            best_point = state.structural_point(base.num_vars)
+            best_value = Fraction(scaled, det * scale)
+            if cutoff is not None and best_value > cutoff:
                 return MilpResult(Status.OPTIMAL, best_point, best_value, early_stop=True)
             continue
 
-        lo = math.floor(point[branch_var])
+        lo = rhs[branch_var] // det
         stack.append((state, LinearRow.of({branch_var: 1}, GREATER_EQ, lo + 1)))
         stack.append((state, LinearRow.of({branch_var: 1}, LESS_EQ, lo)))
 

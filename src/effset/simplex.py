@@ -6,29 +6,49 @@ has a predictable index (structural count + row position when every row adds
 one). Added variables are first-class: later rows may reference them, which
 is how branch-and-cut expresses its rounds over slack coordinates.
 
-Pivots run on integers (Edmonds 1967, Bareiss 1968, as in Avis' lrs). The
-tableau keeps integer rows, each ending in its right-hand side, plus one
-positive common denominator `det`, so the exact tableau [B^-1 A | B^-1 b]
-is rows / det. A pivot on element p sets det to |p|, the determinant of the
-new basis (times a constant factor once phase one drops a redundant row),
-so every division in a pivot is exact and entries stay bounded by minors
-of the scaled input. A `SimplexState` keeps the final integer rows;
-`Fraction`s are built only when a point or a reduced row is read off it.
+Pivots run on integers (Edmonds 1967, Bareiss 1968, as in Avis' lrs) on a
+dictionary (Chvatal 1983, ch. 2). The exact tableau [B^-1 A | B^-1 b] is
+the integer tableau over one positive common denominator `det`, in which
+every basic column is det times a unit column. So only the nonbasic
+columns are stored: each row belongs to one basic variable (`basis`) and
+holds its entries in the columns `cols`, which name the nonbasic
+variables, then its right-hand side. For an all-inequality system over n
+structural variables there are always n columns, however many rows are
+appended.
+
+A pivot on row r and column s with entry p (sign sigma) exchanges
+basis[r] and cols[s]. Every other row a, with entry f in column s, becomes
+(|p| * a - f * sigma * prow) // det, and its entry in column s, now the
+leaving variable's, becomes -sigma * f. The pivot row keeps its entries
+times sigma, except column s, which becomes sigma * det. Then det = |p|,
+the determinant of the new basis (times a constant factor once phase one
+drops a redundant row), so every division is exact and entries stay
+bounded by minors of the scaled input. This is the full integer tableau's
+pivot restricted to the new nonbasic columns. A `SimplexState` keeps the
+final integer rows; `Fraction`s are built only when a point or a reduced
+row is read off it.
+
+Phase one gives each row without a starting basic variable an artificial
+one. An artificial is basic when it is made and is never a column: its
+column would be det times a unit column while basic, and once it leaves
+the basis phase one never prices it again, so the pivot that takes it out
+deletes the column it would take.
 
 One builder makes every tableau: `feasible_after` appends rows to a solved
-state, and a solve from scratch appends every row to the empty state over
-the structural columns. It writes a new row a (scaled to integers by the
-lcm s of its denominators) in the state's basis as
-det*a - sum_i a[basis_i]*row_i, multiplies the earlier rows and det by s,
-and gives the row a slack or artificial column with entry det. The
+state, and a solve from scratch appends every row to the empty state,
+whose columns are the structural variables. It writes a new row a (scaled
+to integers by the lcm s of its denominators) over the dictionary columns
+as det*a - sum_i a[basis_i]*row_i, multiplies the earlier rows and det by
+s, and gives the row a slack or artificial variable with entry det. The
 extended basis matrix is block triangular over the old basis and the new
-column's entry s, so det keeps its relation to the basis determinant and
-every later division stays exact. From scratch, det ends as the product of
-the row scales, the determinant of the starting unit basis, and each row
-is the row as written times det. Each slack belongs to its row as written, on every
-path. A row may reference the slack of an earlier row of the same call;
-that slack then leaves the starting basis instead of being eliminated, as
-a column that is no longer a unit column. Solves from scratch
+variable's entry s, so det keeps its relation to the basis determinant
+and every later division stays exact. From scratch, det ends as the
+product of the row scales, the determinant of the starting unit basis,
+and each row is the row as written times det. Each slack belongs to its
+row as written, on every path. A slack starts basic when its row needs
+no artificial; otherwise it is a column. A row may reference the slack
+of an earlier row of the same call; that slack is then a column from the
+start instead of being eliminated. Solves from scratch
 (`feasible_tableau`, for `solve_lp` and a search root) build this way, and
 so do children from their parent's state: the search's
 (`fractional.solve_lfp` with a parent, which runs its ratio phase on the
@@ -36,13 +56,15 @@ returned tableau) and branch-and-bound's (`milp.solve_milp`, which runs
 `optimize`, the phase two that `solve_lp` also ends with).
 
 A tableau carries the reduced rows of the costs it prices (`Tableau.costs`,
-seeded by one `reduced` call per cost). A reduced row det * (c - c_B B^-1 A)
+seeded by one `reduced` call per cost). A reduced row det * (c - c_B B^-1 A),
+kept over the dictionary columns,
 changes under a pivot as a constraint row does, so `pivot` updates it with
 the same exact formula, and it equals a fresh `reduced(c)` entry for entry
 after every pivot.
 
-Bland's rule everywhere (smallest eligible index entering, smallest basic
-index on ratio ties), so solves are deterministic and never cycle. Every
+Bland's rule everywhere (of the eligible columns, the one naming the
+smallest variable enters; ratio ties go to the smallest basic variable),
+so solves are deterministic and never cycle. Every
 test compares the sign of an integer multiple (by a positive factor) of
 the rational quantity it stands for, so the walk is the one the rational
 tableau takes.
@@ -147,23 +169,23 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class SimplexState:
-    """Final tableau snapshot: rows / det is [B^-1 A | B^-1 b] over all
-    real variables, one integer row per constraint with its right-hand
-    side last. The rows are the tableau's own lists, shared without a copy;
-    pivots replace rows instead of writing into them. An INFEASIBLE state
-    has no basis and no rows, and its num_vars counts the structural
-    variables only."""
+    """Final tableau snapshot in dictionary form: one integer row per basic
+    variable over the nonbasic columns `cols`, its right-hand side last, so
+    rows / det is B^-1 [N | b]. The rows are the tableau's own lists,
+    shared without a copy; pivots replace rows instead of writing into
+    them. An INFEASIBLE state has no basis, rows or columns, and its
+    num_vars counts the structural variables only."""
 
     status: Status
     num_vars: int
     basis: tuple[int, ...]
     rows: tuple[list[int], ...]
     det: int = 1
+    cols: tuple[int, ...] = ()
 
     @property
     def nonbasis(self) -> tuple[int, ...]:
-        basic = set(self.basis)
-        return tuple(j for j in range(self.num_vars) if j not in basic)
+        return tuple(sorted(self.cols))
 
     def full_point(self) -> tuple[Fraction, ...]:
         point = [ZERO] * self.num_vars
@@ -187,19 +209,23 @@ def integer_form(form: AffineForm, ncols: int) -> tuple[list[int], int, int]:
 
 
 class Tableau:
-    """Mutable dense integer tableau; the exact tableau is rows / det, each
-    row ending in its right-hand side. `costs` holds the reduced rows of the
-    costs being priced, carried through every pivot (see `carry`). Internal
-    to the solvers; snapshot with `state()` before handing results out.
-    Costs passed in are integer (see integer_form)."""
+    """Mutable integer dictionary: rows / det is B^-1 [N | b], one row per
+    basic variable (`basis`) over the nonbasic columns (`cols`), each row
+    ending in its right-hand side. `ncols` counts the real variables; an
+    index at or above it names a phase-one artificial, which is only ever
+    basic. `costs` holds the reduced rows of the costs being priced,
+    carried through every pivot (see `carry`). Internal to the solvers;
+    snapshot with `state()` before handing results out. Costs passed in
+    are integer (see integer_form), one entry per variable."""
 
-    __slots__ = ("ncols", "rows", "basis", "det", "costs")
+    __slots__ = ("ncols", "rows", "basis", "det", "cols", "costs")
 
-    def __init__(self, ncols, rows, basis, det):
+    def __init__(self, ncols, rows, basis, det, cols):
         self.ncols = ncols
         self.rows = rows
         self.basis = basis
         self.det = det
+        self.cols = cols
         self.costs: list[list[int]] = []
 
     @classmethod
@@ -208,28 +234,42 @@ class Tableau:
         further pivots; pivoting it leaves the state unchanged."""
         if state.status is not Status.OPTIMAL:
             raise NotOptimal(f"reduced rows need an optimal state, got {state.status}")
-        return cls(state.num_vars, list(state.rows), list(state.basis), state.det)
+        return cls(state.num_vars, list(state.rows), list(state.basis), state.det, list(state.cols))
 
     def pivot(self, row_idx: int, col: int) -> None:
-        rows, det = self.rows, self.det
+        """Exchange basis[row_idx] and cols[col] (see the module docstring
+        for the update)."""
+        rows, det, cols = self.rows, self.det, self.cols
         prow = rows[row_idx]
         piv = prow[col]
+        sign = 1
         if piv < 0:
             # Scaling a row by -1 leaves the system and the pivot's result
             # unchanged and keeps det positive.
-            piv = -piv
-            prow = rows[row_idx] = [-v for v in prow]
+            sign, piv = -1, -piv
+            prow = [-v for v in prow]
         for target, skip in ((rows, row_idx), (self.costs, -1)):
             for i, row in enumerate(target):
                 if i == skip:
                     continue
                 factor = row[col]
                 if factor:
-                    target[i] = [(piv * a - factor * b) // det for a, b in zip(row, prow)]
+                    row = [(piv * a - factor * b) // det for a, b in zip(row, prow)]
+                    row[col] = -sign * factor
+                    target[i] = row
                 elif piv != det:
                     target[i] = [piv * a // det for a in row]
-        self.basis[row_idx] = col
+        rows[row_idx] = prow[:col] + [sign * det] + prow[col + 1:]
+        leaving = self.basis[row_idx]
+        self.basis[row_idx] = cols[col]
         self.det = piv
+        if leaving < self.ncols:
+            cols[col] = leaving
+        else:
+            # An artificial left the basis; nothing prices it again.
+            del cols[col]
+            for target in (rows, self.costs):
+                target[:] = [row[:col] + row[col + 1:] for row in target]
 
     def carry(self, *costs: Sequence[int]) -> None:
         """Price these costs from now on: `costs` becomes their reduced
@@ -237,9 +277,9 @@ class Tableau:
         self.costs = [self.reduced(cost) for cost in costs]
 
     def reduced(self, cost: Sequence[int]) -> list[int]:
-        """det * (cost - cost_B . B^-1 A) over every column (zero at basic
-        ones): the reduced costs scaled by the positive det."""
-        red = [self.det * c for c in cost]
+        """det * (cost - cost_B . B^-1 A) over the dictionary columns (it is
+        zero at every basic column): the reduced costs scaled by det > 0."""
+        red = [self.det * cost[var] for var in self.cols]
         for row, var in zip(self.rows, self.basis):
             cb = cost[var]
             if cb:
@@ -256,10 +296,10 @@ class Tableau:
         return total
 
     def leaving_row(self, col: int) -> int:
-        """Bland's ratio test on a column: the row with the smallest
-        rhs / a over a > 0, ties to the smallest basic index; -1 if none.
-        det cancels from rhs / a, and ratios compare by cross-multiplying
-        positive pivots."""
+        """Bland's ratio test on a dictionary column: the row with the
+        smallest rhs / a over a > 0, ties to the smallest basic index; -1
+        if none. det cancels from rhs / a, and ratios compare by
+        cross-multiplying positive pivots."""
         basis = self.basis
         leave = best_var = -1
         best_num = best_den = 0
@@ -272,7 +312,9 @@ class Tableau:
         return leave
 
     def state(self, status: Status) -> SimplexState:
-        return SimplexState(status, self.ncols, tuple(self.basis), tuple(self.rows), self.det)
+        return SimplexState(
+            status, self.ncols, tuple(self.basis), tuple(self.rows), self.det, tuple(self.cols)
+        )
 
 
 def _row_scale(row: LinearRow) -> int:
@@ -283,68 +325,52 @@ def _row_scale(row: LinearRow) -> int:
     return scale
 
 
-def _dense_row(row: LinearRow, ncols: int, scale: int, allowed: int) -> list[int]:
-    """scale * row over ncols zero-padded columns, right-hand side last; no
-    slack entry is set. The row may reference variables below `allowed`."""
-    dense = [0] * ncols
-    for j, coeff in row.coeffs:
-        if j >= allowed:
-            raise ValueError(f"a row references variable x{j}, which does not exist yet")
-        dense[j] = coeff.numerator * (scale // coeff.denominator)
-    dense.append(row.rhs.numerator * (scale // row.rhs.denominator))
-    return dense
-
-
-def _first_positive(limit: int):
-    """Bland pricing on the tableau's carried cost row: the first column
-    below limit with a positive reduced cost, or -1 at an optimum."""
-    def enter(tab: Tableau) -> int:
-        red = tab.costs[0]
-        for j in range(limit):
-            if red[j] > 0:
-                return j
-        return -1
-    return enter
+def _carried_cost(tab: Tableau) -> list[int]:
+    """Plain simplex pricing: the carried reduced row of the one cost."""
+    return tab.costs[0]
 
 
 def _bland(tab: Tableau, price) -> Status:
-    """The pivot loop of every solver: `price(tab)` names the entering
-    column (-1 at an optimum) and Bland's ratio test the leaving row."""
+    """The pivot loop of every solver. `price(tab)` gives one value per
+    dictionary column; of the columns with a positive value, the one naming
+    the smallest variable enters (Bland), and none at an optimum. Bland's
+    ratio test picks the leaving row."""
     while True:
-        enter = price(tab)
+        cols = tab.cols
+        enter = min((var for var, v in zip(cols, price(tab)) if v > 0), default=-1)
         if enter < 0:
             return Status.OPTIMAL
-        leave = tab.leaving_row(enter)
+        col = cols.index(enter)
+        leave = tab.leaving_row(col)
         if leave < 0:
             return Status.UNBOUNDED
-        tab.pivot(leave, enter)
+        tab.pivot(leave, col)
 
 
-def _phase_one(matrix: list[list[int]], basis: list[int], det: int, ncols: int) -> Tableau | None:
+def _phase_one(
+    matrix: list[list[int]], basis: list[int], det: int, ncols: int, cols: list[int]
+) -> Tableau | None:
     """Phase one from a partial basis: a primal-feasible tableau over the
-    ncols real columns, or None when the rows are infeasible.
+    ncols real variables, or None when the rows are infeasible.
 
-    Every right-hand side is >= 0, and each row whose basis entry is -1
-    gets an artificial column (entry det) after the real ones; the others
-    name a column that is det in their row and 0 in every other. Bland on
-    -sum(artificials) prices the real columns. An artificial left basic at
-    zero is swapped for a real column of its row, and a row with none is
-    redundant and dropped.
+    `matrix` is a dictionary over `cols` whose right-hand sides are all
+    >= 0. Each row whose basis entry is -1 gets an artificial variable from
+    ncols on, basic in that row; like every basic variable it has no
+    column. Bland on -sum(artificials) prices the real columns, and an
+    artificial that leaves the basis loses the column it would take. An
+    artificial left basic at zero is swapped for a real column of its row,
+    and a row with none is redundant and dropped.
     """
     art_rows = [i for i, var in enumerate(basis) if var < 0]
-    if not art_rows:
-        return Tableau(ncols, matrix, basis, det)
-    k = len(art_rows)
-    for i, row in enumerate(matrix):
-        matrix[i] = row[:ncols] + [0] * k + row[ncols:]
     for order, i in enumerate(art_rows):
-        matrix[i][ncols + order] = det
         basis[i] = ncols + order
+    tab = Tableau(ncols, matrix, basis, det, cols)
+    if not art_rows:
+        return tab
 
-    tab = Tableau(ncols + k, matrix, basis, det)
-    cost = [0] * ncols + [-1] * k
+    cost = [0] * ncols + [-1] * len(art_rows)
     tab.carry(cost)
-    if _bland(tab, _first_positive(ncols)) is not Status.OPTIMAL:
+    if _bland(tab, _carried_cost) is not Status.OPTIMAL:
         raise InvariantViolated("phase one is unbounded, but -sum(artificials) <= 0")
     if tab.value_of(cost) != 0:
         return None
@@ -353,20 +379,17 @@ def _phase_one(matrix: list[list[int]], basis: list[int], det: int, ncols: int) 
     drop: list[int] = []
     for i, var in enumerate(tab.basis):
         if var >= ncols:
-            row = tab.rows[i]
-            enter = next((j for j in range(ncols) if row[j]), -1)
+            enter = min((v for v, a in zip(tab.cols, tab.rows[i]) if a), default=-1)
             if enter >= 0:
-                tab.pivot(i, enter)
+                tab.pivot(i, tab.cols.index(enter))
             else:
                 drop.append(i)
-    for i in reversed(drop):
-        del tab.rows[i]
-        del tab.basis[i]
     # A dropped row's artificial stays a factor of det: det is then the
     # basis determinant of the kept rows times that artificial's entry, a
     # constant that every later pivot carries along, so divisions stay exact.
-    tab.rows = [row[:ncols] + row[-1:] for row in tab.rows]
-    tab.ncols = ncols
+    for i in reversed(drop):
+        del tab.rows[i]
+        del tab.basis[i]
     return tab
 
 
@@ -375,7 +398,9 @@ def feasible_tableau(program: LinearProgram) -> Tableau | None:
     the program's structural columns, so every row is appended. A primal-
     feasible tableau over the real columns, or None when the system is
     infeasible."""
-    return feasible_after(SimplexState(Status.OPTIMAL, program.num_vars, (), ()), program.rows)
+    n = program.num_vars
+    empty = SimplexState(Status.OPTIMAL, n, (), (), 1, tuple(range(n)))
+    return feasible_after(empty, program.rows)
 
 
 def feasible_after(state: SimplexState, rows: Sequence[LinearRow]) -> Tableau | None:
@@ -384,19 +409,19 @@ def feasible_after(state: SimplexState, rows: Sequence[LinearRow]) -> Tableau | 
     extended system is infeasible. The state is left unchanged.
 
     Each row, scaled to integers as a by the lcm s of its denominators, is
-    written in the state's basis as det*a - sum_i a[basis_i]*row_i, each
-    a[basis_i] read off det*a by an exact division (every basic column is
-    det times a unit column). Then every earlier row and det are
-    multiplied by s. An inequality row takes the next slack column from
-    state.num_vars on: a >= row is negated first, and the slack gets the
-    entry det, so it is the slack of the row as written. A row whose
-    right-hand side is then negative is negated (again).
+    written over the dictionary columns as det*a - sum_i a[basis_i]*row_i,
+    each a[basis_i] read off det*a by an exact division. Then every earlier
+    row and det are multiplied by s. An inequality row takes the next slack
+    variable from state.num_vars on: a >= row is negated first, and the
+    slack's entry is det, so it is the slack of the row as written. A row
+    whose right-hand side is then negative is negated (again).
 
-    A row may reference the state's columns and the slacks of earlier rows
-    in `rows`. A basic state column is eliminated; a referenced slack of
-    this call is not, and leaves the basis instead. A row's slack starts
-    basic when its entry is det and no later row references it; every
-    other row, equality rows included, gets an artificial.
+    A row may reference the state's variables and the slacks of earlier
+    rows in `rows`. A basic state variable is eliminated; a referenced
+    slack of this call is a column instead. A row's slack starts basic, and
+    has no column, when no later row references it and the row is not
+    negated for its right-hand side; every other row, equality rows
+    included, gets an artificial in phase one.
 
     Callers: `feasible_tableau` on the empty state, `fractional.solve_lfp`
     for a search child (its cut and branch rows) and `milp.solve_milp` for
@@ -404,38 +429,66 @@ def feasible_after(state: SimplexState, rows: Sequence[LinearRow]) -> Tableau | 
     state.
     """
     tab = Tableau.of_state(state)
-    det, width = tab.det, tab.ncols
+    det, width, cols, matrix, basis = tab.det, tab.ncols, tab.cols, tab.rows, tab.basis
     ncols = width + sum(1 for r in rows if r.relation != EQUAL)
-    pad = [0] * (ncols - width)
-    matrix = [row[:-1] + pad + row[-1:] for row in tab.rows]
-    basis = tab.basis
-    owner: list[int] = []  # the matrix row of each slack this call adds
+    # Coefficients are sorted by variable, so only a row whose last one is
+    # at or past `width` references a slack of this call.
+    referenced = {
+        j
+        for r in rows
+        if r.coeffs and r.coeffs[-1][0] >= width
+        for j, _ in r.coeffs
+        if j >= width
+    }
+    stated = len(cols)  # the state's columns; this call's slack columns follow
+    column = {var: k for k, var in enumerate(cols)}
+    basic = {var: i for i, var in enumerate(state.basis)}
+    slack = width
     for row in rows:
         scale = _row_scale(row)
-        new = _dense_row(row, ncols, det * scale, width + len(owner))
-        for var, basic_row in zip(state.basis, matrix):
-            factor = new[var] // det
-            if factor:
-                new = [x - factor * y for x, y in zip(new, basic_row)]
-        for j, _ in reversed(row.coeffs):
-            if j < width:
-                break
-            basis[owner[j - width]] = -1
+        scaled = det * scale
+        # scaled * row over the state's columns and the right-hand side
+        # (head) and over this call's slack columns (tail); a basic
+        # variable's coefficient is eliminated with its row.
+        head = [0] * stated
+        head.append(row.rhs.numerator * (scaled // row.rhs.denominator))
+        tail = [0] * (len(cols) - stated)
+        eliminate = []
+        for j, coeff in row.coeffs:
+            if j >= slack:
+                raise ValueError(f"a row references variable x{j}, which does not exist yet")
+            v = coeff.numerator * (scaled // coeff.denominator)
+            k = column.get(j)
+            if k is None:
+                eliminate.append((v // det, matrix[basic[j]]))
+            elif k < stated:
+                head[k] = v
+            else:
+                tail[k - stated] = v
+        for factor, basic_row in eliminate:
+            head = [x - factor * y for x, y in zip(head, basic_row)]
+        new = head[:-1] + tail + head[-1:] if tail else head
         if scale != 1:
             matrix = [[scale * v for v in r] for r in matrix]
             det *= scale
         var = -1
         if row.relation != EQUAL:
-            var = width + len(owner)
+            var, slack = slack, slack + 1
             if row.relation == GREATER_EQ:
                 new = [-v for v in new]
-            new[var] = det
-            owner.append(len(matrix))
+            if new[-1] < 0 or var in referenced:
+                column[var] = len(cols)
+                cols.append(var)
+                new.insert(-1, det)
+                var = -1
         if new[-1] < 0:
             new = [-v for v in new]
         matrix.append(new)
-        basis.append(var if var >= 0 and new[var] > 0 else -1)
-    return _phase_one(matrix, basis, det, ncols)
+        basis.append(var)
+    # A row has no entry in the slack columns added after it: there it is 0.
+    width = len(cols) + 1
+    matrix = [r if len(r) == width else r[:-1] + [0] * (width - len(r)) + r[-1:] for r in matrix]
+    return _phase_one(matrix, basis, det, ncols, cols)
 
 
 def optimize(tab: Tableau, objective: Sequence[Fraction]) -> SimplexState:
@@ -444,7 +497,7 @@ def optimize(tab: Tableau, objective: Sequence[Fraction]) -> SimplexState:
     it pivots in place. The final state is OPTIMAL or UNBOUNDED."""
     cost, _, _ = integer_form(AffineForm(objective), tab.ncols)
     tab.carry(cost)
-    return tab.state(_bland(tab, _first_positive(tab.ncols)))
+    return tab.state(_bland(tab, _carried_cost))
 
 
 def solve_lp(program: LinearProgram) -> SimplexState:
@@ -468,4 +521,4 @@ def reduced_row(state: SimplexState, form: AffineForm) -> tuple[dict[int, Fracti
     red = tab.reduced(cost)
     denominator = scale * tab.det
     value = Fraction(tab.value_of(cost, constant), denominator)
-    return {j: Fraction(red[j], denominator) for j in state.nonbasis}, value
+    return {j: Fraction(r, denominator) for j, r in sorted(zip(tab.cols, red))}, value

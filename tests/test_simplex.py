@@ -258,6 +258,58 @@ def test_solve_lp_matches_vertex_enumeration(extra_rows, duplicated, objective, 
         assert base + sum(c * full[j] for j, c in coeffs.items()) == form.at((x, y))
 
 
+_BIG = 10**12
+_big = st.integers(-3, 3).flatmap(lambda p: st.integers(p * _BIG - 1000, p * _BIG + 1000))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            _big,
+            _big,
+            st.sampled_from((LESS_EQ, GREATER_EQ)),
+            st.integers(0, 20),
+            st.lists(st.sampled_from((1, 2, 7)), max_size=2),
+        ),
+        max_size=3,
+    ),
+    st.tuples(_big, _big),
+    st.tuples(st.integers(0, _BIG + 1000), st.integers(0, _BIG + 1000), st.integers(1, _BIG)),
+    st.integers(1, 25),
+    st.booleans(),
+)
+def test_huge_coefficients_and_tied_vertices_match_vertex_enumeration(
+    drawn, objective, denominator, box, through_origin
+):
+    """Coefficients around 10**12 and degenerate vertices where several
+    rows meet: the box row comes with a scaled copy, each drawn row may
+    come with duplicates and scaled copies, and the drawn rows may all pass
+    through the origin. solve_lp's value and solve_lfp's ratio value equal
+    the maxima over the enumerated vertices, and the carried cost rows
+    equal fresh reduced rows after every pivot."""
+    rows = [({0: _BIG, 1: _BIG}, LESS_EQ, box * _BIG), ({0: 2, 1: 2}, LESS_EQ, 2 * box)]
+    for a, b, rel, r, copies in drawn:
+        rhs = 0 if through_origin else r * _BIG + a % 1000
+        for factor in (1, *copies):
+            rows.append(({0: a * factor, 1: b * factor}, rel, rhs * factor))
+    program = lp(2, {0: objective[0], 1: objective[1]}, rows)
+    utility = ratio(list(objective), 0, list(denominator[:2]), denominator[2])
+    with carried_costs_checked():
+        state = solve_lp(program)
+        result = solve_lfp(2, program.rows, utility)
+    vertices = _feasible_vertices(rows)
+    if not vertices:
+        assert state.status is result.status is Status.INFEASIBLE
+        return
+    assert state.status is result.status is Status.OPTIMAL
+    assert_fits(2, program.rows, state.full_point())
+    assert_fits(2, program.rows, result.state.full_point())
+    x, y = state.structural_point(2)
+    assert objective[0] * x + objective[1] * y == _vertex_oracle_max(rows, objective)
+    assert result.value == max(utility.numerator.at(v) / utility.denominator.at(v) for v in vertices)
+
+
 class TestReducedRow:
     def test_demo_vertex_reduced_rows(self, demo):
         # Maximize x0 + x1: the optimum sits at (32/7, 8/7) with both
@@ -315,8 +367,9 @@ class TestContinuation:
         basis, matrix, point = state.basis, [list(r) for r in state.rows], state.full_point()
 
         tab = Tableau.of_state(state)
-        row_idx = next(i for i, row in enumerate(tab.rows) if row[2])
-        tab.pivot(row_idx, 2)
+        col = tab.cols.index(2)
+        row_idx = next(i for i, row in enumerate(tab.rows) if row[col])
+        tab.pivot(row_idx, col)
 
         assert 2 in tab.basis
         assert state.basis == basis
@@ -394,9 +447,9 @@ def test_infeasible_after_matches_a_phase_one_from_scratch(
     built = []
     phase_one, pivot = simplex._phase_one, Tableau.pivot
 
-    def recording_phase_one(matrix, basis, det, ncols):
+    def recording_phase_one(matrix, basis, det, ncols, cols):
         built.append([list(row) for row in matrix[len(parent_rows):]])
-        return phase_one(matrix, basis, det, ncols)
+        return phase_one(matrix, basis, det, ncols, cols)
 
     def exact_pivot(tab, row_idx, col):
         # Every division the pivot makes must be exact, which holds only
@@ -498,7 +551,7 @@ class TestInfeasibleAfter:
         # for a real column.
         state = solve_lp(LinearProgram.of(2, {0: 1, 1: 1}, self.ROWS))
         tab = feasible_after(state, [LinearRow.of({0: 1, 1: -4}, EQUAL, 0)])
-        assert tab.ncols == 4 and all(var < 4 for var in tab.basis)
+        assert tab.ncols == 4 and all(var < 4 for var in (*tab.basis, *tab.cols))
         assert tab.state(Status.OPTIMAL).full_point() == state.full_point()
         assert feasible_after(state, [LinearRow.of({0: 1}, EQUAL, 5)]) is None
 
@@ -572,3 +625,107 @@ def test_a_row_over_an_appended_slack_means_the_same_in_one_call_or_two(
             value = sum(c * v for c, v in zip(objective, warm.full_point()))
             assert value == sum(c * v for c, v in zip(objective, cold.full_point()))
             assert_fits(3, program.rows, warm.full_point())
+
+
+def _standard_form(num_vars, rows):
+    """[A | b] as Fractions over every variable: each inequality row gets
+    its own slack column in row order, +1 for <= and -1 for >=, the slack
+    of the row as written."""
+    total = num_vars + sum(1 for row in rows if row.relation != EQUAL)
+    slack = num_vars
+    standard = []
+    for row in rows:
+        dense = [Fraction(0)] * total
+        for j, c in row.coeffs:
+            dense[j] = c
+        if row.relation != EQUAL:
+            dense[slack] = 1 if row.relation == LESS_EQ else -1
+            slack += 1
+        standard.append(dense + [row.rhs])
+    return standard
+
+
+def _scaled_inverse_system(state, standard):
+    """det * B^-1 [A | b], B the columns of the state's basis in basis
+    order, by Fraction Gauss-Jordan elimination."""
+    m = len(standard)
+    aug = [[row[var] for var in state.basis] + row for row in standard]
+    for k in range(m):
+        p = next(i for i in range(k, m) if aug[i][k])
+        aug[k], aug[p] = aug[p], aug[k]
+        aug[k] = [v / aug[k][k] for v in aug[k]]
+        for i in range(m):
+            if i != k and aug[i][k]:
+                factor = aug[i][k]
+                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[k])]
+    return [[state.det * v for v in row[m:]] for row in aug]
+
+
+def _expanded(state):
+    """The state's dictionary at full width: basic column basis[i] is det
+    times the unit column e_i, and column cols[k] holds each row's entry k."""
+    full = []
+    for var, row in zip(state.basis, state.rows):
+        dense = [0] * state.num_vars
+        dense[var] = state.det
+        for col, v in zip(state.cols, row):
+            dense[col] = v
+        full.append(dense + row[-1:])
+    return full
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    extra_rows=_parent_rows,
+    objective=_objective3,
+    box=st.none() | st.integers(1, 9),
+    doubled_box=st.booleans(),
+    data=st.data(),
+)
+def test_the_dictionary_is_the_scaled_inverse_basis_system(
+    extra_rows, objective, box, doubled_box, data
+):
+    """A solved state, from scratch or from its parent's tableau, expanded
+    to full width equals det * B^-1 [A | b] over the standardized rows,
+    computed apart from the pivots; its columns and basis split the
+    variables between them."""
+    rows = _parent_system(extra_rows, box, doubled_box)
+    state = solve_lp(LinearProgram.of(3, objective, rows))
+    assume(state.status is Status.OPTIMAL)
+    new_rows = _child_rows(data, state)
+    child = LinearProgram.of(3, objective, rows + new_rows)
+    tab = feasible_after(state, new_rows)
+    solved = [(state, rows), (solve_lp(child), child.rows)]
+    if tab is not None:
+        solved.append((simplex.optimize(tab, objective), child.rows))
+    for final, system in solved:
+        if final.status is Status.INFEASIBLE:
+            continue
+        assert sorted(final.basis + final.cols) == list(range(final.num_vars))
+        assert final.nonbasis == tuple(sorted(final.cols))
+        assert _expanded(final) == _scaled_inverse_system(final, _standard_form(3, system))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    extra_rows=_parent_rows,
+    objective=_objective3,
+    box=st.integers(1, 9),
+    doubled_box=st.booleans(),
+    data=st.data(),
+)
+def test_an_all_inequality_dictionary_keeps_n_columns_at_any_depth(
+    extra_rows, objective, box, doubled_box, data
+):
+    """Each child appends rows and slacks, but over 3 structural variables
+    the dictionary keeps 3 columns, in phase one's result and at the
+    optimum, while only its row count grows."""
+    state = solve_lp(LinearProgram.of(3, objective, _parent_system(extra_rows, box, doubled_box)))
+    assume(state.status is Status.OPTIMAL)
+    for _ in range(4):
+        assert len(state.cols) == 3 and len(state.rows) == state.num_vars - 3
+        tab = feasible_after(state, _child_rows(data, state))
+        if tab is None:
+            break
+        assert len(tab.cols) == 3
+        state = simplex.optimize(tab, objective)
