@@ -9,8 +9,10 @@ solve_lfp's status, basis, value and point on each, solved from scratch.
 MEMBERSHIP_PINS digest every membership verdict and witness. Neither depends
 on the search, so any change of engine that moves a single Bland decision
 fails here, and a change of the search alone does not. The membership
-digests were computed with the Fraction-tableau engine that preceded the
-integer-preserving one. The programs are the walk's as it stood when they
+digests of seeds 0-1 were computed with the Fraction-tableau engine that
+preceded the integer-preserving one, those of seeds 2-9 with the
+dictionary-form integer tableau that re-solved each branch-and-bound child
+by two-phase primal simplex. The programs are the walk's as it stood when they
 were recorded; they stay fixed when the search changes.
 
 Search pins. SEARCH_PINS digest the whole walk of branch_cut.run on the same
@@ -107,6 +109,14 @@ ENGINE_PINS = {
 MEMBERSHIP_PINS = {
     0: "a2afa46a57e5178b69c19fbc63217d269b21347a43ad1622c54b8ce52572dca5",
     1: "b5db3a42f092106bed82f6b7b2dec68d48d3eff7a8fc78221aaf5779099d8d54",
+    2: "c7b62665d10d3cbc08b59211461aa8b21d176537f502e6ef413403a731fdff52",
+    3: "6e55daa741de578aac626deba636863fee964667c7150765fd640954caa9bd1f",
+    4: "768a8344e9243267eecb1f815fb7c1ef850b037850701bef04adff846c8bc5d6",
+    5: "fa16f389dc29138af9b6ad658514174bf002f8a844f8d614f8884e6a6483897e",
+    6: "a3e9b356d9b4be1d0c00406318a0d6ccb8524411d60b78a349e80a2af47c2674",
+    7: "3d33caa51c32f0889576fba4199349e00ef8551828ee4eb47ac34a7cc1766f1f",
+    8: "1eefbbe8b2081d73779ff90b7e55e5b1635d8aeca36ac41535de92076aab2307",
+    9: "8416061284fc87296e862ab5dde9b24dfeb925c9afde473413f2e97b1f5b8fda",
 }
 
 # seed: (nodes_processed, SHA-256 of the trace tuples)
