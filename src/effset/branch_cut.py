@@ -10,7 +10,8 @@ The test first looks for an integer point the search has already met (an
 earlier optimum or a membership witness) that strictly dominates x* in
 criteria or in utility space; such a point is a feasible dominating
 witness, so x* is rejected without a MILP. Only the optima no met point
-dominates go to the two membership MILPs.
+dominates go to the membership MILPs: the criteria MILP, then the utility
+MILP only when the criteria MILP finds no dominating point.
 The rounds are:
 
     H  = {j nonbasic : some criterion gradient lambda_j > 0}
@@ -265,7 +266,7 @@ def run(
                 )
             else:
                 report.candidates[MILP] += 1
-                verdict = is_in_solution_set(inst, integer_point)
+                verdict = is_in_solution_set(inst, integer_point, decide=True)
                 if verdict.in_solution_set:
                     report.solutions.append(candidate)
                     log.debug("node %d: %s joins the solution set", node.id, integer_point)

@@ -30,8 +30,11 @@ from .simplex import GREATER_EQ, ZERO, LinearProgram, LinearRow, constraint_rows
 
 @dataclass(frozen=True)
 class EfficiencyVerdict:
+    """boilfp_efficient is None when the utility test was skipped (see
+    is_in_solution_set's `decide`)."""
+
     moilfp_efficient: bool
-    boilfp_efficient: bool
+    boilfp_efficient: bool | None
     witness: Point | None
 
     @property
@@ -40,8 +43,13 @@ class EfficiencyVerdict:
 
 
 def _membership_program(
-    inst: ProblemInstance, point: Sequence[int], objectives: Sequence[FractionalObjective]
+    inst: ProblemInstance,
+    point: Sequence[int],
+    objectives: Sequence[FractionalObjective],
+    constraints: Sequence[LinearRow],
 ) -> MilpProblem:
+    """The program for `objectives` at a checked point, over the instance's
+    `constraints` (see constraint_rows)."""
     n = inst.variable_count
     rows = []
     for obj in objectives:
@@ -53,28 +61,39 @@ def _membership_program(
                 coeffs[j] = c
         rhs = level * obj.denominator.constant - obj.numerator.constant
         rows.append(LinearRow.of(coeffs, GREATER_EQ, rhs))
-    rows.extend(constraint_rows(inst.a_matrix, inst.b_vector))
+    rows.extend(constraints)
     program = LinearProgram.of(n, {n + i: 1 for i in range(len(objectives))}, rows)
     return MilpProblem(program, (True,) * n)
 
 
-def build_mm(inst: ProblemInstance, point: Sequence[int]) -> MilpProblem:
-    """Dominance search over the ranking criteria at an integer point."""
+def _checked(inst: ProblemInstance, point: Sequence[int]) -> tuple[LinearRow, ...]:
+    """The instance's constraint rows, once the point is checked to be an
+    integer feasible point."""
     if not (is_feasible(inst, point) and all(int(v) == v for v in point)):
         raise InfeasiblePoint(f"{tuple(point)} is not an integer feasible point")
-    return _membership_program(inst, point, inst.criteria)
+    return constraint_rows(inst.a_matrix, inst.b_vector)
+
+
+def build_mm(inst: ProblemInstance, point: Sequence[int]) -> MilpProblem:
+    """Dominance search over the ranking criteria at an integer point."""
+    return _membership_program(inst, point, inst.criteria, _checked(inst, point))
 
 
 def build_t2(inst: ProblemInstance, point: Sequence[int]) -> MilpProblem:
     """Dominance search over the two utility ratios at an integer point."""
-    if not (is_feasible(inst, point) and all(int(v) == v for v in point)):
-        raise InfeasiblePoint(f"{tuple(point)} is not an integer feasible point")
-    return _membership_program(inst, point, inst.utilities)
+    return _membership_program(inst, point, inst.utilities, _checked(inst, point))
 
 
 def _run(problem: MilpProblem, point: Sequence[int]) -> MilpResult:
     seed = tuple(Fraction(int(v)) for v in point)
     return solve_milp(problem, cutoff=ZERO, incumbent=(seed, ZERO))
+
+
+def _efficient(result: MilpResult) -> bool:
+    """Whether nothing beat the seed's value 0."""
+    if result.value < 0:
+        raise InvariantViolated(f"membership value {result.value} below the seed's 0")
+    return result.value == 0
 
 
 def _witness(result: MilpResult) -> Point:
@@ -84,18 +103,24 @@ def _witness(result: MilpResult) -> Point:
     return tuple(int(v) for v in xs)
 
 
-def is_in_solution_set(inst: ProblemInstance, point: Sequence[int]) -> EfficiencyVerdict:
+def is_in_solution_set(
+    inst: ProblemInstance, point: Sequence[int], *, decide: bool = False
+) -> EfficiencyVerdict:
     """Run both membership tests. The candidate x* itself seeds the search
     at value zero, so the solver only has to decide whether anything beats
-    zero; the first dominating point found (if any) is the witness."""
-    mm_result = _run(build_mm(inst, point), point)
-    t2_result = _run(build_t2(inst, point), point)
-    if mm_result.value < 0 or t2_result.value < 0:
-        raise InvariantViolated(
-            f"membership values {mm_result.value}, {t2_result.value} below the seed's 0"
-        )
-    mo = mm_result.value == 0
-    bo = t2_result.value == 0
+    zero; the first dominating point found (if any) is the witness.
+
+    decide: the search's entry point, which needs only in_solution_set and
+    the witness. When the criteria test rejects, the utility test is
+    skipped and boilfp_efficient is None. The point is checked and the
+    instance's constraint rows are built once for both tests."""
+    constraints = _checked(inst, point)
+    mm_result = _run(_membership_program(inst, point, inst.criteria, constraints), point)
+    mo = _efficient(mm_result)
+    if decide and not mo:
+        return EfficiencyVerdict(False, None, _witness(mm_result))
+    t2_result = _run(_membership_program(inst, point, inst.utilities, constraints), point)
+    bo = _efficient(t2_result)
     witness = None
     if not mo:
         witness = _witness(mm_result)

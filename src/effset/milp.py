@@ -7,12 +7,15 @@ dropped once one optimum is known. Deterministic by construction.
 
 Only the root relaxation is solved from scratch (`simplex.solve_lp`). A
 child is its parent's system plus one branch row, x_j <= floor or
-x_j >= floor + 1, and is solved from its parent's final `SimplexState`:
-`simplex.feasible_after` appends the row and runs phase one from the
-parent's basis, and `simplex.optimize` runs phase two on the tableau it
-returns. A stack entry is (parent state, branch row), so no child's
-program is built. An appended slack belongs to its row as written, as in
-a from-scratch solve, so a child's system is its extended program's.
+x_j >= floor + 1, and is solved from its parent's final `SimplexState` by
+`simplex.resolve_after`. The branch row cuts off the parent's vertex: its
+slack starts basic at a negative value, the extended basis stays dual
+feasible for the objective, and dual simplex pivots (no phase one) reach
+the child's optimum or prove it infeasible. The objective's integer cost
+row is built once per `solve_milp` and passed to every child. A stack
+entry is (parent state, branch row), so no child's program is built. An
+appended slack belongs to its row as written, as in a from-scratch solve,
+so a child's system is its extended program's.
 
 A node is read in integers: its value times det and the objective's
 scale is a sum over its basic rows, and a basic variable is fractional
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InvariantViolated, NodeLimitExceeded, UnboundedRelaxation
+from .errors import NodeLimitExceeded, UnboundedRelaxation
 from .model import AffineForm
 from .simplex import (
     GREATER_EQ,
@@ -37,9 +40,8 @@ from .simplex import (
     LinearRow,
     SimplexState,
     Status,
-    feasible_after,
     integer_form,
-    optimize,
+    resolve_after,
     solve_lp,
 )
 
@@ -67,23 +69,17 @@ class MilpResult:
 
 
 def _relaxation(
-    program: LinearProgram, parent: SimplexState | None, row: LinearRow | None
+    program: LinearProgram, parent: SimplexState | None, row: LinearRow | None, cost: list[int]
 ) -> SimplexState | None:
     """A node's optimal LP state, or None when its LP is infeasible: the
     root (no parent) from scratch, a child from its parent's final state
-    plus its branch row."""
+    plus its branch row, with `cost` the integer objective."""
     if parent is None:
         state = solve_lp(program)
         if state.status is Status.UNBOUNDED:
             raise UnboundedRelaxation("root relaxation has no finite optimum")
         return state if state.status is Status.OPTIMAL else None
-    tab = feasible_after(parent, (row,))
-    if tab is None:
-        return None
-    state = optimize(tab, program.objective)
-    if state.status is Status.UNBOUNDED:
-        raise InvariantViolated("bounded root produced an unbounded child")
-    return state
+    return resolve_after(parent, (row,), cost)
 
 
 def solve_milp(
@@ -120,7 +116,7 @@ def solve_milp(
         nodes += 1
         if node_limit is not None and nodes > node_limit:
             raise NodeLimitExceeded(f"node limit {node_limit} exceeded")
-        state = _relaxation(base, parent, row)
+        state = _relaxation(base, parent, row, cost)
         if state is None:
             continue
 
@@ -144,8 +140,9 @@ def solve_milp(
             continue
 
         lo = rhs[branch_var] // det
-        stack.append((state, LinearRow.of({branch_var: 1}, GREATER_EQ, lo + 1)))
-        stack.append((state, LinearRow.of({branch_var: 1}, LESS_EQ, lo)))
+        unit = ((branch_var, Fraction(1)),)
+        stack.append((state, LinearRow(unit, GREATER_EQ, Fraction(lo + 1))))
+        stack.append((state, LinearRow(unit, LESS_EQ, Fraction(lo))))
 
     if best_point is None:
         return MilpResult(Status.INFEASIBLE, None, None)

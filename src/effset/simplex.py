@@ -1,4 +1,5 @@
-"""Exact two-phase primal simplex on an integer-preserving tableau.
+"""Exact two-phase primal simplex and dual re-solves on an integer-preserving
+tableau.
 
 Rows may mix <=, >= and == relations. Standardization appends one slack or
 surplus variable per inequality row, in row order, so a row's added variable
@@ -34,37 +35,52 @@ column would be det times a unit column while basic, and once it leaves
 the basis phase one never prices it again, so the pivot that takes it out
 deletes the column it would take.
 
-One builder makes every tableau: `feasible_after` appends rows to a solved
-state, and a solve from scratch appends every row to the empty state,
-whose columns are the structural variables. It writes a new row a (scaled
-to integers by the lcm s of its denominators) over the dictionary columns
-as det*a - sum_i a[basis_i]*row_i, multiplies the earlier rows and det by
-s, and gives the row a slack or artificial variable with entry det. The
-extended basis matrix is block triangular over the old basis and the new
-variable's entry s, so det keeps its relation to the basis determinant
-and every later division stays exact. From scratch, det ends as the
-product of the row scales, the determinant of the starting unit basis,
-and each row is the row as written times det. Each slack belongs to its
-row as written, on every path. A slack starts basic when its row needs
-no artificial; otherwise it is a column. A row may reference the slack
-of an earlier row of the same call; that slack is then a column from the
-start instead of being eliminated. Solves from scratch
-(`feasible_tableau`, for `solve_lp` and a search root) build this way, and
-so do children from their parent's state: the search's
+One builder writes every appended row (`_written`): a new row a (scaled
+to integers by the lcm s of its denominators) is written over the
+dictionary columns as det*a - sum_i a[basis_i]*row_i, the earlier rows and
+det are multiplied by s, and the row's slack or artificial variable has
+entry det. The extended basis matrix is block triangular over the old
+basis and the new variable's entry s, so det keeps its relation to the
+basis determinant and every later division stays exact. Each slack belongs
+to its row as written, on every path.
+
+Two solvers append rows to a solved state. `feasible_after` runs phase one
+on the result: a solve from scratch appends every row to the empty state,
+whose columns are the structural variables (det ends as the product of the
+row scales, and each row is the row as written times det). A slack starts
+basic when its row needs no artificial; otherwise it is a column. A row
+may reference the slack of an earlier row of the same call; that slack is
+then a column from the start instead of being eliminated. Solves from
+scratch (`feasible_tableau`, for `solve_lp` and a search root) build this
+way, and so do the search's children from their parent's state
 (`fractional.solve_lfp` with a parent, which runs its ratio phase on the
-returned tableau) and branch-and-bound's (`milp.solve_milp`, which runs
-`optimize`, the phase two that `solve_lp` also ends with).
+returned tableau).
+
+`resolve_after` re-solves a branch-and-bound child (`milp.solve_milp`)
+from its parent's optimal basis by dual simplex (Lemke 1954). Each
+appended inequality row keeps its slack basic, even at a negative
+right-hand side, so the extended basis is still dual feasible: no
+artificial, no phase one. Dual pivots then restore primal feasibility
+while every reduced cost stays <= 0. Against cycling it uses Bland's rule
+for the dual (Bland 1977): of the rows with a negative right-hand side,
+the one whose basic variable is smallest leaves; of that row's negative
+entries a, the column with the smallest |reduced cost| / |a| enters, ties
+to the smallest variable. A leaving row with no negative entry proves the
+child infeasible. The objective value never rises across a dual pivot.
 
 A tableau carries the reduced rows of the costs it prices (`Tableau.costs`,
 seeded by one `reduced` call per cost). A reduced row det * (c - c_B B^-1 A),
 kept over the dictionary columns,
 changes under a pivot as a constraint row does, so `pivot` updates it with
 the same exact formula, and it equals a fresh `reduced(c)` entry for entry
-after every pivot.
+after every pivot. The dual loop's cost row also ends in -det * c_B B^-1 b,
+an entry the same update carries like a right-hand side, so the objective
+value is read off it.
 
-Bland's rule everywhere (of the eligible columns, the one naming the
-smallest variable enters; ratio ties go to the smallest basic variable),
-so solves are deterministic and never cycle. Every
+Bland's rule in every primal loop (of the eligible columns, the one
+naming the smallest variable enters; ratio ties go to the smallest basic
+variable) and its dual form in the dual loop, so solves are deterministic
+and never cycle. Every
 test compares the sign of an integer multiple (by a positive factor) of
 the rational quantity it stands for, so the walk is the one the rational
 tableau takes.
@@ -403,18 +419,59 @@ def feasible_tableau(program: LinearProgram) -> Tableau | None:
     return feasible_after(empty, program.rows)
 
 
+def _written(
+    tab: Tableau, row: LinearRow, column: dict[int, int], stated: int, basic: dict[int, int], slack: int
+) -> list[int]:
+    """`row` over tab's dictionary columns, right-hand side last, as the row
+    of its slack (a >= row is negated). Scaled to integers as a by the lcm
+    s of its denominators, it is det*a - sum_i a[basis_i]*row_i, each
+    a[basis_i] read off det*a by an exact division, for the basic variables
+    `basic` maps to their rows. Then tab's rows and det are multiplied by s,
+    and the returned row is over the new det.
+
+    `column` maps each nonbasic variable to its column: the first `stated`
+    are the state's, the rest slack columns of this call, in which every
+    eliminated row is zero. Variables from `slack` on do not exist yet.
+    """
+    scale = _row_scale(row)
+    scaled = tab.det * scale
+    # scaled * row over the state's columns and the right-hand side (head)
+    # and over this call's slack columns (tail).
+    head = [0] * stated
+    head.append(row.rhs.numerator * (scaled // row.rhs.denominator))
+    tail = [0] * (len(column) - stated)
+    eliminate = []
+    for j, coeff in row.coeffs:
+        if j >= slack:
+            raise ValueError(f"a row references variable x{j}, which does not exist yet")
+        v = coeff.numerator * (scaled // coeff.denominator)
+        k = column.get(j)
+        if k is None:
+            eliminate.append((v // tab.det, tab.rows[basic[j]]))
+        elif k < stated:
+            head[k] = v
+        else:
+            tail[k - stated] = v
+    for factor, basic_row in eliminate:
+        head = [x - factor * y for x, y in zip(head, basic_row)]
+    new = head[:-1] + tail + head[-1:] if tail else head
+    if scale != 1:
+        tab.rows = [[scale * v for v in r] for r in tab.rows]
+        tab.det *= scale
+    if row.relation == GREATER_EQ:
+        new = [-v for v in new]
+    return new
+
+
 def feasible_after(state: SimplexState, rows: Sequence[LinearRow]) -> Tableau | None:
     """Phase one for the system `state` was solved on plus `rows`, from the
     state's optimal basis: a primal-feasible tableau, or None when the
     extended system is infeasible. The state is left unchanged.
 
-    Each row, scaled to integers as a by the lcm s of its denominators, is
-    written over the dictionary columns as det*a - sum_i a[basis_i]*row_i,
-    each a[basis_i] read off det*a by an exact division. Then every earlier
-    row and det are multiplied by s. An inequality row takes the next slack
-    variable from state.num_vars on: a >= row is negated first, and the
-    slack's entry is det, so it is the slack of the row as written. A row
-    whose right-hand side is then negative is negated (again).
+    Each row is written over the dictionary columns by `_written`. An
+    inequality row takes the next slack variable from state.num_vars on,
+    with entry det, so it is the slack of the row as written. A row whose
+    right-hand side is then negative is negated (again).
 
     A row may reference the state's variables and the slacks of earlier
     rows in `rows`. A basic state variable is eliminated; a referenced
@@ -423,13 +480,12 @@ def feasible_after(state: SimplexState, rows: Sequence[LinearRow]) -> Tableau | 
     negated for its right-hand side; every other row, equality rows
     included, gets an artificial in phase one.
 
-    Callers: `feasible_tableau` on the empty state, `fractional.solve_lfp`
-    for a search child (its cut and branch rows) and `milp.solve_milp` for
-    a branch-and-bound child (one branch row), each on its parent's final
-    state.
+    Callers: `feasible_tableau` on the empty state and
+    `fractional.solve_lfp` for a search child (its cut and branch rows) on
+    its parent's final state.
     """
     tab = Tableau.of_state(state)
-    det, width, cols, matrix, basis = tab.det, tab.ncols, tab.cols, tab.rows, tab.basis
+    width, cols = tab.ncols, tab.cols
     ncols = width + sum(1 for r in rows if r.relation != EQUAL)
     # Coefficients are sorted by variable, so only a row whose last one is
     # at or past `width` references a slack of this call.
@@ -445,50 +501,105 @@ def feasible_after(state: SimplexState, rows: Sequence[LinearRow]) -> Tableau | 
     basic = {var: i for i, var in enumerate(state.basis)}
     slack = width
     for row in rows:
-        scale = _row_scale(row)
-        scaled = det * scale
-        # scaled * row over the state's columns and the right-hand side
-        # (head) and over this call's slack columns (tail); a basic
-        # variable's coefficient is eliminated with its row.
-        head = [0] * stated
-        head.append(row.rhs.numerator * (scaled // row.rhs.denominator))
-        tail = [0] * (len(cols) - stated)
-        eliminate = []
-        for j, coeff in row.coeffs:
-            if j >= slack:
-                raise ValueError(f"a row references variable x{j}, which does not exist yet")
-            v = coeff.numerator * (scaled // coeff.denominator)
-            k = column.get(j)
-            if k is None:
-                eliminate.append((v // det, matrix[basic[j]]))
-            elif k < stated:
-                head[k] = v
-            else:
-                tail[k - stated] = v
-        for factor, basic_row in eliminate:
-            head = [x - factor * y for x, y in zip(head, basic_row)]
-        new = head[:-1] + tail + head[-1:] if tail else head
-        if scale != 1:
-            matrix = [[scale * v for v in r] for r in matrix]
-            det *= scale
+        new = _written(tab, row, column, stated, basic, slack)
         var = -1
         if row.relation != EQUAL:
             var, slack = slack, slack + 1
-            if row.relation == GREATER_EQ:
-                new = [-v for v in new]
             if new[-1] < 0 or var in referenced:
                 column[var] = len(cols)
                 cols.append(var)
-                new.insert(-1, det)
+                new.insert(-1, tab.det)
                 var = -1
         if new[-1] < 0:
             new = [-v for v in new]
-        matrix.append(new)
-        basis.append(var)
+        tab.rows.append(new)
+        tab.basis.append(var)
     # A row has no entry in the slack columns added after it: there it is 0.
     width = len(cols) + 1
-    matrix = [r if len(r) == width else r[:-1] + [0] * (width - len(r)) + r[-1:] for r in matrix]
-    return _phase_one(matrix, basis, det, ncols, cols)
+    matrix = [r if len(r) == width else r[:-1] + [0] * (width - len(r)) + r[-1:] for r in tab.rows]
+    return _phase_one(matrix, tab.basis, tab.det, ncols, cols)
+
+
+def resolve_after(
+    parent: SimplexState, rows: Sequence[LinearRow], cost: Sequence[int]
+) -> SimplexState | None:
+    """Maximize `cost` . x over the system `parent` was solved on plus the
+    inequality `rows`, by dual simplex from the parent's basis: the optimal
+    state, or None when the extended system is infeasible. `cost` is
+    integer (see integer_form), over the parent's columns at least, and the
+    parent must be optimal for it. The parent is left unchanged.
+
+    Each row is written over the dictionary columns by `_written` and its
+    slack, the next variable from parent.num_vars on, is basic in it, even
+    at a negative right-hand side: the basis stays dual feasible, so there
+    is no artificial and no phase one. A row may reference the parent's
+    variables and the slacks of earlier rows in `rows`; basic ones are
+    eliminated. The reduced row of `cost`, with -det times the objective
+    value appended, is carried through the pivots of `_dual_bland`.
+
+    Caller: `milp.solve_milp` for every branch-and-bound child (one branch
+    row) on its parent's final state.
+    """
+    tab = Tableau.of_state(parent)
+    cols = tab.cols
+    column = {var: k for k, var in enumerate(cols)}
+    basic = {var: i for i, var in enumerate(tab.basis)}
+    slack = tab.ncols
+    for row in rows:
+        if row.relation == EQUAL:
+            raise ValueError("a dual re-solve appends inequality rows only")
+        new = _written(tab, row, column, len(cols), basic, slack)
+        basic[slack] = len(tab.rows)
+        tab.rows.append(new)
+        tab.basis.append(slack)
+        slack += 1
+    tab.ncols = slack
+    cost = [*cost, *[0] * (slack - len(cost))]
+    red = tab.reduced(cost)
+    if any(v > 0 for v in red):
+        raise NotOptimal("the parent's basis is not optimal for the cost")
+    red.append(-tab.value_of(cost))
+    tab.costs = [red]
+    return tab.state(Status.OPTIMAL) if _dual_bland(tab) else None
+
+
+def _dual_bland(tab: Tableau) -> bool:
+    """Dual simplex from a dual-feasible tableau whose one carried cost row
+    ends in -det times the objective value: True at a primal-feasible
+    basis, which is then optimal, and False when the rows are infeasible.
+
+    Bland's rule for the dual (Bland 1977): of the rows with a negative
+    right-hand side, the one whose basic variable is smallest leaves; of its
+    negative entries a, the one with the smallest |red| / |a| enters, ties
+    to the smallest variable, which keeps every reduced cost <= 0. det
+    cancels from the ratio, and ratios compare by cross-multiplying. A row
+    with no negative entry proves the system infeasible. A value that rises
+    across a pivot is a defect (InvariantViolated).
+    """
+    while True:
+        rows, cols, red = tab.rows, tab.cols, tab.costs[0]
+        leaving = min(
+            ((var, i) for i, (var, row) in enumerate(zip(tab.basis, rows)) if row[-1] < 0),
+            default=None,
+        )
+        if leaving is None:
+            return True
+        leave = leaving[1]
+        prow = rows[leave]
+        enter = -1
+        best_red = best_a = 0
+        for k, var in enumerate(cols):
+            a = prow[k]
+            if a < 0:
+                left, right = red[k] * best_a, best_red * a
+                if enter < 0 or left < right or (left == right and var < cols[enter]):
+                    enter, best_red, best_a = k, red[k], a
+        if enter < 0:
+            return False
+        value, det = red[-1], tab.det
+        tab.pivot(leave, enter)
+        if tab.costs[0][-1] * det < value * tab.det:
+            raise InvariantViolated("the objective value rose across a dual pivot")
 
 
 def optimize(tab: Tableau, objective: Sequence[Fraction]) -> SimplexState:

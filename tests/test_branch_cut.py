@@ -254,9 +254,9 @@ class TestArchive:
     def test_rejections_are_exact_and_routing_is_counted(self, monkeypatch):
         tested = []
 
-        def counting(inst, point):
+        def counting(inst, point, **options):
             tested.append(point)
-            return is_in_solution_set(inst, point)
+            return is_in_solution_set(inst, point, **options)
 
         monkeypatch.setattr(branch_cut, "is_in_solution_set", counting)
         rejected_total = 0

@@ -14,6 +14,7 @@ from conftest import (
     DEMO_FEASIBLE,
     DEMO_SOLUTION_SET,
     DEMO_UTILITY_EFFICIENT,
+    count_calls,
 )
 
 
@@ -95,3 +96,29 @@ def test_membership_agrees_with_exhaustive_pareto(seed):
         assert verdict.moilfp_efficient == (p in x_e), (seed, p)
         assert verdict.boilfp_efficient == (p in x_ep), (seed, p)
         assert verdict.in_solution_set == (p in both), (seed, p)
+
+
+def test_the_search_entry_point_decides_as_both_tests_do(monkeypatch):
+    """is_in_solution_set(..., decide=True), the search's entry point, gives
+    the same solution-set verdict and witness as both tests on every
+    feasible point, and runs the utility MILP only when the criteria MILP
+    finds no dominating point."""
+    skipped = 0
+    for seed in range(5):
+        inst = generate(GeneratorConfig(num_vars=5, num_constraints=10, num_criteria=3, seed=seed))
+        for p in enumerate_feasible(inst):
+            full = is_in_solution_set(inst, p)
+            milps = count_calls(monkeypatch, solve_milp)
+            decided = is_in_solution_set(inst, p, decide=True)
+            monkeypatch.undo()
+            assert decided.in_solution_set == full.in_solution_set, (seed, p)
+            assert decided.witness == full.witness, (seed, p)
+            assert decided.moilfp_efficient == full.moilfp_efficient, (seed, p)
+            if full.moilfp_efficient:
+                assert decided.boilfp_efficient == full.boilfp_efficient, (seed, p)
+                assert milps["efficiency"] == 2
+            else:
+                assert decided.boilfp_efficient is None
+                assert milps["efficiency"] == 1
+                skipped += 1
+    assert skipped > 0

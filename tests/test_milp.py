@@ -217,11 +217,11 @@ def test_membership_shaped_programs_match_lattice_enumeration(levels, rows, obje
 
 def test_only_the_root_is_solved_from_scratch(monkeypatch):
     """Each MILP solves its root LP from scratch and every other node from
-    its parent's final state."""
+    its parent's final state, by a dual re-solve."""
     inst = generate(GeneratorConfig(num_vars=5, num_constraints=10, num_criteria=3, seed=0))
     problems = [build_mm(inst, point) for point in enumerate_feasible(inst)]
     from_scratch = count_calls(monkeypatch, simplex.solve_lp)
-    from_parent = count_calls(monkeypatch, simplex.feasible_after)
+    from_parent = count_calls(monkeypatch, simplex.resolve_after)
     children = 0
     for problem in problems:
         solve_milp(problem)

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from effset import simplex
-from effset.errors import NotOptimal
+from effset.errors import InvariantViolated, NotOptimal
 from effset.fractional import solve_lfp
 from effset.model import AffineForm, ratio
 from effset.simplex import (
@@ -22,7 +22,9 @@ from effset.simplex import (
     Status,
     Tableau,
     feasible_after,
+    integer_form,
     reduced_row,
+    resolve_after,
     solve_lp,
 )
 
@@ -492,10 +494,10 @@ def test_infeasible_after_matches_a_phase_one_from_scratch(
 def test_optimize_after_feasible_after_matches_solve_lp(
     extra_rows, objective, child_objective, box, doubled_box, data
 ):
-    """Phase two (optimize) on the tableau feasible_after returns, as a
-    MILP child is solved, has the status of solve_lp on the extended
-    program, INFEASIBLE and UNBOUNDED included, and at an optimum its exact
-    value and a point that fits every row. The carried cost row equals a
+    """Phase two (optimize) on the tableau feasible_after returns has the
+    status of solve_lp on the extended program, INFEASIBLE and UNBOUNDED
+    included, and at an optimum its exact value and a point that fits
+    every row. The carried cost row equals a
     fresh reduced row after every pivot. A child objective other than the
     parent's can be unbounded where the parent's was not."""
     rows = _parent_system(extra_rows, box, doubled_box)
@@ -516,6 +518,117 @@ def test_optimize_after_feasible_after_matches_solve_lp(
         value = sum(c * v for c, v in zip(child.objective, warm.structural_point(3)))
         assert value == sum(c * v for c, v in zip(child.objective, cold.structural_point(3)))
         assert_fits(3, child.rows, warm.full_point())
+
+
+_integer_row = st.builds(
+    LinearRow.of,
+    st.tuples(*[st.integers(-3, 3)] * 3),
+    st.sampled_from((LESS_EQ, GREATER_EQ)),
+    st.integers(-4, 12),
+)
+
+
+def _dual_child_rows(data, state):
+    """One or two inequality rows appended to an optimal parent: a child's
+    rows (_child_rows), maybe followed by a general integer row, or one or
+    two general integer <= and >= rows over the structural variables."""
+    if data.draw(st.booleans(), label="general rows only"):
+        return data.draw(st.lists(_integer_row, min_size=1, max_size=2), label="rows")
+    rows = _child_rows(data, state)
+    return rows + data.draw(st.lists(_integer_row, max_size=2 - len(rows)), label="more")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    extra_rows=_parent_rows,
+    objective=_objective3,
+    box=st.integers(1, 9),
+    doubled_box=st.booleans(),
+    data=st.data(),
+)
+def test_resolve_after_matches_solve_lp(extra_rows, objective, box, doubled_box, data):
+    """A dual re-solve from an optimal parent plus appended inequality rows,
+    as a MILP child is solved, has the status of solve_lp on the extended
+    program, INFEASIBLE included, and at an optimum its exact value and a
+    point that fits every row. After every pivot, each division of which is
+    exact, the carried cost row equals a fresh reduced row and stays <= 0,
+    and its last entry is -det times the value. The parent is unchanged."""
+    rows = _parent_system(extra_rows, box, doubled_box)
+    program = LinearProgram.of(3, objective, rows)
+    state = solve_lp(program)
+    assume(state.status is Status.OPTIMAL)
+    new_rows = _dual_child_rows(data, state)
+    child = LinearProgram.of(3, objective, rows + new_rows)
+    cost, _, _ = integer_form(AffineForm(program.objective), 3)
+    kept = (state.basis, [list(r) for r in state.rows], state.det, state.cols)
+    pivot = Tableau.pivot
+
+    def checked_pivot(tab, row_idx, col):
+        piv, det = abs(tab.rows[row_idx][col]), tab.det
+        sign = 1 if tab.rows[row_idx][col] > 0 else -1
+        prow = [sign * v for v in tab.rows[row_idx]]
+        for i, row in enumerate(tab.rows + tab.costs):
+            if i != row_idx:
+                assert all((piv * a - row[col] * b) % det == 0 for a, b in zip(row, prow))
+        pivot(tab, row_idx, col)
+        padded = cost + [0] * (tab.ncols - len(cost))
+        (carried,) = tab.costs
+        assert carried[:-1] == tab.reduced(padded)
+        assert all(v <= 0 for v in carried[:-1])
+        assert carried[-1] == -tab.value_of(padded)
+
+    with mock.patch.object(Tableau, "pivot", checked_pivot):
+        warm = resolve_after(state, new_rows, cost)
+    cold = solve_lp(child)
+    assert kept == (state.basis, [list(r) for r in state.rows], state.det, state.cols)
+    if warm is None:
+        assert cold.status is Status.INFEASIBLE
+        return
+    assert warm.status is cold.status is Status.OPTIMAL
+    value = sum(c * v for c, v in zip(child.objective, warm.structural_point(3)))
+    assert value == sum(c * v for c, v in zip(child.objective, cold.structural_point(3)))
+    assert_fits(3, child.rows, warm.full_point())
+
+
+class TestResolveAfter:
+    """resolve_after: a dual re-solve of a solved system plus rows."""
+
+    ROWS = [LinearRow.of({0: -1, 1: 4}, LESS_EQ, 0), LinearRow.of({0: 2, 1: -1}, LESS_EQ, 8)]
+    COST = [1, 1]
+
+    def solved(self):
+        return solve_lp(LinearProgram.of(2, self.COST, self.ROWS))
+
+    def test_a_branch_row_needs_one_dual_pivot(self):
+        # At (32/7, 8/7) x0 <= 4 is violated; one dual pivot reaches (4, 1),
+        # where x0's slack is basic at 0 and x0 <= 4's slack is nonbasic.
+        state = self.solved()
+        with mock.patch.object(Tableau, "pivot", autospec=True, side_effect=Tableau.pivot) as piv:
+            child = resolve_after(state, [LinearRow.of({0: 1}, LESS_EQ, 4)], self.COST)
+        assert piv.call_count == 1
+        assert child.full_point() == (4, 1, 0, 1, 0)
+        assert resolve_after(state, [LinearRow.of({1: 1}, GREATER_EQ, 2)], self.COST) is None
+
+    def test_needs_inequality_rows_and_an_optimal_parent(self):
+        state = self.solved()
+        with pytest.raises(ValueError):
+            resolve_after(state, [LinearRow.of({0: 1}, EQUAL, 4)], self.COST)
+        with pytest.raises(NotOptimal):
+            resolve_after(state, [LinearRow.of({0: 1}, LESS_EQ, 4)], [-1, 0])
+        infeasible = SimplexState(Status.INFEASIBLE, 2, (), ())
+        with pytest.raises(NotOptimal):
+            resolve_after(infeasible, [LinearRow.of({0: 1}, LESS_EQ, 4)], self.COST)
+
+    def test_a_rising_value_is_an_invariant_violation(self):
+        # A pivot that lands on a point of higher value breaks dual simplex.
+        state, pivot = self.solved(), Tableau.pivot
+
+        def rising(tab, row_idx, col):
+            pivot(tab, row_idx, col)
+            tab.costs[0][-1] -= tab.det
+
+        with mock.patch.object(Tableau, "pivot", rising), pytest.raises(InvariantViolated):
+            resolve_after(state, [LinearRow.of({0: 1}, LESS_EQ, 4)], self.COST)
 
 
 def test_optimize_reports_an_unbounded_child():
