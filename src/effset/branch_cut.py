@@ -62,7 +62,7 @@ from .model import (
     evaluate,
     utility_image,
 )
-from .simplex import GREATER_EQ, LESS_EQ, LinearRow, SimplexState, Status, constraint_rows
+from .simplex import GREATER_EQ, LESS_EQ, LinearRow, SimplexState, Status
 from .validate import validate_instance
 
 log = logging.getLogger(__name__)
@@ -220,7 +220,7 @@ def run(
     n = inst.variable_count
     utility, companion = inst.utilities[objective], inst.utilities[1 - objective]
 
-    root = SearchNode(0, None, constraint_rows(inst.a_matrix, inst.b_vector))
+    root = SearchNode(0, None, inst.rows)
     open_nodes: deque[SearchNode] = deque([root])
     next_id = 1
     report = SearchReport([], [], {ARCHIVE: 0, MILP: 0})
@@ -288,8 +288,8 @@ def run(
         if fractional:
             r = select_branch_variable(point)
             lo = math.floor(point[r])
-            floor_row = LinearRow.of({r: 1}, LESS_EQ, lo)
-            ceil_row = LinearRow.of({r: 1}, GREATER_EQ, lo + 1)
+            floor_row = LinearRow(((r, 1),), LESS_EQ, lo)
+            ceil_row = LinearRow(((r, 1),), GREATER_EQ, lo + 1)
             floor_child = SearchNode(next_id, node.id, (floor_row,), result.state)
             ceil_child = SearchNode(next_id + 1, node.id, (ceil_row,), result.state)
             next_id += 2
@@ -316,9 +316,9 @@ def run(
             )
             continue
 
-        cut_rows = [LinearRow.of({j: 1 for j in h}, GREATER_EQ, 1)]
+        cut_rows = [LinearRow(tuple((j, 1) for j in sorted(h)), GREATER_EQ, 1)]
         if hp != h:
-            cut_rows.append(LinearRow.of({j: 1 for j in hp}, GREATER_EQ, 1))
+            cut_rows.append(LinearRow(tuple((j, 1) for j in sorted(hp)), GREATER_EQ, 1))
         successor = SearchNode(next_id, node.id, tuple(cut_rows), result.state)
         next_id += 1
         report.trace.append(

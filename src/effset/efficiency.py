@@ -15,6 +15,14 @@ is 0 exactly when no feasible y weakly improves every objective with one
 strict improvement, i.e. when x* is efficient. Any feasible solution with
 positive sum exhibits a dominating y, so the search may stop at the first
 one.
+
+Level rows are built in integers from each objective's integer data
+(`AffineForm.scaled`, computed once per form) and the two integer values
+at x*, then divided by their gcd (`_level_row`). That is the row the
+rational construction gives, scaled by the lcm of its denominators, so
+the written tableau is the same. The instance's constraint rows are built
+once per instance (`ProblemInstance.rows`) and shared by every point's
+programs; a point is checked against them in integers.
 """
 from __future__ import annotations
 
@@ -22,10 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InfeasiblePoint, InvariantViolated
+from .errors import InfeasiblePoint, InvariantViolated, ZeroDenominator
 from .milp import MilpProblem, MilpResult, solve_milp
-from .model import FractionalObjective, Point, ProblemInstance, evaluate, is_feasible
-from .simplex import GREATER_EQ, ZERO, LinearProgram, LinearRow, constraint_rows
+from .model import FractionalObjective, Point, ProblemInstance, is_feasible
+from .simplex import GREATER_EQ, ZERO, LinearProgram, LinearRow
 
 
 @dataclass(frozen=True)
@@ -42,50 +50,57 @@ class EfficiencyVerdict:
         return self.moilfp_efficient and self.boilfp_efficient
 
 
+def _level_row(obj: FractionalObjective, point: Point) -> LinearRow:
+    """[c - Z(x*) d] . y >= Z(x*) d0 - c0 for Z = obj at the integer point
+    x*, built in integers. With (C, C0, sn) = obj.numerator.scaled and
+    (D, D0, sd) = obj.denominator.scaled, P = C.x* + C0 and Q = D.x* + D0
+    are sn and sd times the two values, so Z(x*) = P sd / (Q sn), and the
+    row times Q sn (Q > 0, or all of P, Q negated) is
+    (Q C - P D) . y >= P D0 - Q C0. LinearRow.over divides it by its gcd,
+    so its scale is the lcm of the rational row's denominators."""
+    c, c0, sn = obj.numerator.scaled
+    d, d0, _ = obj.denominator.scaled
+    p = c0 + sum(a * v for a, v in zip(c, point))
+    q = d0 + sum(a * v for a, v in zip(d, point))
+    if q == 0:
+        raise ZeroDenominator(f"denominator vanishes at {point}")
+    if q < 0:
+        p, q = -p, -q
+    return LinearRow.over([q * a - p * b for a, b in zip(c, d)], GREATER_EQ, p * d0 - q * c0, q * sn)
+
+
 def _membership_program(
-    inst: ProblemInstance,
-    point: Sequence[int],
-    objectives: Sequence[FractionalObjective],
-    constraints: Sequence[LinearRow],
+    inst: ProblemInstance, point: Point, objectives: Sequence[FractionalObjective]
 ) -> MilpProblem:
-    """The program for `objectives` at a checked point, over the instance's
-    `constraints` (see constraint_rows)."""
+    """The program for `objectives` at a checked point (see _checked): one
+    level row per objective, then the instance's rows."""
     n = inst.variable_count
-    rows = []
-    for obj in objectives:
-        level = evaluate(obj, point)
-        coeffs: dict[int, Fraction] = {}
-        for j in range(n):
-            c = obj.numerator.coeffs[j] - level * obj.denominator.coeffs[j]
-            if c:
-                coeffs[j] = c
-        rhs = level * obj.denominator.constant - obj.numerator.constant
-        rows.append(LinearRow.of(coeffs, GREATER_EQ, rhs))
-    rows.extend(constraints)
+    rows = [_level_row(obj, point) for obj in objectives]
+    rows.extend(inst.rows)
     program = LinearProgram.of(n, {n + i: 1 for i in range(len(objectives))}, rows)
     return MilpProblem(program, (True,) * n)
 
 
-def _checked(inst: ProblemInstance, point: Sequence[int]) -> tuple[LinearRow, ...]:
-    """The instance's constraint rows, once the point is checked to be an
-    integer feasible point."""
+def _checked(inst: ProblemInstance, point: Sequence[int]) -> Point:
+    """The point as ints, once it is checked to be an integer feasible
+    point (is_feasible tests it on the instance's integer rows)."""
     if not (is_feasible(inst, point) and all(int(v) == v for v in point)):
         raise InfeasiblePoint(f"{tuple(point)} is not an integer feasible point")
-    return constraint_rows(inst.a_matrix, inst.b_vector)
+    return tuple(int(v) for v in point)
 
 
 def build_mm(inst: ProblemInstance, point: Sequence[int]) -> MilpProblem:
     """Dominance search over the ranking criteria at an integer point."""
-    return _membership_program(inst, point, inst.criteria, _checked(inst, point))
+    return _membership_program(inst, _checked(inst, point), inst.criteria)
 
 
 def build_t2(inst: ProblemInstance, point: Sequence[int]) -> MilpProblem:
     """Dominance search over the two utility ratios at an integer point."""
-    return _membership_program(inst, point, inst.utilities, _checked(inst, point))
+    return _membership_program(inst, _checked(inst, point), inst.utilities)
 
 
-def _run(problem: MilpProblem, point: Sequence[int]) -> MilpResult:
-    seed = tuple(Fraction(int(v)) for v in point)
+def _run(problem: MilpProblem, point: Point) -> MilpResult:
+    seed = tuple(Fraction(v) for v in point)
     return solve_milp(problem, cutoff=ZERO, incumbent=(seed, ZERO))
 
 
@@ -112,14 +127,14 @@ def is_in_solution_set(
 
     decide: the search's entry point, which needs only in_solution_set and
     the witness. When the criteria test rejects, the utility test is
-    skipped and boilfp_efficient is None. The point is checked and the
-    instance's constraint rows are built once for both tests."""
-    constraints = _checked(inst, point)
-    mm_result = _run(_membership_program(inst, point, inst.criteria, constraints), point)
+    skipped and boilfp_efficient is None. The point is checked once for
+    both tests, which share the instance's rows (built once per instance)."""
+    point = _checked(inst, point)
+    mm_result = _run(_membership_program(inst, point, inst.criteria), point)
     mo = _efficient(mm_result)
     if decide and not mo:
         return EfficiencyVerdict(False, None, _witness(mm_result))
-    t2_result = _run(_membership_program(inst, point, inst.utilities, constraints), point)
+    t2_result = _run(_membership_program(inst, point, inst.utilities), point)
     bo = _efficient(t2_result)
     witness = None
     if not mo:

@@ -163,7 +163,8 @@ def _expand_rows(num_vars: int, rows: Sequence[LinearRow]):
 
     Slacks are affine in x (s = rhs - lhs or lhs - rhs), so substituting
     them out yields an equivalent system over x alone. Returns a list of
-    (dense_coeffs, relation, rhs) triples.
+    (dense_coeffs, relation, rhs) triples in Fractions: each row's integer
+    data divided by its scale.
     """
     added: dict[int, tuple[list[Fraction], Fraction]] = {}
     next_added = num_vars
@@ -171,7 +172,8 @@ def _expand_rows(num_vars: int, rows: Sequence[LinearRow]):
     for row in rows:
         dense = [ZERO] * num_vars
         shift = ZERO
-        for j, coeff in row.coeffs:
+        for j, numerator in row.coeffs:
+            coeff = Fraction(numerator, row.scale)
             if j < num_vars:
                 dense[j] += coeff
             else:
@@ -180,7 +182,7 @@ def _expand_rows(num_vars: int, rows: Sequence[LinearRow]):
                     if e:
                         dense[t] += coeff * e
                 shift += coeff * const
-        rhs = row.rhs - shift
+        rhs = Fraction(row.rhs, row.scale) - shift
         out.append((dense, row.relation, rhs))
         if row.relation != EQUAL:
             if row.relation == LESS_EQ:

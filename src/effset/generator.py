@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import AssumptionViolated, GenerationFailed
-from .model import AffineForm, FractionalObjective, ProblemInstance, instance
-from .simplex import LinearRow, constraint_rows
+from .model import AffineForm, FractionalObjective, LinearRow, ProblemInstance, constraint_rows, instance
 from .validate import check_relaxation, denominator_minimum, integer_witness
 
 
@@ -80,7 +78,7 @@ def generate(cfg: GeneratorConfig) -> ProblemInstance:
             for _ in range(cfg.num_constraints)
         ]
         b = [rng.randint(*cfg.b_range) for _ in range(cfg.num_constraints)]
-        rows = constraint_rows([list(map(Fraction, row)) for row in a], list(map(Fraction, b)))
+        rows = constraint_rows(a, b)
         try:
             criteria = tuple(
                 _draw_objective(rng, cfg, rows) for _ in range(cfg.num_criteria)

@@ -140,9 +140,9 @@ def solve_milp(
             continue
 
         lo = rhs[branch_var] // det
-        unit = ((branch_var, Fraction(1)),)
-        stack.append((state, LinearRow(unit, GREATER_EQ, Fraction(lo + 1))))
-        stack.append((state, LinearRow(unit, LESS_EQ, Fraction(lo))))
+        unit = ((branch_var, 1),)
+        stack.append((state, LinearRow(unit, GREATER_EQ, lo + 1)))
+        stack.append((state, LinearRow(unit, LESS_EQ, lo)))
 
     if best_point is None:
         return MilpResult(Status.INFEASIBLE, None, None)

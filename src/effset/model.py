@@ -1,21 +1,32 @@
 """Exact data model shared by every solver component.
 
-Every numeric quantity is a `fractions.Fraction`. The solvers decide
-branching, cuts and efficiency from the signs of computed quantities, so
-arithmetic has to be exact; floats never appear on any decision path.
+Instance data are `fractions.Fraction`s. A constraint row (`LinearRow`)
+holds integers over one positive scale, and each affine form keeps its
+integer data (`AffineForm.scaled`), so the solvers read integers without
+rescaling a row or a form again. The solvers decide branching, cuts and
+efficiency from the signs of computed quantities, so arithmetic has to be
+exact; floats never appear on any decision path.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, Mapping, Sequence
 
 from .errors import LengthMismatch, ZeroDenominator
 
 Rational = Fraction
 Point = tuple[int, ...]
 ObjectiveVector = tuple[Fraction, ...]
+
+ZERO = Fraction(0)
+
+LESS_EQ = "<="
+GREATER_EQ = ">="
+EQUAL = "=="
+_RELATIONS = (LESS_EQ, GREATER_EQ, EQUAL)
 
 
 def as_fraction(value) -> Fraction:
@@ -53,14 +64,26 @@ class AffineForm:
     def at(self, point: Sequence) -> Fraction:
         return Fraction(*self._at(point))
 
+    @cached_property
+    def scaled(self) -> tuple[tuple[int, ...], int, int]:
+        """(coeffs, constant, scale): scale times the form as integers,
+        scale the lcm of its denominators. Computed once per form."""
+        scale = denominator_lcm((*self.coeffs, self.constant))
+        coeffs = tuple(v.numerator * (scale // v.denominator) for v in self.coeffs)
+        constant = self.constant
+        return coeffs, constant.numerator * (scale // constant.denominator), scale
+
     def _at(self, point: Sequence) -> tuple[int, int]:
-        """The value at point as an unreduced (numerator, denominator > 0)."""
+        """The value at point as an unreduced (numerator, denominator > 0),
+        summed over the form's integer data."""
         if len(point) != len(self.coeffs):
             raise LengthMismatch(
                 f"form over {len(self.coeffs)} variables evaluated at "
                 f"{len(point)}-vector"
             )
-        return _dot(self.coeffs, point, self.constant)
+        coeffs, constant, scale = self.scaled
+        num, den = _dot(coeffs, point, constant)
+        return num, den * scale
 
 
 @dataclass(frozen=True)
@@ -93,6 +116,61 @@ def evaluate(objective: FractionalObjective, point: Sequence) -> Fraction:
 
 
 @dataclass(frozen=True)
+class LinearRow:
+    """One constraint over integer data: (coeffs / scale) . x relation
+    rhs / scale. coeffs is sparse: ((var_index, numerator), ...) sorted by
+    index, zeros dropped. scale > 0 is the lcm of the denominators of the
+    row's rational entries, so a row has one integer form (see `of`)."""
+
+    coeffs: tuple[tuple[int, int], ...]
+    relation: str
+    rhs: int
+    scale: int = 1
+
+    def __post_init__(self):
+        if self.relation not in _RELATIONS:
+            raise ValueError(f"unknown relation {self.relation!r}")
+        if self.scale < 1:
+            raise ValueError(f"a row's scale must be positive, got {self.scale}")
+
+    @classmethod
+    def of(cls, coeffs, relation: str, rhs) -> "LinearRow":
+        """coeffs may be a {index: value} mapping or a dense sequence of
+        ints, strings like '-4/7' or Fractions; each is converted once."""
+        items = coeffs.items() if isinstance(coeffs, Mapping) else enumerate(coeffs)
+        merged: dict[int, Fraction] = {}
+        for j, v in items:
+            v = as_fraction(v)
+            if v:
+                merged[j] = merged.get(j, ZERO) + v
+        rhs = as_fraction(rhs)
+        scale = denominator_lcm((rhs, *merged.values()))
+        pairs = sorted((j, v.numerator * (scale // v.denominator)) for j, v in merged.items() if v)
+        return cls(tuple(pairs), relation, rhs.numerator * (scale // rhs.denominator), scale)
+
+    @classmethod
+    def over(cls, coeffs: Sequence[int], relation: str, rhs: int, scale: int) -> "LinearRow":
+        """The row (coeffs / scale) . x relation rhs / scale from dense
+        integers and scale > 0, divided by their gcd: the lcm of the row's
+        denominators is then its scale, as in `of`."""
+        g = math.gcd(scale, rhs, *coeffs)
+        pairs = tuple((j, c // g) for j, c in enumerate(coeffs) if c)
+        return cls(pairs, relation, rhs // g, scale // g)
+
+
+def constraint_rows(a_matrix, b_vector) -> tuple[LinearRow, ...]:
+    """Ax <= b as rows, each scaled by the lcm of its denominators to a row
+    of scale 1: the same halfspaces over integer data, so slacks take
+    integer values at integer points (the branch-and-cut rounds rely on
+    this). An instance builds these once (`ProblemInstance.rows`)."""
+    rows = []
+    for a_row, rhs in zip(a_matrix, b_vector):
+        row = LinearRow.of(a_row, LESS_EQ, rhs)
+        rows.append(LinearRow(row.coeffs, LESS_EQ, row.rhs))
+    return tuple(rows)
+
+
+@dataclass(frozen=True)
 class ProblemInstance:
     """Constraint system Ax <= b, x >= 0 integer, with k >= 2 ranking
     criteria and exactly two utility ratios evaluated over the criteria's
@@ -120,6 +198,12 @@ class ProblemInstance:
             if len(obj.numerator.coeffs) != n:
                 raise LengthMismatch("objective over wrong variable count")
 
+    @cached_property
+    def rows(self) -> tuple[LinearRow, ...]:
+        """The constraint rows (see constraint_rows), built once per
+        instance; the dataclass's equality and hash ignore them."""
+        return constraint_rows(self.a_matrix, self.b_vector)
+
     @property
     def variable_count(self) -> int:
         return len(self.a_matrix[0])
@@ -140,16 +224,13 @@ def instance(a, b, criteria, utilities) -> ProblemInstance:
 
 
 def is_feasible(inst: ProblemInstance, point: Sequence) -> bool:
-    """Ax <= b and x >= 0. Integrality is the caller's concern."""
+    """Ax <= b and x >= 0, tested on the instance's integer rows.
+    Integrality is the caller's concern."""
     if len(point) != inst.variable_count:
         raise LengthMismatch("point has wrong dimension")
     if any(v < 0 for v in point):
         return False
-    for row, rhs in zip(inst.a_matrix, inst.b_vector):
-        num, den = _dot(row, point)
-        if num * rhs.denominator > rhs.numerator * den:
-            return False
-    return True
+    return all(sum(c * point[j] for j, c in row.coeffs) <= row.rhs for row in inst.rows)
 
 
 def criteria_image(inst: ProblemInstance, point: Sequence) -> ObjectiveVector:
@@ -196,11 +277,12 @@ def denominator_lcm(values: Iterable[Fraction]) -> int:
 
 
 def scaled_constraints(inst: ProblemInstance) -> tuple[list[list[int]], list[int]]:
-    """Each row scaled by the lcm of its denominators: same halfspaces,
-    integer data."""
-    a_int, b_int = [], []
-    for row, rhs in zip(inst.a_matrix, inst.b_vector):
-        scale = denominator_lcm((*row, rhs))
-        a_int.append([int(v * scale) for v in row])
-        b_int.append(int(rhs * scale))
-    return a_int, b_int
+    """The instance's rows as dense integer data: each row of Ax <= b
+    scaled by the lcm of its denominators, the same halfspaces."""
+    a_int = []
+    for row in inst.rows:
+        dense = [0] * inst.variable_count
+        for j, c in row.coeffs:
+            dense[j] = c
+        a_int.append(dense)
+    return a_int, [row.rhs for row in inst.rows]

@@ -20,7 +20,7 @@ from .model import (
     pareto_filter,
     scaled_constraints,
 )
-from .simplex import LinearProgram, Status, constraint_rows, solve_lp
+from .simplex import LinearProgram, Status, solve_lp
 
 DEFAULT_BUDGET = 10**7
 
@@ -28,7 +28,7 @@ DEFAULT_BUDGET = 10**7
 def variable_upper_bounds(inst: ProblemInstance) -> list | None:
     """Continuous max of each variable, or None when the relaxation is
     empty. Raises UnboundedDomain if any variable can grow forever."""
-    rows = constraint_rows(inst.a_matrix, inst.b_vector)
+    rows = inst.rows
     bounds = []
     for j in range(inst.variable_count):
         state = solve_lp(LinearProgram.of(inst.variable_count, {j: 1}, rows))

@@ -1,11 +1,15 @@
 """Exact two-phase primal simplex and dual re-solves on an integer-preserving
 tableau.
 
-Rows may mix <=, >= and == relations. Standardization appends one slack or
-surplus variable per inequality row, in row order, so a row's added variable
-has a predictable index (structural count + row position when every row adds
-one). Added variables are first-class: later rows may reference them, which
-is how branch-and-cut expresses its rounds over slack coordinates.
+Rows may mix <=, >= and == relations. A row (`model.LinearRow`) holds
+integers over one positive scale s, the lcm of the denominators of its
+rational entries: its coefficients and right-hand side are s times the
+row's. A row is converted once, where it is built, and no solver rescales
+it. Standardization appends one slack or surplus variable per inequality
+row, in row order, so a row's added variable has a predictable index
+(structural count + row position when every row adds one). Added
+variables are first-class: later rows may reference them, which is how
+branch-and-cut expresses its rounds over slack coordinates.
 
 Pivots run on integers (Edmonds 1967, Bareiss 1968, as in Avis' lrs) on a
 dictionary (Chvatal 1983, ch. 2). The exact tableau [B^-1 A | B^-1 b] is
@@ -35,8 +39,8 @@ column would be det times a unit column while basic, and once it leaves
 the basis phase one never prices it again, so the pivot that takes it out
 deletes the column it would take.
 
-One builder writes every appended row (`_written`): a new row a (scaled
-to integers by the lcm s of its denominators) is written over the
+One builder writes every appended row (`_written`): a new row's integer
+data a, over its scale s, is read as it is stored and written over the
 dictionary columns as det*a - sum_i a[basis_i]*row_i, the earlier rows and
 det are multiplied by s, and the row's slack or artificial variable has
 entry det. The extended basis matrix is block triangular over the old
@@ -88,69 +92,29 @@ tableau takes.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InvariantViolated, NotOptimal
-from .model import AffineForm, as_fraction, denominator_lcm
-
-ZERO = Fraction(0)
-
-LESS_EQ = "<="
-GREATER_EQ = ">="
-EQUAL = "=="
-_RELATIONS = (LESS_EQ, GREATER_EQ, EQUAL)
+# The row type, its relations and constraint_rows live in model; the
+# solvers' callers import them from here as well.
+from .model import (
+    EQUAL,
+    GREATER_EQ,
+    LESS_EQ,
+    ZERO,
+    AffineForm,
+    LinearRow,
+    as_fraction,
+    constraint_rows,
+)
 
 
 class Status(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
-
-
-@dataclass(frozen=True)
-class LinearRow:
-    """One constraint. coeffs is sparse: ((var_index, coeff), ...) sorted."""
-
-    coeffs: tuple[tuple[int, Fraction], ...]
-    relation: str
-    rhs: Fraction
-
-    def __post_init__(self):
-        if self.relation not in _RELATIONS:
-            raise ValueError(f"unknown relation {self.relation!r}")
-
-    @classmethod
-    def of(cls, coeffs, relation: str, rhs) -> "LinearRow":
-        """coeffs may be a {index: value} mapping or a dense sequence."""
-        if isinstance(coeffs, Mapping):
-            items = coeffs.items()
-        else:
-            items = enumerate(coeffs)
-        merged: dict[int, Fraction] = {}
-        for j, v in items:
-            v = as_fraction(v)
-            if v:
-                merged[j] = merged.get(j, ZERO) + v
-        pairs = tuple(sorted((j, v) for j, v in merged.items() if v))
-        return cls(pairs, relation, as_fraction(rhs))
-
-
-def constraint_rows(a_matrix, b_vector) -> tuple[LinearRow, ...]:
-    """Ax <= b as rows, each scaled by the lcm of its denominators: the
-    same halfspaces over integer data, so slacks take integer values at
-    integer points (the branch-and-cut rounds rely on this). Integer rows
-    pass through without new arithmetic."""
-    rows = []
-    for a_row, rhs in zip(a_matrix, b_vector):
-        scale = denominator_lcm((*a_row, rhs))
-        if scale != 1:
-            a_row = [c * scale for c in a_row]
-            rhs = rhs * scale
-        rows.append(LinearRow(tuple((j, c) for j, c in enumerate(a_row) if c), LESS_EQ, rhs))
-    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -214,14 +178,10 @@ class SimplexState:
 
 
 def integer_form(form: AffineForm, ncols: int) -> tuple[list[int], int, int]:
-    """(cost, constant, scale): scale * form as integers, the cost padded
-    with zeros to ncols columns; scale is the lcm of the denominators."""
-    values = (*form.coeffs, form.constant)
-    scale = denominator_lcm(values)
-    cost = [v.numerator * (scale // v.denominator) for v in values]
-    constant = cost.pop()
-    cost += [0] * (ncols - len(cost))
-    return cost, constant, scale
+    """(cost, constant, scale): scale * form as integers (`form.scaled`),
+    the cost padded with zeros to ncols columns."""
+    coeffs, constant, scale = form.scaled
+    return [*coeffs, *[0] * (ncols - len(coeffs))], constant, scale
 
 
 class Tableau:
@@ -333,14 +293,6 @@ class Tableau:
         )
 
 
-def _row_scale(row: LinearRow) -> int:
-    """The lcm of a row's denominators: scaled by it, the row is integer."""
-    scale = row.rhs.denominator
-    for _, c in row.coeffs:
-        scale = math.lcm(scale, c.denominator)
-    return scale
-
-
 def _carried_cost(tab: Tableau) -> list[int]:
     """Plain simplex pricing: the carried reduced row of the one cost."""
     return tab.costs[0]
@@ -423,38 +375,37 @@ def _written(
     tab: Tableau, row: LinearRow, column: dict[int, int], stated: int, basic: dict[int, int], slack: int
 ) -> list[int]:
     """`row` over tab's dictionary columns, right-hand side last, as the row
-    of its slack (a >= row is negated). Scaled to integers as a by the lcm
-    s of its denominators, it is det*a - sum_i a[basis_i]*row_i, each
-    a[basis_i] read off det*a by an exact division, for the basic variables
-    `basic` maps to their rows. Then tab's rows and det are multiplied by s,
-    and the returned row is over the new det.
+    of its slack (a >= row is negated). With a the row's integer data
+    (row.coeffs and row.rhs, which are its scale s times the row), it is
+    det*a - sum_i a[basis_i]*row_i for the basic variables `basic` maps to
+    their rows. Then tab's rows and det are multiplied by s, and the
+    returned row is over the new det.
 
     `column` maps each nonbasic variable to its column: the first `stated`
     are the state's, the rest slack columns of this call, in which every
     eliminated row is zero. Variables from `slack` on do not exist yet.
     """
-    scale = _row_scale(row)
-    scaled = tab.det * scale
-    # scaled * row over the state's columns and the right-hand side (head)
-    # and over this call's slack columns (tail).
+    det = tab.det
+    # det * a over the state's columns and the right-hand side (head) and
+    # over this call's slack columns (tail).
     head = [0] * stated
-    head.append(row.rhs.numerator * (scaled // row.rhs.denominator))
+    head.append(det * row.rhs)
     tail = [0] * (len(column) - stated)
     eliminate = []
     for j, coeff in row.coeffs:
         if j >= slack:
             raise ValueError(f"a row references variable x{j}, which does not exist yet")
-        v = coeff.numerator * (scaled // coeff.denominator)
         k = column.get(j)
         if k is None:
-            eliminate.append((v // tab.det, tab.rows[basic[j]]))
+            eliminate.append((coeff, tab.rows[basic[j]]))
         elif k < stated:
-            head[k] = v
+            head[k] = det * coeff
         else:
-            tail[k - stated] = v
+            tail[k - stated] = det * coeff
     for factor, basic_row in eliminate:
         head = [x - factor * y for x, y in zip(head, basic_row)]
     new = head[:-1] + tail + head[-1:] if tail else head
+    scale = row.scale
     if scale != 1:
         tab.rows = [[scale * v for v in r] for r in tab.rows]
         tab.det *= scale

@@ -10,7 +10,7 @@ from typing import Sequence
 from .errors import AssumptionViolated, InvariantViolated
 from .milp import MilpProblem, solve_milp
 from .model import AffineForm, ProblemInstance
-from .simplex import LinearProgram, LinearRow, Status, constraint_rows, solve_lp
+from .simplex import LinearProgram, LinearRow, Status, solve_lp
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ def integer_witness(rows: Sequence[LinearRow], n: int) -> tuple[int, ...]:
 
 def validate_instance(inst: ProblemInstance) -> InstanceCertificate:
     n = inst.variable_count
-    rows = constraint_rows(inst.a_matrix, inst.b_vector)
+    rows = inst.rows
     check_relaxation(rows, n)
 
     minima = []

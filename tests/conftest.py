@@ -66,11 +66,13 @@ def assert_fits(num_vars, rows, full_point):
     assert all(v >= 0 for v in full_point)
     slack = num_vars
     for row in rows:
-        lhs = sum(c * full_point[j] for j, c in row.coeffs)
+        # A row is its integer data over its scale.
+        lhs = Fraction(sum(c * full_point[j] for j, c in row.coeffs)) / row.scale
+        rhs = Fraction(row.rhs, row.scale)
         if row.relation == EQUAL:
-            assert lhs == row.rhs
+            assert lhs == rhs
             continue
-        gap = row.rhs - lhs if row.relation == LESS_EQ else lhs - row.rhs
+        gap = rhs - lhs if row.relation == LESS_EQ else lhs - rhs
         assert full_point[slack] == gap
         slack += 1
     assert slack == len(full_point)

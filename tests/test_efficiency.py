@@ -1,13 +1,29 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from effset.efficiency import build_mm, build_t2, is_in_solution_set
+from effset import branch_cut, model
+from effset.efficiency import _level_row, build_mm, build_t2, is_in_solution_set
 from effset.errors import InfeasiblePoint
 from effset.generator import GeneratorConfig, generate
 from effset.milp import solve_milp
-from effset.model import criteria_image, dominates, is_feasible, utility_image
+from effset.model import (
+    AffineForm,
+    FractionalObjective,
+    LinearRow,
+    criteria_image,
+    dominates,
+    evaluate,
+    instance,
+    is_feasible,
+    ratio,
+    utility_image,
+)
 from effset.oracle import efficient_sets, enumerate_feasible
+from effset.simplex import GREATER_EQ
 
 from conftest import (
     DEMO_CRITERIA_EFFICIENT,
@@ -122,3 +138,101 @@ def test_the_search_entry_point_decides_as_both_tests_do(monkeypatch):
                 assert milps["efficiency"] == 1
                 skipped += 1
     assert skipped > 0
+
+
+# Level-row data: small rationals, zeros, and values around 10**12.
+_entry = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(-50, 50, max_denominator=12),
+    st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**6)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(_entry, min_size=n, max_size=n),
+            _entry,
+            st.lists(_entry, min_size=n, max_size=n),
+            _entry,
+            st.lists(st.integers(0, 20), min_size=n, max_size=n),
+        )
+    )
+)
+def test_a_level_row_in_integers_is_the_rational_row_over_its_lcm(data):
+    """_level_row equals the rational construction c - Z d >= Z d0 - c0,
+    entry for entry once divided by its scale, and its scale is the lcm of
+    that row's denominators, so the written tableau is the same."""
+    c, c0, d, d0, point = data
+    obj = FractionalObjective(AffineForm(tuple(c), c0), AffineForm(tuple(d), d0))
+    assume(obj.denominator.at(point) != 0)
+    level = evaluate(obj, point)
+    coeffs = [cj - level * dj for cj, dj in zip(c, d)]
+    rhs = level * d0 - c0
+    row = _level_row(obj, tuple(point))
+    assert row.relation == GREATER_EQ
+    written = dict(row.coeffs)
+    assert [Fraction(written.get(j, 0), row.scale) for j in range(len(c))] == coeffs
+    assert Fraction(row.rhs, row.scale) == rhs
+    assert row.scale == math.lcm(rhs.denominator, *(v.denominator for v in coeffs))
+    assert row == LinearRow.of(coeffs, GREATER_EQ, rhs)
+
+
+def _rational_instance():
+    """Rational data everywhere: rows, right-hand sides and both objective
+    families; denominators have coefficients >= 0 and constants > 0."""
+    return instance(
+        [["3/2", "2/3"], ["-4/7", "5/3"], ["1", "-1/2"]],
+        ["15/2", "11/3", "5/2"],
+        [
+            ratio(["1/2", "4/7"], "3/5", ["1/3", "2/9"], "5/4"),
+            ratio(["-3/4", "1"], "-1/6", ["0", "1/5"], "7/3"),
+        ],
+        [
+            ratio(["4/7", "3/2"], "-4/7", ["1/4", "1/6"], "2/5"),
+            ratio(["5/6", "2/7"], "-1", ["2/3", "1/9"], "3/2"),
+        ],
+    )
+
+
+def test_membership_on_rational_data_agrees_with_the_oracle():
+    """Every feasible point's verdict agrees with the exhaustive sets, and
+    each witness is a feasible point that dominates it in the family whose
+    test rejected it."""
+    inst = _rational_instance()
+    x_e, x_ep, _ = efficient_sets(inst)
+    kinds = set()
+    for p in enumerate_feasible(inst):
+        verdict = is_in_solution_set(inst, p)
+        mo, bo = p in x_e, p in x_ep
+        assert (verdict.moilfp_efficient, verdict.boilfp_efficient) == (mo, bo), p
+        kinds.add((mo, bo))
+        if mo and bo:
+            assert verdict.witness is None, p
+            continue
+        image = criteria_image if not mo else utility_image
+        w = verdict.witness
+        assert is_feasible(inst, w) and dominates(image(inst, w), image(inst, p)), p
+    # Both tests reject some point, and some point passes both.
+    assert {(False, False), (True, False), (True, True)} <= kinds
+
+
+def test_an_instance_builds_its_constraint_rows_once(monkeypatch):
+    """Membership on every feasible point of one instance, and one search
+    (validation, root and every membership call), each build the
+    instance's constraint rows once; each objective form keeps its integer
+    data."""
+    cfg = GeneratorConfig(num_vars=5, num_constraints=10, num_criteria=3, seed=0)
+    inst, searched = generate(cfg), generate(cfg)
+    builds = count_calls(monkeypatch, model.constraint_rows)
+    points = enumerate_feasible(inst)
+    for p in points:
+        is_in_solution_set(inst, p)
+    assert len(points) > 1 and sum(builds.values()) == 1
+    for obj in (*inst.criteria, *inst.utilities):
+        assert "scaled" in vars(obj.numerator) and "scaled" in vars(obj.denominator)
+
+    builds.clear()
+    report = branch_cut.run(searched)
+    assert report.candidates[branch_cut.MILP] > 0 and sum(builds.values()) == 1

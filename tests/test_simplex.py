@@ -715,7 +715,7 @@ def test_a_row_over_an_appended_slack_means_the_same_in_one_call_or_two(
     assume(state.status is Status.OPTIMAL)
     coeffs, relation, rhs = first
     fractional = LinearRow.of(coeffs, relation, rhs)
-    assume(any(v.denominator != 1 for _, v in fractional.coeffs) or rhs.denominator != 1)
+    assume(fractional.scale != 1)
     on_slack, j, on_j, relation, rhs = second
     over_slack = LinearRow.of({j: on_j, state.num_vars: on_slack}, relation, rhs)
     program = LinearProgram.of(3, objective, rows + [fractional, over_slack])
@@ -750,11 +750,11 @@ def _standard_form(num_vars, rows):
     for row in rows:
         dense = [Fraction(0)] * total
         for j, c in row.coeffs:
-            dense[j] = c
+            dense[j] = Fraction(c, row.scale)
         if row.relation != EQUAL:
             dense[slack] = 1 if row.relation == LESS_EQ else -1
             slack += 1
-        standard.append(dense + [row.rhs])
+        standard.append(dense + [Fraction(row.rhs, row.scale)])
     return standard
 
 
