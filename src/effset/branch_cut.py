@@ -2,8 +2,10 @@
 
 Each node adds a branch row or one or two round rows to its parent's row
 system, over the structural variables plus every slack introduced so far.
-The node's ratio program is solved exactly, once, from its parent's final
-tableau (the root's from scratch); a fractional optimum branches on the
+The node's ratio program is solved exactly, once: the root's from scratch,
+every other node's from its parent's final tableau by a dual re-solve and
+the ratio phase (`fractional.solve_lfp` with a parent), the path a
+membership MILP's children take too. A fractional optimum branches on the
 first fractional structural variable, an integer optimum x* is tested for
 the solution set and then removed by rounds over the nonbasic coordinates.
 The test first looks for an integer point the search has already met (an

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InfeasiblePoint, InvariantViolated, ZeroDenominator
-from .milp import MilpProblem, MilpResult, solve_milp
+from .milp import MilpResult, solve_milp
 from .model import FractionalObjective, Point, ProblemInstance, is_feasible
 from .simplex import GREATER_EQ, ZERO, LinearProgram, LinearRow
 
@@ -71,14 +71,13 @@ def _level_row(obj: FractionalObjective, point: Point) -> LinearRow:
 
 def _membership_program(
     inst: ProblemInstance, point: Point, objectives: Sequence[FractionalObjective]
-) -> MilpProblem:
+) -> LinearProgram:
     """The program for `objectives` at a checked point (see _checked): one
     level row per objective, then the instance's rows."""
     n = inst.variable_count
     rows = [_level_row(obj, point) for obj in objectives]
     rows.extend(inst.rows)
-    program = LinearProgram.of(n, {n + i: 1 for i in range(len(objectives))}, rows)
-    return MilpProblem(program, (True,) * n)
+    return LinearProgram.of(n, {n + i: 1 for i in range(len(objectives))}, rows)
 
 
 def _checked(inst: ProblemInstance, point: Sequence[int]) -> Point:
@@ -89,19 +88,19 @@ def _checked(inst: ProblemInstance, point: Sequence[int]) -> Point:
     return tuple(int(v) for v in point)
 
 
-def build_mm(inst: ProblemInstance, point: Sequence[int]) -> MilpProblem:
+def build_mm(inst: ProblemInstance, point: Sequence[int]) -> LinearProgram:
     """Dominance search over the ranking criteria at an integer point."""
     return _membership_program(inst, _checked(inst, point), inst.criteria)
 
 
-def build_t2(inst: ProblemInstance, point: Sequence[int]) -> MilpProblem:
+def build_t2(inst: ProblemInstance, point: Sequence[int]) -> LinearProgram:
     """Dominance search over the two utility ratios at an integer point."""
     return _membership_program(inst, _checked(inst, point), inst.utilities)
 
 
-def _run(problem: MilpProblem, point: Point) -> MilpResult:
+def _run(program: LinearProgram, point: Point) -> MilpResult:
     seed = tuple(Fraction(v) for v in point)
-    return solve_milp(problem, cutoff=ZERO, incumbent=(seed, ZERO))
+    return solve_milp(program, cutoff=ZERO, incumbent=(seed, ZERO))
 
 
 def _efficient(result: MilpResult) -> bool:

@@ -8,6 +8,15 @@ because a linear ratio with positive denominator is pseudolinear over the
 feasible region. maximize_from runs the same ratio phase from a solved
 state's basis, with no phase one, for another ratio over the same rows.
 
+A search child (solve_lfp with a parent) starts from its parent's ratio
+optimum, which its rows cut off. A dual re-solve (simplex.resolve_after)
+for the linear cost q*P - p*Q, with p and q the parent vertex's numerator
+and denominator values (Dinkelbach 1967), reaches a feasible vertex or
+proves the child empty, with no phase one: its reduced row is the
+parent's gamma <= 0, so the parent's basis is dual feasible. The ratio
+phase goes on from there, and its certificate proves a global maximum
+however the start vertex was reached (pseudolinearity; Martos 1964).
+
 solve_lfp_cc solves the same problem through the variable-change
 t = 1/(q.x + beta), y = t x, which turns the ratio program into a plain LP.
 It shares the pivot loop with solve_lfp but keeps its own formulation and
@@ -15,6 +24,7 @@ prices its plain LP objective, so it cross-checks the ratio pricing.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -31,10 +41,10 @@ from .simplex import (
     Status,
     Tableau,
     _bland,
-    feasible_after,
     feasible_tableau,
     integer_form,
     reduced_row,
+    resolve_after,
     solve_lp,
 )
 
@@ -79,21 +89,18 @@ def solve_lfp(
     The returned point is the structural part; the full state (with slack
     coordinates and final tableau) rides along for reduced-row consumers.
 
-    parent: the optimal final state of an earlier solve (a search node's
-    parent). Without it, `rows` are the whole system, solved from scratch.
-    With it, `rows` are the rows appended to the system parent was solved
-    on, and may reference the parent's columns and the slacks of earlier
-    rows among them: phase one and the ratio phase both run from the
-    parent's basis (simplex.feasible_after), and the parent's state is left
-    unchanged. An appended row's slack is that of the row as written, as in
-    a solve from scratch.
-    The final basis, and the point where optima tie, may differ from a
-    solve from scratch; the status and the value do not.
+    parent: the optimal final state of an earlier solve of the same
+    objective (a search node's parent), left unchanged. Without it, `rows`
+    are the whole system, solved from scratch. With it, `rows` are the
+    inequality rows appended to the parent's system, and may reference its
+    columns and the slacks of earlier rows among them; each slack is that
+    of its row as written. The final basis, and the point where optima tie,
+    may differ from a solve from scratch; the status and the value do not.
     """
     if parent is None:
         tab = feasible_tableau(LinearProgram.of(num_vars, {}, rows))
     else:
-        tab = feasible_after(parent, rows)
+        tab = resolve_after(parent, rows, _linearized(parent, objective))
     if tab is None:
         state = SimplexState(Status.INFEASIBLE, num_vars, (), ())
         return LfpResult(Status.INFEASIBLE, None, None, state)
@@ -101,6 +108,18 @@ def solve_lfp(
     value = _ratio_phase(tab, objective)
     state = tab.state(Status.OPTIMAL)
     return LfpResult(Status.OPTIMAL, state.structural_point(num_vars), value, state)
+
+
+def _linearized(state: SimplexState, objective: FractionalObjective) -> list[int]:
+    """q*P - p*Q over the state's columns, divided by the gcd of its
+    entries: its reduced row is the state's gamma over that gcd (see
+    _gamma for p, q and the integer forms P and Q)."""
+    tab = Tableau.of_state(state)
+    (p_cost, p_const, _), (q_cost, q_const, _) = _ratio_costs(objective, tab.ncols)
+    p, q = tab.value_of(p_cost, p_const), tab.value_of(q_cost, q_const)
+    cost = [q * a - p * b for a, b in zip(p_cost, q_cost)]
+    divisor = math.gcd(*cost) or 1
+    return [c // divisor for c in cost]
 
 
 def maximize_from(state: SimplexState, objective: FractionalObjective) -> Fraction:

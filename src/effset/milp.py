@@ -1,21 +1,24 @@
-"""Branch-and-bound for mixed integer linear programs, exact arithmetic.
+"""Branch-and-bound for integer linear programs, exact arithmetic.
 
-Depth-first, floor child explored first, branching always on the first
-masked variable with a fractional value. Bounding prunes any node whose
-relaxation value is <= the incumbent, so equal-value alternatives are
-dropped once one optimum is known. Deterministic by construction.
+Every structural variable is integer; the slack and surplus columns the
+rows add are not. Depth-first, floor child explored first, branching
+always on the first structural variable with a fractional value. Bounding
+prunes any node whose relaxation value is <= the incumbent, so
+equal-value alternatives are dropped once one optimum is known.
+Deterministic by construction.
 
 Only the root relaxation is solved from scratch (`simplex.solve_lp`). A
 child is its parent's system plus one branch row, x_j <= floor or
 x_j >= floor + 1, and is solved from its parent's final `SimplexState` by
-`simplex.resolve_after`. The branch row cuts off the parent's vertex: its
-slack starts basic at a negative value, the extended basis stays dual
-feasible for the objective, and dual simplex pivots (no phase one) reach
-the child's optimum or prove it infeasible. The objective's integer cost
-row is built once per `solve_milp` and passed to every child. A stack
-entry is (parent state, branch row), so no child's program is built. An
-appended slack belongs to its row as written, as in a from-scratch solve,
-so a child's system is its extended program's.
+`simplex.resolve_after`, the warm path every search child takes too. The
+branch row cuts off the parent's vertex: its slack starts basic at a
+negative value, the extended basis stays dual feasible for the objective,
+and dual simplex pivots (no phase one) reach the child's optimum or prove
+it infeasible; the returned tableau's state is the child's. The
+objective's integer cost row is built once per `solve_milp` and passed to
+every child. A stack entry is (parent state, branch row), so no child's
+program is built. An appended slack belongs to its row as written, as in
+a from-scratch solve, so a child's system is its extended program's.
 
 A node is read in integers: its value times det and the objective's
 scale is a sum over its basic rows, and a basic variable is fractional
@@ -47,16 +50,6 @@ from .simplex import (
 
 
 @dataclass(frozen=True)
-class MilpProblem:
-    program: LinearProgram
-    integer_mask: tuple[bool, ...]
-
-    def __post_init__(self):
-        if len(self.integer_mask) != self.program.num_vars:
-            raise ValueError("mask length differs from variable count")
-
-
-@dataclass(frozen=True)
 class MilpResult:
     """point/value describe the best integral solution found. value is the
     exact optimum unless early_stop is set, in which case the search quit
@@ -79,27 +72,26 @@ def _relaxation(
         if state.status is Status.UNBOUNDED:
             raise UnboundedRelaxation("root relaxation has no finite optimum")
         return state if state.status is Status.OPTIMAL else None
-    return resolve_after(parent, (row,), cost)
+    tab = resolve_after(parent, (row,), cost)
+    return None if tab is None else tab.state(Status.OPTIMAL)
 
 
 def solve_milp(
-    problem: MilpProblem,
+    program: LinearProgram,
     cutoff: Fraction | None = None,
     incumbent: tuple[Sequence[Fraction], Fraction] | None = None,
     node_limit: int | None = None,
 ) -> MilpResult:
-    """Maximize over the mixed-integer feasible set.
+    """Maximize over the integer points of the program's rows.
 
     cutoff: stop as soon as some integral solution exceeds it (the caller
     only cares whether anything beats that threshold, not by how much).
     incumbent: known feasible (point, value) used to seed pruning.
     node_limit: most nodes to solve, infeasible ones included.
     """
-    base = problem.program
-    mask = problem.integer_mask
     # scale * objective as integers; a node's det * scale * value is read
     # off its basic rows.
-    cost, _, scale = integer_form(AffineForm(base.objective), len(base.objective))
+    cost, _, scale = integer_form(AffineForm(program.objective), len(program.objective))
     priced = [(var, c) for var, c in enumerate(cost) if c]
     best_point: tuple[Fraction, ...] | None = None
     best_value: Fraction | None = None
@@ -116,7 +108,7 @@ def solve_milp(
         nodes += 1
         if node_limit is not None and nodes > node_limit:
             raise NodeLimitExceeded(f"node limit {node_limit} exceeded")
-        state = _relaxation(base, parent, row, cost)
+        state = _relaxation(program, parent, row, cost)
         if state is None:
             continue
 
@@ -129,11 +121,11 @@ def solve_milp(
             continue
 
         branch_var = min(
-            (var for var, b in rhs.items() if var < len(mask) and mask[var] and b % det),
+            (var for var, b in rhs.items() if var < program.num_vars and b % det),
             default=-1,
         )
         if branch_var < 0:
-            best_point = state.structural_point(base.num_vars)
+            best_point = state.structural_point(program.num_vars)
             best_value = Fraction(scaled, det * scale)
             if cutoff is not None and best_value > cutoff:
                 return MilpResult(Status.OPTIMAL, best_point, best_value, early_stop=True)

@@ -48,29 +48,30 @@ basis and the new variable's entry s, so det keeps its relation to the
 basis determinant and every later division stays exact. Each slack belongs
 to its row as written, on every path.
 
-Two solvers append rows to a solved state. `feasible_after` runs phase one
-on the result: a solve from scratch appends every row to the empty state,
-whose columns are the structural variables (det ends as the product of the
-row scales, and each row is the row as written times det). A slack starts
-basic when its row needs no artificial; otherwise it is a column. A row
-may reference the slack of an earlier row of the same call; that slack is
-then a column from the start instead of being eliminated. Solves from
-scratch (`feasible_tableau`, for `solve_lp` and a search root) build this
-way, and so do the search's children from their parent's state
-(`fractional.solve_lfp` with a parent, which runs its ratio phase on the
-returned tableau).
+There is one cold builder and one warm path. `feasible_tableau` solves
+from scratch: it appends every row to the empty system, whose columns are
+the structural variables (det ends as the product of the row scales, and
+each row is the row as written times det), and runs phase one. A slack
+starts basic when its row needs no artificial; otherwise it is a column. A
+row may reference the slack of an earlier row; that slack is then a column
+from the start instead of being eliminated. Only solves from scratch build
+this way: `solve_lp` (each MILP root and the instance checks) and the
+search root (`fractional.solve_lfp` without a parent).
 
-`resolve_after` re-solves a branch-and-bound child (`milp.solve_milp`)
-from its parent's optimal basis by dual simplex (Lemke 1954). Each
-appended inequality row keeps its slack basic, even at a negative
-right-hand side, so the extended basis is still dual feasible: no
-artificial, no phase one. Dual pivots then restore primal feasibility
-while every reduced cost stays <= 0. Against cycling it uses Bland's rule
-for the dual (Bland 1977): of the rows with a negative right-hand side,
-the one whose basic variable is smallest leaves; of that row's negative
-entries a, the column with the smallest |reduced cost| / |a| enters, ties
-to the smallest variable. A leaving row with no negative entry proves the
-child infeasible. The objective value never rises across a dual pivot.
+`resolve_after` re-solves every child from its parent's optimal basis by
+dual simplex (Lemke 1954): a branch-and-bound child (`milp.solve_milp`)
+for the program's objective, and every search node but the root
+(`fractional.solve_lfp` with a parent) for a linear cost whose reduced row
+is the parent's ratio gradient. Each appended inequality row keeps its
+slack basic, even at a negative right-hand side, so the extended basis is
+still dual feasible: no artificial, no phase one. Dual pivots then restore
+primal feasibility while every reduced cost stays <= 0. Against cycling it
+uses Bland's rule for the dual (Bland 1977): of the rows with a negative
+right-hand side, the one whose basic variable is smallest leaves; of that
+row's negative entries a, the column with the smallest |reduced cost| /
+|a| enters, ties to the smallest variable. A leaving row with no negative
+entry proves the child infeasible. The objective value never rises across
+a dual pivot.
 
 A tableau carries the reduced rows of the costs it prices (`Tableau.costs`,
 seeded by one `reduced` call per cost). A reduced row det * (c - c_B B^-1 A),
@@ -361,16 +362,6 @@ def _phase_one(
     return tab
 
 
-def feasible_tableau(program: LinearProgram) -> Tableau | None:
-    """Phase one from scratch: `feasible_after` on the empty system over
-    the program's structural columns, so every row is appended. A primal-
-    feasible tableau over the real columns, or None when the system is
-    infeasible."""
-    n = program.num_vars
-    empty = SimplexState(Status.OPTIMAL, n, (), (), 1, tuple(range(n)))
-    return feasible_after(empty, program.rows)
-
-
 def _written(
     tab: Tableau, row: LinearRow, column: dict[int, int], stated: int, basic: dict[int, int], slack: int
 ) -> list[int]:
@@ -382,12 +373,13 @@ def _written(
     returned row is over the new det.
 
     `column` maps each nonbasic variable to its column: the first `stated`
-    are the state's, the rest slack columns of this call, in which every
-    eliminated row is zero. Variables from `slack` on do not exist yet.
+    are those of the system being extended, the rest slack columns of this
+    call, in which every eliminated row is zero. Variables from `slack` on
+    do not exist yet.
     """
     det = tab.det
-    # det * a over the state's columns and the right-hand side (head) and
-    # over this call's slack columns (tail).
+    # det * a over the extended system's columns and the right-hand side
+    # (head) and over this call's slack columns (tail).
     head = [0] * stated
     head.append(det * row.rhs)
     tail = [0] * (len(column) - stated)
@@ -414,45 +406,33 @@ def _written(
     return new
 
 
-def feasible_after(state: SimplexState, rows: Sequence[LinearRow]) -> Tableau | None:
-    """Phase one for the system `state` was solved on plus `rows`, from the
-    state's optimal basis: a primal-feasible tableau, or None when the
-    extended system is infeasible. The state is left unchanged.
+def feasible_tableau(program: LinearProgram) -> Tableau | None:
+    """Phase one from scratch: a primal-feasible tableau over the real
+    columns, or None when the program's rows are infeasible.
 
-    Each row is written over the dictionary columns by `_written`. An
-    inequality row takes the next slack variable from state.num_vars on,
-    with entry det, so it is the slack of the row as written. A row whose
-    right-hand side is then negative is negated (again).
-
-    A row may reference the state's variables and the slacks of earlier
-    rows in `rows`. A basic state variable is eliminated; a referenced
-    slack of this call is a column instead. A row's slack starts basic, and
-    has no column, when no later row references it and the row is not
-    negated for its right-hand side; every other row, equality rows
-    included, gets an artificial in phase one.
-
-    Callers: `feasible_tableau` on the empty state and
-    `fractional.solve_lfp` for a search child (its cut and branch rows) on
-    its parent's final state.
+    `_written` appends every row to the empty system over the structural
+    columns; an inequality row's slack, the next variable from num_vars on,
+    has entry det, so it is the slack of the row as written. A row whose
+    right-hand side is then negative is negated. A slack is basic from the
+    start unless a later row references it (it is then a column) or its
+    row was negated; those rows and equality rows get an artificial.
     """
-    tab = Tableau.of_state(state)
-    width, cols = tab.ncols, tab.cols
-    ncols = width + sum(1 for r in rows if r.relation != EQUAL)
+    n, rows = program.num_vars, program.rows
+    cols = list(range(n))
+    tab = Tableau(n, [], [], 1, cols)
     # Coefficients are sorted by variable, so only a row whose last one is
-    # at or past `width` references a slack of this call.
+    # at or past n references a slack.
     referenced = {
         j
         for r in rows
-        if r.coeffs and r.coeffs[-1][0] >= width
+        if r.coeffs and r.coeffs[-1][0] >= n
         for j, _ in r.coeffs
-        if j >= width
+        if j >= n
     }
-    stated = len(cols)  # the state's columns; this call's slack columns follow
-    column = {var: k for k, var in enumerate(cols)}
-    basic = {var: i for i, var in enumerate(state.basis)}
-    slack = width
+    column = {var: var for var in cols}
+    slack = n
     for row in rows:
-        new = _written(tab, row, column, stated, basic, slack)
+        new = _written(tab, row, column, n, {}, slack)
         var = -1
         if row.relation != EQUAL:
             var, slack = slack, slack + 1
@@ -468,15 +448,15 @@ def feasible_after(state: SimplexState, rows: Sequence[LinearRow]) -> Tableau | 
     # A row has no entry in the slack columns added after it: there it is 0.
     width = len(cols) + 1
     matrix = [r if len(r) == width else r[:-1] + [0] * (width - len(r)) + r[-1:] for r in tab.rows]
-    return _phase_one(matrix, tab.basis, tab.det, ncols, cols)
+    return _phase_one(matrix, tab.basis, tab.det, slack, cols)
 
 
 def resolve_after(
     parent: SimplexState, rows: Sequence[LinearRow], cost: Sequence[int]
-) -> SimplexState | None:
+) -> Tableau | None:
     """Maximize `cost` . x over the system `parent` was solved on plus the
     inequality `rows`, by dual simplex from the parent's basis: the optimal
-    state, or None when the extended system is infeasible. `cost` is
+    tableau, or None when the extended system is infeasible. `cost` is
     integer (see integer_form), over the parent's columns at least, and the
     parent must be optimal for it. The parent is left unchanged.
 
@@ -488,8 +468,10 @@ def resolve_after(
     eliminated. The reduced row of `cost`, with -det times the objective
     value appended, is carried through the pivots of `_dual_bland`.
 
-    Caller: `milp.solve_milp` for every branch-and-bound child (one branch
-    row) on its parent's final state.
+    Callers, each on a parent's final state: `milp.solve_milp` for every
+    branch-and-bound child (one branch row), and `fractional.solve_lfp` for
+    every search node but the root (its branch row or round rows), which
+    goes on to the ratio phase on the returned tableau.
     """
     tab = Tableau.of_state(parent)
     cols = tab.cols
@@ -511,7 +493,7 @@ def resolve_after(
         raise NotOptimal("the parent's basis is not optimal for the cost")
     red.append(-tab.value_of(cost))
     tab.costs = [red]
-    return tab.state(Status.OPTIMAL) if _dual_bland(tab) else None
+    return tab if _dual_bland(tab) else None
 
 
 def _dual_bland(tab: Tableau) -> bool:

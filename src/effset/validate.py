@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import AssumptionViolated, InvariantViolated
-from .milp import MilpProblem, solve_milp
+from .milp import solve_milp
 from .model import AffineForm, ProblemInstance
 from .simplex import LinearProgram, LinearRow, Status, solve_lp
 
@@ -51,7 +51,7 @@ def denominator_minimum(
 
 def integer_witness(rows: Sequence[LinearRow], n: int) -> tuple[int, ...]:
     """One integer point of the rows plus x >= 0, or AssumptionViolated."""
-    result = solve_milp(MilpProblem(LinearProgram.of(n, {}, rows), (True,) * n))
+    result = solve_milp(LinearProgram.of(n, {}, rows))
     if result.point is None:
         raise AssumptionViolated("no feasible integer point exists", reason="empty-domain")
     return tuple(int(v) for v in result.point)

@@ -128,14 +128,15 @@ def test_criterion_2_tableau_fixtures():
         ]
 
         # Cut sets recorded on the search trace. At node 7 the second index
-        # is column 10, the slack of the round constraint appended at node 6:
-        # by then the tableau holds 2 structural + 8 appended columns, so the
-        # node-6 row's slack lands at index 10. The full column-by-column
-        # derivation is pinned in test_branch_cut.py.
+        # is column 9, the slack of the first round constraint appended at
+        # node 6: by then the tableau holds 2 structural + 7 appended
+        # columns, so that row's slack lands at index 9. The full
+        # column-by-column derivation is in test_branch_cut.py
+        # (TestDemoSearch.test_round_sets).
         by_node = {rec.node_id: rec for rec in run(inst).trace}
         assert (by_node[1].h, by_node[1].hprime) == (frozenset({4}), frozenset({4}))
         assert (by_node[4].h, by_node[4].hprime) == (frozenset({5, 6}), frozenset({5}))
-        assert (by_node[7].h, by_node[7].hprime) == (frozenset({6, 10}), frozenset({10}))
+        assert (by_node[7].h, by_node[7].hprime) == (frozenset({1, 9}), frozenset({1, 9}))
 
 
 def test_criterion_3_oracle_equivalence(suite):

@@ -1,8 +1,9 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import effset.branch_cut as branch_cut
@@ -130,13 +131,27 @@ class TestDemoSearch:
             assert records[node_id].point == point, node_id
 
     def test_round_sets(self, demo_report):
+        # Nodes 6-8 end at degenerate vertices, so their rounds follow from
+        # each node's final basis. x2..x11 are the slacks of -x0 + 4x1 <= 0,
+        # 2x0 - x1 <= 8, x0 <= 4, x4 >= 1, x1 <= 0, node 6's rows x5 + x6 >= 1
+        # and x5 >= 1, node 7's x6 + x7 >= 1 and x7 >= 1, and node 8's
+        # x1 + x9 >= 1. Over each final nonbasis:
+        #   node 6 at (2, 0), {x6, x7}: x0 = 2 + x6 - x7, x1 = -x6;
+        #   node 7 at (1, 0), {x1, x9}: x0 = 1 - 2x1 - x9;
+        #   node 8 at (0, 0), {x1, x11}: x0 = -x1 - x11.
+        # The three criterion gradients D(x*) dN - N(x*) dD over those
+        # columns are then (4, -2), (1, 1), (-2, 1) at node 6, (-7, -2),
+        # (-1, 1), (3, 1) at node 7 and (-6, -2), (-3, 1), (2, 1) at node 8;
+        # the companion utility's are (-35, 10), (35, 10) and (15, 10). H
+        # takes every column with a positive criterion entry, H' every column
+        # with a positive companion entry.
         records = by_node(demo_report)
         expected = {
             1: ({4}, {4}),
             4: ({5, 6}, {5}),
-            6: ({6, 8}, {8}),
-            7: ({6, 10}, {10}),
-            8: ({11, 12}, {12}),
+            6: ({6, 7}, {7}),
+            7: ({1, 9}, {1, 9}),
+            8: ({1, 11}, {1, 11}),
         }
         for node_id, (h, hp) in expected.items():
             rec = records[node_id]
@@ -365,15 +380,97 @@ class TestRationalConstraintData:
         assert validate_instance(inst) == validate_instance(integer_copy)
 
 
+_tie_coeff = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3))
+
+
+@st.composite
+def _tied_instances(draw):
+    """Small instances built to tie. Two or three variables lie in a box
+    x_j <= u_j with u_j in 0..3 (all zero: a single-point domain). Up to
+    three more rows follow, each a general row, a copy of an earlier row, a
+    parallel multiple of one (coincident or shifted by 1), its opposite
+    (which makes the row an equation), or a row through a lattice point of
+    the box; two such rows through one point make a degenerate vertex.
+    Objective coefficients are mostly zero, so points share images; a
+    criterion may repeat the first, and the second utility may repeat the
+    first or a criterion. Denominators have coefficients >= 0 and a
+    constant >= 1, so they stay positive."""
+    n = draw(st.integers(2, 3))
+    upper = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    b = list(upper)
+    vector = st.lists(_tie_coeff, min_size=n, max_size=n)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("general", "copy", "parallel", "opposite", "through")))
+        i = draw(st.integers(0, len(a) - 1))
+        if kind == "copy":
+            row, rhs = a[i], b[i]
+        elif kind == "parallel":
+            k = draw(st.integers(2, 3))
+            row, rhs = [k * v for v in a[i]], k * b[i] + draw(st.integers(0, 1))
+        elif kind == "opposite":
+            row, rhs = [-v for v in a[i]], -b[i]
+        elif kind == "through":
+            row = draw(vector)
+            rhs = sum(c * draw(st.integers(0, u)) for c, u in zip(row, upper))
+        else:
+            row, rhs = draw(vector), draw(st.integers(-1, 6))
+        a.append(list(row))
+        b.append(rhs)
+
+    def objective():
+        denominator = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        return ratio(draw(vector), draw(st.integers(-2, 2)), denominator, draw(st.integers(1, 3)))
+
+    criteria = [objective() for _ in range(draw(st.integers(2, 3)))]
+    if draw(st.booleans()):
+        criteria[-1] = criteria[0]
+    first = objective()
+    second = draw(st.sampled_from((objective(), first, criteria[0])))
+    return instance(a, b, criteria, [first, second])
+
+
+def test_four_walks_match_the_oracle_on_tied_instances():
+    """On instances built to tie (degenerate vertices, equal images,
+    single-point domains), every walk of the search returns the oracle's
+    intersection, empty or not. The drawn cases include empty and non-empty
+    solution sets, single-point domains, roots whose optimal vertex is
+    degenerate (a basic variable at zero) and distinct points with equal
+    criteria or utility images."""
+    drawn = Counter()
+
+    @settings(max_examples=120, deadline=None)
+    @given(_tied_instances())
+    def check(inst):
+        domain = enumerate_feasible(inst)
+        assume(domain)
+        expected = set(efficient_sets(inst)[2])
+        for strategy in ("dfs", "bfs"):
+            for objective in (0, 1):
+                report = run(inst, strategy=strategy, objective=objective, validate=False)
+                assert report.solution_points() == expected, (strategy, objective)
+        drawn["non-empty" if expected else "empty"] += 1
+        drawn["single point"] += len(domain) == 1
+        root = solve_lfp(inst.variable_count, inst.rows, inst.utilities[0]).state
+        drawn["degenerate root"] += any(row[-1] == 0 for row in root.rows)
+        for image in (criteria_image, utility_image):
+            drawn["equal images"] += len({image(inst, p) for p in domain}) < len(domain)
+
+    check()
+    cases = ("non-empty", "empty", "single point", "degenerate root", "equal images")
+    assert all(drawn[case] for case in cases), drawn
+
+
 @pytest.mark.parametrize("seed", [None, 0], ids=["demo", "3x10x5-seed0"])
 def test_only_the_root_is_solved_from_scratch(monkeypatch, seed):
-    """Every other node is solved once, from its parent's tableau."""
+    """Every other node is solved once, from its parent's tableau, by a dual
+    re-solve."""
     if seed is None:
         inst = build_demo()
     else:
         inst = generate(GeneratorConfig(num_vars=5, num_constraints=10, num_criteria=3, seed=seed))
     from_scratch = count_calls(monkeypatch, simplex.feasible_tableau)
-    from_parent = count_calls(monkeypatch, simplex.feasible_after)
+    from_parent = count_calls(monkeypatch, simplex.resolve_after)
     report = run(inst)
     assert from_scratch["fractional"] == 1
     assert from_parent["fractional"] == report.nodes_processed - 1 > 0

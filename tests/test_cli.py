@@ -121,7 +121,7 @@ class TestTrace:
         code, out, _ = run_cli(capsys, "trace", demo_file)
         assert code == 0
         assert "node 0 (root): branch point=(32/7, 8/7) value=-45/79" in out
-        assert "H={x6,x10} H'={x10}" in out
+        assert "H={x1,x9} H'={x1,x9}" in out
         assert out.strip().splitlines()[-1] == "solutions: (4, 1), (1, 0), (0, 0)"
 
     def test_csv_output(self, demo_file, capsys):
@@ -307,7 +307,7 @@ class TestFailures:
         from effset.milp import MilpResult
         from effset.simplex import Status
 
-        def broken_milp(problem, cutoff=None, incumbent=None, node_limit=None):
+        def broken_milp(program, cutoff=None, incumbent=None, node_limit=None):
             return MilpResult(Status.OPTIMAL, incumbent[0], -1)
 
         monkeypatch.setattr(efficiency, "solve_milp", broken_milp)

@@ -4,10 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from effset.errors import AssumptionViolated, UnboundedDomain
-from effset.fractional import fractional_gradient, maximize_from, solve_lfp, solve_lfp_cc
-from effset.model import evaluate, ratio
-from effset.simplex import GREATER_EQ, LESS_EQ, LinearRow, Status
+from effset.errors import AssumptionViolated, NotOptimal, UnboundedDomain
+from effset.fractional import (
+    _linearized,
+    fractional_gradient,
+    maximize_from,
+    solve_lfp,
+    solve_lfp_cc,
+)
+from effset.model import AffineForm, evaluate, ratio
+from effset.simplex import GREATER_EQ, LESS_EQ, LinearRow, Status, reduced_row
 
 from conftest import DEMO_A, DEMO_B, assert_fits
 
@@ -69,6 +75,28 @@ class TestDemoRootNode:
         assert floored.value == Fraction(-6, 7)
 
 
+# Children of the demo's root: a floor and two ceiling branch rows on x0,
+# and a pair of round rows over the root's nonbasic slacks.
+CHILDREN = [
+    (LinearRow.of({0: 1}, LESS_EQ, 4),),
+    (LinearRow.of({0: 1}, GREATER_EQ, 5),),
+    (LinearRow.of({0: 1}, GREATER_EQ, 9),),
+    (LinearRow.of({2: 1, 3: 1}, GREATER_EQ, 1), LinearRow.of({3: 1}, GREATER_EQ, 1)),
+]
+
+
+def _warm_child_matches_cold(utility, child):
+    root = solve_lfp(2, demo_rows(), utility)
+    rows = demo_rows() + child
+    warm = solve_lfp(2, child, utility, root.state)
+    cold = solve_lfp(2, rows, utility)
+    assert warm.status is cold.status
+    assert warm.value == cold.value
+    if warm.status is Status.OPTIMAL:
+        assert_fits(2, rows, warm.state.full_point())
+        assert evaluate(utility, warm.point) == warm.value
+
+
 class TestBehaviors:
     def test_infeasible_system(self, demo):
         rows = demo_rows() + (
@@ -92,29 +120,42 @@ class TestBehaviors:
         with pytest.raises(AssumptionViolated):
             solve_lfp(1, rows, objective)
 
-    @pytest.mark.parametrize(
-        "child",
-        [
-            (LinearRow.of({0: 1}, LESS_EQ, 4),),
-            (LinearRow.of({0: 1}, GREATER_EQ, 5),),
-            (LinearRow.of({0: 1}, GREATER_EQ, 9),),
-            (LinearRow.of({2: 1, 3: 1}, GREATER_EQ, 1), LinearRow.of({3: 1}, GREATER_EQ, 1)),
-        ],
-    )
+    @pytest.mark.parametrize("child", CHILDREN)
     def test_parent_state_leaves_the_answer_unchanged(self, demo, child):
         # x0 >= 5 and x0 >= 9 are infeasible children of the root (32/7, 8/7).
         # Solved from the root's state, a child has the status and value of
         # a solve from scratch; where optima tie, the point may differ.
-        utility = demo.utilities[0]
-        root = solve_lfp(2, demo_rows(), utility)
-        rows = demo_rows() + child
-        warm = solve_lfp(2, child, utility, root.state)
-        cold = solve_lfp(2, rows, utility)
-        assert warm.status is cold.status
-        assert warm.value == cold.value
-        if warm.status is Status.OPTIMAL:
-            assert_fits(2, rows, warm.state.full_point())
-            assert evaluate(utility, warm.point) == warm.value
+        _warm_child_matches_cold(demo.utilities[0], child)
+
+    @pytest.mark.parametrize("child", CHILDREN)
+    @pytest.mark.parametrize("objective", ["second utility", "constant"])
+    def test_other_ratios_leave_the_answer_unchanged(self, demo, child, objective):
+        # The second utility's root is (0, 0); a constant ratio's linearized
+        # cost is zero, so every basis is dual feasible for it.
+        utility = {"second utility": demo.utilities[1], "constant": ratio([0, 0], 3, [0, 0], 2)}
+        _warm_child_matches_cold(utility[objective], child)
+
+    def test_linearized_cost_prices_the_parents_gradient(self, demo):
+        # P = -x0 + x1 - 3 and Q = 2x0 + x1 + 1 are -45/7 and 79/7 at the
+        # root (32/7, 8/7), so q*P - p*Q is a positive multiple of
+        # 79 (-1, 1) + 45 (2, 1) = (11, 124), whose gcd is 1. Its reduced
+        # row is 79 nu + 45 mu, 7 times gamma = (-37/7, -24/7).
+        state = solve_lfp(2, demo_rows(), demo.utilities[0]).state
+        cost = _linearized(state, demo.utilities[0])
+        assert cost == [11, 124, 0, 0]
+        reduced, _ = reduced_row(state, AffineForm.of(cost[:2]))
+        assert reduced == {2: -37, 3: -24}
+        assert fractional_gradient(state, demo.utilities[0]) == {
+            j: v / 7 for j, v in reduced.items()
+        }
+
+    def test_a_parent_solved_for_another_ratio_is_refused(self, demo):
+        # The second utility's root (0, 0) is not optimal for the first:
+        # its gamma at x0 is 6 > 0, so the dual re-solve has no start.
+        other = solve_lfp(2, demo_rows(), demo.utilities[1]).state
+        assert fractional_gradient(other, demo.utilities[0])[0] > 0
+        with pytest.raises(NotOptimal):
+            solve_lfp(2, (LinearRow.of({0: 1}, LESS_EQ, 4),), demo.utilities[0], other)
 
     def test_gradient_certificate_at_optimum(self, demo):
         for utility in demo.utilities:

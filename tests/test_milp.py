@@ -9,20 +9,19 @@ from effset import simplex
 from effset.efficiency import build_mm
 from effset.errors import NodeLimitExceeded, UnboundedRelaxation
 from effset.generator import GeneratorConfig, generate
-from effset.milp import MilpProblem, MilpResult, solve_milp
+from effset.milp import MilpResult, solve_milp
 from effset.oracle import enumerate_feasible
-from effset.simplex import EQUAL, GREATER_EQ, LESS_EQ, LinearProgram, LinearRow, Status
+from effset.simplex import GREATER_EQ, LESS_EQ, LinearProgram, LinearRow, Status
 
 from conftest import count_calls
 
 
-def milp(num_vars, objective, rows, mask=None):
-    program = LinearProgram.of(
+def milp(num_vars, objective, rows):
+    return LinearProgram.of(
         num_vars,
         objective,
         [LinearRow.of(c, rel, rhs) for c, rel, rhs in rows],
     )
-    return MilpProblem(program, tuple(mask or [True] * num_vars))
 
 
 def test_knapsack():
@@ -44,18 +43,13 @@ def test_knapsack():
     assert not result.early_stop
 
 
-def test_mixed_integer_variable_stays_fractional():
-    # x0 integral, x1 continuous: max x0 + 2 x1 with x0 + 2 x1 <= 3,
-    # x0 <= 3/2. Optimum x0 = 1, x1 = 1.
-    problem = milp(
-        2,
-        {0: 1, 1: 2},
-        [({0: 1, 1: 2}, LESS_EQ, 3), ({0: 2}, LESS_EQ, 3)],
-        mask=[True, False],
-    )
-    result = solve_milp(problem)
-    assert result.point == (1, 1)
-    assert result.value == 3
+def test_slack_columns_are_not_integer():
+    # x0 <= 5/2: branching on x0 reaches x0 = 2, whose row slack is 1/2. An
+    # integer slack would need a half-integer x0, leaving no solution.
+    result = solve_milp(milp(1, {0: 1}, [({0: 1}, LESS_EQ, Fraction(5, 2))]))
+    assert result.status is Status.OPTIMAL
+    assert result.point == (2,)
+    assert result.value == 2
 
 
 def test_infeasible():
@@ -173,58 +167,49 @@ _frac = st.fractions(-4, 4, max_denominator=6)
     bound=st.integers(1, 5),
 )
 def test_membership_shaped_programs_match_lattice_enumeration(levels, rows, objective, bound):
-    """One membership-shaped program in two forms over three integer
-    variables y, each with a bound row per variable and fractional <= rows.
-    The aux form has a continuous auxiliary per EQUAL row c . y - aux = r
-    with fractional data. The surplus form, as efficiency._membership_program
-    builds it, writes c . y >= r instead, with no auxiliary: the row's
-    surplus takes the aux's column and the objective prices it. Both reach
-    the best lattice point y whose auxiliaries are >= 0, with the same
-    value; a child appends an integer branch row to a tableau scaled from
-    the fractional rows."""
+    """A membership-shaped program over three integer variables y, as
+    efficiency._membership_program builds it: a c . y >= r row per level,
+    whose surplus the objective prices (the surplus of level i is column
+    3 + i), then a bound row per variable and fractional <= rows. It reaches
+    the best lattice point y whose surpluses are >= 0; a child appends an
+    integer branch row to a tableau scaled from the fractional rows."""
     k = len(levels)
     bounds = [LinearRow.of({j: 1}, LESS_EQ, bound) for j in range(3)]
     bounds += [LinearRow.of(c, LESS_EQ, r) for c, r in rows]
-    aux_rows = [
-        LinearRow.of({**dict(enumerate(c)), 3 + i: -1}, EQUAL, r) for i, (c, r) in enumerate(levels)
-    ]
-    aux_form = LinearProgram.of(3 + k, objective[: 3 + k], aux_rows + bounds)
     surplus_rows = [LinearRow.of(c, GREATER_EQ, r) for c, r in levels]
-    surplus_form = LinearProgram.of(3, objective[: 3 + k], surplus_rows + bounds)
-    assert surplus_form.objective == aux_form.objective
+    program = LinearProgram.of(3, objective[: 3 + k], surplus_rows + bounds)
 
     def value_at(y):
-        aux = [sum(a * v for a, v in zip(c, y)) - r for c, r in levels]
-        return sum(c * v for c, v in zip(aux_form.objective, (*y, *aux))), min(aux)
+        surplus = [sum(a * v for a, v in zip(c, y)) - r for c, r in levels]
+        return sum(c * v for c, v in zip(program.objective, (*y, *surplus))), min(surplus)
 
     expected = None
     for y in itertools.product(range(bound + 1), repeat=3):
-        value, least_aux = value_at(y)
+        value, least_surplus = value_at(y)
         fits = all(sum(a * v for a, v in zip(c, y)) <= r for c, r in rows)
-        if fits and least_aux >= 0 and (expected is None or value > expected):
+        if fits and least_surplus >= 0 and (expected is None or value > expected):
             expected = value
-    for program, mask in ((aux_form, (True,) * 3 + (False,) * k), (surplus_form, (True,) * 3)):
-        result = solve_milp(MilpProblem(program, mask))
-        if expected is None:
-            assert result.status is Status.INFEASIBLE
-            continue
-        assert result.status is Status.OPTIMAL
-        assert result.value == expected
-        assert len(result.point) == program.num_vars
-        assert all(v.denominator == 1 for v in result.point[:3])
-        assert value_at(result.point[:3])[0] == expected
+    result = solve_milp(program)
+    if expected is None:
+        assert result.status is Status.INFEASIBLE
+        return
+    assert result.status is Status.OPTIMAL
+    assert result.value == expected
+    assert len(result.point) == 3
+    assert all(v.denominator == 1 for v in result.point)
+    assert value_at(result.point)[0] == expected
 
 
 def test_only_the_root_is_solved_from_scratch(monkeypatch):
     """Each MILP solves its root LP from scratch and every other node from
     its parent's final state, by a dual re-solve."""
     inst = generate(GeneratorConfig(num_vars=5, num_constraints=10, num_criteria=3, seed=0))
-    problems = [build_mm(inst, point) for point in enumerate_feasible(inst)]
+    programs = [build_mm(inst, point) for point in enumerate_feasible(inst)]
     from_scratch = count_calls(monkeypatch, simplex.solve_lp)
     from_parent = count_calls(monkeypatch, simplex.resolve_after)
     children = 0
-    for problem in problems:
-        solve_milp(problem)
+    for program in programs:
+        solve_milp(program)
         assert from_scratch["milp"] == 1
         children += from_parent["milp"]
         from_scratch.clear()

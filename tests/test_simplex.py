@@ -21,7 +21,6 @@ from effset.simplex import (
     SimplexState,
     Status,
     Tableau,
-    feasible_after,
     integer_form,
     reduced_row,
     resolve_after,
@@ -424,6 +423,17 @@ def _child_rows(data, state):
     return [LinearRow.of({j: 1}, GREATER_EQ, lo + 1)]
 
 
+def _assert_exact(tab, row_idx, col):
+    """Every division a pivot on (row_idx, col) makes is exact, which holds
+    only while det keeps its relation to the basis determinant."""
+    piv, det = abs(tab.rows[row_idx][col]), tab.det
+    sign = 1 if tab.rows[row_idx][col] > 0 else -1
+    prow = [sign * v for v in tab.rows[row_idx]]
+    for i, row in enumerate(tab.rows + tab.costs):
+        if i != row_idx:
+            assert all((piv * a - row[col] * b) % det == 0 for a, b in zip(row, prow))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     extra_rows=_parent_rows,
@@ -433,41 +443,30 @@ def _child_rows(data, state):
     doubled_box=st.booleans(),
     data=st.data(),
 )
-def test_infeasible_after_matches_a_phase_one_from_scratch(
+def test_a_search_child_matches_a_solve_from_scratch(
     extra_rows, objective, denominator, box, doubled_box, data
 ):
-    """A child solved from its parent's tableau (feasible_after, then the
-    ratio phase) has the status and the exact optimal value of a solve from
-    scratch, and a point that fits every row. Every pivot on the way, in
-    phase one and after it, divides exactly."""
+    """A child solved from its parent's ratio optimum (solve_lfp with a
+    parent: one dual re-solve for the linearized cost, then the ratio
+    phase) has the status and the exact optimal value of a solve from
+    scratch, and a point that fits every row. No phase one runs, every
+    pivot divides exactly, and the parent is unchanged."""
     rows = _parent_system(extra_rows, box, doubled_box)
-    state = solve_lp(LinearProgram.of(3, objective, rows))
-    assume(state.status is Status.OPTIMAL)
+    utility = ratio(list(objective), 0, list(denominator[:3]), denominator[3])
+    parent = solve_lfp(3, rows, utility)
+    assume(parent.status is Status.OPTIMAL)
+    state = parent.state
     new_rows = _child_rows(data, state)
-
-    basis, parent_rows, point = state.basis, [list(r) for r in state.rows], state.full_point()
-    built = []
-    phase_one, pivot = simplex._phase_one, Tableau.pivot
-
-    def recording_phase_one(matrix, basis, det, ncols, cols):
-        built.append([list(row) for row in matrix[len(parent_rows):]])
-        return phase_one(matrix, basis, det, ncols, cols)
+    kept = (state.basis, [list(r) for r in state.rows], state.det, state.cols)
+    pivot = Tableau.pivot
 
     def exact_pivot(tab, row_idx, col):
-        # Every division the pivot makes must be exact, which holds only
-        # while det keeps its relation to the basis determinant.
-        piv, det = abs(tab.rows[row_idx][col]), tab.det
-        sign = 1 if tab.rows[row_idx][col] > 0 else -1
-        prow = [sign * v for v in tab.rows[row_idx]]
-        for i, row in enumerate(tab.rows + tab.costs):
-            if i != row_idx:
-                assert all((piv * a - row[col] * b) % det == 0 for a, b in zip(row, prow))
+        _assert_exact(tab, row_idx, col)
         pivot(tab, row_idx, col)
 
-    utility = ratio(list(objective), 0, list(denominator[:3]), denominator[3])
-    with mock.patch.object(simplex, "_phase_one", recording_phase_one), mock.patch.object(
-        Tableau, "pivot", exact_pivot
-    ):
+    with mock.patch.object(
+        simplex, "_phase_one", side_effect=AssertionError("phase one ran")
+    ), mock.patch.object(Tableau, "pivot", exact_pivot):
         warm = solve_lfp(3, new_rows, utility, state)
 
     cold = solve_lfp(3, rows + new_rows, utility)
@@ -475,49 +474,7 @@ def test_infeasible_after_matches_a_phase_one_from_scratch(
     assert warm.value == cold.value
     if warm.status is Status.OPTIMAL:
         assert_fits(3, rows + new_rows, warm.state.full_point())
-    assert state.basis == basis
-    assert [list(r) for r in state.rows] == parent_rows
-    assert state.full_point() == point
-    assert len(built) == 1 and len(built[0]) == len(new_rows)
-    assert all(type(v) is int for row in built[0] for v in row)
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    extra_rows=_parent_rows,
-    objective=_objective3,
-    child_objective=st.none() | _objective3,
-    box=st.none() | st.integers(1, 9),
-    doubled_box=st.booleans(),
-    data=st.data(),
-)
-def test_optimize_after_feasible_after_matches_solve_lp(
-    extra_rows, objective, child_objective, box, doubled_box, data
-):
-    """Phase two (optimize) on the tableau feasible_after returns has the
-    status of solve_lp on the extended program, INFEASIBLE and UNBOUNDED
-    included, and at an optimum its exact value and a point that fits
-    every row. The carried cost row equals a
-    fresh reduced row after every pivot. A child objective other than the
-    parent's can be unbounded where the parent's was not."""
-    rows = _parent_system(extra_rows, box, doubled_box)
-    state = solve_lp(LinearProgram.of(3, objective, rows))
-    assume(state.status is Status.OPTIMAL)
-    new_rows = _child_rows(data, state)
-    child = LinearProgram.of(3, child_objective or objective, rows + new_rows)
-
-    with carried_costs_checked():
-        tab = feasible_after(state, new_rows)
-        warm = None if tab is None else simplex.optimize(tab, child.objective)
-    cold = solve_lp(child)
-    if warm is None:
-        assert cold.status is Status.INFEASIBLE
-        return
-    assert warm.status is cold.status
-    if warm.status is Status.OPTIMAL:
-        value = sum(c * v for c, v in zip(child.objective, warm.structural_point(3)))
-        assert value == sum(c * v for c, v in zip(child.objective, cold.structural_point(3)))
-        assert_fits(3, child.rows, warm.full_point())
+    assert kept == (state.basis, [list(r) for r in state.rows], state.det, state.cols)
 
 
 _integer_row = st.builds(
@@ -542,17 +499,18 @@ def _dual_child_rows(data, state):
 @given(
     extra_rows=_parent_rows,
     objective=_objective3,
-    box=st.integers(1, 9),
+    box=st.none() | st.integers(1, 9),
     doubled_box=st.booleans(),
     data=st.data(),
 )
 def test_resolve_after_matches_solve_lp(extra_rows, objective, box, doubled_box, data):
     """A dual re-solve from an optimal parent plus appended inequality rows,
-    as a MILP child is solved, has the status of solve_lp on the extended
+    as every child is solved, has the status of solve_lp on the extended
     program, INFEASIBLE included, and at an optimum its exact value and a
-    point that fits every row. After every pivot, each division of which is
-    exact, the carried cost row equals a fresh reduced row and stays <= 0,
-    and its last entry is -det times the value. The parent is unchanged."""
+    point that fits every row. Without the box row the parent's region may
+    be unbounded. After every pivot, each division of which is exact, the
+    carried cost row equals a fresh reduced row and stays <= 0, and its
+    last entry is -det times the value. The parent is unchanged."""
     rows = _parent_system(extra_rows, box, doubled_box)
     program = LinearProgram.of(3, objective, rows)
     state = solve_lp(program)
@@ -564,12 +522,7 @@ def test_resolve_after_matches_solve_lp(extra_rows, objective, box, doubled_box,
     pivot = Tableau.pivot
 
     def checked_pivot(tab, row_idx, col):
-        piv, det = abs(tab.rows[row_idx][col]), tab.det
-        sign = 1 if tab.rows[row_idx][col] > 0 else -1
-        prow = [sign * v for v in tab.rows[row_idx]]
-        for i, row in enumerate(tab.rows + tab.costs):
-            if i != row_idx:
-                assert all((piv * a - row[col] * b) % det == 0 for a, b in zip(row, prow))
+        _assert_exact(tab, row_idx, col)
         pivot(tab, row_idx, col)
         padded = cost + [0] * (tab.ncols - len(cost))
         (carried,) = tab.costs
@@ -578,13 +531,14 @@ def test_resolve_after_matches_solve_lp(extra_rows, objective, box, doubled_box,
         assert carried[-1] == -tab.value_of(padded)
 
     with mock.patch.object(Tableau, "pivot", checked_pivot):
-        warm = resolve_after(state, new_rows, cost)
+        tab = resolve_after(state, new_rows, cost)
     cold = solve_lp(child)
     assert kept == (state.basis, [list(r) for r in state.rows], state.det, state.cols)
-    if warm is None:
+    if tab is None:
         assert cold.status is Status.INFEASIBLE
         return
-    assert warm.status is cold.status is Status.OPTIMAL
+    warm = tab.state(Status.OPTIMAL)
+    assert cold.status is Status.OPTIMAL
     value = sum(c * v for c, v in zip(child.objective, warm.structural_point(3)))
     assert value == sum(c * v for c, v in zip(child.objective, cold.structural_point(3)))
     assert_fits(3, child.rows, warm.full_point())
@@ -606,7 +560,7 @@ class TestResolveAfter:
         with mock.patch.object(Tableau, "pivot", autospec=True, side_effect=Tableau.pivot) as piv:
             child = resolve_after(state, [LinearRow.of({0: 1}, LESS_EQ, 4)], self.COST)
         assert piv.call_count == 1
-        assert child.full_point() == (4, 1, 0, 1, 0)
+        assert child.state(Status.OPTIMAL).full_point() == (4, 1, 0, 1, 0)
         assert resolve_after(state, [LinearRow.of({1: 1}, GREATER_EQ, 2)], self.COST) is None
 
     def test_needs_inequality_rows_and_an_optimal_parent(self):
@@ -615,9 +569,27 @@ class TestResolveAfter:
             resolve_after(state, [LinearRow.of({0: 1}, EQUAL, 4)], self.COST)
         with pytest.raises(NotOptimal):
             resolve_after(state, [LinearRow.of({0: 1}, LESS_EQ, 4)], [-1, 0])
-        infeasible = SimplexState(Status.INFEASIBLE, 2, (), ())
+        infeasible = solve_lp(lp(1, {0: 1}, [({0: 1}, GREATER_EQ, 3), ({0: 1}, LESS_EQ, 1)]))
         with pytest.raises(NotOptimal):
-            resolve_after(infeasible, [LinearRow.of({0: 1}, LESS_EQ, 4)], self.COST)
+            resolve_after(infeasible, [LinearRow.of({0: 1}, LESS_EQ, 1)], [1])
+
+    def test_rows_reference_existing_variables_only(self):
+        # The parent has x0-x3; the appended row's own slack would be x4.
+        state = self.solved()
+        with pytest.raises(ValueError):
+            resolve_after(state, [LinearRow.of({4: 1}, LESS_EQ, 1)], self.COST)
+
+    def test_an_appended_rows_slack_is_that_of_the_row_as_written(self):
+        # x0/2 <= 3 at x0 = 32/7 has slack 3 - 16/7 = 5/7, appended or
+        # solved from scratch; its integer-scaled form x0 <= 6 would give
+        # 10/7.
+        state = self.solved()
+        half = LinearRow.of({0: Fraction(1, 2)}, LESS_EQ, 3)
+        full = resolve_after(state, [half], self.COST).state(Status.OPTIMAL).full_point()
+        assert full[4] == Fraction(5, 7)
+        assert_fits(2, self.ROWS + [half], full)
+        cold = solve_lp(LinearProgram.of(2, self.COST, self.ROWS + [half]))
+        assert cold.full_point() == full
 
     def test_a_rising_value_is_an_invariant_violation(self):
         # A pivot that lands on a point of higher value breaks dual simplex.
@@ -629,56 +601,6 @@ class TestResolveAfter:
 
         with mock.patch.object(Tableau, "pivot", rising), pytest.raises(InvariantViolated):
             resolve_after(state, [LinearRow.of({0: 1}, LESS_EQ, 4)], self.COST)
-
-
-def test_optimize_reports_an_unbounded_child():
-    # x0 - x1 <= 1 is bounded for max -x0 - x1 (at 0), and a child with
-    # x0 >= 1 appended is not for max x1: x1 grows along x0 = x1 + 1.
-    rows = [LinearRow.of({0: 1, 1: -1}, LESS_EQ, 1)]
-    state = solve_lp(LinearProgram.of(2, {0: -1, 1: -1}, rows))
-    assert state.status is Status.OPTIMAL
-    ceil_row = LinearRow.of({0: 1}, GREATER_EQ, 1)
-    child = LinearProgram.of(2, {1: 1}, rows + [ceil_row])
-    warm = simplex.optimize(feasible_after(state, [ceil_row]), child.objective)
-    assert warm.status is solve_lp(child).status is Status.UNBOUNDED
-
-
-class TestInfeasibleAfter:
-    """feasible_after: the tableau of a solved system plus appended rows."""
-
-    ROWS = [LinearRow.of({0: -1, 1: 4}, LESS_EQ, 0), LinearRow.of({0: 2, 1: -1}, LESS_EQ, 8)]
-
-    def test_needs_an_optimal_state(self):
-        program = lp(1, {0: 1}, [({0: 1}, GREATER_EQ, 3), ({0: 1}, LESS_EQ, 1)])
-        with pytest.raises(NotOptimal):
-            feasible_after(solve_lp(program), [LinearRow.of({0: 1}, LESS_EQ, 1)])
-
-    def test_rows_reference_the_states_columns_only(self):
-        state = solve_lp(LinearProgram.of(2, {0: 1, 1: 1}, self.ROWS))
-        with pytest.raises(ValueError):
-            feasible_after(state, [LinearRow.of({4: 1}, LESS_EQ, 1)])
-
-    def test_equality_rows(self):
-        # The optimum is (32/7, 8/7) with both slacks nonbasic. x0 = 4 x1
-        # holds there, so its artificial stays basic at zero and is swapped
-        # for a real column.
-        state = solve_lp(LinearProgram.of(2, {0: 1, 1: 1}, self.ROWS))
-        tab = feasible_after(state, [LinearRow.of({0: 1, 1: -4}, EQUAL, 0)])
-        assert tab.ncols == 4 and all(var < 4 for var in (*tab.basis, *tab.cols))
-        assert tab.state(Status.OPTIMAL).full_point() == state.full_point()
-        assert feasible_after(state, [LinearRow.of({0: 1}, EQUAL, 5)]) is None
-
-    def test_an_appended_rows_slack_is_that_of_the_row_as_written(self):
-        # x0/2 <= 3 at x0 = 32/7 has slack 3 - 16/7 = 5/7, appended or
-        # solved from scratch; its integer-scaled form x0 <= 6 would give
-        # 10/7.
-        state = solve_lp(LinearProgram.of(2, {0: 1, 1: 1}, self.ROWS))
-        half = LinearRow.of({0: Fraction(1, 2)}, LESS_EQ, 3)
-        full = feasible_after(state, [half]).state(Status.OPTIMAL).full_point()
-        assert full[4] == Fraction(5, 7)
-        assert_fits(2, self.ROWS + [half], full)
-        cold = solve_lp(LinearProgram.of(2, {0: 1, 1: 1}, self.ROWS + [half]))
-        assert cold.full_point() == full
 
 
 _fraction_row = st.tuples(
@@ -707,7 +629,7 @@ def test_a_row_over_an_appended_slack_means_the_same_in_one_call_or_two(
     extra_rows, objective, box, doubled_box, first, second
 ):
     """A fractional-data row, then a row over that row's slack, appended in
-    one feasible_after call or in two chained ones (each solved to its
+    one resolve_after call or in two chained ones (each solved to its
     optimum) give the status and exact value of solve_lp on all the rows,
     and a point that fits every row as written."""
     rows = _parent_system(extra_rows, box, doubled_box)
@@ -721,10 +643,10 @@ def test_a_row_over_an_appended_slack_means_the_same_in_one_call_or_two(
     program = LinearProgram.of(3, objective, rows + [fractional, over_slack])
 
     def solved(parent, new_rows):
-        tab = feasible_after(parent, new_rows)
+        tab = resolve_after(parent, new_rows, list(objective))
         if tab is None:
             return SimplexState(Status.INFEASIBLE, 3, (), ())
-        return simplex.optimize(tab, objective)
+        return tab.state(Status.OPTIMAL)
 
     one_call = solved(state, [fractional, over_slack])
     first_call = solved(state, [fractional])
@@ -798,19 +720,19 @@ def _expanded(state):
 def test_the_dictionary_is_the_scaled_inverse_basis_system(
     extra_rows, objective, box, doubled_box, data
 ):
-    """A solved state, from scratch or from its parent's tableau, expanded
-    to full width equals det * B^-1 [A | b] over the standardized rows,
-    computed apart from the pivots; its columns and basis split the
-    variables between them."""
+    """A solved state, from scratch or by a dual re-solve from its parent's
+    tableau, expanded to full width equals det * B^-1 [A | b] over the
+    standardized rows, computed apart from the pivots; its columns and basis
+    split the variables between them."""
     rows = _parent_system(extra_rows, box, doubled_box)
     state = solve_lp(LinearProgram.of(3, objective, rows))
     assume(state.status is Status.OPTIMAL)
     new_rows = _child_rows(data, state)
     child = LinearProgram.of(3, objective, rows + new_rows)
-    tab = feasible_after(state, new_rows)
+    tab = resolve_after(state, new_rows, list(objective))
     solved = [(state, rows), (solve_lp(child), child.rows)]
     if tab is not None:
-        solved.append((simplex.optimize(tab, objective), child.rows))
+        solved.append((tab.state(Status.OPTIMAL), child.rows))
     for final, system in solved:
         if final.status is Status.INFEASIBLE:
             continue
@@ -831,14 +753,13 @@ def test_an_all_inequality_dictionary_keeps_n_columns_at_any_depth(
     extra_rows, objective, box, doubled_box, data
 ):
     """Each child appends rows and slacks, but over 3 structural variables
-    the dictionary keeps 3 columns, in phase one's result and at the
-    optimum, while only its row count grows."""
+    the dictionary keeps 3 columns at every optimum down a chain of
+    children, while only its row count grows."""
     state = solve_lp(LinearProgram.of(3, objective, _parent_system(extra_rows, box, doubled_box)))
     assume(state.status is Status.OPTIMAL)
     for _ in range(4):
         assert len(state.cols) == 3 and len(state.rows) == state.num_vars - 3
-        tab = feasible_after(state, _child_rows(data, state))
+        tab = resolve_after(state, _child_rows(data, state), list(objective))
         if tab is None:
             break
-        assert len(tab.cols) == 3
-        state = simplex.optimize(tab, objective)
+        state = tab.state(Status.OPTIMAL)
