@@ -544,6 +544,60 @@ def test_resolve_after_matches_solve_lp(extra_rows, objective, box, doubled_box,
     assert_fits(3, child.rows, warm.full_point())
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    extra_rows=_parent_rows,
+    objective=_objective3,
+    child_objective=st.none() | _objective3,
+    box=st.none() | st.integers(1, 9),
+    doubled_box=st.booleans(),
+    data=st.data(),
+)
+def test_optimize_after_feasible_after_matches_solve_lp(
+    extra_rows, objective, child_objective, box, doubled_box, data
+):
+    """Phase two (optimize) on the tableau resolve_after returns, feasible
+    after the appended rows, has the status of solve_lp on the extended
+    program, INFEASIBLE and UNBOUNDED included, and at an optimum its exact
+    value and a point that fits every row. The carried cost row equals a
+    fresh reduced row after every pivot. A child objective other than the
+    parent's can be unbounded where the parent's was not."""
+    rows = _parent_system(extra_rows, box, doubled_box)
+    program = LinearProgram.of(3, objective, rows)
+    state = solve_lp(program)
+    assume(state.status is Status.OPTIMAL)
+    new_rows = _child_rows(data, state)
+    child = LinearProgram.of(3, child_objective or objective, rows + new_rows)
+    cost, _, _ = integer_form(AffineForm(program.objective), 3)
+
+    tab = resolve_after(state, new_rows, cost)
+    with carried_costs_checked():
+        warm = None if tab is None else simplex.optimize(tab, child.objective)
+    cold = solve_lp(child)
+    if warm is None:
+        assert cold.status is Status.INFEASIBLE
+        return
+    assert warm.status is cold.status
+    if warm.status is Status.OPTIMAL:
+        value = sum(c * v for c, v in zip(child.objective, warm.structural_point(3)))
+        assert value == sum(c * v for c, v in zip(child.objective, cold.structural_point(3)))
+        assert_fits(3, child.rows, warm.full_point())
+
+
+class TestInfeasibleAfter:
+    """Rows appended to a solved parent, which may leave its optimum
+    infeasible: resolve_after starts only from an optimal parent."""
+
+    def test_needs_an_optimal_state(self):
+        program = lp(1, {0: 1}, [({0: 1}, GREATER_EQ, 3), ({0: 1}, LESS_EQ, 1)])
+        with pytest.raises(NotOptimal):
+            resolve_after(solve_lp(program), [LinearRow.of({0: 1}, LESS_EQ, 1)], [1])
+        unbounded = solve_lp(lp(1, {0: 1}, [({0: 1}, GREATER_EQ, 3)]))
+        assert unbounded.status is Status.UNBOUNDED
+        with pytest.raises(NotOptimal):
+            resolve_after(unbounded, [LinearRow.of({0: 1}, LESS_EQ, 5)], [1])
+
+
 class TestResolveAfter:
     """resolve_after: a dual re-solve of a solved system plus rows."""
 
