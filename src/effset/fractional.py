@@ -6,14 +6,14 @@ gamma_j = Q(x*) nu_j - P(x*) mu_j, and pivots on the smallest index with
 gamma_j > 0. All gamma_j <= 0 certifies a global maximum of the ratio,
 because a linear ratio with positive denominator is pseudolinear over the
 feasible region. maximize_from runs the same ratio phase from a solved
-state's basis, with no phase one, for another ratio over the same rows.
+state's basis, for another ratio over the same rows.
 
 A search child (solve_lfp with a parent) starts from its parent's ratio
 optimum, which its rows cut off. A dual re-solve (simplex.resolve_after)
 for the linear cost q*P - p*Q, with p and q the parent vertex's numerator
 and denominator values (Dinkelbach 1967), reaches a feasible vertex or
-proves the child empty, with no phase one: its reduced row is the
-parent's gamma <= 0, so the parent's basis is dual feasible. The ratio
+proves the child empty: its reduced row is the parent's gamma <= 0, so
+the parent's basis is dual feasible. The ratio
 phase goes on from there, and its certificate proves a global maximum
 however the start vertex was reached (pseudolinearity; Martos 1964).
 
@@ -125,8 +125,9 @@ def _linearized(state: SimplexState, objective: FractionalObjective) -> list[int
 def maximize_from(state: SimplexState, objective: FractionalObjective) -> Fraction:
     """The maximum of `objective` over the rows `state` was solved on.
 
-    Ratio pivots from the state's optimal basis, with no phase one; the
-    state is left unchanged (Tableau.of_state copies the row list).
+    Ratio pivots from the state's optimal basis, which is feasible for the
+    same rows; the state is left unchanged (Tableau.of_state copies the
+    row list).
     """
     return _ratio_phase(Tableau.of_state(state), objective)
 

@@ -13,12 +13,13 @@ x_j >= floor + 1, and is solved from its parent's final `SimplexState` by
 `simplex.resolve_after`, the warm path every search child takes too. The
 branch row cuts off the parent's vertex: its slack starts basic at a
 negative value, the extended basis stays dual feasible for the objective,
-and dual simplex pivots (no phase one) reach the child's optimum or prove
-it infeasible; the returned tableau's state is the child's. The
-objective's integer cost row is built once per `solve_milp` and passed to
-every child. A stack entry is (parent state, branch row), so no child's
-program is built. An appended slack belongs to its row as written, as in
-a from-scratch solve, so a child's system is its extended program's.
+and dual simplex pivots reach the child's optimum or prove it
+infeasible; the returned tableau's state is the child's. The program
+keeps its integer cost (`LinearProgram.integer_cost`), which the root
+and every child price. A stack entry is (parent state, branch row), so
+no child's program is built. An appended slack belongs to its row as
+written, as in a from-scratch solve, so a child's system is its extended
+program's.
 
 A node is read in integers: its value times det and the objective's
 scale is a sum over its basic rows, and a basic variable is fractional
@@ -35,7 +36,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import NodeLimitExceeded, UnboundedRelaxation
-from .model import AffineForm
 from .simplex import (
     GREATER_EQ,
     LESS_EQ,
@@ -43,7 +43,6 @@ from .simplex import (
     LinearRow,
     SimplexState,
     Status,
-    integer_form,
     resolve_after,
     solve_lp,
 )
@@ -62,7 +61,10 @@ class MilpResult:
 
 
 def _relaxation(
-    program: LinearProgram, parent: SimplexState | None, row: LinearRow | None, cost: list[int]
+    program: LinearProgram,
+    parent: SimplexState | None,
+    row: LinearRow | None,
+    cost: Sequence[int],
 ) -> SimplexState | None:
     """A node's optimal LP state, or None when its LP is infeasible: the
     root (no parent) from scratch, a child from its parent's final state
@@ -89,9 +91,8 @@ def solve_milp(
     incumbent: known feasible (point, value) used to seed pruning.
     node_limit: most nodes to solve, infeasible ones included.
     """
-    # scale * objective as integers; a node's det * scale * value is read
-    # off its basic rows.
-    cost, _, scale = integer_form(AffineForm(program.objective), len(program.objective))
+    # A node's det * scale * value is read off its basic rows.
+    cost, scale = program.integer_cost
     priced = [(var, c) for var, c in enumerate(cost) if c]
     best_point: tuple[Fraction, ...] | None = None
     best_value: Fraction | None = None

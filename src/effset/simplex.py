@@ -1,5 +1,5 @@
-"""Exact two-phase primal simplex and dual re-solves on an integer-preserving
-tableau.
+"""Exact simplex on an integer-preserving tableau: dual simplex makes
+every tableau feasible, primal simplex optimizes it.
 
 Rows may mix <=, >= and == relations. A row (`model.LinearRow`) holds
 integers over one positive scale s, the lcm of the denominators of its
@@ -26,52 +26,48 @@ basis[r] and cols[s]. Every other row a, with entry f in column s, becomes
 (|p| * a - f * sigma * prow) // det, and its entry in column s, now the
 leaving variable's, becomes -sigma * f. The pivot row keeps its entries
 times sigma, except column s, which becomes sigma * det. Then det = |p|,
-the determinant of the new basis (times a constant factor once phase one
-drops a redundant row), so every division is exact and entries stay
-bounded by minors of the scaled input. This is the full integer tableau's
-pivot restricted to the new nonbasic columns. A `SimplexState` keeps the
-final integer rows; `Fraction`s are built only when a point or a reduced
-row is read off it.
+the determinant of the new basis (times a constant factor once a
+redundant equality row is dropped), so every division is exact and
+entries stay bounded by minors of the scaled input. This is the full
+integer tableau's pivot restricted to the new nonbasic columns. A
+`SimplexState` keeps the final integer rows; `Fraction`s are built only
+when a point or a reduced row is read off it.
 
-Phase one gives each row without a starting basic variable an artificial
-one. An artificial is basic when it is made and is never a column: its
-column would be det times a unit column while basic, and once it leaves
-the basis phase one never prices it again, so the pivot that takes it out
-deletes the column it would take.
+One appender (`_appended`) writes every row, from scratch onto the empty
+system over the structural columns and for a child onto its parent's
+optimal basis. A new row's integer data a, over its scale s, is read as
+it is stored and written over the dictionary columns as det*a -
+sum_i a[basis_i]*row_i (`_written`), so a row over an earlier slack, or
+any basic variable, eliminates it; the earlier rows and det are
+multiplied by s, and the row's slack or artificial variable has entry
+det. The extended basis matrix is block triangular over the old basis
+and the new variable's entry s, so det keeps its relation to the basis
+determinant and every later division stays exact. Each slack belongs to
+its row as written, on every path. An inequality row's slack is basic in
+it, even at a negative right-hand side. Only an equality row has an
+artificial: it is basic when the row is appended and leaves the basis at
+once, on the smallest variable with a nonzero entry in the row, and the
+pivot that takes it out deletes the column it would take. A row with no
+such entry is redundant and dropped when its right-hand side is 0, and
+proves the system infeasible otherwise.
 
-One builder writes every appended row (`_written`): a new row's integer
-data a, over its scale s, is read as it is stored and written over the
-dictionary columns as det*a - sum_i a[basis_i]*row_i, the earlier rows and
-det are multiplied by s, and the row's slack or artificial variable has
-entry det. The extended basis matrix is block triangular over the old
-basis and the new variable's entry s, so det keeps its relation to the
-basis determinant and every later division stays exact. Each slack belongs
-to its row as written, on every path.
-
-There is one cold builder and one warm path. `feasible_tableau` solves
-from scratch: it appends every row to the empty system, whose columns are
-the structural variables (det ends as the product of the row scales, and
-each row is the row as written times det), and runs phase one. A slack
-starts basic when its row needs no artificial; otherwise it is a column. A
-row may reference the slack of an earlier row; that slack is then a column
-from the start instead of being eliminated. Only solves from scratch build
-this way: `solve_lp` (each MILP root and the instance checks) and the
-search root (`fractional.solve_lfp` without a parent).
-
-`resolve_after` re-solves every child from its parent's optimal basis by
-dual simplex (Lemke 1954): a branch-and-bound child (`milp.solve_milp`)
-for the program's objective, and every search node but the root
-(`fractional.solve_lfp` with a parent) for a linear cost whose reduced row
-is the parent's ratio gradient. Each appended inequality row keeps its
-slack basic, even at a negative right-hand side, so the extended basis is
-still dual feasible: no artificial, no phase one. Dual pivots then restore
-primal feasibility while every reduced cost stays <= 0. Against cycling it
-uses Bland's rule for the dual (Bland 1977): of the rows with a negative
-right-hand side, the one whose basic variable is smallest leaves; of that
-row's negative entries a, the column with the smallest |reduced cost| /
-|a| enters, ties to the smallest variable. A leaving row with no negative
-entry proves the child infeasible. The objective value never rises across
-a dual pivot.
+One loop then makes the tableau feasible: dual simplex (Lemke 1954,
+`_dual_bland`), under Bland's rule for the dual (Bland 1977): of the
+rows with a negative right-hand side, the one whose basic variable is
+smallest leaves; of that row's negative entries a, the column with the
+smallest |reduced cost| / |a| enters, ties to the smallest variable. A
+leaving row with no negative entry proves the system infeasible. It
+needs a basis that is dual feasible for its cost, and the rule is finite
+under any degeneracy. `feasible_tableau` runs it for the zero cost, for
+which every basis is dual feasible, so it is a complete phase one:
+`solve_lp` (each MILP root and the instance checks) and the search root
+(`fractional.solve_lfp` without a parent) start there. `resolve_after`
+re-solves every child for a cost its parent's basis is optimal for: a
+branch-and-bound child (`milp.solve_milp`) for the program's objective,
+and every search node but the root (`fractional.solve_lfp` with a
+parent) for a linear cost whose reduced row is the parent's ratio
+gradient. The appended rows leave that basis dual feasible, and the
+objective value never rises across a dual pivot.
 
 A tableau carries the reduced rows of the costs it prices (`Tableau.costs`,
 seeded by one `reduced` call per cost). A reduced row det * (c - c_B B^-1 A),
@@ -82,9 +78,9 @@ after every pivot. The dual loop's cost row also ends in -det * c_B B^-1 b,
 an entry the same update carries like a right-hand side, so the objective
 value is read off it.
 
-Bland's rule in every primal loop (of the eligible columns, the one
-naming the smallest variable enters; ratio ties go to the smallest basic
-variable) and its dual form in the dual loop, so solves are deterministic
+The primal loop optimizes a feasible tableau under Bland's rule (of the
+eligible columns, the one naming the smallest variable enters; ratio
+ties go to the smallest basic variable), so solves are deterministic
 and never cycle. Every
 test compares the sign of an integer multiple (by a positive factor) of
 the rational quantity it stands for, so the walk is the one the rational
@@ -94,6 +90,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -147,6 +144,14 @@ class LinearProgram:
             dense[j] = v
         return cls(num_vars, tuple(dense), rows)
 
+    @cached_property
+    def integer_cost(self) -> tuple[tuple[int, ...], int]:
+        """(cost, scale): scale times the objective as integers, scale the
+        lcm of its denominators, built once per program; the dataclass's
+        equality and hash ignore it."""
+        cost, _, scale = AffineForm(self.objective).scaled
+        return cost, scale
+
 
 @dataclass(frozen=True)
 class SimplexState:
@@ -189,11 +194,12 @@ class Tableau:
     """Mutable integer dictionary: rows / det is B^-1 [N | b], one row per
     basic variable (`basis`) over the nonbasic columns (`cols`), each row
     ending in its right-hand side. `ncols` counts the real variables; an
-    index at or above it names a phase-one artificial, which is only ever
-    basic. `costs` holds the reduced rows of the costs being priced,
-    carried through every pivot (see `carry`). Internal to the solvers;
-    snapshot with `state()` before handing results out. Costs passed in
-    are integer (see integer_form), one entry per variable."""
+    index at or above it names an equality row's artificial, which is
+    basic only while its row is appended. `costs` holds the reduced rows
+    of the costs being priced, carried through every pivot (see `carry`).
+    Internal to the solvers; snapshot with `state()` before handing
+    results out. Costs passed in are integer (see integer_form), one entry
+    per variable."""
 
     __slots__ = ("ncols", "rows", "basis", "det", "cols", "costs")
 
@@ -243,7 +249,7 @@ class Tableau:
         if leaving < self.ncols:
             cols[col] = leaving
         else:
-            # An artificial left the basis; nothing prices it again.
+            # An artificial left the basis; it never enters again.
             del cols[col]
             for target in (rows, self.costs):
                 target[:] = [row[:col] + row[col + 1:] for row in target]
@@ -316,87 +322,31 @@ def _bland(tab: Tableau, price) -> Status:
         tab.pivot(leave, col)
 
 
-def _phase_one(
-    matrix: list[list[int]], basis: list[int], det: int, ncols: int, cols: list[int]
-) -> Tableau | None:
-    """Phase one from a partial basis: a primal-feasible tableau over the
-    ncols real variables, or None when the rows are infeasible.
-
-    `matrix` is a dictionary over `cols` whose right-hand sides are all
-    >= 0. Each row whose basis entry is -1 gets an artificial variable from
-    ncols on, basic in that row; like every basic variable it has no
-    column. Bland on -sum(artificials) prices the real columns, and an
-    artificial that leaves the basis loses the column it would take. An
-    artificial left basic at zero is swapped for a real column of its row,
-    and a row with none is redundant and dropped.
-    """
-    art_rows = [i for i, var in enumerate(basis) if var < 0]
-    for order, i in enumerate(art_rows):
-        basis[i] = ncols + order
-    tab = Tableau(ncols, matrix, basis, det, cols)
-    if not art_rows:
-        return tab
-
-    cost = [0] * ncols + [-1] * len(art_rows)
-    tab.carry(cost)
-    if _bland(tab, _carried_cost) is not Status.OPTIMAL:
-        raise InvariantViolated("phase one is unbounded, but -sum(artificials) <= 0")
-    if tab.value_of(cost) != 0:
-        return None
-    tab.costs = []
-
-    drop: list[int] = []
-    for i, var in enumerate(tab.basis):
-        if var >= ncols:
-            enter = min((v for v, a in zip(tab.cols, tab.rows[i]) if a), default=-1)
-            if enter >= 0:
-                tab.pivot(i, tab.cols.index(enter))
-            else:
-                drop.append(i)
-    # A dropped row's artificial stays a factor of det: det is then the
-    # basis determinant of the kept rows times that artificial's entry, a
-    # constant that every later pivot carries along, so divisions stay exact.
-    for i in reversed(drop):
-        del tab.rows[i]
-        del tab.basis[i]
-    return tab
-
-
 def _written(
-    tab: Tableau, row: LinearRow, column: dict[int, int], stated: int, basic: dict[int, int], slack: int
+    tab: Tableau, row: LinearRow, column: dict[int, int], basic: dict[int, int]
 ) -> list[int]:
     """`row` over tab's dictionary columns, right-hand side last, as the row
-    of its slack (a >= row is negated). With a the row's integer data
-    (row.coeffs and row.rhs, which are its scale s times the row), it is
-    det*a - sum_i a[basis_i]*row_i for the basic variables `basic` maps to
-    their rows. Then tab's rows and det are multiplied by s, and the
-    returned row is over the new det.
-
-    `column` maps each nonbasic variable to its column: the first `stated`
-    are those of the system being extended, the rest slack columns of this
-    call, in which every eliminated row is zero. Variables from `slack` on
-    do not exist yet.
+    of its slack or artificial (a >= row is negated). With a the row's
+    integer data (row.coeffs and row.rhs, which are its scale s times the
+    row), it is det*a - sum_i a[basis_i]*row_i, for the basic variables
+    `basic` maps to their rows; `column` maps each nonbasic variable to its
+    column. Then tab's rows and det are multiplied by s, and the returned
+    row is over the new det.
     """
     det = tab.det
-    # det * a over the extended system's columns and the right-hand side
-    # (head) and over this call's slack columns (tail).
-    head = [0] * stated
-    head.append(det * row.rhs)
-    tail = [0] * (len(column) - stated)
+    new = [0] * len(column)
+    new.append(det * row.rhs)
     eliminate = []
     for j, coeff in row.coeffs:
-        if j >= slack:
+        if j >= tab.ncols:
             raise ValueError(f"a row references variable x{j}, which does not exist yet")
         k = column.get(j)
         if k is None:
             eliminate.append((coeff, tab.rows[basic[j]]))
-        elif k < stated:
-            head[k] = det * coeff
         else:
-            tail[k - stated] = det * coeff
+            new[k] = det * coeff
     for factor, basic_row in eliminate:
-        head = [x - factor * y for x, y in zip(head, basic_row)]
-    new = head[:-1] + tail + head[-1:] if tail else head
+        new = [x - factor * y for x, y in zip(new, basic_row)]
     scale = row.scale
     if scale != 1:
         tab.rows = [[scale * v for v in r] for r in tab.rows]
@@ -406,49 +356,46 @@ def _written(
     return new
 
 
-def feasible_tableau(program: LinearProgram) -> Tableau | None:
-    """Phase one from scratch: a primal-feasible tableau over the real
-    columns, or None when the program's rows are infeasible.
-
-    `_written` appends every row to the empty system over the structural
-    columns; an inequality row's slack, the next variable from num_vars on,
-    has entry det, so it is the slack of the row as written. A row whose
-    right-hand side is then negative is negated. A slack is basic from the
-    start unless a later row references it (it is then a column) or its
-    row was negated; those rows and equality rows get an artificial.
-    """
-    n, rows = program.num_vars, program.rows
-    cols = list(range(n))
-    tab = Tableau(n, [], [], 1, cols)
-    # Coefficients are sorted by variable, so only a row whose last one is
-    # at or past n references a slack.
-    referenced = {
-        j
-        for r in rows
-        if r.coeffs and r.coeffs[-1][0] >= n
-        for j, _ in r.coeffs
-        if j >= n
-    }
-    column = {var: var for var in cols}
-    slack = n
+def _appended(tab: Tableau, rows: Sequence[LinearRow]) -> bool:
+    """Append `rows` to tab's system (see the module docstring): False when
+    an equality row contradicts the rows before it. An inequality row's
+    slack, the next variable from tab.ncols on, is basic in it; an equality
+    row's artificial leaves the basis at once."""
+    column = {var: k for k, var in enumerate(tab.cols)}
+    basic = {var: i for i, var in enumerate(tab.basis)}
     for row in rows:
-        new = _written(tab, row, column, n, {}, slack)
-        var = -1
+        new = _written(tab, row, column, basic)
         if row.relation != EQUAL:
-            var, slack = slack, slack + 1
-            if new[-1] < 0 or var in referenced:
-                column[var] = len(cols)
-                cols.append(var)
-                new.insert(-1, tab.det)
-                var = -1
-        if new[-1] < 0:
-            new = [-v for v in new]
+            basic[tab.ncols] = len(tab.rows)
+            tab.rows.append(new)
+            tab.basis.append(tab.ncols)
+            tab.ncols += 1
+            continue
+        enter = min((var for var, a in zip(tab.cols, new) if a), default=-1)
+        if enter < 0:
+            if new[-1]:
+                return False
+            # The dropped row's scale stays in det, a constant factor that
+            # every later pivot carries, so divisions stay exact.
+            continue
         tab.rows.append(new)
-        tab.basis.append(var)
-    # A row has no entry in the slack columns added after it: there it is 0.
-    width = len(cols) + 1
-    matrix = [r if len(r) == width else r[:-1] + [0] * (width - len(r)) + r[-1:] for r in tab.rows]
-    return _phase_one(matrix, tab.basis, tab.det, slack, cols)
+        tab.basis.append(tab.ncols)
+        tab.pivot(len(tab.rows) - 1, column[enter])
+        basic[enter] = len(tab.rows) - 1
+        column = {var: k for k, var in enumerate(tab.cols)}
+    return True
+
+
+def feasible_tableau(program: LinearProgram) -> Tableau | None:
+    """A primal-feasible tableau over the program's rows, or None when they
+    are infeasible: every row appended to the empty system over the
+    structural columns, then dual pivots for the zero cost."""
+    n = program.num_vars
+    tab = Tableau(n, [], [], 1, list(range(n)))
+    if not _appended(tab, program.rows):
+        return None
+    tab.costs = [[0] * (len(tab.cols) + 1)]
+    return tab if _dual_bland(tab) else None
 
 
 def resolve_after(
@@ -460,34 +407,22 @@ def resolve_after(
     integer (see integer_form), over the parent's columns at least, and the
     parent must be optimal for it. The parent is left unchanged.
 
-    Each row is written over the dictionary columns by `_written` and its
-    slack, the next variable from parent.num_vars on, is basic in it, even
-    at a negative right-hand side: the basis stays dual feasible, so there
-    is no artificial and no phase one. A row may reference the parent's
-    variables and the slacks of earlier rows in `rows`; basic ones are
-    eliminated. The reduced row of `cost`, with -det times the objective
-    value appended, is carried through the pivots of `_dual_bland`.
+    The rows are appended with their slacks basic, even at a negative
+    right-hand side, so the basis stays dual feasible. A row may reference
+    the parent's variables and the slacks of earlier rows in `rows`. The
+    reduced row of `cost`, with -det times the objective value appended,
+    is carried through the pivots of `_dual_bland`.
 
     Callers, each on a parent's final state: `milp.solve_milp` for every
     branch-and-bound child (one branch row), and `fractional.solve_lfp` for
     every search node but the root (its branch row or round rows), which
     goes on to the ratio phase on the returned tableau.
     """
+    if any(row.relation == EQUAL for row in rows):
+        raise ValueError("a dual re-solve appends inequality rows only")
     tab = Tableau.of_state(parent)
-    cols = tab.cols
-    column = {var: k for k, var in enumerate(cols)}
-    basic = {var: i for i, var in enumerate(tab.basis)}
-    slack = tab.ncols
-    for row in rows:
-        if row.relation == EQUAL:
-            raise ValueError("a dual re-solve appends inequality rows only")
-        new = _written(tab, row, column, len(cols), basic, slack)
-        basic[slack] = len(tab.rows)
-        tab.rows.append(new)
-        tab.basis.append(slack)
-        slack += 1
-    tab.ncols = slack
-    cost = [*cost, *[0] * (slack - len(cost))]
+    _appended(tab, rows)
+    cost = [*cost, *[0] * (tab.ncols - len(cost))]
     red = tab.reduced(cost)
     if any(v > 0 for v in red):
         raise NotOptimal("the parent's basis is not optimal for the cost")
@@ -535,22 +470,22 @@ def _dual_bland(tab: Tableau) -> bool:
             raise InvariantViolated("the objective value rose across a dual pivot")
 
 
-def optimize(tab: Tableau, objective: Sequence[Fraction]) -> SimplexState:
-    """Phase two: maximize objective . x (over the leading columns; the
-    rest cost zero) by Bland pivots from the primal-feasible `tab`, which
-    it pivots in place. The final state is OPTIMAL or UNBOUNDED."""
-    cost, _, _ = integer_form(AffineForm(objective), tab.ncols)
-    tab.carry(cost)
+def optimize(tab: Tableau, cost: Sequence[int]) -> SimplexState:
+    """Phase two: maximize cost . x, an integer cost over the leading
+    columns (the rest cost zero; see LinearProgram.integer_cost), by Bland
+    pivots from the primal-feasible `tab`, which it pivots in place. The
+    final state is OPTIMAL or UNBOUNDED."""
+    tab.carry([*cost, *[0] * (tab.ncols - len(cost))])
     return tab.state(_bland(tab, _carried_cost))
 
 
 def solve_lp(program: LinearProgram) -> SimplexState:
-    """Two-phase exact simplex. Deterministic: equal inputs give equal
-    final bases."""
+    """Exact simplex: dual pivots to a feasible tableau, then phase two.
+    Deterministic: equal inputs give equal final bases."""
     tab = feasible_tableau(program)
     if tab is None:
         return SimplexState(Status.INFEASIBLE, program.num_vars, (), ())
-    return optimize(tab, program.objective)
+    return optimize(tab, program.integer_cost[0])
 
 
 def reduced_row(state: SimplexState, form: AffineForm) -> tuple[dict[int, Fraction], Fraction]:

@@ -433,11 +433,15 @@ def _tied_instances(draw):
 def test_four_walks_match_the_oracle_on_tied_instances():
     """On instances built to tie (degenerate vertices, equal images,
     single-point domains), every walk of the search returns the oracle's
-    intersection, empty or not. The drawn cases include empty and non-empty
-    solution sets, single-point domains, roots whose optimal vertex is
-    degenerate (a basic variable at zero) and distinct points with equal
-    criteria or utility images."""
+    intersection, empty or not, and so does every walk on the same instance
+    with each row multiplied by 10**12 + 1: the same halfspaces over huge
+    coefficients. The drawn cases include empty and non-empty solution
+    sets, single-point domains, roots whose optimal vertex is degenerate (a
+    basic variable at zero), an infeasible origin (a negative right-hand
+    side, so the root's tableau is made feasible by dual pivots) and
+    distinct points with equal criteria or utility images."""
     drawn = Counter()
+    huge = 10**12 + 1
 
     @settings(max_examples=120, deadline=None)
     @given(_tied_instances())
@@ -445,19 +449,34 @@ def test_four_walks_match_the_oracle_on_tied_instances():
         domain = enumerate_feasible(inst)
         assume(domain)
         expected = set(efficient_sets(inst)[2])
-        for strategy in ("dfs", "bfs"):
-            for objective in (0, 1):
-                report = run(inst, strategy=strategy, objective=objective, validate=False)
-                assert report.solution_points() == expected, (strategy, objective)
+        scaled = instance(
+            [[huge * c for c in row] for row in inst.a_matrix],
+            [huge * b for b in inst.b_vector],
+            inst.criteria,
+            inst.utilities,
+        )
+        for case in (inst, scaled):
+            for strategy in ("dfs", "bfs"):
+                for objective in (0, 1):
+                    report = run(case, strategy=strategy, objective=objective, validate=False)
+                    assert report.solution_points() == expected, (case, strategy, objective)
         drawn["non-empty" if expected else "empty"] += 1
         drawn["single point"] += len(domain) == 1
         root = solve_lfp(inst.variable_count, inst.rows, inst.utilities[0]).state
         drawn["degenerate root"] += any(row[-1] == 0 for row in root.rows)
+        drawn["infeasible origin"] += any(b < 0 for b in inst.b_vector)
         for image in (criteria_image, utility_image):
             drawn["equal images"] += len({image(inst, p) for p in domain}) < len(domain)
 
     check()
-    cases = ("non-empty", "empty", "single point", "degenerate root", "equal images")
+    cases = (
+        "non-empty",
+        "empty",
+        "single point",
+        "degenerate root",
+        "infeasible origin",
+        "equal images",
+    )
     assert all(drawn[case] for case in cases), drawn
 
 

@@ -15,6 +15,16 @@ dictionary-form integer tableau that re-solved each branch-and-bound child
 by two-phase primal simplex. The programs are the walk's as it stood when they
 were recorded; they stay fixed when the search changes.
 
+A change of engine that moves Bland decisions on purpose recomputes
+ENGINE_PINS and checks, against the parent engine, that status, value and
+point are unchanged on every program; only the basis may move, at
+degenerate and tied optima. They were last recomputed when a solve from
+scratch came to reach feasibility by dual simplex for the zero cost in place
+of a primal phase one with artificials: status, value and point were
+unchanged on all 379 programs, the set of basic variables moved on 61 (the
+row order of the basis on 199), and the pivots of the 379 solves fell from
+5031 to 2601. MEMBERSHIP_PINS and SEARCH_PINS passed unrecomputed.
+
 Search pins. SEARCH_PINS digest the whole walk of branch_cut.run on the same
 instances: each node's action, point, value and rounds. They change only in
 a change of the search, never of the engine. Such a change recomputes them,
@@ -96,16 +106,16 @@ def membership_digest(inst) -> str:
 
 # seed: (programs, SHA-256 of (node, status, basis, value, point) over them)
 ENGINE_PINS = {
-    0: (32, "03b65dbc571b7b47559a97fa6e32aa580d729c9d65baa972f459b8c51699e6d1"),
-    1: (74, "6b837665973c698b148d4e65dab3916ed6fb1738a858664117e4d55fd16d0f8b"),
-    2: (57, "68fd9fd271596f703e0afcea1c4d30a78ad66d3badbbdb2c036de381363badaf"),
-    3: (51, "4808c78a9332ff14d30129793784f5d740bd09fc269bc3eeed8adb871e7f0954"),
-    4: (23, "93847205d3e951f3f1e31db84e44c17cd3baacb8484eac2a6a019f74faaa5305"),
-    5: (24, "9e660bef2e1d41f0eeebf32cb4f18dfb3eb5db6a846f31f93f9a4e7ee774f295"),
-    6: (43, "a7d64842252bd3ad0ee51024985fa8bc69f5dfeafa3fb3e0da6e0d96290b0f84"),
-    7: (18, "05a63a8986f2961ab9d62709114ffd73cc0661633fed94846d60967b4fe391d7"),
-    8: (43, "4929060eb61642c7a241b9670231e9385b67c6b6cc5f8b0364774228bd1af37f"),
-    9: (14, "6894dbcd8a6a333762352ae2cc9a630135d53aa1a3b2f06419ada35f399711c8"),
+    0: (32, "982956b8d52bdf70663b07cacc1b973a931c0f26b8e5266b3fd8f815a9c27c2f"),
+    1: (74, "c5c710bd3971a5ef1a7ebd72fe52f4b172d30621da361927802111befd31d07d"),
+    2: (57, "d1284a76135bb781f5deab8707d3d3cfcde1c2f3758ac4739d8bcea84fdcbafd"),
+    3: (51, "a03a4b748751932d11f4f8ad75935cece21803024bfa4af7007375be2eab5c10"),
+    4: (23, "5668697d5437cc1e9d92a08f82315adf0175d8354cf3f9d51c2b0829bf8dddab"),
+    5: (24, "4f3cf6a6d5cdebadbb9c88efbb090542c0bfb574542cd2f532674fb68cb65d6d"),
+    6: (43, "6527cb01e571178c46a147e0e6d939060deea800f44abeed120712430090adf0"),
+    7: (18, "3c8b7e8a5a62b5c87b91b4bfa7d6fddf3891cb4d85b9a4675e427467265b7d9e"),
+    8: (43, "6dc4f18551a4fb577b1df14ce51c9c9df85274633bf4ce202027c618a01d3021"),
+    9: (14, "db452cab16ffd6c429dba2f20d0de4ae105402ceb7d1755eddcb41583fbff6b7"),
 }
 
 # seed: SHA-256 of (point, criteria verdict, utility verdict, witness) over

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from effset import simplex
+from effset import fractional, simplex
 from effset.errors import InvariantViolated, NotOptimal
 from effset.fractional import solve_lfp
 from effset.model import AffineForm, ratio
@@ -186,21 +186,25 @@ def _slack_extended(rows, x, y):
 
 @contextmanager
 def carried_costs_checked():
-    """Within the block, every pivot of a tableau that carries cost rows
-    checks them against a fresh Tableau.reduced of the costs they were
-    seeded with. Yields the number of pivots checked so far."""
+    """Within the block, every pivot of a tableau whose cost rows were
+    seeded by Tableau.carry checks them against a fresh Tableau.reduced of
+    the costs they were seeded with. A tableau that never carried, such as
+    one in the dual loop, whose cost row is set directly, is not checked.
+    Yields the number of pivots checked so far."""
+    # Keyed by id, each entry holding its tableau alive, so no other
+    # tableau can take over a seeded one's id within the block.
     seeded: dict[int, tuple] = {}
     checked = [0]
     carry, pivot = Tableau.carry, Tableau.pivot
 
     def seeding_carry(tab, *costs):
-        seeded[id(tab)] = costs
+        seeded[id(tab)] = (tab, costs)
         carry(tab, *costs)
 
     def checking_pivot(tab, row_idx, col):
         pivot(tab, row_idx, col)
-        if tab.costs:
-            assert tab.costs == [tab.reduced(cost) for cost in seeded[id(tab)]]
+        if id(tab) in seeded:
+            assert tab.costs == [tab.reduced(cost) for cost in seeded[id(tab)][1]]
             checked[0] += 1
 
     with mock.patch.object(Tableau, "carry", seeding_carry), mock.patch.object(
@@ -226,8 +230,9 @@ _rhs = st.fractions(-10, 20, max_denominator=6)
 )
 def test_solve_lp_matches_vertex_enumeration(extra_rows, duplicated, objective, box):
     # Rational data scales rows to integers over one common denominator;
-    # a scaled copy of an equality row is redundant and is dropped after
-    # phase one, leaving its scale as a constant factor of that denominator.
+    # a scaled copy of an equality row is redundant and is dropped when it
+    # is appended, leaving its scale as a constant factor of that
+    # denominator.
     rows = [({0: 1, 1: 1}, LESS_EQ, box)]
     rows += [({0: a, 1: b}, rel, r) for a, b, rel, r in extra_rows]
     if duplicated is not None and duplicated[3]:
@@ -235,8 +240,8 @@ def test_solve_lp_matches_vertex_enumeration(extra_rows, duplicated, objective, 
         rows += [({0: a, 1: b}, EQUAL, r), ({0: a * factor, 1: b * factor}, EQUAL, r * factor)]
     program = lp(2, {0: objective[0], 1: objective[1]}, rows)
     # Pricing reads carried cost rows; they must equal fresh reduced rows
-    # after every pivot of phase one, solve_lp and solve_lfp, or the walk
-    # would differ from recomputing them.
+    # after every pivot of solve_lp's phase two and solve_lfp's ratio
+    # phase, or the walk would differ from recomputing them.
     with carried_costs_checked():
         state = solve_lp(program)
         utility = ratio([objective[0], objective[1]], 1, [1, 2], box)
@@ -449,8 +454,8 @@ def test_a_search_child_matches_a_solve_from_scratch(
     """A child solved from its parent's ratio optimum (solve_lfp with a
     parent: one dual re-solve for the linearized cost, then the ratio
     phase) has the status and the exact optimal value of a solve from
-    scratch, and a point that fits every row. No phase one runs, every
-    pivot divides exactly, and the parent is unchanged."""
+    scratch, and a point that fits every row. No solve from scratch runs,
+    every pivot divides exactly, and the parent is unchanged."""
     rows = _parent_system(extra_rows, box, doubled_box)
     utility = ratio(list(objective), 0, list(denominator[:3]), denominator[3])
     parent = solve_lfp(3, rows, utility)
@@ -464,8 +469,11 @@ def test_a_search_child_matches_a_solve_from_scratch(
         _assert_exact(tab, row_idx, col)
         pivot(tab, row_idx, col)
 
+    cold_solve = AssertionError("a solve from scratch ran")
     with mock.patch.object(
-        simplex, "_phase_one", side_effect=AssertionError("phase one ran")
+        simplex, "feasible_tableau", side_effect=cold_solve
+    ), mock.patch.object(
+        fractional, "feasible_tableau", side_effect=cold_solve
     ), mock.patch.object(Tableau, "pivot", exact_pivot):
         warm = solve_lfp(3, new_rows, utility, state)
 
@@ -572,7 +580,7 @@ def test_optimize_after_feasible_after_matches_solve_lp(
 
     tab = resolve_after(state, new_rows, cost)
     with carried_costs_checked():
-        warm = None if tab is None else simplex.optimize(tab, child.objective)
+        warm = None if tab is None else simplex.optimize(tab, child.integer_cost[0])
     cold = solve_lp(child)
     if warm is None:
         assert cold.status is Status.INFEASIBLE
