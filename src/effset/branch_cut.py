@@ -28,19 +28,35 @@ in criteria space (and likewise for H' in utility space), so discarding a
 node when either set is empty loses no solution. Every solution survives in
 the successor: solutions distinct from x* keep a positive coordinate in
 both sets, and coordinates are integral, so each round stays satisfied.
+The gradients' signs are read in integers off one tableau of the node's
+state; the solved utility's are its carried rows.
 
 After the test of an integer optimum, and before any branch or round, a
 feasible node is fathomed at its utility ideal point (Ehrgott & Gandibleux
 2007; Przybylski & Gandibleux 2017). The corner pairs the node's value with
-the companion utility's maximum over the node, solved by ratio pivots from
-the node's final basis. When a met integer point's utility image is >= the
-corner and differs from it, the node goes. This is exact: every point of
-the node lies at or under the corner in both utilities, so the met point
-strictly dominates each of them in utility space, and none is in the
-solution set. An image equal to the corner keeps the node, so ties survive.
-The maximum is solved only when some met image is at or above the node
-vertex's image, the one place such a point can lie. Because the optimum is
-tested first, every integer optimum is decided and counted as before.
+the companion utility's maximum over the node. When a met integer point's
+utility image is >= the corner and differs from it, the node goes. This is
+exact: every point of the node lies at or under the corner in both
+utilities, so the met point strictly dominates each of them in utility
+space, and none is in the solution set. An image equal to the corner keeps
+the node, so ties survive. Only a met image at or above the node vertex's
+image can beat the corner, so with none there the maximum is not needed.
+Otherwise it comes from the parent (`SearchNode.companion`, exact, with
+its argmax as integers over det, or a bound) before any pivot:
+
+    (a) when the parent's argmax satisfies the node's rows, it is the
+        node's argmax too: the node's maximum is at most the parent's and
+        attains it there. The argmax passes on, extended by the rows'
+        slacks.
+    (b) otherwise, when a met image strictly dominates the corner of the
+        node's value and the parent's maximum, it strictly dominates the
+        node's corner, which lies at or under that one, and the node goes.
+    (c) otherwise the maximum is solved by ratio pivots from the node's
+        final basis, and its argmax passes on.
+
+Each step decides as the continuation would, so the walk is the one a
+continuation at every such node takes. Because the optimum is tested
+first, every integer optimum is decided and counted as before.
 """
 from __future__ import annotations
 
@@ -53,7 +69,7 @@ from typing import Sequence
 
 from .errors import AllInteger, NodeLimitExceeded, NonIntegerPoint, NotOptimal
 from .efficiency import is_in_solution_set
-from .fractional import LfpResult, fractional_gradient, maximize_from, solve_lfp
+from .fractional import LfpResult, maximize_from, ratio_gradient, solve_lfp
 from .model import (
     FractionalObjective,
     ObjectiveVector,
@@ -64,7 +80,7 @@ from .model import (
     evaluate,
     utility_image,
 )
-from .simplex import GREATER_EQ, LESS_EQ, LinearRow, SimplexState, Status
+from .simplex import GREATER_EQ, LESS_EQ, LinearRow, SimplexState, Status, Tableau
 from .validate import validate_instance
 
 log = logging.getLogger(__name__)
@@ -80,14 +96,55 @@ MILP = "milp"
 
 
 @dataclass(frozen=True)
+class CompanionMaximum:
+    """The companion utility's maximum over a node's region, attained at
+    the full point `argmax` / `det` (structural coordinates, then every
+    slack), or, without an argmax, an upper bound on that maximum."""
+
+    value: Fraction
+    argmax: tuple[int, ...] | None = None
+    det: int = 1
+
+    @classmethod
+    def at(cls, value: Fraction, state: SimplexState) -> "CompanionMaximum":
+        """The maximum `value`, attained at the vertex of `state`."""
+        point = [0] * state.num_vars
+        for var, row in zip(state.basis, state.rows):
+            point[var] = row[-1]
+        return cls(value, tuple(point), state.det)
+
+    def within(self, rows: Sequence[LinearRow]) -> "CompanionMaximum":
+        """The same over a child region, the region plus the inequality
+        `rows`: still exact when the argmax satisfies them, the argmax then
+        extended by their slacks (the child's maximum is at most this one
+        and attains it there), and otherwise an upper bound."""
+        if self.argmax is None:
+            return self
+        point, det = list(self.argmax), self.det
+        for row in rows:
+            # det * scale times the row's slack at the point.
+            gap = det * row.rhs - sum(c * point[j] for j, c in row.coeffs)
+            if row.relation == GREATER_EQ:
+                gap = -gap
+            if gap < 0:
+                return CompanionMaximum(self.value)
+            if row.scale != 1:
+                point, det = [row.scale * v for v in point], det * row.scale
+            point.append(gap)
+        return CompanionMaximum(self.value, tuple(point), det)
+
+
+@dataclass(frozen=True)
 class SearchNode:
     """`rows` are the rows the node adds to its parent's system, solved from
-    the parent's final state; the root's are the instance's rows."""
+    the parent's final state; the root's are the instance's rows.
+    `companion` is the parent's companion maximum, exact or a bound."""
 
     id: int
     parent: int | None
     rows: tuple[LinearRow, ...]
     parent_state: SimplexState | None = None
+    companion: CompanionMaximum | None = None
 
 
 @dataclass(frozen=True)
@@ -150,14 +207,23 @@ def ideal_point_beaten(
     result: LfpResult,
     companion: FractionalObjective,
     solved: int,
-) -> bool:
+    known: CompanionMaximum | None = None,
+) -> tuple[bool, CompanionMaximum | None]:
     """Whether an archived point strictly dominates the node's utility ideal
-    point: the corner of the node's value and the companion utility's
-    maximum over the node. Only archived images at or above the node
-    vertex's image can, so the maximum is solved only when one is there."""
+    point, the corner of the node's value and the companion utility's
+    maximum over the node, and what is known of that maximum after the
+    test. `known` is the maximum over the node when it has an argmax, or a
+    bound on it. Only archived images at or above the node vertex's image
+    can dominate, so with none there nothing more is learnt. Otherwise an
+    exact maximum decides; a rival strictly dominating the bound's corner
+    dominates the true corner too; and only then is the maximum solved, by
+    ratio pivots from the node's final basis."""
 
     def corner(other):
         return (result.value, other) if solved == 0 else (other, result.value)
+
+    def beaten(maximum):
+        return any(dominates(u, corner(maximum.value)) for u in rivals)
 
     vertex = corner(evaluate(companion, result.point))
     rivals = [
@@ -166,9 +232,12 @@ def ideal_point_beaten(
         if all(a >= b for a, b in zip(rec.utility_values, vertex))
     ]
     if not rivals:
-        return False
-    ideal = corner(maximize_from(result.state, companion))
-    return any(dominates(u, ideal) for u in rivals)
+        return False, known
+    if known is None or known.argmax is None:
+        if known is not None and beaten(known):
+            return True, known
+        known = CompanionMaximum.at(*maximize_from(result.state, companion))
+    return beaten(known), known
 
 
 def build_cut_sets(
@@ -178,22 +247,26 @@ def build_cut_sets(
     maximized; the companion utility drives H'."""
     if state.status is not Status.OPTIMAL:
         raise NotOptimal("cut sets need an optimal state")
-    point = state.structural_point(inst.variable_count)
-    if any(v.denominator != 1 for v in point):
+    n, det = inst.variable_count, state.det
+    if any(var < n and row[-1] % det for var, row in zip(state.basis, state.rows)):
+        point = state.structural_point(n)
         raise NonIntegerPoint(f"cut sets need an integer optimum, got {point}")
 
-    lambdas = [fractional_gradient(state, obj) for obj in inst.criteria]
+    # Each gradient's entries are gamma's times a positive integer, so their
+    # signs are gamma's. The solved utility's are the state's carried rows.
+    tab = Tableau.of_state(state)
+    gamma_solved = ratio_gradient(tab, inst.utilities[solved])
+    lambdas = [ratio_gradient(tab, obj) for obj in inst.criteria]
+    gamma_other = ratio_gradient(tab, inst.utilities[1 - solved])
     h = frozenset(
         j
-        for j in state.nonbasis
-        if any(lam[j] > 0 for lam in lambdas) or all(lam[j] == 0 for lam in lambdas)
+        for k, j in enumerate(state.cols)
+        if any(lam[k] > 0 for lam in lambdas) or all(lam[k] == 0 for lam in lambdas)
     )
-    gamma_solved = fractional_gradient(state, inst.utilities[solved])
-    gamma_other = fractional_gradient(state, inst.utilities[1 - solved])
     hp = frozenset(
         j
-        for j in state.nonbasis
-        if gamma_other[j] > 0 or (gamma_other[j] == 0 and gamma_solved[j] == 0)
+        for k, j in enumerate(state.cols)
+        if gamma_other[k] > 0 or (gamma_other[k] == 0 and gamma_solved[k] == 0)
     )
     return h, hp
 
@@ -281,7 +354,9 @@ def run(
                         verdict.witness,
                     )
 
-        if ideal_point_beaten(archive, result, companion, objective):
+        known = node.companion and node.companion.within(node.rows)
+        beaten, known = ideal_point_beaten(archive, result, companion, objective, known)
+        if beaten:
             report.trace.append(
                 TraceRecord(node.id, node.parent, FATHOM_IDEAL, point, result.value, None, None)
             )
@@ -292,8 +367,8 @@ def run(
             lo = math.floor(point[r])
             floor_row = LinearRow(((r, 1),), LESS_EQ, lo)
             ceil_row = LinearRow(((r, 1),), GREATER_EQ, lo + 1)
-            floor_child = SearchNode(next_id, node.id, (floor_row,), result.state)
-            ceil_child = SearchNode(next_id + 1, node.id, (ceil_row,), result.state)
+            floor_child = SearchNode(next_id, node.id, (floor_row,), result.state, known)
+            ceil_child = SearchNode(next_id + 1, node.id, (ceil_row,), result.state, known)
             next_id += 2
             report.trace.append(
                 TraceRecord(node.id, node.parent, BRANCH, point, result.value, None, None)
@@ -321,7 +396,7 @@ def run(
         cut_rows = [LinearRow(tuple((j, 1) for j in sorted(h)), GREATER_EQ, 1)]
         if hp != h:
             cut_rows.append(LinearRow(tuple((j, 1) for j in sorted(hp)), GREATER_EQ, 1))
-        successor = SearchNode(next_id, node.id, tuple(cut_rows), result.state)
+        successor = SearchNode(next_id, node.id, tuple(cut_rows), result.state, known)
         next_id += 1
         report.trace.append(
             TraceRecord(node.id, node.parent, CUT, point, result.value, h, hp)

@@ -1,21 +1,27 @@
 """Ratio-objective simplex over a polytope, plus an independent cross-check.
 
-solve_lfp runs the adjacent-vertex method: at the current basis it forms the
-reduced numerator row nu and reduced denominator row mu, combines them into
+solve_lfp runs the adjacent-vertex method: at the current basis it reads
+the reduced numerator row nu and reduced denominator row mu, which the
+tableau carries through every pivot (simplex.Tableau.carry), together with
+the values P(x*) and Q(x*) off their last entries, combines them into
 gamma_j = Q(x*) nu_j - P(x*) mu_j, and pivots on the smallest index with
 gamma_j > 0. All gamma_j <= 0 certifies a global maximum of the ratio,
 because a linear ratio with positive denominator is pseudolinear over the
-feasible region. maximize_from runs the same ratio phase from a solved
-state's basis, for another ratio over the same rows.
+feasible region. Pricing is in integers; the ratio is built as a Fraction
+once, at the optimum. maximize_from runs the same ratio phase from a
+solved state's basis, for another ratio over the same rows.
 
 A search child (solve_lfp with a parent) starts from its parent's ratio
 optimum, which its rows cut off. A dual re-solve (simplex.resolve_after)
 for the linear cost q*P - p*Q, with p and q the parent vertex's numerator
 and denominator values (Dinkelbach 1967), reaches a feasible vertex or
 proves the child empty: its reduced row is the parent's gamma <= 0, so
-the parent's basis is dual feasible. The ratio
-phase goes on from there, and its certificate proves a global maximum
-however the start vertex was reached (pseudolinearity; Martos 1964).
+the parent's basis is dual feasible. That row is priced as q*nu - p*mu
+off the parent's carried rows, with p and q read off their last entries,
+so no cost is built and no reduced row recomputed; nu and mu ride through
+the dual pivots into the ratio phase, which goes on from there, and its
+certificate proves a global maximum however the start vertex was reached
+(pseudolinearity; Martos 1964).
 
 solve_lfp_cc solves the same problem through the variable-change
 t = 1/(q.x + beta), y = t x, which turns the ratio program into a plain LP.
@@ -24,12 +30,11 @@ prices its plain LP objective, so it cross-checks the ratio pricing.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import AssumptionViolated, InvariantViolated, UnboundedDomain
+from .errors import AssumptionViolated, InvariantViolated, NotOptimal, UnboundedDomain
 from .model import AffineForm, FractionalObjective
 from .simplex import (
     EQUAL,
@@ -42,7 +47,6 @@ from .simplex import (
     Tableau,
     _bland,
     feasible_tableau,
-    integer_form,
     reduced_row,
     resolve_after,
     solve_lp,
@@ -57,25 +61,42 @@ class LfpResult:
     state: SimplexState
 
 
-def _ratio_costs(objective: FractionalObjective, ncols: int):
-    """Numerator and denominator as integer forms (see integer_form)."""
-    return integer_form(objective.numerator, ncols), integer_form(objective.denominator, ncols)
+def _costs(objective: FractionalObjective) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The numerator's and the denominator's integer costs (see
+    AffineForm.scaled), the costs a tableau carries for the objective."""
+    return objective.numerator.scaled[0], objective.denominator.scaled[0]
 
 
-def _gamma(tab: Tableau, p, q) -> tuple[int, int, list[int]]:
-    """(p_val, q_val, gamma) at the tableau's vertex, over the dictionary
-    columns, with the reduced P and Q rows carried as tab.costs (see
-    Tableau.carry).
+def _gamma(carrier, objective: FractionalObjective) -> tuple[int, int, list[int]]:
+    """(p_val, q_val, gamma) at the vertex of a tableau or state `carrier`
+    whose carried rows are the objective's reduced P and Q rows nu and mu
+    (see Tableau.carry), over the dictionary columns.
 
-    p_val = p_scale*det*P(x) and nu = tab.reduced(p_cost) = p_scale*det*(the
-    reduced P row), likewise for Q, so gamma_j = q_val*nu_j - p_val*mu_j is
-    Q(x)*(reduced P)_j - P(x)*(reduced Q)_j times p_scale*q_scale*det**2 > 0.
+    Each carried row ends in -det times its cost's value, so p_val =
+    p_scale*det*P(x) is det*p_const minus nu's last entry, and likewise
+    q_val; then gamma_j = q_val*nu_j - p_val*mu_j is Q(x)*(reduced P)_j -
+    P(x)*(reduced Q)_j times p_scale*q_scale*det**2 > 0.
     """
-    (p_cost, p_const, _), (q_cost, q_const, _) = p, q
-    p_val = tab.value_of(p_cost, p_const)
-    q_val = tab.value_of(q_cost, q_const)
-    nu, mu = tab.costs
+    nu, mu = carrier.costs
+    det = carrier.det
+    p_val = det * objective.numerator.scaled[1] - nu[-1]
+    q_val = det * objective.denominator.scaled[1] - mu[-1]
     return p_val, q_val, [q_val * a - p_val * b for a, b in zip(nu, mu)]
+
+
+def _carried(tab: Tableau, objective: FractionalObjective) -> None:
+    """Make tab's carried rows the objective's reduced P and Q rows, unless
+    they already are."""
+    costs = _costs(objective)
+    if tab.priced != costs:
+        tab.carry(*costs)
+
+
+def ratio_gradient(tab: Tableau, objective: FractionalObjective) -> list[int]:
+    """gamma at tab's vertex over its dictionary columns, times a positive
+    integer (see _gamma), read off the objective's carried rows."""
+    _carried(tab, objective)
+    return _gamma(tab, objective)[2]
 
 
 def solve_lfp(
@@ -87,20 +108,26 @@ def solve_lfp(
     """Maximize a fractional objective over the row system plus x >= 0.
 
     The returned point is the structural part; the full state (with slack
-    coordinates and final tableau) rides along for reduced-row consumers.
+    coordinates, final tableau and the objective's carried rows) rides
+    along for reduced-row consumers.
 
     parent: the optimal final state of an earlier solve of the same
-    objective (a search node's parent), left unchanged. Without it, `rows`
-    are the whole system, solved from scratch. With it, `rows` are the
-    inequality rows appended to the parent's system, and may reference its
-    columns and the slacks of earlier rows among them; each slack is that
-    of its row as written. The final basis, and the point where optima tie,
-    may differ from a solve from scratch; the status and the value do not.
+    objective (a search node's parent), left unchanged; one solved for
+    another objective is refused (NotOptimal). Without it, `rows` are the
+    whole system, solved from scratch. With it, `rows` are the inequality
+    rows appended to the parent's system, and may reference its columns
+    and the slacks of earlier rows among them; each slack is that of its
+    row as written. The final basis, and the point where optima tie, may
+    differ from a solve from scratch; the status and the value do not.
     """
     if parent is None:
         tab = feasible_tableau(LinearProgram.of(num_vars, {}, rows))
     else:
-        tab = resolve_after(parent, rows, _linearized(parent, objective))
+        if parent.priced != _costs(objective):
+            raise NotOptimal("the parent state was solved for another objective")
+        # The parent's gamma, priced at its vertex for the whole re-solve.
+        p, q, _ = _gamma(parent, objective)
+        tab = resolve_after(parent, rows, lambda tab: [q * a - p * b for a, b in zip(*tab.costs)])
     if tab is None:
         state = SimplexState(Status.INFEASIBLE, num_vars, (), ())
         return LfpResult(Status.INFEASIBLE, None, None, state)
@@ -110,58 +137,52 @@ def solve_lfp(
     return LfpResult(Status.OPTIMAL, state.structural_point(num_vars), value, state)
 
 
-def _linearized(state: SimplexState, objective: FractionalObjective) -> list[int]:
-    """q*P - p*Q over the state's columns, divided by the gcd of its
-    entries: its reduced row is the state's gamma over that gcd (see
-    _gamma for p, q and the integer forms P and Q)."""
-    tab = Tableau.of_state(state)
-    (p_cost, p_const, _), (q_cost, q_const, _) = _ratio_costs(objective, tab.ncols)
-    p, q = tab.value_of(p_cost, p_const), tab.value_of(q_cost, q_const)
-    cost = [q * a - p * b for a, b in zip(p_cost, q_cost)]
-    divisor = math.gcd(*cost) or 1
-    return [c // divisor for c in cost]
-
-
-def maximize_from(state: SimplexState, objective: FractionalObjective) -> Fraction:
-    """The maximum of `objective` over the rows `state` was solved on.
+def maximize_from(
+    state: SimplexState, objective: FractionalObjective
+) -> tuple[Fraction, SimplexState]:
+    """The maximum of `objective` over the rows `state` was solved on, and
+    the final state of the vertex that attains it.
 
     Ratio pivots from the state's optimal basis, which is feasible for the
     same rows; the state is left unchanged (Tableau.of_state copies the
     row list).
     """
-    return _ratio_phase(Tableau.of_state(state), objective)
+    tab = Tableau.of_state(state)
+    value = _ratio_phase(tab, objective)
+    return value, tab.state(Status.OPTIMAL)
 
 
 def _ratio_phase(tab: Tableau, objective: FractionalObjective) -> Fraction:
     """Pivot a primal-feasible tableau to the ratio maximum and return it.
 
-    Prices Bland on gamma: of the columns with gamma_j > 0, the one
-    naming the smallest variable enters.
+    Prices Bland on gamma (see ratio_gradient): of the columns with
+    gamma_j > 0, the one naming the smallest variable enters. The ratio is
+    p_val*q_scale / (q_val*p_scale), compared across pivots by
+    cross-multiplying; one Fraction is built at the end.
     """
-    p, q = _ratio_costs(objective, tab.ncols)
-    p_scale, q_scale = p[2], q[2]
-    tab.carry(p[0], q[0])
-    value = None
+    p_scale, q_scale = objective.numerator.scaled[2], objective.denominator.scaled[2]
+    _carried(tab, objective)
+    last = None
 
     def price(tab: Tableau) -> list[int]:
-        nonlocal value
-        p_val, q_val, gamma = _gamma(tab, p, q)
+        nonlocal last
+        p_val, q_val, gamma = _gamma(tab, objective)
         if q_val <= 0:
             raise AssumptionViolated(
                 f"denominator evaluates to {Fraction(q_val, q_scale * tab.det)} "
                 "at a feasible vertex"
             )
-        current = Fraction(p_val * q_scale, q_val * p_scale)
-        if value is not None and current < value:
+        if last is not None and p_val * last[1] < last[0] * q_val:
             raise InvariantViolated("ratio value decreased across a pivot")
-        value = current
+        last = p_val, q_val
         return gamma
 
     if _bland(tab, price) is Status.UNBOUNDED:
         raise UnboundedDomain(
             "improving ray with no blocking row; the domain is not a polytope"
         )
-    return value
+    p_val, q_val = last
+    return Fraction(p_val * q_scale, q_val * p_scale)
 
 
 def fractional_gradient(state: SimplexState, objective: FractionalObjective) -> dict[int, Fraction]:
@@ -171,10 +192,8 @@ def fractional_gradient(state: SimplexState, objective: FractionalObjective) -> 
     flag nonbasic directions along which the ratio still improves.
     """
     tab = Tableau.of_state(state)
-    p, q = _ratio_costs(objective, tab.ncols)
-    tab.carry(p[0], q[0])
-    _, _, gamma = _gamma(tab, p, q)
-    scale = p[2] * q[2] * tab.det**2
+    gamma = ratio_gradient(tab, objective)
+    scale = objective.numerator.scaled[2] * objective.denominator.scaled[2] * tab.det**2
     return {j: Fraction(g, scale) for j, g in sorted(zip(tab.cols, gamma))}
 
 

@@ -16,17 +16,16 @@ negative value, the extended basis stays dual feasible for the objective,
 and dual simplex pivots reach the child's optimum or prove it
 infeasible; the returned tableau's state is the child's. The program
 keeps its integer cost (`LinearProgram.integer_cost`), which the root
-and every child price. A stack entry is (parent state, branch row), so
+prices; its reduced row rides in each node's state, and every child
+re-solves on its parent's. A stack entry is (parent state, branch row), so
 no child's program is built. An appended slack belongs to its row as
 written, as in a from-scratch solve, so a child's system is its extended
 program's.
 
 A node is read in integers: its value times det and the objective's
-scale is a sum over its basic rows, and a basic variable is fractional
-when its right-hand side is not a multiple of det. The objective may
-price the added columns of the program's rows (see
-`simplex.LinearProgram`), so that sum runs over every basic variable.
-`Fraction`s are built only for a kept incumbent, whose point is the
+scale is the carried objective row's last entry, negated, and a basic
+variable is fractional when its right-hand side is not a multiple of
+det. `Fraction`s are built only for a kept incumbent, whose point is the
 structural part of the node's point.
 """
 from __future__ import annotations
@@ -61,20 +60,17 @@ class MilpResult:
 
 
 def _relaxation(
-    program: LinearProgram,
-    parent: SimplexState | None,
-    row: LinearRow | None,
-    cost: Sequence[int],
+    program: LinearProgram, parent: SimplexState | None, row: LinearRow | None
 ) -> SimplexState | None:
     """A node's optimal LP state, or None when its LP is infeasible: the
     root (no parent) from scratch, a child from its parent's final state
-    plus its branch row, with `cost` the integer objective."""
+    plus its branch row, on the parent's carried objective row."""
     if parent is None:
         state = solve_lp(program)
         if state.status is Status.UNBOUNDED:
             raise UnboundedRelaxation("root relaxation has no finite optimum")
         return state if state.status is Status.OPTIMAL else None
-    tab = resolve_after(parent, (row,), cost)
+    tab = resolve_after(parent, (row,))
     return None if tab is None else tab.state(Status.OPTIMAL)
 
 
@@ -91,9 +87,7 @@ def solve_milp(
     incumbent: known feasible (point, value) used to seed pruning.
     node_limit: most nodes to solve, infeasible ones included.
     """
-    # A node's det * scale * value is read off its basic rows.
-    cost, scale = program.integer_cost
-    priced = [(var, c) for var, c in enumerate(cost) if c]
+    scale = program.integer_cost[1]
     best_point: tuple[Fraction, ...] | None = None
     best_value: Fraction | None = None
     if incumbent is not None:
@@ -109,13 +103,14 @@ def solve_milp(
         nodes += 1
         if node_limit is not None and nodes > node_limit:
             raise NodeLimitExceeded(f"node limit {node_limit} exceeded")
-        state = _relaxation(program, parent, row, cost)
+        state = _relaxation(program, parent, row)
         if state is None:
             continue
 
         det = state.det
+        # det * scale * value, negated, ends the carried objective row.
+        scaled = -state.costs[0][-1]
         rhs = {var: r[-1] for var, r in zip(state.basis, state.rows)}
-        scaled = sum(c * rhs.get(var, 0) for var, c in priced)
         if best_value is not None and (
             scaled * best_value.denominator <= best_value.numerator * det * scale
         ):

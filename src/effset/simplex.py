@@ -65,18 +65,22 @@ which every basis is dual feasible, so it is a complete phase one:
 re-solves every child for a cost its parent's basis is optimal for: a
 branch-and-bound child (`milp.solve_milp`) for the program's objective,
 and every search node but the root (`fractional.solve_lfp` with a
-parent) for a linear cost whose reduced row is the parent's ratio
-gradient. The appended rows leave that basis dual feasible, and the
-objective value never rises across a dual pivot.
+parent) for the linear cost q*P - p*Q whose reduced row is the parent's
+ratio gradient. The appended rows leave that basis dual feasible, and
+the objective value never rises across a dual pivot.
 
-A tableau carries the reduced rows of the costs it prices (`Tableau.costs`,
-seeded by one `reduced` call per cost). A reduced row det * (c - c_B B^-1 A),
-kept over the dictionary columns,
-changes under a pivot as a constraint row does, so `pivot` updates it with
-the same exact formula, and it equals a fresh `reduced(c)` entry for entry
-after every pivot. The dual loop's cost row also ends in -det * c_B B^-1 b,
-an entry the same update carries like a right-hand side, so the objective
-value is read off it.
+A tableau carries the reduced rows of the integer costs it prices
+(`Tableau.costs`, seeded by `carry`, which names the costs in
+`Tableau.priced`). A reduced row det * (c - c_B B^-1 A), kept over the
+dictionary columns and ending in -det * c_B B^-1 b, changes under a pivot
+as a constraint row does, so `pivot` updates it with the same exact
+formula, and it equals a fresh `reduced(c)` followed by -`value_of(c)`
+entry for entry after every pivot; an appended row's scale multiplies it
+with the rows. The carried rows persist in the solved `SimplexState` and
+seed every re-solve from it: a MILP child re-solves on its parent's
+objective row, and a search child prices q*nu - p*mu off its parent's
+numerator and denominator rows nu and mu, which then ride on into the
+ratio phase. No re-solve computes a reduced row afresh.
 
 The primal loop optimizes a feasible tableau under Bland's rule (of the
 eligible columns, the one naming the smallest variable enters; ratio
@@ -159,8 +163,11 @@ class SimplexState:
     variable over the nonbasic columns `cols`, its right-hand side last, so
     rows / det is B^-1 [N | b]. The rows are the tableau's own lists,
     shared without a copy; pivots replace rows instead of writing into
-    them. An INFEASIBLE state has no basis, rows or columns, and its
-    num_vars counts the structural variables only."""
+    them. `costs` are the tableau's carried reduced rows, the reduced rows
+    of the integer costs `priced` (see Tableau.carry), so a re-solve from
+    the state starts from them. An INFEASIBLE state has no basis, rows,
+    columns or costs, and its num_vars counts the structural variables
+    only."""
 
     status: Status
     num_vars: int
@@ -168,19 +175,23 @@ class SimplexState:
     rows: tuple[list[int], ...]
     det: int = 1
     cols: tuple[int, ...] = ()
+    costs: tuple[list[int], ...] = ()
+    priced: tuple[Sequence[int], ...] = ()
 
     @property
     def nonbasis(self) -> tuple[int, ...]:
         return tuple(sorted(self.cols))
 
     def full_point(self) -> tuple[Fraction, ...]:
-        point = [ZERO] * self.num_vars
-        for var, row in zip(self.basis, self.rows):
-            point[var] = Fraction(row[-1], self.det)
-        return tuple(point)
+        return self.structural_point(self.num_vars)
 
     def structural_point(self, n: int) -> tuple[Fraction, ...]:
-        return self.full_point()[:n]
+        """The first n coordinates of the state's point."""
+        point = [ZERO] * n
+        for var, row in zip(self.basis, self.rows):
+            if var < n:
+                point[var] = Fraction(row[-1], self.det)
+        return tuple(point)
 
 
 def integer_form(form: AffineForm, ncols: int) -> tuple[list[int], int, int]:
@@ -196,12 +207,13 @@ class Tableau:
     ending in its right-hand side. `ncols` counts the real variables; an
     index at or above it names an equality row's artificial, which is
     basic only while its row is appended. `costs` holds the reduced rows
-    of the costs being priced, carried through every pivot (see `carry`).
-    Internal to the solvers; snapshot with `state()` before handing
-    results out. Costs passed in are integer (see integer_form), one entry
-    per variable."""
+    of the integer costs `priced`, carried through every pivot (see
+    `carry`). Internal to the solvers; snapshot with `state()` before
+    handing results out. Costs passed in are integer (see integer_form):
+    over the leading columns for `carry`, one entry per variable for
+    `reduced` and `value_of`."""
 
-    __slots__ = ("ncols", "rows", "basis", "det", "cols", "costs")
+    __slots__ = ("ncols", "rows", "basis", "det", "cols", "costs", "priced")
 
     def __init__(self, ncols, rows, basis, det, cols):
         self.ncols = ncols
@@ -210,14 +222,18 @@ class Tableau:
         self.det = det
         self.cols = cols
         self.costs: list[list[int]] = []
+        self.priced: tuple[Sequence[int], ...] = ()
 
     @classmethod
     def of_state(cls, state: SimplexState) -> "Tableau":
-        """The integer tableau behind an optimal state, for reduced rows or
-        further pivots; pivoting it leaves the state unchanged."""
+        """The integer tableau behind an optimal state, with its carried
+        rows, for reduced rows or further pivots; pivoting it leaves the
+        state unchanged."""
         if state.status is not Status.OPTIMAL:
             raise NotOptimal(f"reduced rows need an optimal state, got {state.status}")
-        return cls(state.num_vars, list(state.rows), list(state.basis), state.det, list(state.cols))
+        tab = cls(state.num_vars, list(state.rows), list(state.basis), state.det, list(state.cols))
+        tab.costs, tab.priced = list(state.costs), state.priced
+        return tab
 
     def pivot(self, row_idx: int, col: int) -> None:
         """Exchange basis[row_idx] and cols[col] (see the module docstring
@@ -255,9 +271,15 @@ class Tableau:
                 target[:] = [row[:col] + row[col + 1:] for row in target]
 
     def carry(self, *costs: Sequence[int]) -> None:
-        """Price these costs from now on: `costs` becomes their reduced
-        rows, which every later pivot updates in place of a recomputation."""
-        self.costs = [self.reduced(cost) for cost in costs]
+        """Price these integer costs, each over the leading columns (the
+        rest cost zero), from now on: `costs` becomes their reduced rows,
+        each ending in -det times the cost's value, which every later pivot
+        updates in place of a recomputation."""
+        self.priced = costs
+        self.costs = []
+        for cost in costs:
+            cost = [*cost, *[0] * (self.ncols - len(cost))]
+            self.costs.append([*self.reduced(cost), -self.value_of(cost)])
 
     def reduced(self, cost: Sequence[int]) -> list[int]:
         """det * (cost - cost_B . B^-1 A) over the dictionary columns (it is
@@ -296,7 +318,8 @@ class Tableau:
 
     def state(self, status: Status) -> SimplexState:
         return SimplexState(
-            status, self.ncols, tuple(self.basis), tuple(self.rows), self.det, tuple(self.cols)
+            status, self.ncols, tuple(self.basis), tuple(self.rows), self.det, tuple(self.cols),
+            tuple(self.costs), self.priced,
         )
 
 
@@ -330,8 +353,8 @@ def _written(
     integer data (row.coeffs and row.rhs, which are its scale s times the
     row), it is det*a - sum_i a[basis_i]*row_i, for the basic variables
     `basic` maps to their rows; `column` maps each nonbasic variable to its
-    column. Then tab's rows and det are multiplied by s, and the returned
-    row is over the new det.
+    column. Then tab's rows, carried rows and det are multiplied by s, and
+    the returned row is over the new det.
     """
     det = tab.det
     new = [0] * len(column)
@@ -350,6 +373,7 @@ def _written(
     scale = row.scale
     if scale != 1:
         tab.rows = [[scale * v for v in r] for r in tab.rows]
+        tab.costs = [[scale * v for v in r] for r in tab.costs]
         tab.det *= scale
     if row.relation == GREATER_EQ:
         new = [-v for v in new]
@@ -394,47 +418,49 @@ def feasible_tableau(program: LinearProgram) -> Tableau | None:
     tab = Tableau(n, [], [], 1, list(range(n)))
     if not _appended(tab, program.rows):
         return None
-    tab.costs = [[0] * (len(tab.cols) + 1)]
-    return tab if _dual_bland(tab) else None
+    # The zero cost's carried row: its reduced costs and value are zero.
+    tab.costs, tab.priced = [[0] * (len(tab.cols) + 1)], ((),)
+    return tab if _dual_bland(tab, _carried_cost) else None
 
 
 def resolve_after(
-    parent: SimplexState, rows: Sequence[LinearRow], cost: Sequence[int]
+    parent: SimplexState, rows: Sequence[LinearRow], price=_carried_cost
 ) -> Tableau | None:
-    """Maximize `cost` . x over the system `parent` was solved on plus the
-    inequality `rows`, by dual simplex from the parent's basis: the optimal
-    tableau, or None when the extended system is infeasible. `cost` is
-    integer (see integer_form), over the parent's columns at least, and the
-    parent must be optimal for it. The parent is left unchanged.
+    """Maximize a linear cost over the system `parent` was solved on plus
+    the inequality `rows`, by dual simplex from the parent's basis: the
+    optimal tableau, or None when the extended system is infeasible. The
+    parent is left unchanged.
+
+    The tableau starts from the parent's carried rows (`costs`), which ride
+    through every pivot. `price(tab)` gives the cost's reduced row over the
+    dictionary columns, then -det times its value, as a combination of
+    them; by default it is the one carried row, the cost the parent was
+    optimized for. The parent's basis must be optimal for it.
 
     The rows are appended with their slacks basic, even at a negative
     right-hand side, so the basis stays dual feasible. A row may reference
-    the parent's variables and the slacks of earlier rows in `rows`. The
-    reduced row of `cost`, with -det times the objective value appended,
-    is carried through the pivots of `_dual_bland`.
+    the parent's variables and the slacks of earlier rows in `rows`.
 
     Callers, each on a parent's final state: `milp.solve_milp` for every
-    branch-and-bound child (one branch row), and `fractional.solve_lfp` for
-    every search node but the root (its branch row or round rows), which
-    goes on to the ratio phase on the returned tableau.
+    branch-and-bound child (one branch row), on the parent's objective
+    row, and `fractional.solve_lfp` for every search node but the root (its
+    branch row or round rows), on q*nu - p*mu from the parent's carried
+    ratio rows, which goes on to the ratio phase on the returned tableau.
     """
     if any(row.relation == EQUAL for row in rows):
         raise ValueError("a dual re-solve appends inequality rows only")
     tab = Tableau.of_state(parent)
     _appended(tab, rows)
-    cost = [*cost, *[0] * (tab.ncols - len(cost))]
-    red = tab.reduced(cost)
-    if any(v > 0 for v in red):
+    if any(v > 0 for v in price(tab)[:-1]):
         raise NotOptimal("the parent's basis is not optimal for the cost")
-    red.append(-tab.value_of(cost))
-    tab.costs = [red]
-    return tab if _dual_bland(tab) else None
+    return tab if _dual_bland(tab, price) else None
 
 
-def _dual_bland(tab: Tableau) -> bool:
-    """Dual simplex from a dual-feasible tableau whose one carried cost row
-    ends in -det times the objective value: True at a primal-feasible
-    basis, which is then optimal, and False when the rows are infeasible.
+def _dual_bland(tab: Tableau, price) -> bool:
+    """Dual simplex from a dual-feasible tableau whose cost row, `price(tab)`
+    over tab's carried rows, ends in -det times the objective value: True
+    at a primal-feasible basis, which is then optimal, and False when the
+    rows are infeasible.
 
     Bland's rule for the dual (Bland 1977): of the rows with a negative
     right-hand side, the one whose basic variable is smallest leaves; of its
@@ -444,8 +470,9 @@ def _dual_bland(tab: Tableau) -> bool:
     with no negative entry proves the system infeasible. A value that rises
     across a pivot is a defect (InvariantViolated).
     """
+    red = price(tab)
     while True:
-        rows, cols, red = tab.rows, tab.cols, tab.costs[0]
+        rows, cols = tab.rows, tab.cols
         leaving = min(
             ((var, i) for i, (var, row) in enumerate(zip(tab.basis, rows)) if row[-1] < 0),
             default=None,
@@ -466,7 +493,8 @@ def _dual_bland(tab: Tableau) -> bool:
             return False
         value, det = red[-1], tab.det
         tab.pivot(leave, enter)
-        if tab.costs[0][-1] * det < value * tab.det:
+        red = price(tab)
+        if red[-1] * det < value * tab.det:
             raise InvariantViolated("the objective value rose across a dual pivot")
 
 
@@ -475,7 +503,7 @@ def optimize(tab: Tableau, cost: Sequence[int]) -> SimplexState:
     columns (the rest cost zero; see LinearProgram.integer_cost), by Bland
     pivots from the primal-feasible `tab`, which it pivots in place. The
     final state is OPTIMAL or UNBOUNDED."""
-    tab.carry([*cost, *[0] * (tab.ncols - len(cost))])
+    tab.carry(cost)
     return tab.state(_bland(tab, _carried_cost))
 
 

@@ -29,11 +29,12 @@ from effset.errors import (
     NonIntegerPoint,
     NotOptimal,
 )
-from effset.fractional import _expand_rows, solve_lfp
+from effset.fractional import _expand_rows, maximize_from, solve_lfp
 from effset.generator import GeneratorConfig, generate
 from effset.model import (
     criteria_image,
     dominates,
+    evaluate,
     instance,
     ratio,
     scaled_constraints,
@@ -342,6 +343,60 @@ class TestIdealFathoming:
                             point,
                         )
         assert fathomed > 0 and covered > 0
+
+    @pytest.mark.parametrize("strategy", ["dfs", "bfs"])
+    @pytest.mark.parametrize("objective", [0, 1])
+    def test_a_reused_companion_maximum_is_the_nodes_own(self, monkeypatch, strategy, objective):
+        """A node whose parent's companion argmax satisfies its rows takes
+        the parent's maximum with no pivot; that maximum equals a
+        continuation from the node's own final basis, and the argmax, one
+        coordinate per variable of the node, attains it. A node fathomed on
+        its parent's maximum as a bound, with no pivot, is fathomed at its
+        own maximum too. Nodes with an archived rival at or above their
+        vertex's image, each of which ran a continuation before maxima were
+        passed down, now run strictly fewer."""
+        tested = reused = bounded = 0
+        beaten = branch_cut.ideal_point_beaten
+        continuations = count_calls(monkeypatch, branch_cut.maximize_from)
+
+        def checked(archive, result, companion, solved, known=None):
+            nonlocal tested, reused, bounded
+
+            def corner(other):
+                return (result.value, other) if solved == 0 else (other, result.value)
+
+            vertex = corner(evaluate(companion, result.point))
+            rivals = [
+                r.utility_values
+                for r in archive
+                if all(a >= b for a, b in zip(r.utility_values, vertex))
+            ]
+            tested += bool(rivals)
+            exact = maximize_from(result.state, companion)[0]
+            if known is not None and known.argmax is not None:
+                reused += 1
+                assert known.value == exact
+                # One coordinate per variable of the node, slacks included.
+                assert len(known.argmax) == result.state.num_vars
+                assert min(known.argmax) >= 0
+                argmax = [Fraction(v, known.det) for v in known.argmax]
+                assert evaluate(companion, argmax[: len(result.point)]) == known.value
+            before = continuations["branch_cut"]
+            fathom, after = beaten(archive, result, companion, solved, known)
+            if fathom and continuations["branch_cut"] == before and known.argmax is None:
+                bounded += 1
+                assert known.value >= exact
+                assert any(dominates(u, corner(exact)) for u in rivals)
+            return fathom, after
+
+        monkeypatch.setattr(branch_cut, "ideal_point_beaten", checked)
+        for seed in range(10):
+            inst = generate(
+                GeneratorConfig(num_vars=5, num_constraints=10, num_criteria=3, seed=seed)
+            )
+            run(inst, strategy=strategy, objective=objective, validate=False)
+        assert reused > 0 and bounded > 0
+        assert 0 < continuations["branch_cut"] < tested
 
 
 def _rational_instances():

@@ -5,15 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effset.errors import AssumptionViolated, NotOptimal, UnboundedDomain
+import effset.fractional as fractional
 from effset.fractional import (
-    _linearized,
     fractional_gradient,
     maximize_from,
     solve_lfp,
     solve_lfp_cc,
 )
 from effset.model import AffineForm, evaluate, ratio
-from effset.simplex import GREATER_EQ, LESS_EQ, LinearRow, Status, reduced_row
+from effset.simplex import GREATER_EQ, LESS_EQ, LinearRow, Status, Tableau, reduced_row
 
 from conftest import DEMO_A, DEMO_B, assert_fits
 
@@ -135,19 +135,37 @@ class TestBehaviors:
         utility = {"second utility": demo.utilities[1], "constant": ratio([0, 0], 3, [0, 0], 2)}
         _warm_child_matches_cold(utility[objective], child)
 
-    def test_linearized_cost_prices_the_parents_gradient(self, demo):
+    def test_linearized_cost_prices_the_parents_gradient(self, demo, monkeypatch):
         # P = -x0 + x1 - 3 and Q = 2x0 + x1 + 1 are -45/7 and 79/7 at the
         # root (32/7, 8/7), so q*P - p*Q is a positive multiple of
         # 79 (-1, 1) + 45 (2, 1) = (11, 124), whose gcd is 1. Its reduced
-        # row is 79 nu + 45 mu, 7 times gamma = (-37/7, -24/7).
+        # row is 79 nu + 45 mu, 7 times gamma = (-37/7, -24/7). A child's
+        # dual re-solve prices it off the root's carried rows, p and q
+        # read off their value entries: a positive multiple of the reduced
+        # row of (11, 124) followed by -det times its value, 192.
         state = solve_lfp(2, demo_rows(), demo.utilities[0]).state
-        cost = _linearized(state, demo.utilities[0])
-        assert cost == [11, 124, 0, 0]
-        reduced, _ = reduced_row(state, AffineForm.of(cost[:2]))
+        reduced, _ = reduced_row(state, AffineForm.of([11, 124]))
         assert reduced == {2: -37, 3: -24}
         assert fractional_gradient(state, demo.utilities[0]) == {
             j: v / 7 for j, v in reduced.items()
         }
+        prices = []
+
+        def recording(parent, rows, price):
+            prices.append(price)
+            return resolve_after(parent, rows, price)
+
+        resolve_after = fractional.resolve_after
+        monkeypatch.setattr(fractional, "resolve_after", recording)
+        solve_lfp(2, (LinearRow.of({0: 1}, LESS_EQ, 4),), demo.utilities[0], state)
+        tab = Tableau.of_state(state)
+        linearized = [*tab.reduced([11, 124, 0, 0]), -tab.value_of([11, 124, 0, 0])]
+        assert linearized == [tab.det * reduced[j] for j in tab.cols] + [-192 * tab.det]
+        (price,) = prices
+        priced = price(tab)
+        factor = priced[0] // linearized[0]
+        assert factor > 0
+        assert priced == [factor * v for v in linearized]
 
     def test_a_parent_solved_for_another_ratio_is_refused(self, demo):
         # The second utility's root (0, 0) is not optimal for the first:
@@ -207,7 +225,8 @@ objective_data = st.tuples(
 )
 def test_continuation_matches_a_solve_from_scratch(a, b, lower, solved, companion):
     """maximize_from pivots on from a solved state to the companion's
-    maximum over the same rows, and leaves that state as it was."""
+    maximum over the same rows, ends at a vertex that attains it, and
+    leaves that state as it was."""
     rows = [
         LinearRow.of({0: r[0], 1: r[1]}, LESS_EQ, rhs)
         for r, rhs in zip(a, b)
@@ -218,7 +237,9 @@ def test_continuation_matches_a_solve_from_scratch(a, b, lower, solved, companio
         return
     state = result.state
     basis, matrix, point = state.basis, [list(r) for r in state.rows], state.full_point()
-    assert maximize_from(state, other) == solve_lfp(2, rows, other).value
+    value, final = maximize_from(state, other)
+    assert value == solve_lfp(2, rows, other).value
+    assert evaluate(other, final.structural_point(2)) == value
     assert state.basis == basis
     assert [list(r) for r in state.rows] == matrix
     assert state.full_point() == point

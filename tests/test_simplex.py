@@ -186,29 +186,67 @@ def _slack_extended(rows, x, y):
 
 @contextmanager
 def carried_costs_checked():
-    """Within the block, every pivot of a tableau whose cost rows were
-    seeded by Tableau.carry checks them against a fresh Tableau.reduced of
-    the costs they were seeded with. A tableau that never carried, such as
-    one in the dual loop, whose cost row is set directly, is not checked.
-    Yields the number of pivots checked so far."""
-    # Keyed by id, each entry holding its tableau alive, so no other
-    # tableau can take over a seeded one's id within the block.
+    """Within the block, every carried row of a tableau seeded by
+    Tableau.carry equals a fresh Tableau.reduced of the cost it was seeded
+    with, followed by -Tableau.value_of that cost: after every pivot, after
+    every append (whose row scale multiplies it, see simplex._written), and
+    across a SimplexState round trip (Tableau.state, then Tableau.of_state
+    seeds the new tableau with the costs of the old one). The tableau's
+    `priced` names those costs. A tableau or state that did not come from a
+    seeded one within the block is not checked. Yields the number of checks
+    so far."""
+    # Keyed by id, each entry holding its tableau or state alive, so no other
+    # object can take over a seeded one's id within the block.
     seeded: dict[int, tuple] = {}
     checked = [0]
-    carry, pivot = Tableau.carry, Tableau.pivot
+    carry, pivot, appended = Tableau.carry, Tableau.pivot, simplex._appended
+    state, of_state = Tableau.state, Tableau.of_state.__func__
+
+    def check(tab):
+        if id(tab) not in seeded:
+            return
+        costs = seeded[id(tab)][1]
+        assert tab.priced == costs
+        expected = []
+        for cost in costs:
+            padded = [*cost, *[0] * (tab.ncols - len(cost))]
+            expected.append([*tab.reduced(padded), -tab.value_of(padded)])
+        assert tab.costs == expected
+        checked[0] += 1
 
     def seeding_carry(tab, *costs):
         seeded[id(tab)] = (tab, costs)
         carry(tab, *costs)
+        check(tab)
 
     def checking_pivot(tab, row_idx, col):
         pivot(tab, row_idx, col)
+        check(tab)
+
+    def checking_appended(tab, rows):
+        feasible = appended(tab, rows)
+        check(tab)
+        return feasible
+
+    def recording_state(tab, status):
+        snapshot = state(tab, status)
         if id(tab) in seeded:
-            assert tab.costs == [tab.reduced(cost) for cost in seeded[id(tab)][1]]
-            checked[0] += 1
+            seeded[id(snapshot)] = (snapshot, seeded[id(tab)][1])
+        return snapshot
+
+    def seeding_of_state(cls, snapshot):
+        tab = of_state(cls, snapshot)
+        if id(snapshot) in seeded:
+            seeded[id(tab)] = (tab, seeded[id(snapshot)][1])
+            check(tab)
+        return tab
 
     with mock.patch.object(Tableau, "carry", seeding_carry), mock.patch.object(
         Tableau, "pivot", checking_pivot
+    ), mock.patch.object(simplex, "_appended", checking_appended), mock.patch.object(
+        Tableau, "state", recording_state
+    ), mock.patch.object(
+        Tableau, "of_state", classmethod(seeding_of_state)
     ):
         yield checked
 
@@ -371,8 +409,10 @@ class TestContinuation:
         ]
         state = solve_lp(LinearProgram.of(2, {0: 1, 1: 1}, rows))
         basis, matrix, point = state.basis, [list(r) for r in state.rows], state.full_point()
+        carried = [list(r) for r in state.costs]
 
         tab = Tableau.of_state(state)
+        assert tab.costs == carried
         col = tab.cols.index(2)
         row_idx = next(i for i, row in enumerate(tab.rows) if row[col])
         tab.pivot(row_idx, col)
@@ -380,6 +420,7 @@ class TestContinuation:
         assert 2 in tab.basis
         assert state.basis == basis
         assert [list(r) for r in state.rows] == matrix
+        assert [list(r) for r in state.costs] == carried
         assert state.full_point() == point == (Fraction(32, 7), Fraction(8, 7), 0, 0)
 
 
@@ -455,27 +496,32 @@ def test_a_search_child_matches_a_solve_from_scratch(
     parent: one dual re-solve for the linearized cost, then the ratio
     phase) has the status and the exact optimal value of a solve from
     scratch, and a point that fits every row. No solve from scratch runs,
-    every pivot divides exactly, and the parent is unchanged."""
+    every pivot divides exactly, the parent's carried ratio rows ride
+    through every pivot of both phases equal to fresh reduced rows, and
+    the parent is unchanged."""
     rows = _parent_system(extra_rows, box, doubled_box)
     utility = ratio(list(objective), 0, list(denominator[:3]), denominator[3])
-    parent = solve_lfp(3, rows, utility)
-    assume(parent.status is Status.OPTIMAL)
-    state = parent.state
-    new_rows = _child_rows(data, state)
-    kept = (state.basis, [list(r) for r in state.rows], state.det, state.cols)
-    pivot = Tableau.pivot
+    with carried_costs_checked() as checked:
+        parent = solve_lfp(3, rows, utility)
+        assume(parent.status is Status.OPTIMAL)
+        state = parent.state
+        new_rows = _child_rows(data, state)
+        kept = (state.basis, [list(r) for r in state.rows], state.det, state.cols)
+        pivot, before = Tableau.pivot, checked[0]
 
-    def exact_pivot(tab, row_idx, col):
-        _assert_exact(tab, row_idx, col)
-        pivot(tab, row_idx, col)
+        def exact_pivot(tab, row_idx, col):
+            _assert_exact(tab, row_idx, col)
+            pivot(tab, row_idx, col)
 
-    cold_solve = AssertionError("a solve from scratch ran")
-    with mock.patch.object(
-        simplex, "feasible_tableau", side_effect=cold_solve
-    ), mock.patch.object(
-        fractional, "feasible_tableau", side_effect=cold_solve
-    ), mock.patch.object(Tableau, "pivot", exact_pivot):
-        warm = solve_lfp(3, new_rows, utility, state)
+        cold_solve = AssertionError("a solve from scratch ran")
+        with mock.patch.object(
+            simplex, "feasible_tableau", side_effect=cold_solve
+        ), mock.patch.object(
+            fractional, "feasible_tableau", side_effect=cold_solve
+        ), mock.patch.object(Tableau, "pivot", exact_pivot):
+            warm = solve_lfp(3, new_rows, utility, state)
+        # The round trip through the parent's state checks its carried rows.
+        assert checked[0] > before
 
     cold = solve_lfp(3, rows + new_rows, utility)
     assert warm.status is cold.status
@@ -539,7 +585,7 @@ def test_resolve_after_matches_solve_lp(extra_rows, objective, box, doubled_box,
         assert carried[-1] == -tab.value_of(padded)
 
     with mock.patch.object(Tableau, "pivot", checked_pivot):
-        tab = resolve_after(state, new_rows, cost)
+        tab = resolve_after(state, new_rows)
     cold = solve_lp(child)
     assert kept == (state.basis, [list(r) for r in state.rows], state.det, state.cols)
     if tab is None:
@@ -568,19 +614,20 @@ def test_optimize_after_feasible_after_matches_solve_lp(
     after the appended rows, has the status of solve_lp on the extended
     program, INFEASIBLE and UNBOUNDED included, and at an optimum its exact
     value and a point that fits every row. The carried cost row equals a
-    fresh reduced row after every pivot. A child objective other than the
+    fresh reduced row, then -det times the value, after every pivot, every
+    append and the round trip through the parent's state, on the parent's
+    solve and the child's. A child objective other than the
     parent's can be unbounded where the parent's was not."""
     rows = _parent_system(extra_rows, box, doubled_box)
     program = LinearProgram.of(3, objective, rows)
-    state = solve_lp(program)
-    assume(state.status is Status.OPTIMAL)
-    new_rows = _child_rows(data, state)
-    child = LinearProgram.of(3, child_objective or objective, rows + new_rows)
-    cost, _, _ = integer_form(AffineForm(program.objective), 3)
-
-    tab = resolve_after(state, new_rows, cost)
-    with carried_costs_checked():
+    with carried_costs_checked() as checked:
+        state = solve_lp(program)
+        assume(state.status is Status.OPTIMAL)
+        new_rows = _child_rows(data, state)
+        child = LinearProgram.of(3, child_objective or objective, rows + new_rows)
+        tab = resolve_after(state, new_rows)
         warm = None if tab is None else simplex.optimize(tab, child.integer_cost[0])
+    assert checked[0] > 0
     cold = solve_lp(child)
     if warm is None:
         assert cold.status is Status.INFEASIBLE
@@ -599,11 +646,11 @@ class TestInfeasibleAfter:
     def test_needs_an_optimal_state(self):
         program = lp(1, {0: 1}, [({0: 1}, GREATER_EQ, 3), ({0: 1}, LESS_EQ, 1)])
         with pytest.raises(NotOptimal):
-            resolve_after(solve_lp(program), [LinearRow.of({0: 1}, LESS_EQ, 1)], [1])
+            resolve_after(solve_lp(program), [LinearRow.of({0: 1}, LESS_EQ, 1)])
         unbounded = solve_lp(lp(1, {0: 1}, [({0: 1}, GREATER_EQ, 3)]))
         assert unbounded.status is Status.UNBOUNDED
         with pytest.raises(NotOptimal):
-            resolve_after(unbounded, [LinearRow.of({0: 1}, LESS_EQ, 5)], [1])
+            resolve_after(unbounded, [LinearRow.of({0: 1}, LESS_EQ, 5)])
 
 
 class TestResolveAfter:
@@ -620,26 +667,29 @@ class TestResolveAfter:
         # where x0's slack is basic at 0 and x0 <= 4's slack is nonbasic.
         state = self.solved()
         with mock.patch.object(Tableau, "pivot", autospec=True, side_effect=Tableau.pivot) as piv:
-            child = resolve_after(state, [LinearRow.of({0: 1}, LESS_EQ, 4)], self.COST)
+            child = resolve_after(state, [LinearRow.of({0: 1}, LESS_EQ, 4)])
         assert piv.call_count == 1
         assert child.state(Status.OPTIMAL).full_point() == (4, 1, 0, 1, 0)
-        assert resolve_after(state, [LinearRow.of({1: 1}, GREATER_EQ, 2)], self.COST) is None
+        assert resolve_after(state, [LinearRow.of({1: 1}, GREATER_EQ, 2)]) is None
 
     def test_needs_inequality_rows_and_an_optimal_parent(self):
         state = self.solved()
         with pytest.raises(ValueError):
-            resolve_after(state, [LinearRow.of({0: 1}, EQUAL, 4)], self.COST)
+            resolve_after(state, [LinearRow.of({0: 1}, EQUAL, 4)])
         with pytest.raises(NotOptimal):
-            resolve_after(state, [LinearRow.of({0: 1}, LESS_EQ, 4)], [-1, 0])
+            # The opposite of the parent's objective, which its basis is
+            # not optimal for.
+            opposite = lambda tab: [-v for v in tab.costs[0]]  # noqa: E731
+            resolve_after(state, [LinearRow.of({0: 1}, LESS_EQ, 4)], opposite)
         infeasible = solve_lp(lp(1, {0: 1}, [({0: 1}, GREATER_EQ, 3), ({0: 1}, LESS_EQ, 1)]))
         with pytest.raises(NotOptimal):
-            resolve_after(infeasible, [LinearRow.of({0: 1}, LESS_EQ, 1)], [1])
+            resolve_after(infeasible, [LinearRow.of({0: 1}, LESS_EQ, 1)])
 
     def test_rows_reference_existing_variables_only(self):
         # The parent has x0-x3; the appended row's own slack would be x4.
         state = self.solved()
         with pytest.raises(ValueError):
-            resolve_after(state, [LinearRow.of({4: 1}, LESS_EQ, 1)], self.COST)
+            resolve_after(state, [LinearRow.of({4: 1}, LESS_EQ, 1)])
 
     def test_an_appended_rows_slack_is_that_of_the_row_as_written(self):
         # x0/2 <= 3 at x0 = 32/7 has slack 3 - 16/7 = 5/7, appended or
@@ -647,7 +697,7 @@ class TestResolveAfter:
         # 10/7.
         state = self.solved()
         half = LinearRow.of({0: Fraction(1, 2)}, LESS_EQ, 3)
-        full = resolve_after(state, [half], self.COST).state(Status.OPTIMAL).full_point()
+        full = resolve_after(state, [half]).state(Status.OPTIMAL).full_point()
         assert full[4] == Fraction(5, 7)
         assert_fits(2, self.ROWS + [half], full)
         cold = solve_lp(LinearProgram.of(2, self.COST, self.ROWS + [half]))
@@ -662,7 +712,7 @@ class TestResolveAfter:
             tab.costs[0][-1] -= tab.det
 
         with mock.patch.object(Tableau, "pivot", rising), pytest.raises(InvariantViolated):
-            resolve_after(state, [LinearRow.of({0: 1}, LESS_EQ, 4)], self.COST)
+            resolve_after(state, [LinearRow.of({0: 1}, LESS_EQ, 4)])
 
 
 _fraction_row = st.tuples(
@@ -693,28 +743,32 @@ def test_a_row_over_an_appended_slack_means_the_same_in_one_call_or_two(
     """A fractional-data row, then a row over that row's slack, appended in
     one resolve_after call or in two chained ones (each solved to its
     optimum) give the status and exact value of solve_lp on all the rows,
-    and a point that fits every row as written."""
+    and a point that fits every row as written. The carried objective row
+    equals a fresh reduced row, then -det times the value, across each
+    append's row scale, every pivot and each state round trip."""
     rows = _parent_system(extra_rows, box, doubled_box)
-    state = solve_lp(LinearProgram.of(3, objective, rows))
-    assume(state.status is Status.OPTIMAL)
     coeffs, relation, rhs = first
     fractional = LinearRow.of(coeffs, relation, rhs)
     assume(fractional.scale != 1)
-    on_slack, j, on_j, relation, rhs = second
-    over_slack = LinearRow.of({j: on_j, state.num_vars: on_slack}, relation, rhs)
-    program = LinearProgram.of(3, objective, rows + [fractional, over_slack])
 
     def solved(parent, new_rows):
-        tab = resolve_after(parent, new_rows, list(objective))
+        tab = resolve_after(parent, new_rows)
         if tab is None:
             return SimplexState(Status.INFEASIBLE, 3, (), ())
         return tab.state(Status.OPTIMAL)
 
-    one_call = solved(state, [fractional, over_slack])
-    first_call = solved(state, [fractional])
-    chained = first_call
-    if first_call.status is Status.OPTIMAL:
-        chained = solved(first_call, [over_slack])
+    with carried_costs_checked() as checked:
+        state = solve_lp(LinearProgram.of(3, objective, rows))
+        assume(state.status is Status.OPTIMAL)
+        on_slack, j, on_j, relation, rhs = second
+        over_slack = LinearRow.of({j: on_j, state.num_vars: on_slack}, relation, rhs)
+        one_call = solved(state, [fractional, over_slack])
+        first_call = solved(state, [fractional])
+        chained = first_call
+        if first_call.status is Status.OPTIMAL:
+            chained = solved(first_call, [over_slack])
+    assert checked[0] > 0
+    program = LinearProgram.of(3, objective, rows + [fractional, over_slack])
     cold = solve_lp(program)
     for warm in (one_call, chained):
         assert warm.status is cold.status
@@ -791,7 +845,7 @@ def test_the_dictionary_is_the_scaled_inverse_basis_system(
     assume(state.status is Status.OPTIMAL)
     new_rows = _child_rows(data, state)
     child = LinearProgram.of(3, objective, rows + new_rows)
-    tab = resolve_after(state, new_rows, list(objective))
+    tab = resolve_after(state, new_rows)
     solved = [(state, rows), (solve_lp(child), child.rows)]
     if tab is not None:
         solved.append((tab.state(Status.OPTIMAL), child.rows))
@@ -821,7 +875,7 @@ def test_an_all_inequality_dictionary_keeps_n_columns_at_any_depth(
     assume(state.status is Status.OPTIMAL)
     for _ in range(4):
         assert len(state.cols) == 3 and len(state.rows) == state.num_vars - 3
-        tab = resolve_after(state, _child_rows(data, state), list(objective))
+        tab = resolve_after(state, _child_rows(data, state))
         if tab is None:
             break
         state = tab.state(Status.OPTIMAL)
