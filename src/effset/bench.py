@@ -163,18 +163,12 @@ def summarize(records: Sequence[BenchRecord]) -> list[dict]:
     """One row per (r, m, n) group, in first-seen order. mu is the mean
     count of criteria-efficient points over the seeds whose brute-force
     pass ran; it is None when every pass was refused."""
-    order: list[tuple[int, int, int]] = []
     grouped: dict[tuple[int, int, int], list[BenchRecord]] = {}
     for rec in records:
-        key = (rec.r, rec.m, rec.n)
-        if key not in grouped:
-            grouped[key] = []
-            order.append(key)
-        grouped[key].append(rec)
+        grouped.setdefault((rec.r, rec.m, rec.n), []).append(rec)
 
     rows = []
-    for key in order:
-        batch = grouped[key]
+    for key, batch in grouped.items():
         cpus = [rec.cpu for rec in batch]
         nodes = [rec.nodes for rec in batch]
         mus = [rec.oracle_efficient for rec in batch if rec.oracle_efficient is not None]

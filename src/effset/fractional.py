@@ -37,7 +37,7 @@ from typing import Sequence
 from .errors import AssumptionViolated, InvariantViolated, NotOptimal, UnboundedDomain
 from .model import AffineForm, FractionalObjective
 from .simplex import (
-    EQUAL,
+    GREATER_EQ,
     LESS_EQ,
     ZERO,
     LinearProgram,
@@ -205,8 +205,7 @@ def _expand_rows(num_vars: int, rows: Sequence[LinearRow]):
     (dense_coeffs, relation, rhs) triples in Fractions: each row's integer
     data divided by its scale.
     """
-    added: dict[int, tuple[list[Fraction], Fraction]] = {}
-    next_added = num_vars
+    added: list[tuple[list[Fraction], Fraction]] = []  # row i's slack, x_{num_vars + i}
     out = []
     for row in rows:
         dense = [ZERO] * num_vars
@@ -216,19 +215,17 @@ def _expand_rows(num_vars: int, rows: Sequence[LinearRow]):
             if j < num_vars:
                 dense[j] += coeff
             else:
-                expr, const = added[j]
+                expr, const = added[j - num_vars]
                 for t, e in enumerate(expr):
                     if e:
                         dense[t] += coeff * e
                 shift += coeff * const
         rhs = Fraction(row.rhs, row.scale) - shift
         out.append((dense, row.relation, rhs))
-        if row.relation != EQUAL:
-            if row.relation == LESS_EQ:
-                added[next_added] = ([-d for d in dense], rhs)
-            else:
-                added[next_added] = (list(dense), -rhs)
-            next_added += 1
+        if row.relation == LESS_EQ:
+            added.append(([-d for d in dense], rhs))
+        else:
+            added.append((list(dense), -rhs))
     return out
 
 
@@ -237,10 +234,11 @@ def solve_lfp_cc(
 ) -> tuple[Status, Fraction | None]:
     """Transform-based solve used as an independent oracle for solve_lfp.
 
-    Variables are y = t x and t = 1/(q.x + beta). Each row a.x <= b becomes
-    a.y - b t <= 0, the denominator is pinned by q.y + beta t = 1, and the
-    numerator p.y + alpha t is maximized as a plain LP. Returns the optimal
-    ratio value; the maximizer is not recovered.
+    Variables are y = t x and t = 1/(q.x + beta) (Charnes & Cooper 1962).
+    Each row a.x <= b becomes a.y - b t <= 0, the denominator is pinned by
+    the pair q.y + beta t <= 1 and q.y + beta t >= 1, and the numerator
+    p.y + alpha t is maximized as a plain LP. Returns the optimal ratio
+    value; the maximizer is not recovered.
     """
     structural = _expand_rows(num_vars, rows)
     t_index = num_vars
@@ -253,7 +251,7 @@ def solve_lfp_cc(
     q = objective.denominator
     norm = {j: c for j, c in enumerate(q.coeffs) if c}
     norm[t_index] = q.constant
-    cc_rows.append(LinearRow.of(norm, EQUAL, 1))
+    cc_rows += [LinearRow.of(norm, LESS_EQ, 1), LinearRow.of(norm, GREATER_EQ, 1)]
 
     p = objective.numerator
     cc_objective = {j: c for j, c in enumerate(p.coeffs) if c}

@@ -105,9 +105,11 @@ def _rationals(tokens: list[str], count: int, lineno: int, what: str) -> list[Fr
 
 
 def _count(tokens: list[str], lineno: int, what: str) -> int:
-    if len(tokens) != 1 or not tokens[0].isdigit() or int(tokens[0]) < 1:
+    text = tokens[0] if len(tokens) == 1 else ""
+    # ASCII digits only, as dumps writes them: str.isdigit alone accepts '²'.
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
         raise ParseError(f"{what} takes one positive integer", lineno)
-    return int(tokens[0])
+    return int(text)
 
 
 def _objective(reader: _Reader, keyword: str, n: int) -> FractionalObjective:

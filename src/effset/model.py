@@ -25,8 +25,7 @@ ZERO = Fraction(0)
 
 LESS_EQ = "<="
 GREATER_EQ = ">="
-EQUAL = "=="
-_RELATIONS = (LESS_EQ, GREATER_EQ, EQUAL)
+_RELATIONS = (LESS_EQ, GREATER_EQ)
 
 
 def as_fraction(value) -> Fraction:

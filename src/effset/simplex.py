@@ -1,13 +1,12 @@
 """Exact simplex on an integer-preserving tableau: dual simplex makes
 every tableau feasible, primal simplex optimizes it.
 
-Rows may mix <=, >= and == relations. A row (`model.LinearRow`) holds
+Every row is an inequality, <= or >=. A row (`model.LinearRow`) holds
 integers over one positive scale s, the lcm of the denominators of its
 rational entries: its coefficients and right-hand side are s times the
 row's. A row is converted once, where it is built, and no solver rescales
-it. Standardization appends one slack or surplus variable per inequality
-row, in row order, so a row's added variable has a predictable index
-(structural count + row position when every row adds one). Added
+it. Standardization appends one slack or surplus variable per row, in row
+order, so row i adds column n + i over n structural variables. Added
 variables are first-class: later rows may reference them, which is how
 branch-and-cut expresses its rounds over slack coordinates.
 
@@ -17,51 +16,47 @@ the integer tableau over one positive common denominator `det`, in which
 every basic column is det times a unit column. So only the nonbasic
 columns are stored: each row belongs to one basic variable (`basis`) and
 holds its entries in the columns `cols`, which name the nonbasic
-variables, then its right-hand side. For an all-inequality system over n
-structural variables there are always n columns, however many rows are
-appended.
+variables, then its right-hand side. Over n structural variables there
+are always n columns, however many rows are appended.
 
 A pivot on row r and column s with entry p (sign sigma) exchanges
 basis[r] and cols[s]. Every other row a, with entry f in column s, becomes
 (|p| * a - f * sigma * prow) // det, and its entry in column s, now the
 leaving variable's, becomes -sigma * f. The pivot row keeps its entries
 times sigma, except column s, which becomes sigma * det. Then det = |p|,
-the determinant of the new basis (times a constant factor once a
-redundant equality row is dropped), so every division is exact and
-entries stay bounded by minors of the scaled input. This is the full
+the determinant of the new basis, so every division is exact and entries
+stay bounded by minors of the scaled input. This is the full
 integer tableau's pivot restricted to the new nonbasic columns. A
 `SimplexState` keeps the final integer rows; `Fraction`s are built only
 when a point or a reduced row is read off it.
 
-One appender (`_appended`) writes every row, from scratch onto the empty
-system over the structural columns and for a child onto its parent's
-optimal basis. A new row's integer data a, over its scale s, is read as
-it is stored and written over the dictionary columns as det*a -
-sum_i a[basis_i]*row_i (`_written`), so a row over an earlier slack, or
-any basic variable, eliminates it; the earlier rows and det are
-multiplied by s, and the row's slack or artificial variable has entry
-det. The extended basis matrix is block triangular over the old basis
-and the new variable's entry s, so det keeps its relation to the basis
-determinant and every later division stays exact. Each slack belongs to
-its row as written, on every path. An inequality row's slack is basic in
-it, even at a negative right-hand side. Only an equality row has an
-artificial: it is basic when the row is appended and leaves the basis at
-once, on the smallest variable with a nonzero entry in the row, and the
-pivot that takes it out deletes the column it would take. A row with no
-such entry is redundant and dropped when its right-hand side is 0, and
-proves the system infeasible otherwise.
+One path builds every tableau (`resolve_after`): append rows to a solved
+state, then run the dual loop. A solve from scratch appends every row to
+the empty state over the structural columns; a child appends its rows to
+its parent's optimal basis. A new row's integer data a, over its scale s,
+is read as it is stored and written over the dictionary columns as
+det*a - sum_i a[basis_i]*row_i (`_written`), so a row over an earlier
+slack, or any basic variable, eliminates it; the earlier rows and det are
+multiplied by s, and the row's slack has entry det. The extended basis
+matrix is block triangular over the old basis and the slack's entry s
+(+s for <=, -s for >=), so det stays |det B| for the basis columns B of
+the integer standard form and every later division stays exact. Each
+slack belongs to its row as written, on every path, and is basic in it
+when the row is appended, even at a negative right-hand side. Every
+variable is structural or a slack, and no row is dropped.
 
-One loop then makes the tableau feasible: dual simplex (Lemke 1954,
+The dual loop makes the tableau feasible: dual simplex (Lemke 1954,
 `_dual_bland`), under Bland's rule for the dual (Bland 1977): of the
 rows with a negative right-hand side, the one whose basic variable is
 smallest leaves; of that row's negative entries a, the column with the
 smallest |reduced cost| / |a| enters, ties to the smallest variable. A
 leaving row with no negative entry proves the system infeasible. It
 needs a basis that is dual feasible for its cost, and the rule is finite
-under any degeneracy. `feasible_tableau` runs it for the zero cost, for
-which every basis is dual feasible, so it is a complete phase one:
-`solve_lp` (each MILP root and the instance checks) and the search root
-(`fractional.solve_lfp` without a parent) start there. `resolve_after`
+under any degeneracy. `feasible_tableau` re-solves the empty state for
+the zero cost, for which every basis is dual feasible, so it is a
+complete phase one: `solve_lp` (each MILP root and the instance checks)
+and the search root (`fractional.solve_lfp` without a parent) start
+there. `resolve_after`
 re-solves every child for a cost its parent's basis is optimal for: a
 branch-and-bound child (`milp.solve_milp`) for the program's objective,
 and every search node but the root (`fractional.solve_lfp` with a
@@ -102,7 +97,6 @@ from .errors import InvariantViolated, NotOptimal
 # The row type, its relations and constraint_rows live in model; the
 # solvers' callers import them from here as well.
 from .model import (
-    EQUAL,
     GREATER_EQ,
     LESS_EQ,
     ZERO,
@@ -123,10 +117,10 @@ class Status(enum.Enum):
 class LinearProgram:
     """Maximize objective . x over the rows plus x >= 0.
 
-    num_vars counts structural variables. Row coefficients may also touch
-    slack variables of earlier rows, and the objective may price any added
-    column: inequality row i adds column num_vars + (its position among
-    the inequality rows).
+    num_vars counts structural variables. Row i adds column num_vars + i,
+    its slack. Row coefficients may also touch slack variables of earlier
+    rows, and the objective may price any of the num_vars + len(rows)
+    columns.
     """
 
     num_vars: int
@@ -140,7 +134,7 @@ class LinearProgram:
         rows = tuple(rows)
         items = objective.items() if isinstance(objective, Mapping) else enumerate(objective)
         named = {j: as_fraction(v) for j, v in items}
-        columns = num_vars + sum(1 for r in rows if r.relation != EQUAL)
+        columns = num_vars + len(rows)
         if any(not 0 <= j < columns for j in named):
             raise ValueError(f"the objective names a column outside the program's {columns}")
         dense = [ZERO] * max(num_vars, 1 + max(named, default=-1))
@@ -163,11 +157,13 @@ class SimplexState:
     variable over the nonbasic columns `cols`, its right-hand side last, so
     rows / det is B^-1 [N | b]. The rows are the tableau's own lists,
     shared without a copy; pivots replace rows instead of writing into
-    them. `costs` are the tableau's carried reduced rows, the reduced rows
-    of the integer costs `priced` (see Tableau.carry), so a re-solve from
-    the state starts from them. An INFEASIBLE state has no basis, rows,
-    columns or costs, and its num_vars counts the structural variables
-    only."""
+    them. num_vars counts every column, structural and slack (row i adds
+    column n + i over n structural variables), and det is |det B| for the
+    basis columns B of the integer standard form. `costs` are the tableau's
+    carried reduced rows, the reduced rows of the integer costs `priced`
+    (see Tableau.carry), so a re-solve from the state starts from them. An
+    INFEASIBLE state has no basis, rows, columns or costs, and its num_vars
+    counts the structural variables only."""
 
     status: Status
     num_vars: int
@@ -204,9 +200,9 @@ def integer_form(form: AffineForm, ncols: int) -> tuple[list[int], int, int]:
 class Tableau:
     """Mutable integer dictionary: rows / det is B^-1 [N | b], one row per
     basic variable (`basis`) over the nonbasic columns (`cols`), each row
-    ending in its right-hand side. `ncols` counts the real variables; an
-    index at or above it names an equality row's artificial, which is
-    basic only while its row is appended. `costs` holds the reduced rows
+    ending in its right-hand side. `ncols` counts the variables, structural
+    and slack: row i adds column n + i over n structural variables, so the
+    next appended row's slack is column ncols. `costs` holds the reduced rows
     of the integer costs `priced`, carried through every pivot (see
     `carry`). Internal to the solvers; snapshot with `state()` before
     handing results out. Costs passed in are integer (see integer_form):
@@ -259,16 +255,8 @@ class Tableau:
                 elif piv != det:
                     target[i] = [piv * a // det for a in row]
         rows[row_idx] = prow[:col] + [sign * det] + prow[col + 1:]
-        leaving = self.basis[row_idx]
-        self.basis[row_idx] = cols[col]
+        self.basis[row_idx], cols[col] = cols[col], self.basis[row_idx]
         self.det = piv
-        if leaving < self.ncols:
-            cols[col] = leaving
-        else:
-            # An artificial left the basis; it never enters again.
-            del cols[col]
-            for target in (rows, self.costs):
-                target[:] = [row[:col] + row[col + 1:] for row in target]
 
     def carry(self, *costs: Sequence[int]) -> None:
         """Price these integer costs, each over the leading columns (the
@@ -349,12 +337,12 @@ def _written(
     tab: Tableau, row: LinearRow, column: dict[int, int], basic: dict[int, int]
 ) -> list[int]:
     """`row` over tab's dictionary columns, right-hand side last, as the row
-    of its slack or artificial (a >= row is negated). With a the row's
-    integer data (row.coeffs and row.rhs, which are its scale s times the
-    row), it is det*a - sum_i a[basis_i]*row_i, for the basic variables
-    `basic` maps to their rows; `column` maps each nonbasic variable to its
-    column. Then tab's rows, carried rows and det are multiplied by s, and
-    the returned row is over the new det.
+    of its slack (a >= row is negated). With a the row's integer data
+    (row.coeffs and row.rhs, which are its scale s times the row), it is
+    det*a - sum_i a[basis_i]*row_i, for the basic variables `basic` maps
+    to their rows; `column` maps each nonbasic variable to its column.
+    Then tab's rows, carried rows and det are multiplied by s, and the
+    returned row is over the new det.
     """
     det = tab.det
     new = [0] * len(column)
@@ -380,56 +368,23 @@ def _written(
     return new
 
 
-def _appended(tab: Tableau, rows: Sequence[LinearRow]) -> bool:
-    """Append `rows` to tab's system (see the module docstring): False when
-    an equality row contradicts the rows before it. An inequality row's
-    slack, the next variable from tab.ncols on, is basic in it; an equality
-    row's artificial leaves the basis at once."""
-    column = {var: k for k, var in enumerate(tab.cols)}
-    basic = {var: i for i, var in enumerate(tab.basis)}
-    for row in rows:
-        new = _written(tab, row, column, basic)
-        if row.relation != EQUAL:
-            basic[tab.ncols] = len(tab.rows)
-            tab.rows.append(new)
-            tab.basis.append(tab.ncols)
-            tab.ncols += 1
-            continue
-        enter = min((var for var, a in zip(tab.cols, new) if a), default=-1)
-        if enter < 0:
-            if new[-1]:
-                return False
-            # The dropped row's scale stays in det, a constant factor that
-            # every later pivot carries, so divisions stay exact.
-            continue
-        tab.rows.append(new)
-        tab.basis.append(tab.ncols)
-        tab.pivot(len(tab.rows) - 1, column[enter])
-        basic[enter] = len(tab.rows) - 1
-        column = {var: k for k, var in enumerate(tab.cols)}
-    return True
-
-
 def feasible_tableau(program: LinearProgram) -> Tableau | None:
     """A primal-feasible tableau over the program's rows, or None when they
-    are infeasible: every row appended to the empty system over the
-    structural columns, then dual pivots for the zero cost."""
+    are infeasible: `resolve_after` from the empty state over the
+    structural columns for the zero cost, which every basis is optimal
+    for."""
     n = program.num_vars
-    tab = Tableau(n, [], [], 1, list(range(n)))
-    if not _appended(tab, program.rows):
-        return None
-    # The zero cost's carried row: its reduced costs and value are zero.
-    tab.costs, tab.priced = [[0] * (len(tab.cols) + 1)], ((),)
-    return tab if _dual_bland(tab, _carried_cost) else None
+    empty = SimplexState(Status.OPTIMAL, n, (), (), 1, tuple(range(n)), ([0] * (n + 1),), ((),))
+    return resolve_after(empty, program.rows)
 
 
 def resolve_after(
     parent: SimplexState, rows: Sequence[LinearRow], price=_carried_cost
 ) -> Tableau | None:
     """Maximize a linear cost over the system `parent` was solved on plus
-    the inequality `rows`, by dual simplex from the parent's basis: the
-    optimal tableau, or None when the extended system is infeasible. The
-    parent is left unchanged.
+    `rows`, by dual simplex from the parent's basis: the optimal tableau,
+    or None when the extended system is infeasible. The parent is left
+    unchanged.
 
     The tableau starts from the parent's carried rows (`costs`), which ride
     through every pivot. `price(tab)` gives the cost's reduced row over the
@@ -437,20 +392,27 @@ def resolve_after(
     them; by default it is the one carried row, the cost the parent was
     optimized for. The parent's basis must be optimal for it.
 
-    The rows are appended with their slacks basic, even at a negative
-    right-hand side, so the basis stays dual feasible. A row may reference
-    the parent's variables and the slacks of earlier rows in `rows`.
+    Each row is appended with its slack, the next variable from tab.ncols
+    on, basic in it, even at a negative right-hand side, so the basis stays
+    dual feasible. A row may reference the parent's variables and the
+    slacks of earlier rows in `rows`.
 
-    Callers, each on a parent's final state: `milp.solve_milp` for every
-    branch-and-bound child (one branch row), on the parent's objective
-    row, and `fractional.solve_lfp` for every search node but the root (its
-    branch row or round rows), on q*nu - p*mu from the parent's carried
-    ratio rows, which goes on to the ratio phase on the returned tableau.
+    Callers, each on a parent's final state: `feasible_tableau` on the
+    empty state, `milp.solve_milp` for every branch-and-bound child (one
+    branch row), on the parent's objective row, and `fractional.solve_lfp`
+    for every search node but the root (its branch row or round rows), on
+    q*nu - p*mu from the parent's carried ratio rows, which goes on to the
+    ratio phase on the returned tableau.
     """
-    if any(row.relation == EQUAL for row in rows):
-        raise ValueError("a dual re-solve appends inequality rows only")
     tab = Tableau.of_state(parent)
-    _appended(tab, rows)
+    column = {var: k for k, var in enumerate(tab.cols)}
+    basic = {var: i for i, var in enumerate(tab.basis)}
+    for row in rows:
+        new = _written(tab, row, column, basic)
+        basic[tab.ncols] = len(tab.rows)
+        tab.rows.append(new)
+        tab.basis.append(tab.ncols)
+        tab.ncols += 1
     if any(v > 0 for v in price(tab)[:-1]):
         raise NotOptimal("the parent's basis is not optimal for the cost")
     return tab if _dual_bland(tab, price) else None

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from effset.model import instance, ratio
-from effset.simplex import EQUAL, LESS_EQ
+from effset.simplex import LESS_EQ
 
 # Two-variable instance used throughout: three ranking criteria and two
 # utilities over {x >= 0 integer : -x1 + 4*x2 <= 0, 2*x1 - x2 <= 8}.
@@ -60,18 +60,15 @@ def count_calls(monkeypatch, fn) -> Counter:
 
 
 def assert_fits(num_vars, rows, full_point):
-    """The full point (structural coordinates, then one slack per inequality
-    row in row order) is >= 0, gives each row's slack its value as the row
-    is written, and so satisfies every row."""
+    """The full point (structural coordinates, then one slack per row in
+    row order) is >= 0, gives each row's slack its value as the row is
+    written, and so satisfies every row."""
     assert all(v >= 0 for v in full_point)
     slack = num_vars
     for row in rows:
         # A row is its integer data over its scale.
         lhs = Fraction(sum(c * full_point[j] for j, c in row.coeffs)) / row.scale
         rhs = Fraction(row.rhs, row.scale)
-        if row.relation == EQUAL:
-            assert lhs == rhs
-            continue
         gap = rhs - lhs if row.relation == LESS_EQ else lhs - rhs
         assert full_point[slack] == gap
         slack += 1

@@ -187,13 +187,7 @@ class TestDemoSearch:
 def _satisfies(num_vars, rows, point):
     for dense, relation, rhs in _expand_rows(num_vars, rows):
         lhs = sum(c * v for c, v in zip(dense, point))
-        if relation == LESS_EQ:
-            ok = lhs <= rhs
-        elif relation == "==":
-            ok = lhs == rhs
-        else:
-            ok = lhs >= rhs
-        if not ok:
+        if not (lhs <= rhs if relation == LESS_EQ else lhs >= rhs):
             return False
     return True
 

@@ -83,6 +83,9 @@ class TestRejection:
     def test_nonpositive_count(self):
         _expect_error(GOOD.replace("vars 2", "vars 0"), "one positive integer", lineno=3)
 
+    def test_non_ascii_digit_count(self):
+        _expect_error(GOOD.replace("vars 2", "vars \u00b2"), "one positive integer", lineno=3)
+
     def test_objective_missing_den(self):
         bad = GOOD.replace(" den 2 1 2", "")
         _expect_error(bad, "missing its 'den' part")

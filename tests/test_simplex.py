@@ -13,7 +13,6 @@ from effset.errors import InvariantViolated, NotOptimal
 from effset.fractional import solve_lfp
 from effset.model import AffineForm, ratio
 from effset.simplex import (
-    EQUAL,
     GREATER_EQ,
     LESS_EQ,
     LinearProgram,
@@ -38,6 +37,11 @@ def lp(num_vars, objective, rows):
     )
 
 
+def pair(coeffs, rhs):
+    """The equation coeffs . x = rhs as a <= row and a >= row."""
+    return [(coeffs, LESS_EQ, rhs), (coeffs, GREATER_EQ, rhs)]
+
+
 class TestRowConstruction:
     def test_mapping_and_dense_forms_agree(self):
         from_map = LinearRow.of({0: 2, 2: 5}, LESS_EQ, 3)
@@ -50,20 +54,20 @@ class TestRowConstruction:
         assert row.coeffs == ((0, Fraction(1)),)
 
     def test_rejects_bad_relation(self):
-        with pytest.raises(ValueError):
-            LinearRow.of({0: 1}, "<", 3)
+        for relation in ("<", "=="):
+            with pytest.raises(ValueError):
+                LinearRow.of({0: 1}, relation, 3)
 
     def test_objective_may_price_added_columns_only(self):
-        # Two structural columns and two inequality rows make columns 0-3;
-        # the equality row adds none.
+        # Two structural columns and four rows make columns 0-5; the pair
+        # for x1 = 1 adds two.
         rows = [
-            LinearRow.of({0: 1}, LESS_EQ, 1),
-            LinearRow.of({1: 1}, EQUAL, 1),
-            LinearRow.of({1: 1}, GREATER_EQ, 0),
+            LinearRow.of(c, rel, rhs)
+            for c, rel, rhs in [({0: 1}, LESS_EQ, 1), *pair({1: 1}, 1), ({1: 1}, GREATER_EQ, 0)]
         ]
-        assert LinearProgram.of(2, {3: 1}, rows).objective == (0, 0, 0, 1)
+        assert LinearProgram.of(2, {5: 1}, rows).objective == (0, 0, 0, 0, 0, 1)
         assert LinearProgram.of(2, [1], rows).objective == (1, 0)
-        for objective in ({4: 1}, [0, 0, 0, 0, 1], {-1: 1}):
+        for objective in ({6: 1}, [0, 0, 0, 0, 0, 0, 1], {-1: 1}):
             with pytest.raises(ValueError):
                 LinearProgram.of(2, objective, rows)
 
@@ -84,26 +88,23 @@ class TestSolveLp:
         assert solve_lp(program).status is Status.UNBOUNDED
 
     def test_equality_rows(self):
-        program = lp(2, {1: 1}, [({0: 1, 1: 1}, EQUAL, 5), ({1: 1}, LESS_EQ, 3)])
+        program = lp(2, {1: 1}, [*pair({0: 1, 1: 1}, 5), ({1: 1}, LESS_EQ, 3)])
         state = solve_lp(program)
         assert state.structural_point(2) == (2, 3)
 
     def test_redundant_equality_dropped(self):
+        # The doubled pair is redundant; its rows stay in the system.
         program = lp(
             2,
             {0: 1},
-            [
-                ({0: 1, 1: 1}, EQUAL, 4),
-                ({0: 2, 1: 2}, EQUAL, 8),
-                ({0: 1}, LESS_EQ, 3),
-            ],
+            [*pair({0: 1, 1: 1}, 4), *pair({0: 2, 1: 2}, 8), ({0: 1}, LESS_EQ, 3)],
         )
         state = solve_lp(program)
         assert state.status is Status.OPTIMAL
         assert state.structural_point(2) == (3, 1)
 
     def test_contradictory_equalities_infeasible(self):
-        program = lp(2, {0: 1}, [({0: 1, 1: 1}, EQUAL, 4), ({0: 1, 1: 1}, EQUAL, 5)])
+        program = lp(2, {0: 1}, [*pair({0: 1, 1: 1}, 4), *pair({0: 1, 1: 1}, 5)])
         assert solve_lp(program).status is Status.INFEASIBLE
 
     def test_negative_rhs_handled(self):
@@ -133,11 +134,7 @@ def _lhs(coeffs, x, y):
 
 
 def _satisfied(lhs, relation, rhs):
-    if relation == LESS_EQ:
-        return lhs <= rhs
-    if relation == GREATER_EQ:
-        return lhs >= rhs
-    return lhs == rhs
+    return lhs <= rhs if relation == LESS_EQ else lhs >= rhs
 
 
 def _feasible_vertices(rows):
@@ -173,14 +170,12 @@ def _vertex_oracle_max(rows, objective):
 
 
 def _slack_extended(rows, x, y):
-    """(x, y) followed by each inequality row's slack or surplus, in row
-    order, as solve_lp numbers its added variables."""
+    """(x, y) followed by each row's slack or surplus, in row order, as
+    solve_lp numbers its added variables."""
     full = [Fraction(x), Fraction(y)]
     for coeffs, rel, rhs in rows:
-        if rel == LESS_EQ:
-            full.append(rhs - _lhs(coeffs, x, y))
-        elif rel == GREATER_EQ:
-            full.append(_lhs(coeffs, x, y) - rhs)
+        gap = rhs - _lhs(coeffs, x, y)
+        full.append(gap if rel == LESS_EQ else -gap)
     return full
 
 
@@ -189,8 +184,9 @@ def carried_costs_checked():
     """Within the block, every carried row of a tableau seeded by
     Tableau.carry equals a fresh Tableau.reduced of the cost it was seeded
     with, followed by -Tableau.value_of that cost: after every pivot, after
-    every append (whose row scale multiplies it, see simplex._written), and
-    across a SimplexState round trip (Tableau.state, then Tableau.of_state
+    every appended row is written (its scale multiplies them, see
+    simplex._written; its slack is basic and costs zero), and across a
+    SimplexState round trip (Tableau.state, then Tableau.of_state
     seeds the new tableau with the costs of the old one). The tableau's
     `priced` names those costs. A tableau or state that did not come from a
     seeded one within the block is not checked. Yields the number of checks
@@ -199,7 +195,7 @@ def carried_costs_checked():
     # object can take over a seeded one's id within the block.
     seeded: dict[int, tuple] = {}
     checked = [0]
-    carry, pivot, appended = Tableau.carry, Tableau.pivot, simplex._appended
+    carry, pivot, written = Tableau.carry, Tableau.pivot, simplex._written
     state, of_state = Tableau.state, Tableau.of_state.__func__
 
     def check(tab):
@@ -223,10 +219,10 @@ def carried_costs_checked():
         pivot(tab, row_idx, col)
         check(tab)
 
-    def checking_appended(tab, rows):
-        feasible = appended(tab, rows)
+    def checking_written(tab, row, column, basic):
+        new = written(tab, row, column, basic)
         check(tab)
-        return feasible
+        return new
 
     def recording_state(tab, status):
         snapshot = state(tab, status)
@@ -243,7 +239,7 @@ def carried_costs_checked():
 
     with mock.patch.object(Tableau, "carry", seeding_carry), mock.patch.object(
         Tableau, "pivot", checking_pivot
-    ), mock.patch.object(simplex, "_appended", checking_appended), mock.patch.object(
+    ), mock.patch.object(simplex, "_written", checking_written), mock.patch.object(
         Tableau, "state", recording_state
     ), mock.patch.object(
         Tableau, "of_state", classmethod(seeding_of_state)
@@ -253,12 +249,15 @@ def carried_costs_checked():
 
 _coeff = st.fractions(-5, 5, max_denominator=6)
 _rhs = st.fractions(-10, 20, max_denominator=6)
+# The relations of one drawn row; (LESS_EQ, GREATER_EQ) draws an equation
+# as a pair of rows.
+_relations = st.sampled_from(((LESS_EQ,), (GREATER_EQ,), (LESS_EQ, GREATER_EQ)))
 
 
 @settings(max_examples=120, deadline=None)
 @given(
     st.lists(
-        st.tuples(_coeff, _coeff, st.sampled_from((LESS_EQ, GREATER_EQ, EQUAL)), _rhs),
+        st.tuples(_coeff, _coeff, _relations, _rhs),
         min_size=0,
         max_size=3,
     ),
@@ -268,14 +267,13 @@ _rhs = st.fractions(-10, 20, max_denominator=6)
 )
 def test_solve_lp_matches_vertex_enumeration(extra_rows, duplicated, objective, box):
     # Rational data scales rows to integers over one common denominator;
-    # a scaled copy of an equality row is redundant and is dropped when it
-    # is appended, leaving its scale as a constant factor of that
-    # denominator.
+    # an equation's scaled copy is a redundant pair of rows, which stays in
+    # the system with its slacks.
     rows = [({0: 1, 1: 1}, LESS_EQ, box)]
-    rows += [({0: a, 1: b}, rel, r) for a, b, rel, r in extra_rows]
+    rows += [({0: a, 1: b}, rel, r) for a, b, rels, r in extra_rows for rel in rels]
     if duplicated is not None and duplicated[3]:
         a, b, r, factor = duplicated
-        rows += [({0: a, 1: b}, EQUAL, r), ({0: a * factor, 1: b * factor}, EQUAL, r * factor)]
+        rows += [*pair({0: a, 1: b}, r), *pair({0: a * factor, 1: b * factor}, r * factor)]
     program = lp(2, {0: objective[0], 1: objective[1]}, rows)
     # Pricing reads carried cost rows; they must equal fresh reduced rows
     # after every pivot of solve_lp's phase two and solve_lfp's ratio
@@ -674,8 +672,6 @@ class TestResolveAfter:
 
     def test_needs_inequality_rows_and_an_optimal_parent(self):
         state = self.solved()
-        with pytest.raises(ValueError):
-            resolve_after(state, [LinearRow.of({0: 1}, EQUAL, 4)])
         with pytest.raises(NotOptimal):
             # The opposite of the parent's objective, which its basis is
             # not optimal for.
@@ -779,21 +775,39 @@ def test_a_row_over_an_appended_slack_means_the_same_in_one_call_or_two(
 
 
 def _standard_form(num_vars, rows):
-    """[A | b] as Fractions over every variable: each inequality row gets
-    its own slack column in row order, +1 for <= and -1 for >=, the slack
-    of the row as written."""
-    total = num_vars + sum(1 for row in rows if row.relation != EQUAL)
-    slack = num_vars
+    """[A | b] as Fractions over every variable: each row gets its own
+    slack column in row order, +1 for <= and -1 for >=, the slack of the
+    row as written."""
     standard = []
-    for row in rows:
-        dense = [Fraction(0)] * total
+    for i, row in enumerate(rows):
+        dense = [Fraction(0)] * (num_vars + len(rows))
         for j, c in row.coeffs:
             dense[j] = Fraction(c, row.scale)
-        if row.relation != EQUAL:
-            dense[slack] = 1 if row.relation == LESS_EQ else -1
-            slack += 1
+        dense[num_vars + i] = 1 if row.relation == LESS_EQ else -1
         standard.append(dense + [Fraction(row.rhs, row.scale)])
     return standard
+
+
+def _integer_basis_det(state, num_vars, rows):
+    """|det B| for the state's basis columns B of the integer standard form:
+    each row's integer data, with its slack's entry +scale for <= and
+    -scale for >=, by Fraction elimination."""
+    matrix = []
+    for i, row in enumerate(rows):
+        dense = [0] * (num_vars + len(rows))
+        for j, c in row.coeffs:
+            dense[j] = c
+        dense[num_vars + i] = row.scale if row.relation == LESS_EQ else -row.scale
+        matrix.append([Fraction(dense[var]) for var in state.basis])
+    det = Fraction(1)
+    for k in range(len(matrix)):
+        p = next(i for i in range(k, len(matrix)) if matrix[i][k])
+        matrix[k], matrix[p] = matrix[p], matrix[k]
+        det *= matrix[k][k]
+        for i in range(k + 1, len(matrix)):
+            factor = matrix[i][k] / matrix[k][k]
+            matrix[i] = [a - factor * b for a, b in zip(matrix[i], matrix[k])]
+    return abs(det)
 
 
 def _scaled_inverse_system(state, standard):
@@ -839,7 +853,8 @@ def test_the_dictionary_is_the_scaled_inverse_basis_system(
     """A solved state, from scratch or by a dual re-solve from its parent's
     tableau, expanded to full width equals det * B^-1 [A | b] over the
     standardized rows, computed apart from the pivots; its columns and basis
-    split the variables between them."""
+    split the variables between them. No row is ever dropped, so det is
+    exactly |det B| over the integer standard form."""
     rows = _parent_system(extra_rows, box, doubled_box)
     state = solve_lp(LinearProgram.of(3, objective, rows))
     assume(state.status is Status.OPTIMAL)
@@ -855,6 +870,7 @@ def test_the_dictionary_is_the_scaled_inverse_basis_system(
         assert sorted(final.basis + final.cols) == list(range(final.num_vars))
         assert final.nonbasis == tuple(sorted(final.cols))
         assert _expanded(final) == _scaled_inverse_system(final, _standard_form(3, system))
+        assert final.det == _integer_basis_det(final, 3, system)
 
 
 @settings(max_examples=60, deadline=None)
