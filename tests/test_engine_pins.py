@@ -34,6 +34,9 @@ last recomputed when every node but the root came to be solved by a dual
 re-solve from its parent's ratio optimum, which moves the walk where optima
 tie: nodes on seeds 0-9 went 32, 13, 45, 13, 18, 14, 30, 7, 38, 6 to 33, 11,
 39, 26, 14, 14, 30, 7, 40, 6, with every solution set equal to the oracle's.
+SEARCH_PINS pin the dfs walk that maximizes utility 0; WALK_PINS pin the
+other three walks (bfs/0, dfs/1, bfs/1) on the same seeds, so a change in a
+rule they share, such as branching, is seen from every walk order.
 """
 import hashlib
 from fractions import Fraction
@@ -147,6 +150,47 @@ SEARCH_PINS = {
     9: (6, "16451caa5dee174bdb753d91b690d5370a97ef968e9e26969270461b7e7e8882"),
 }
 
+# (strategy, objective): the other three walks as SEARCH_PINS pins dfs/0,
+# seed: (nodes_processed, SHA-256 of the trace tuples)
+WALK_PINS = {
+    ("bfs", 0): {
+        0: (33, "8397acbf1b461b5ee062d7abf03068c88d0f7a2a21d3cd8ecbabb8a883f07dbb"),
+        1: (11, "bbf370f3ea6747c1087f6b2f9e757521311edb3af9174519c9a4b60ea95e258d"),
+        2: (36, "53786438d20c341964e5d2e495ec5fddfd6261ea24da35c14b07c9a6f0becbba"),
+        3: (26, "36c0d9e11fdb649515439674939f1af1365d5fa7aec8cfd9fcba73fea2b0611c"),
+        4: (14, "a20d752f2ab0bd23bb0df921472cb81b11acbaff527d57ec323e03cb70982667"),
+        5: (14, "73a6a427127620dc0821430599affb460472fc7bbb1f1ce75c9e362b8b70df56"),
+        6: (30, "2d290b10ad03810dbb2465044deb465cefae2468dac25f8a0030e4a955e09b47"),
+        7: (7, "86f1cba8d671481603439a7e1ffe6d3840438a96c6643e7de3492b3fa0412d33"),
+        8: (40, "c0f77114361f1fae53ec3ec02de0c227a5cf48382aab02a00113e257d718a408"),
+        9: (6, "8a72d8f82b80e72d504e7845fd0e6cb3a81c3432b53798985da4626bbfe7dafc"),
+    },
+    ("dfs", 1): {
+        0: (29, "c307891d1be236a3a198fd781aa9a496dadd9af8ef34a97e153cd5d5ba3a0869"),
+        1: (23, "4a69912fb3f5fa51e11315f355ed78a5505dd7ffe841b80fa57e49f66d34f3c1"),
+        2: (41, "c64c25f2b97d32f75ef9ade4b5457672888c7a034c94a00c450101d361f32d97"),
+        3: (40, "a68999bc788bcc7a6d92242402df2e3d2e259c701d1f7b3fefd63e3e35a1e4e7"),
+        4: (17, "f020cbb7b7c450541b1d58de4cb511c6daeadd90d73f61349e769d17a7b69f92"),
+        5: (14, "301bbd76b8f8b7401d7d6f04dd8ecaf39ef3f2d7cfbe6208473c222d03f44509"),
+        6: (48, "8de5577e6a1d0c3082143527467a7e92cb9860f5b457cae4ca480f6991a0c381"),
+        7: (5, "5ae65d39d0ad1ce6d0dad2e636b4d4e62c7468194445e7ba3c7d0fed4253b258"),
+        8: (12, "94e385a7726560bbc55431fcc957ab514e5dd1ff318fd22d9fea061a04813315"),
+        9: (4, "3f8b6e4c6509cf624731b99d2bc6ad132d6f3418bbe6cb4a78a38b3fb852eb28"),
+    },
+    ("bfs", 1): {
+        0: (34, "4ff02a1cb9f64d8140509c92eae8ec00a2347aa603b9d3127c3327a130467981"),
+        1: (29, "674dc9f5c87aa44f1ee1f77294ca43bdf3b9225a4d473f8dc0b723a32948e44d"),
+        2: (41, "cd708bd7f0ce9529071665378f6d7f37b89b40abdcdea193c74eac3bfdc2e700"),
+        3: (28, "43759037b035ec5b311cd59c6ed7cfab03bfe9dab442b3ea772dd18cdc4a3772"),
+        4: (17, "1761ddd7507e1be1a1545addd4445ec9fcfff9e4079de1fd2d03e8a738be5542"),
+        5: (14, "e568328d49eda53c50b4e35c10587fa707d29871367608710bc9dade80256173"),
+        6: (50, "f831941552d8253a60547b2f1ca923451bfca054b0be9023388a37b7ae201dca"),
+        7: (5, "e16eaf777d726f719b16f98bcad93797d0f8cca27cd931461e492ff76b7021b3"),
+        8: (14, "c4ab8824e510c8ebbd421d8ba605bc5be63f61419aa247b38d84c1edf17f1020"),
+        9: (4, "88333588e01e511567e180c5e120c640106d33c6daab903c66112ac5647f223a"),
+    },
+}
+
 
 @pytest.mark.parametrize("seed", sorted(ENGINE_PINS))
 def test_node_program_solves_are_pinned(seed):
@@ -186,3 +230,12 @@ def test_membership_verdicts_are_pinned(seed):
 def test_search_walk_is_pinned(seed):
     report = branch_cut.run(_instance(seed))
     assert (report.nodes_processed, walk_digest(report)) == SEARCH_PINS[seed]
+
+
+@pytest.mark.parametrize(
+    "walk, seed", [(walk, seed) for walk in WALK_PINS for seed in sorted(WALK_PINS[walk])]
+)
+def test_other_walks_are_pinned(walk, seed):
+    strategy, objective = walk
+    report = branch_cut.run(_instance(seed), strategy=strategy, objective=objective)
+    assert (report.nodes_processed, walk_digest(report)) == WALK_PINS[walk][seed]
