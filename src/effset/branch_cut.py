@@ -5,9 +5,11 @@ system, over the structural variables plus every slack introduced so far.
 The node's ratio program is solved exactly, once: the root's from scratch,
 every other node's from its parent's final tableau by a dual re-solve and
 the ratio phase (`fractional.solve_lfp` with a parent), the path a
-membership MILP's children take too. A fractional optimum branches on the
-first fractional structural variable, an integer optimum x* is tested for
-the solution set and then removed by rounds over the nonbasic coordinates.
+membership MILP's children take too. A fractional optimum branches by the
+rule the membership MILPs branch by (`milp.branch_rows`: Dakin's
+dichotomy on the smallest fractional structural variable, read in
+integers off the node's state), an integer optimum x* is tested for the
+solution set and then removed by rounds over the nonbasic coordinates.
 The test first looks for an integer point the search has already met (an
 earlier optimum or a membership witness) that strictly dominates x* in
 criteria or in utility space; such a point is a feasible dominating
@@ -61,15 +63,15 @@ first, every integer optimum is decided and counted as before.
 from __future__ import annotations
 
 import logging
-import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import AllInteger, NodeLimitExceeded, NonIntegerPoint, NotOptimal
+from .errors import NodeLimitExceeded, NonIntegerPoint, NotOptimal
 from .efficiency import is_in_solution_set
 from .fractional import LfpResult, maximize_from, ratio_gradient, solve_lfp
+from .milp import branch_rows
 from .model import (
     FractionalObjective,
     ObjectiveVector,
@@ -80,7 +82,7 @@ from .model import (
     evaluate,
     utility_image,
 )
-from .simplex import GREATER_EQ, LESS_EQ, LinearRow, SimplexState, Status, Tableau
+from .simplex import GREATER_EQ, LinearRow, SimplexState, Status, Tableau
 from .validate import validate_instance
 
 log = logging.getLogger(__name__)
@@ -194,14 +196,6 @@ def _record(inst: ProblemInstance, point: Point) -> SolutionRecord:
     return SolutionRecord(point, criteria_image(inst, point), utility_image(inst, point))
 
 
-def select_branch_variable(point: Sequence[Fraction]) -> int:
-    """First structural index with a fractional value."""
-    for j, v in enumerate(point):
-        if v.denominator != 1:
-            return j
-    raise AllInteger(f"no fractional coordinate in {tuple(point)}")
-
-
 def ideal_point_beaten(
     archive: Sequence[SolutionRecord],
     result: LfpResult,
@@ -247,9 +241,8 @@ def build_cut_sets(
     maximized; the companion utility drives H'."""
     if state.status is not Status.OPTIMAL:
         raise NotOptimal("cut sets need an optimal state")
-    n, det = inst.variable_count, state.det
-    if any(var < n and row[-1] % det for var, row in zip(state.basis, state.rows)):
-        point = state.structural_point(n)
+    if branch_rows(state, inst.variable_count) is not None:
+        point = state.structural_point(inst.variable_count)
         raise NonIntegerPoint(f"cut sets need an integer optimum, got {point}")
 
     # Each gradient's entries are gamma's times a positive integer, so their
@@ -316,8 +309,8 @@ def run(
             continue
 
         point = result.point
-        fractional = any(v.denominator != 1 for v in point)
-        integer_point = None if fractional else tuple(int(v) for v in point)
+        branch = branch_rows(result.state, n)
+        integer_point = None if branch else tuple(int(v) for v in point)
         if integer_point is not None and integer_point not in seen_points:
             seen_points.add(integer_point)
             candidate = _record(inst, integer_point)
@@ -362,11 +355,8 @@ def run(
             )
             continue
 
-        if fractional:
-            r = select_branch_variable(point)
-            lo = math.floor(point[r])
-            floor_row = LinearRow(((r, 1),), LESS_EQ, lo)
-            ceil_row = LinearRow(((r, 1),), GREATER_EQ, lo + 1)
+        if branch:
+            floor_row, ceil_row = branch
             floor_child = SearchNode(next_id, node.id, (floor_row,), result.state, known)
             ceil_child = SearchNode(next_id + 1, node.id, (ceil_row,), result.state, known)
             next_id += 2

@@ -184,7 +184,8 @@ def _cmd_generate(args) -> int:
 
 def _parse_group(token: str) -> tuple[int, int, int]:
     parts = token.lower().split("x")
-    if len(parts) != 3 or not all(p.isdigit() for p in parts):
+    # ASCII digits only: str.isdigit alone accepts '²', which int() refuses.
+    if len(parts) != 3 or not all(p.isascii() and p.isdigit() for p in parts):
         raise argparse.ArgumentTypeError(
             f"group {token!r} must look like RxMxN, e.g. 3x10x5"
         )
@@ -197,7 +198,7 @@ def _parse_group(token: str) -> tuple[int, int, int]:
 
 
 def _seed_count(token: str) -> int:
-    if not token.isdigit() or int(token) < 1:
+    if not (token.isascii() and token.isdigit()) or int(token) < 1:
         raise argparse.ArgumentTypeError(f"seed count {token!r} must be a whole number >= 1")
     return int(token)
 

@@ -88,16 +88,6 @@ def _checked(inst: ProblemInstance, point: Sequence[int]) -> Point:
     return tuple(int(v) for v in point)
 
 
-def build_mm(inst: ProblemInstance, point: Sequence[int]) -> LinearProgram:
-    """Dominance search over the ranking criteria at an integer point."""
-    return _membership_program(inst, _checked(inst, point), inst.criteria)
-
-
-def build_t2(inst: ProblemInstance, point: Sequence[int]) -> LinearProgram:
-    """Dominance search over the two utility ratios at an integer point."""
-    return _membership_program(inst, _checked(inst, point), inst.utilities)
-
-
 def _run(program: LinearProgram, point: Point) -> MilpResult:
     seed = tuple(Fraction(v) for v in point)
     return solve_milp(program, cutoff=ZERO, incumbent=(seed, ZERO))

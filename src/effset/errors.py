@@ -36,10 +36,6 @@ class UnboundedRelaxation(EffsetError):
     """The root LP relaxation of an integer program is unbounded."""
 
 
-class AllInteger(EffsetError):
-    """Branch variable selection was asked for on an all-integer point."""
-
-
 class NonIntegerPoint(EffsetError):
     """Cut construction needs an integer optimum but the point is fractional."""
 

@@ -32,7 +32,8 @@ from .model import FractionalObjective, ProblemInstance, instance, ratio
 HEADER = "effset-instance"
 FORMAT_VERSION = 1
 
-_RATIONAL = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+# ASCII digits only, as dumps writes them: \d also matches "٣".
+_RATIONAL = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
 
 
 def _fmt(value: Fraction) -> str:

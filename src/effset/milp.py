@@ -1,8 +1,13 @@
 """Branch-and-bound for integer linear programs, exact arithmetic.
 
+Branching is Dakin's dichotomy (Land & Doig 1960; Dakin 1965) on the
+first structural variable with a fractional value, x_j <= floor or
+x_j >= floor + 1. `branch_rows` reads it in integers off a node's state,
+and the search (`branch_cut.run`) branches by it too, so both
+branch-and-bounds of the method share one rule.
+
 Every structural variable is integer; the slack and surplus columns the
-rows add are not. Depth-first, floor child explored first, branching
-always on the first structural variable with a fractional value. Bounding
+rows add are not. Depth-first, floor child explored first. Bounding
 prunes any node whose relaxation value is <= the incumbent, so
 equal-value alternatives are dropped once one optimum is known.
 Deterministic by construction.
@@ -23,10 +28,9 @@ written, as in a from-scratch solve, so a child's system is its extended
 program's.
 
 A node is read in integers: its value times det and the objective's
-scale is the carried objective row's last entry, negated, and a basic
-variable is fractional when its right-hand side is not a multiple of
-det. `Fraction`s are built only for a kept incumbent, whose point is the
-structural part of the node's point.
+scale is the carried objective row's last entry, negated. `Fraction`s
+are built only for a kept incumbent, whose point is the structural part
+of the node's point.
 """
 from __future__ import annotations
 
@@ -57,6 +61,22 @@ class MilpResult:
     point: tuple[Fraction, ...] | None
     value: Fraction | None
     early_stop: bool = False
+
+
+def branch_rows(state: SimplexState, n: int) -> tuple[LinearRow, LinearRow] | None:
+    """Dakin's branch at an optimal state over n structural variables: the
+    rows x_j <= floor and x_j >= floor + 1 on the smallest structural x_j
+    whose value, its right-hand side over det, is fractional, floor being
+    its right-hand side // det; None at an integer vertex."""
+    det = state.det
+    j, rhs = min(
+        ((var, row[-1]) for var, row in zip(state.basis, state.rows) if var < n and row[-1] % det),
+        default=(-1, 0),
+    )
+    if j < 0:
+        return None
+    lo, unit = rhs // det, ((j, 1),)
+    return LinearRow(unit, LESS_EQ, lo), LinearRow(unit, GREATER_EQ, lo + 1)
 
 
 def _relaxation(
@@ -110,27 +130,22 @@ def solve_milp(
         det = state.det
         # det * scale * value, negated, ends the carried objective row.
         scaled = -state.costs[0][-1]
-        rhs = {var: r[-1] for var, r in zip(state.basis, state.rows)}
         if best_value is not None and (
             scaled * best_value.denominator <= best_value.numerator * det * scale
         ):
             continue
 
-        branch_var = min(
-            (var for var, b in rhs.items() if var < program.num_vars and b % det),
-            default=-1,
-        )
-        if branch_var < 0:
+        rows = branch_rows(state, program.num_vars)
+        if rows is None:
             best_point = state.structural_point(program.num_vars)
             best_value = Fraction(scaled, det * scale)
             if cutoff is not None and best_value > cutoff:
                 return MilpResult(Status.OPTIMAL, best_point, best_value, early_stop=True)
             continue
 
-        lo = rhs[branch_var] // det
-        unit = ((branch_var, 1),)
-        stack.append((state, LinearRow(unit, GREATER_EQ, lo + 1)))
-        stack.append((state, LinearRow(unit, LESS_EQ, lo)))
+        floor_row, ceil_row = rows
+        stack.append((state, ceil_row))
+        stack.append((state, floor_row))
 
     if best_point is None:
         return MilpResult(Status.INFEASIBLE, None, None)

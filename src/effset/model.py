@@ -17,7 +17,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import LengthMismatch, ZeroDenominator
 
-Rational = Fraction
 Point = tuple[int, ...]
 ObjectiveVector = tuple[Fraction, ...]
 

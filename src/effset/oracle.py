@@ -36,7 +36,7 @@ def variable_upper_bounds(inst: ProblemInstance) -> list | None:
             return None
         if state.status is Status.UNBOUNDED:
             raise UnboundedDomain(f"variable x{j} is unbounded over the relaxation")
-        bounds.append(state.full_point()[j])
+        bounds.append(state.structural_point(inst.variable_count)[j])
     return bounds
 
 

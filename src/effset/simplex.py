@@ -174,13 +174,6 @@ class SimplexState:
     costs: tuple[list[int], ...] = ()
     priced: tuple[Sequence[int], ...] = ()
 
-    @property
-    def nonbasis(self) -> tuple[int, ...]:
-        return tuple(sorted(self.cols))
-
-    def full_point(self) -> tuple[Fraction, ...]:
-        return self.structural_point(self.num_vars)
-
     def structural_point(self, n: int) -> tuple[Fraction, ...]:
         """The first n coordinates of the state's point."""
         point = [ZERO] * n
@@ -188,13 +181,6 @@ class SimplexState:
             if var < n:
                 point[var] = Fraction(row[-1], self.det)
         return tuple(point)
-
-
-def integer_form(form: AffineForm, ncols: int) -> tuple[list[int], int, int]:
-    """(cost, constant, scale): scale * form as integers (`form.scaled`),
-    the cost padded with zeros to ncols columns."""
-    coeffs, constant, scale = form.scaled
-    return [*coeffs, *[0] * (ncols - len(coeffs))], constant, scale
 
 
 class Tableau:
@@ -205,9 +191,9 @@ class Tableau:
     next appended row's slack is column ncols. `costs` holds the reduced rows
     of the integer costs `priced`, carried through every pivot (see
     `carry`). Internal to the solvers; snapshot with `state()` before
-    handing results out. Costs passed in are integer (see integer_form):
-    over the leading columns for `carry`, one entry per variable for
-    `reduced` and `value_of`."""
+    handing results out. Costs passed in are integer (see
+    AffineForm.scaled): over the leading columns for `carry`, one entry per
+    variable for `reduced` and `value_of`."""
 
     __slots__ = ("ncols", "rows", "basis", "det", "cols", "costs", "priced")
 
@@ -486,7 +472,8 @@ def reduced_row(state: SimplexState, form: AffineForm) -> tuple[dict[int, Fracti
     variables carry zero cost.
     """
     tab = Tableau.of_state(state)
-    cost, constant, scale = integer_form(form, tab.ncols)
+    coeffs, constant, scale = form.scaled
+    cost = [*coeffs, *[0] * (tab.ncols - len(coeffs))]
     red = tab.reduced(cost)
     denominator = scale * tab.det
     value = Fraction(tab.value_of(cost, constant), denominator)

@@ -1,3 +1,4 @@
+import math
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from effset.model import instance, ratio
-from effset.simplex import LESS_EQ
+from effset.simplex import GREATER_EQ, LESS_EQ, LinearRow
 
 # Two-variable instance used throughout: three ranking criteria and two
 # utilities over {x >= 0 integer : -x1 + 4*x2 <= 0, 2*x1 - x2 <= 8}.
@@ -57,6 +58,25 @@ def count_calls(monkeypatch, fn) -> Counter:
 
                 monkeypatch.setattr(module, attr, counted)
     return counts
+
+
+def full_point(state):
+    """Every coordinate of a state's point, structural and slack."""
+    return state.structural_point(state.num_vars)
+
+
+def assert_dakin_rows(state, n, rows):
+    """`rows` are Dakin's branch at the state's point over n structural
+    variables, read off its Fractions: x_j <= floor and x_j >= floor + 1 on
+    the first fractional coordinate j, or None when every one is integral."""
+    point = state.structural_point(n)
+    fractional = [j for j, v in enumerate(point) if v.denominator != 1]
+    if not fractional:
+        assert rows is None
+        return
+    j = fractional[0]
+    lo = math.floor(point[j])
+    assert rows == (LinearRow.of({j: 1}, LESS_EQ, lo), LinearRow.of({j: 1}, GREATER_EQ, lo + 1))
 
 
 def assert_fits(num_vars, rows, full_point):

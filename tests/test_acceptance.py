@@ -111,7 +111,7 @@ def test_criterion_2_tableau_fixtures():
         assert result.value == Fraction(-45, 79)
 
         state = result.state
-        assert set(state.nonbasis) == {2, 3}
+        assert set(state.cols) == {2, 3}
         assert fractional_gradient(state, inst.utilities[0]) == {
             2: Fraction(-37, 7),
             3: Fraction(-24, 7),

@@ -19,11 +19,9 @@ from effset.branch_cut import (
     MILP,
     build_cut_sets,
     run,
-    select_branch_variable,
 )
 from effset.efficiency import is_in_solution_set
 from effset.errors import (
-    AllInteger,
     AssumptionViolated,
     NodeLimitExceeded,
     NonIntegerPoint,
@@ -31,6 +29,7 @@ from effset.errors import (
 )
 from effset.fractional import _expand_rows, maximize_from, solve_lfp
 from effset.generator import GeneratorConfig, generate
+from effset.milp import branch_rows
 from effset.model import (
     criteria_image,
     dominates,
@@ -44,7 +43,7 @@ from effset.oracle import efficient_sets, enumerate_feasible
 from effset.simplex import GREATER_EQ, LESS_EQ, LinearRow, constraint_rows
 from effset.validate import validate_instance
 
-from conftest import DEMO_SOLUTION_SET, build_demo, count_calls
+from conftest import DEMO_SOLUTION_SET, assert_dakin_rows, build_demo, count_calls
 from test_model import rationals
 
 
@@ -69,7 +68,7 @@ def edges_and_rows(report):
     for rec in sorted(report.trace, key=lambda r: r.node_id):
         node, kids = rec.node_id, sorted(children.get(rec.node_id, []))
         if rec.action == BRANCH:
-            r = select_branch_variable(rec.point)
+            r = next(j for j, v in enumerate(rec.point) if v.denominator != 1)
             lo = math.floor(rec.point[r])
             floor_id, ceil_id = kids
             edges += [(node, floor_id, f"x{r} <= {lo}"), (node, ceil_id, f"x{r} >= {lo + 1}")]
@@ -544,12 +543,30 @@ def test_only_the_root_is_solved_from_scratch(monkeypatch, seed):
     assert from_parent["fractional"] == report.nodes_processed - 1 > 0
 
 
-class TestGuards:
-    def test_select_branch_variable(self):
-        assert select_branch_variable((Fraction(3), Fraction(1, 2), Fraction(7, 3))) == 1
-        with pytest.raises(AllInteger):
-            select_branch_variable((Fraction(2), Fraction(0)))
+@pytest.mark.parametrize("strategy, objective", [("dfs", 0), ("bfs", 0), ("dfs", 1), ("bfs", 1)])
+def test_branch_rows_on_every_node_state_of_the_four_walks(monkeypatch, strategy, objective):
+    """On each feasible node state of a walk, the shared branching rule
+    returns None exactly at an integral point, and otherwise the rows on
+    the first fractional coordinate and its floor."""
+    states = []
 
+    def recorded(*args):
+        result = solve_lfp(*args)
+        if result.status is simplex.Status.OPTIMAL:
+            states.append(result.state)
+        return result
+
+    monkeypatch.setattr(branch_cut, "solve_lfp", recorded)
+    for seed in range(10):
+        inst = generate(GeneratorConfig(num_vars=5, num_constraints=10, num_criteria=3, seed=seed))
+        run(inst, strategy=strategy, objective=objective)
+    rows = [branch_rows(state, 5) for state in states]
+    for state, branch in zip(states, rows):
+        assert_dakin_rows(state, 5, branch)
+    assert None in rows and any(rows)
+
+
+class TestGuards:
     def test_cut_sets_need_an_optimal_state(self, demo):
         rows = constraint_rows(demo.a_matrix, demo.b_vector) + (LinearRow.of({0: 1}, ">=", 9),)
         result = solve_lfp(2, rows, demo.utilities[0])

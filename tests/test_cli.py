@@ -223,6 +223,19 @@ class TestBench:
         with pytest.raises(SystemExit):
             main(["bench", "3x10"])
 
+    @pytest.mark.parametrize("group", ["\u00b2x10x5", "3x\u0661\u0660x5"])
+    def test_non_ascii_digit_group_gets_the_group_message(self, capsys, group):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", group])
+        assert exc.value.code == 2
+        assert "must look like RxMxN" in capsys.readouterr().err
+
+    def test_non_ascii_digit_seed_count_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "2x2x2", "--seeds", "\u00b2"])
+        assert exc.value.code == 2
+        assert "whole number" in capsys.readouterr().err
+
     def test_out_of_range_group_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bench", "1x2x2"])
@@ -274,6 +287,15 @@ class TestFailures:
         code, _, err = run_cli(capsys, "solve", path)
         assert code == 3
         assert "error:" in err
+
+    def test_a_non_ascii_digit_exits_three(self, tmp_path, capsys):
+        # U+0661 is the Arabic-Indic digit one: it would load as 1.
+        path = tmp_path / "inst.txt"
+        path.write_text(EMPTY_INTERSECTION.replace("a 1", "a \u0661"), encoding="utf-8")
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == 3
+        assert out == ""
+        assert "integer or p/q rational" in err
 
     def test_a_single_criterion_exits_three(self, tmp_path, capsys):
         one = EMPTY_INTERSECTION.replace("criteria 2", "criteria 1").replace(

@@ -15,7 +15,7 @@ from effset.fractional import (
 from effset.model import AffineForm, evaluate, ratio
 from effset.simplex import GREATER_EQ, LESS_EQ, LinearRow, Status, Tableau, reduced_row
 
-from conftest import DEMO_A, DEMO_B, assert_fits
+from conftest import DEMO_A, DEMO_B, assert_fits, full_point
 
 
 def demo_rows():
@@ -39,7 +39,7 @@ class TestDemoRootNode:
 
     def test_utility_gradients(self, demo):
         state = solve_lfp(2, demo_rows(), demo.utilities[0]).state
-        assert set(state.nonbasis) == {2, 3}
+        assert set(state.cols) == {2, 3}
         gamma1 = fractional_gradient(state, demo.utilities[0])
         gamma2 = fractional_gradient(state, demo.utilities[1])
         assert gamma1 == {2: Fraction(-37, 7), 3: Fraction(-24, 7)}
@@ -93,7 +93,7 @@ def _warm_child_matches_cold(utility, child):
     assert warm.status is cold.status
     assert warm.value == cold.value
     if warm.status is Status.OPTIMAL:
-        assert_fits(2, rows, warm.state.full_point())
+        assert_fits(2, rows, full_point(warm.state))
         assert evaluate(utility, warm.point) == warm.value
 
 
@@ -236,10 +236,10 @@ def test_continuation_matches_a_solve_from_scratch(a, b, lower, solved, companio
     if result.status is not Status.OPTIMAL:
         return
     state = result.state
-    basis, matrix, point = state.basis, [list(r) for r in state.rows], state.full_point()
+    basis, matrix, point = state.basis, [list(r) for r in state.rows], full_point(state)
     value, final = maximize_from(state, other)
     assert value == solve_lfp(2, rows, other).value
     assert evaluate(other, final.structural_point(2)) == value
     assert state.basis == basis
     assert [list(r) for r in state.rows] == matrix
-    assert state.full_point() == point
+    assert full_point(state) == point

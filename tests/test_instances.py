@@ -86,6 +86,18 @@ class TestRejection:
     def test_non_ascii_digit_count(self):
         _expect_error(GOOD.replace("vars 2", "vars \u00b2"), "one positive integer", lineno=3)
 
+    @pytest.mark.parametrize(
+        "line, bad",
+        [
+            (7, ("a -1 4", "a -1 \u0664")),
+            (9, ("b 0 8", "b 0 8/\u0663")),
+            (10, ("den 0 -1 2", "den 0 -1 \u00b2")),
+        ],
+        ids=["arabic-indic", "denominator", "superscript"],
+    )
+    def test_non_ascii_digit_literal(self, line, bad):
+        _expect_error(GOOD.replace(*bad), "integer or p/q rational", lineno=line)
+
     def test_objective_missing_den(self):
         bad = GOOD.replace(" den 2 1 2", "")
         _expect_error(bad, "missing its 'den' part")

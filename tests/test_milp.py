@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from effset import milp as milp_module
 from effset import simplex
-from effset.efficiency import build_mm
+from effset.efficiency import _membership_program, is_in_solution_set
 from effset.errors import NodeLimitExceeded, UnboundedRelaxation
 from effset.generator import GeneratorConfig, generate
-from effset.milp import MilpResult, solve_milp
+from effset.milp import MilpResult, branch_rows, solve_milp
 from effset.oracle import enumerate_feasible
-from effset.simplex import GREATER_EQ, LESS_EQ, LinearProgram, LinearRow, Status
+from effset.simplex import GREATER_EQ, LESS_EQ, LinearProgram, LinearRow, SimplexState, Status
 
-from conftest import count_calls
+from conftest import assert_dakin_rows, count_calls
 
 
 def milp(num_vars, objective, rows):
@@ -204,7 +205,7 @@ def test_only_the_root_is_solved_from_scratch(monkeypatch):
     """Each MILP solves its root LP from scratch and every other node from
     its parent's final state, by a dual re-solve."""
     inst = generate(GeneratorConfig(num_vars=5, num_constraints=10, num_criteria=3, seed=0))
-    programs = [build_mm(inst, point) for point in enumerate_feasible(inst)]
+    programs = [_membership_program(inst, point, inst.criteria) for point in enumerate_feasible(inst)]
     from_scratch = count_calls(monkeypatch, simplex.solve_lp)
     from_parent = count_calls(monkeypatch, simplex.resolve_after)
     children = 0
@@ -215,3 +216,43 @@ def test_only_the_root_is_solved_from_scratch(monkeypatch):
         from_scratch.clear()
         from_parent.clear()
     assert children > 0
+
+
+def test_branch_rows_on_the_smallest_fractional_structural_variable():
+    """Dakin's branch on the smallest structural variable with a fractional
+    value, whatever its row, and none at an integer vertex; a basic slack's
+    value is never read. Only the basis, the right-hand sides and det are."""
+    # x3 = 5/6 (a slack), x2 = 7/3, x1 = 1/2, x0 = 3
+    state = SimplexState(Status.OPTIMAL, 5, (3, 2, 1, 0), ([1, 5], [1, 14], [1, 3], [1, 18]), 6, (4,))
+    assert branch_rows(state, 3) == (
+        LinearRow.of({1: 1}, LESS_EQ, 0),
+        LinearRow.of({1: 1}, GREATER_EQ, 1),
+    )
+    # x3 = 3/2 (a slack), x1 = 0, x0 = 2
+    state = SimplexState(Status.OPTIMAL, 5, (3, 1, 0), ([1, 1, 3], [1, 1, 0], [1, 1, 4]), 2, (2, 4))
+    assert branch_rows(state, 3) is None
+
+
+def test_branch_rows_on_every_membership_milp_node(monkeypatch):
+    """On each feasible node state of the membership MILPs (every feasible
+    point of 3x10x5 seeds 0-9), the shared branching rule returns None
+    exactly at an integral point, and otherwise the rows on the first
+    fractional coordinate and its floor."""
+    states = []
+    relaxation = milp_module._relaxation
+
+    def recorded(program, parent, row):
+        state = relaxation(program, parent, row)
+        if state is not None:
+            states.append((state, program.num_vars))
+        return state
+
+    monkeypatch.setattr(milp_module, "_relaxation", recorded)
+    for seed in range(10):
+        inst = generate(GeneratorConfig(num_vars=5, num_constraints=10, num_criteria=3, seed=seed))
+        for point in enumerate_feasible(inst):
+            is_in_solution_set(inst, point)
+    rows = [branch_rows(state, n) for state, n in states]
+    for (state, n), branch in zip(states, rows):
+        assert_dakin_rows(state, n, branch)
+    assert None in rows and any(rows)

@@ -20,13 +20,12 @@ from effset.simplex import (
     SimplexState,
     Status,
     Tableau,
-    integer_form,
     reduced_row,
     resolve_after,
     solve_lp,
 )
 
-from conftest import assert_fits
+from conftest import assert_fits, full_point
 
 
 def lp(num_vars, objective, rows):
@@ -345,8 +344,8 @@ def test_huge_coefficients_and_tied_vertices_match_vertex_enumeration(
         assert state.status is result.status is Status.INFEASIBLE
         return
     assert state.status is result.status is Status.OPTIMAL
-    assert_fits(2, program.rows, state.full_point())
-    assert_fits(2, program.rows, result.state.full_point())
+    assert_fits(2, program.rows, full_point(state))
+    assert_fits(2, program.rows, full_point(result.state))
     x, y = state.structural_point(2)
     assert objective[0] * x + objective[1] * y == _vertex_oracle_max(rows, objective)
     assert result.value == max(utility.numerator.at(v) / utility.denominator.at(v) for v in vertices)
@@ -362,7 +361,7 @@ class TestReducedRow:
         ]
         state = solve_lp(LinearProgram.of(2, {0: 1, 1: 1}, rows))
         assert state.structural_point(2) == (Fraction(32, 7), Fraction(8, 7))
-        assert set(state.nonbasis) == {2, 3}
+        assert set(state.cols) == {2, 3}
 
         f1_num = AffineForm.of([-1, 1], -3)
         f1_den = AffineForm.of([2, 1], 1)
@@ -406,7 +405,7 @@ class TestContinuation:
             LinearRow.of({0: 2, 1: -1}, LESS_EQ, 8),
         ]
         state = solve_lp(LinearProgram.of(2, {0: 1, 1: 1}, rows))
-        basis, matrix, point = state.basis, [list(r) for r in state.rows], state.full_point()
+        basis, matrix, point = state.basis, [list(r) for r in state.rows], full_point(state)
         carried = [list(r) for r in state.costs]
 
         tab = Tableau.of_state(state)
@@ -419,7 +418,7 @@ class TestContinuation:
         assert state.basis == basis
         assert [list(r) for r in state.rows] == matrix
         assert [list(r) for r in state.costs] == carried
-        assert state.full_point() == point == (Fraction(32, 7), Fraction(8, 7), 0, 0)
+        assert full_point(state) == point == (Fraction(32, 7), Fraction(8, 7), 0, 0)
 
 
 _row_coeff = st.fractions(-4, 4, max_denominator=3)
@@ -450,10 +449,10 @@ def _child_rows(data, state):
     """Rows a child appends to an optimal parent: a floor or a ceil branch
     row on a structural variable, or one or two cut rows over nonbasic
     columns, the search's kinds of child."""
-    point = state.full_point()
+    point = full_point(state)
     kind = data.draw(st.sampled_from(("floor", "ceil", "cut")), label="kind")
     if kind == "cut":
-        subsets = st.sets(st.sampled_from(state.nonbasis), min_size=1)
+        subsets = st.sets(st.sampled_from(sorted(state.cols)), min_size=1)
         count = data.draw(st.integers(1, 2), label="cuts")
         return [
             LinearRow.of({j: 1 for j in data.draw(subsets, label="H")}, GREATER_EQ, 1)
@@ -525,7 +524,7 @@ def test_a_search_child_matches_a_solve_from_scratch(
     assert warm.status is cold.status
     assert warm.value == cold.value
     if warm.status is Status.OPTIMAL:
-        assert_fits(3, rows + new_rows, warm.state.full_point())
+        assert_fits(3, rows + new_rows, full_point(warm.state))
     assert kept == (state.basis, [list(r) for r in state.rows], state.det, state.cols)
 
 
@@ -569,7 +568,7 @@ def test_resolve_after_matches_solve_lp(extra_rows, objective, box, doubled_box,
     assume(state.status is Status.OPTIMAL)
     new_rows = _dual_child_rows(data, state)
     child = LinearProgram.of(3, objective, rows + new_rows)
-    cost, _, _ = integer_form(AffineForm(program.objective), 3)
+    cost = list(program.integer_cost[0])
     kept = (state.basis, [list(r) for r in state.rows], state.det, state.cols)
     pivot = Tableau.pivot
 
@@ -593,7 +592,7 @@ def test_resolve_after_matches_solve_lp(extra_rows, objective, box, doubled_box,
     assert cold.status is Status.OPTIMAL
     value = sum(c * v for c, v in zip(child.objective, warm.structural_point(3)))
     assert value == sum(c * v for c, v in zip(child.objective, cold.structural_point(3)))
-    assert_fits(3, child.rows, warm.full_point())
+    assert_fits(3, child.rows, full_point(warm))
 
 
 @settings(max_examples=150, deadline=None)
@@ -634,7 +633,7 @@ def test_optimize_after_feasible_after_matches_solve_lp(
     if warm.status is Status.OPTIMAL:
         value = sum(c * v for c, v in zip(child.objective, warm.structural_point(3)))
         assert value == sum(c * v for c, v in zip(child.objective, cold.structural_point(3)))
-        assert_fits(3, child.rows, warm.full_point())
+        assert_fits(3, child.rows, full_point(warm))
 
 
 class TestInfeasibleAfter:
@@ -667,7 +666,7 @@ class TestResolveAfter:
         with mock.patch.object(Tableau, "pivot", autospec=True, side_effect=Tableau.pivot) as piv:
             child = resolve_after(state, [LinearRow.of({0: 1}, LESS_EQ, 4)])
         assert piv.call_count == 1
-        assert child.state(Status.OPTIMAL).full_point() == (4, 1, 0, 1, 0)
+        assert full_point(child.state(Status.OPTIMAL)) == (4, 1, 0, 1, 0)
         assert resolve_after(state, [LinearRow.of({1: 1}, GREATER_EQ, 2)]) is None
 
     def test_needs_inequality_rows_and_an_optimal_parent(self):
@@ -693,11 +692,11 @@ class TestResolveAfter:
         # 10/7.
         state = self.solved()
         half = LinearRow.of({0: Fraction(1, 2)}, LESS_EQ, 3)
-        full = resolve_after(state, [half]).state(Status.OPTIMAL).full_point()
+        full = full_point(resolve_after(state, [half]).state(Status.OPTIMAL))
         assert full[4] == Fraction(5, 7)
         assert_fits(2, self.ROWS + [half], full)
         cold = solve_lp(LinearProgram.of(2, self.COST, self.ROWS + [half]))
-        assert cold.full_point() == full
+        assert full_point(cold) == full
 
     def test_a_rising_value_is_an_invariant_violation(self):
         # A pivot that lands on a point of higher value breaks dual simplex.
@@ -769,9 +768,9 @@ def test_a_row_over_an_appended_slack_means_the_same_in_one_call_or_two(
     for warm in (one_call, chained):
         assert warm.status is cold.status
         if warm.status is Status.OPTIMAL:
-            value = sum(c * v for c, v in zip(objective, warm.full_point()))
-            assert value == sum(c * v for c, v in zip(objective, cold.full_point()))
-            assert_fits(3, program.rows, warm.full_point())
+            value = sum(c * v for c, v in zip(objective, full_point(warm)))
+            assert value == sum(c * v for c, v in zip(objective, full_point(cold)))
+            assert_fits(3, program.rows, full_point(warm))
 
 
 def _standard_form(num_vars, rows):
@@ -868,7 +867,6 @@ def test_the_dictionary_is_the_scaled_inverse_basis_system(
         if final.status is Status.INFEASIBLE:
             continue
         assert sorted(final.basis + final.cols) == list(range(final.num_vars))
-        assert final.nonbasis == tuple(sorted(final.cols))
         assert _expanded(final) == _scaled_inverse_system(final, _standard_form(3, system))
         assert final.det == _integer_basis_det(final, 3, system)
 
