@@ -37,6 +37,8 @@ tie: nodes on seeds 0-9 went 32, 13, 45, 13, 18, 14, 30, 7, 38, 6 to 33, 11,
 SEARCH_PINS pin the dfs walk that maximizes utility 0; WALK_PINS pin the
 other three walks (bfs/0, dfs/1, bfs/1) on the same seeds, so a change in a
 rule they share, such as branching, is seen from every walk order.
+WALK_PINS_3X10X10 pin all four walks on the 3x10x10 instances of seeds 0-9,
+whose larger trees fathom far more nodes at their utility ideal point.
 """
 import hashlib
 from fractions import Fraction
@@ -53,8 +55,10 @@ from effset.simplex import LinearRow, constraint_rows
 PROGRAMS = Path(__file__).parent / "data" / "search_node_programs.txt"
 
 
-def _instance(seed):
-    return generate(GeneratorConfig(num_vars=5, num_constraints=10, num_criteria=3, seed=seed))
+def _instance(seed, num_vars=5):
+    return generate(
+        GeneratorConfig(num_vars=num_vars, num_constraints=10, num_criteria=3, seed=seed)
+    )
 
 
 def _text(values):
@@ -191,6 +195,59 @@ WALK_PINS = {
     },
 }
 
+# (strategy, objective): the four walks on 3x10x10 seeds 0-9,
+# seed: (nodes_processed, SHA-256 of the trace tuples)
+WALK_PINS_3X10X10 = {
+    ("dfs", 0): {
+        0: (83, "724c809f8a7aa6001383703f6e3a24cd9c464c2e98caa29f8c4e0221bc51df93"),
+        1: (33, "6dbfd4413488090fc0627a98f14ea9958b79f524d8787fb2a2e2d7a8db16f2b1"),
+        2: (61, "5a64c53db8ea282475d3a5f54d2f2e20d987268d9d06886c0936254c8dda87e4"),
+        3: (362, "f4ce964d4ed84c824fd5c4dbb456e7c53d030ef978119958225159c93a5fd5f9"),
+        4: (103, "93177472ff72316ec38fbc1ddd33bcf172c805ec99ba1ffbfe9746f206fbe032"),
+        5: (97, "8daaa75d5a08fabbc5c40931ba7425445431d1f6c625bc469430e3e75edd14dc"),
+        6: (37, "b17a91c7c45993c52295fcf66828a62b4dd54f79f524e82f2085595ff8057ed6"),
+        7: (55, "96ed48f1ebee835e7775da3aca1c3137c68810afed586ca2cbdc3792b265dc69"),
+        8: (119, "2be1ff5b391aa72535f3a418557f6e9fd6c93ac0f295ae78dc4e534e6b1d8ead"),
+        9: (39, "6d60eada77a45b6429ea3fe228ac2e5d9e485c890f111cab84c3c7a7fbc9f432"),
+    },
+    ("bfs", 0): {
+        0: (106, "9a919c547492563b6f0f0c6fd1de9a408ae8f1f62367961e3986d568a96bd0cd"),
+        1: (33, "56422d045326433cb135a0f9afd5155b09302073616c4b5509cdd8bbdea23a12"),
+        2: (51, "24808850814dcd1a646413e4bec021bf35da1ad252e3d28ecc0dc1d4d8d2d5c0"),
+        3: (125, "a53e2607bb313a4364432117846e52989b427334f6507cd9d4c5a46f388bcf17"),
+        4: (102, "3778b9e03fe4b39a15965e16d3885f2b2ceeb7e676398ab91ed48202e7ea6c88"),
+        5: (98, "1c9859734c3e47e00cbe0ec6d024ba29943941b084937e1b9809e1d9eea95149"),
+        6: (22, "f8f459031ccc9b0a45ef9ca15231945a511a9f1d2707ff0bac3f96dece0b91e3"),
+        7: (53, "160482f5c0b1ab21129c807cff2351265cf5099ef4b08f8c72c0148269e8dcbe"),
+        8: (112, "3e546ed479796c970024eb5d3d7efdb313777cdd04543f1cf79e61f56e2cd642"),
+        9: (39, "0ea74c8ff63a2abee15bbe82c9e65fe1a7bb83bded80b23998b489d8815db009"),
+    },
+    ("dfs", 1): {
+        0: (164, "774cfcae708c7f3ee7ffa45862a4a5acaf1ced5f1e4d57cb1a7f66baf275ee97"),
+        1: (59, "24ec349904de07815cb7b27ac5d7481f9ee0f334ac910e7109abf4ef32093ebb"),
+        2: (69, "6c82feda797817883bd9c4f101db674305ab5cfcaa7a4a6d136737cac848a0b5"),
+        3: (217, "ee8cc040b409d756107c9e41ee8fb57750b8ad41f849ffaf84a0dbf67cf1fe8b"),
+        4: (77, "45511263677e022d0618e67c763deb4492d52c766376f75215604c2f0f11e849"),
+        5: (142, "e856aa3f1261f5be7cc209743656b7c14eeb0e42ac427350c0bf71509b2c2f3a"),
+        6: (80, "7e877859c66cc51110ec6213626b1f6a3148bdbb01f9a9f919391522d0db624b"),
+        7: (65, "8869fc2d042dbb8f90749dc130dd3b4fe3aac86f8e18188bd605d3fdf3c42d00"),
+        8: (153, "182236b49e6dd2d861bb7c80bb10e42fb7b834e7a67f1f5a2fa6c92f7420510d"),
+        9: (51, "9b4c5a56ccf00f7b97216ff8e43e6f285247478c8055835d2386754115d0beaa"),
+    },
+    ("bfs", 1): {
+        0: (121, "948d1ef6636bb7d5dfa60b2c7955183bbc857ff6fd145df4991f0b2e21884ce1"),
+        1: (59, "4bc0aae3d04fc290d5abbbda4bcb606e871623fbf8afec4c057ea46ff1e515da"),
+        2: (71, "d5420e4a24309d0663a96b7176b24c151d3f169b0bdeb6312351e19070059f9c"),
+        3: (153, "f9bee5b6fe45aeff47118f1f4d2d13ddc99a487af50bf864d5ca2f8b87308cb0"),
+        4: (88, "798a1c33c37e49f40f0850096cafc70557c32f1323b5527929d4f0768ea0fc41"),
+        5: (104, "eee11ad82bcebf6a54b97259a4eb273637f21a1abaaaee3c3d37db96a7525951"),
+        6: (48, "bc212d778ad124b8343b7169036e3cd4d5943dacd622fce09ad1e340c8096b57"),
+        7: (46, "be64374778d89691d515f95e7103f3b517be987ed09f0b183d80ac37bfdf044e"),
+        8: (122, "1f05dd96c6d7afc12bc9fda097a950b931a6f481932154a95b0c95d77549d395"),
+        9: (33, "508e1fafdec12050695738f5d5cf3ec7a8a4fe18ddedf200a5c9ed63907a3293"),
+    },
+}
+
 
 @pytest.mark.parametrize("seed", sorted(ENGINE_PINS))
 def test_node_program_solves_are_pinned(seed):
@@ -239,3 +296,13 @@ def test_other_walks_are_pinned(walk, seed):
     strategy, objective = walk
     report = branch_cut.run(_instance(seed), strategy=strategy, objective=objective)
     assert (report.nodes_processed, walk_digest(report)) == WALK_PINS[walk][seed]
+
+
+@pytest.mark.parametrize(
+    "walk, seed",
+    [(walk, seed) for walk in WALK_PINS_3X10X10 for seed in sorted(WALK_PINS_3X10X10[walk])],
+)
+def test_the_four_walks_at_ten_variables_are_pinned(walk, seed):
+    strategy, objective = walk
+    report = branch_cut.run(_instance(seed, num_vars=10), strategy=strategy, objective=objective)
+    assert (report.nodes_processed, walk_digest(report)) == WALK_PINS_3X10X10[walk][seed]
