@@ -43,22 +43,16 @@ utilities, so the met point strictly dominates each of them in utility
 space, and none is in the solution set. An image equal to the corner keeps
 the node, so ties survive. Only a met image at or above the node vertex's
 image can beat the corner, so with none there the maximum is not needed.
-Otherwise it comes from the parent (`SearchNode.companion`, exact, with
-its argmax as integers over det, or a bound) before any pivot:
-
-    (a) when the parent's argmax satisfies the node's rows, it is the
-        node's argmax too: the node's maximum is at most the parent's and
-        attains it there. The argmax passes on, extended by the rows'
-        slacks.
-    (b) otherwise, when a met image strictly dominates the corner of the
-        node's value and the parent's maximum, it strictly dominates the
-        node's corner, which lies at or under that one, and the node goes.
-    (c) otherwise the maximum is solved by ratio pivots from the node's
-        final basis, and its argmax passes on.
-
-Each step decides as the continuation would, so the walk is the one a
-continuation at every such node takes. Because the optimum is tested
-first, every integer optimum is decided and counted as before.
+Otherwise the nearest ancestor's companion maximum (`SearchNode.companion`)
+bounds the node's, whose region lies in the ancestor's, and a met image
+strictly dominating the corner built on it fathoms the node with nothing
+solved. Else the exact maximum is read (`fractional.maximize_from`): by the
+dual re-solve every child takes, from the ancestor's companion-optimal
+state over the rows appended since (no pivot when its vertex satisfies
+them), or with no such ancestor by ratio pivots from the node's final
+basis; it then passes on. Either way the node is decided as at its exact
+maximum, and because the optimum is tested first, every integer optimum is
+decided and counted as before.
 """
 from __future__ import annotations
 
@@ -96,57 +90,24 @@ FATHOM_IDEAL = "fathom-ideal"
 ARCHIVE = "archive"
 MILP = "milp"
 
-
-@dataclass(frozen=True)
-class CompanionMaximum:
-    """The companion utility's maximum over a node's region, attained at
-    the full point `argmax` / `det` (structural coordinates, then every
-    slack), or, without an argmax, an upper bound on that maximum."""
-
-    value: Fraction
-    argmax: tuple[int, ...] | None = None
-    det: int = 1
-
-    @classmethod
-    def at(cls, value: Fraction, state: SimplexState) -> "CompanionMaximum":
-        """The maximum `value`, attained at the vertex of `state`."""
-        point = [0] * state.num_vars
-        for var, row in zip(state.basis, state.rows):
-            point[var] = row[-1]
-        return cls(value, tuple(point), state.det)
-
-    def within(self, rows: Sequence[LinearRow]) -> "CompanionMaximum":
-        """The same over a child region, the region plus the inequality
-        `rows`: still exact when the argmax satisfies them, the argmax then
-        extended by their slacks (the child's maximum is at most this one
-        and attains it there), and otherwise an upper bound."""
-        if self.argmax is None:
-            return self
-        point, det = list(self.argmax), self.det
-        for row in rows:
-            # det * scale times the row's slack at the point.
-            gap = det * row.rhs - sum(c * point[j] for j, c in row.coeffs)
-            if row.relation == GREATER_EQ:
-                gap = -gap
-            if gap < 0:
-                return CompanionMaximum(self.value)
-            if row.scale != 1:
-                point, det = [row.scale * v for v in point], det * row.scale
-            point.append(gap)
-        return CompanionMaximum(self.value, tuple(point), det)
+# (value, state, pending rows): see SearchNode.companion.
+AncestorMaximum = tuple[Fraction, SimplexState, tuple[LinearRow, ...]]
 
 
 @dataclass(frozen=True)
 class SearchNode:
     """`rows` are the rows the node adds to its parent's system, solved from
     the parent's final state; the root's are the instance's rows.
-    `companion` is the parent's companion maximum, exact or a bound."""
+    `companion` is the companion utility's maximum over the nearest ancestor
+    that read it, with the final state attaining it and the rows appended
+    since (this node's included), or None before any node on the path read
+    it."""
 
     id: int
     parent: int | None
     rows: tuple[LinearRow, ...]
     parent_state: SimplexState | None = None
-    companion: CompanionMaximum | None = None
+    companion: AncestorMaximum | None = None
 
 
 @dataclass(frozen=True)
@@ -201,23 +162,23 @@ def ideal_point_beaten(
     result: LfpResult,
     companion: FractionalObjective,
     solved: int,
-    known: CompanionMaximum | None = None,
-) -> tuple[bool, CompanionMaximum | None]:
+    known: AncestorMaximum | None = None,
+) -> tuple[bool, AncestorMaximum | None]:
     """Whether an archived point strictly dominates the node's utility ideal
-    point, the corner of the node's value and the companion utility's
-    maximum over the node, and what is known of that maximum after the
-    test. `known` is the maximum over the node when it has an argmax, or a
-    bound on it. Only archived images at or above the node vertex's image
-    can dominate, so with none there nothing more is learnt. Otherwise an
-    exact maximum decides; a rival strictly dominating the bound's corner
-    dominates the true corner too; and only then is the maximum solved, by
-    ratio pivots from the node's final basis."""
+    point (the corner of its value and the companion utility's maximum over
+    it), and the companion maximum to pass on: `known` (an ancestor's, see
+    SearchNode.companion) or, once read, the node's own with no rows
+    pending. Only archived images at or above the node vertex's image can
+    dominate; with none, nothing is solved. A rival beating the corner of
+    `known`'s maximum, which bounds the node's, beats the true corner too.
+    Otherwise the maximum is read: re-solved from `known`'s state over its
+    pending rows, or without it by ratio pivots from the node's basis."""
 
     def corner(other):
         return (result.value, other) if solved == 0 else (other, result.value)
 
     def beaten(maximum):
-        return any(dominates(u, corner(maximum.value)) for u in rivals)
+        return any(dominates(u, corner(maximum)) for u in rivals)
 
     vertex = corner(evaluate(companion, result.point))
     rivals = [
@@ -227,11 +188,13 @@ def ideal_point_beaten(
     ]
     if not rivals:
         return False, known
-    if known is None or known.argmax is None:
-        if known is not None and beaten(known):
-            return True, known
-        known = CompanionMaximum.at(*maximize_from(result.state, companion))
-    return beaten(known), known
+    if known is None:
+        value, state = maximize_from(result.state, companion)
+    elif beaten(known[0]):
+        return True, known
+    else:
+        value, state = maximize_from(known[1], companion, known[2])
+    return beaten(value), (value, state, ())
 
 
 def build_cut_sets(
@@ -347,18 +310,21 @@ def run(
                         verdict.witness,
                     )
 
-        known = node.companion and node.companion.within(node.rows)
-        beaten, known = ideal_point_beaten(archive, result, companion, objective, known)
+        beaten, known = ideal_point_beaten(archive, result, companion, objective, node.companion)
         if beaten:
             report.trace.append(
                 TraceRecord(node.id, node.parent, FATHOM_IDEAL, point, result.value, None, None)
             )
             continue
 
+        def child(node_id: int, rows: tuple[LinearRow, ...]) -> SearchNode:
+            inherited = known and (known[0], known[1], known[2] + rows)
+            return SearchNode(node_id, node.id, rows, result.state, inherited)
+
         if branch:
             floor_row, ceil_row = branch
-            floor_child = SearchNode(next_id, node.id, (floor_row,), result.state, known)
-            ceil_child = SearchNode(next_id + 1, node.id, (ceil_row,), result.state, known)
+            floor_child = child(next_id, (floor_row,))
+            ceil_child = child(next_id + 1, (ceil_row,))
             next_id += 2
             report.trace.append(
                 TraceRecord(node.id, node.parent, BRANCH, point, result.value, None, None)
@@ -386,7 +352,7 @@ def run(
         cut_rows = [LinearRow(tuple((j, 1) for j in sorted(h)), GREATER_EQ, 1)]
         if hp != h:
             cut_rows.append(LinearRow(tuple((j, 1) for j in sorted(hp)), GREATER_EQ, 1))
-        successor = SearchNode(next_id, node.id, tuple(cut_rows), result.state, known)
+        successor = child(next_id, tuple(cut_rows))
         next_id += 1
         report.trace.append(
             TraceRecord(node.id, node.parent, CUT, point, result.value, h, hp)

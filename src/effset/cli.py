@@ -197,10 +197,18 @@ def _parse_group(token: str) -> tuple[int, int, int]:
     return r, m, n
 
 
-def _seed_count(token: str) -> int:
-    if not (token.isascii() and token.isdigit()) or int(token) < 1:
-        raise argparse.ArgumentTypeError(f"seed count {token!r} must be a whole number >= 1")
-    return int(token)
+def _whole(least: int | None = None):
+    """An argparse type: a whole number in ASCII digits, at least `least`
+    when given. int() alone takes any Unicode decimal digit, such as '٣'."""
+
+    def parse(token: str) -> int:
+        digits = token.removeprefix("-")
+        if digits.isascii() and digits.isdigit() and (least is None or int(token) >= least):
+            return int(token)
+        bound = "" if least is None else f" >= {least}"
+        raise argparse.ArgumentTypeError(f"{token!r} must be a whole number{bound}")
+
+    return parse
 
 
 def _cmd_bench(args) -> int:
@@ -274,30 +282,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="brute-force the efficient sets")
     p.add_argument("file")
-    p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_whole(), default=oracle.DEFAULT_BUDGET)
     add_format_flag(p)
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("check", help="solve and brute-force, compare the answers")
     p.add_argument("file")
     add_search_flags(p)
-    p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_whole(), default=oracle.DEFAULT_BUDGET)
     add_format_flag(p)
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("generate", help="draw a random instance file")
-    p.add_argument("--vars", "-n", type=int, required=True)
-    p.add_argument("--constraints", "-m", type=int, required=True)
-    p.add_argument("--criteria", "-k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--vars", "-n", type=_whole(), required=True)
+    p.add_argument("--constraints", "-m", type=_whole(), required=True)
+    p.add_argument("--criteria", "-k", type=_whole(), required=True)
+    p.add_argument("--seed", type=_whole(), default=0)
     p.add_argument("--output", "-o", help="write here instead of stdout")
     p.set_defaults(handler=_cmd_generate)
 
     p = sub.add_parser("bench", help="time the search against brute force")
     p.add_argument("groups", nargs="+", type=_parse_group, metavar="RxMxN")
-    p.add_argument("--seeds", type=_seed_count, default=10)
-    p.add_argument("--seed", type=int, default=0, help="first seed of the run")
-    p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
+    p.add_argument("--seeds", type=_whole(1), default=10)
+    p.add_argument("--seed", type=_whole(), default=0, help="first seed of the run")
+    p.add_argument("--budget", type=_whole(), default=oracle.DEFAULT_BUDGET)
     p.add_argument("--no-compare", action="store_true", help="skip brute force")
     p.add_argument("--detail", help="also write one CSV row per instance here")
     add_format_flag(p)

@@ -8,8 +8,7 @@ gamma_j = Q(x*) nu_j - P(x*) mu_j, and pivots on the smallest index with
 gamma_j > 0. All gamma_j <= 0 certifies a global maximum of the ratio,
 because a linear ratio with positive denominator is pseudolinear over the
 feasible region. Pricing is in integers; the ratio is built as a Fraction
-once, at the optimum. maximize_from runs the same ratio phase from a
-solved state's basis, for another ratio over the same rows.
+once, at the optimum.
 
 A search child (solve_lfp with a parent) starts from its parent's ratio
 optimum, which its rows cut off. A dual re-solve (simplex.resolve_after)
@@ -22,6 +21,10 @@ so no cost is built and no reduced row recomputed; nu and mu ride through
 the dual pivots into the ratio phase, which goes on from there, and its
 certificate proves a global maximum however the start vertex was reached
 (pseudolinearity; Martos 1964).
+
+maximize_from reads another ratio's maximum (the search's companion
+utility) by the same re-solve from that ratio's optimum over fewer rows,
+or by the ratio phase alone from a state solved over the same rows.
 
 solve_lfp_cc solves the same problem through the variable-change
 t = 1/(q.x + beta), y = t x, which turns the ratio program into a plain LP.
@@ -123,11 +126,7 @@ def solve_lfp(
     if parent is None:
         tab = feasible_tableau(LinearProgram.of(num_vars, {}, rows))
     else:
-        if parent.priced != _costs(objective):
-            raise NotOptimal("the parent state was solved for another objective")
-        # The parent's gamma, priced at its vertex for the whole re-solve.
-        p, q, _ = _gamma(parent, objective)
-        tab = resolve_after(parent, rows, lambda tab: [q * a - p * b for a, b in zip(*tab.costs)])
+        tab = _resolved(parent, rows, objective)
     if tab is None:
         state = SimplexState(Status.INFEASIBLE, num_vars, (), ())
         return LfpResult(Status.INFEASIBLE, None, None, state)
@@ -138,18 +137,35 @@ def solve_lfp(
 
 
 def maximize_from(
-    state: SimplexState, objective: FractionalObjective
+    state: SimplexState, objective: FractionalObjective, rows: Sequence[LinearRow] = ()
 ) -> tuple[Fraction, SimplexState]:
-    """The maximum of `objective` over the rows `state` was solved on, and
-    the final state of the vertex that attains it.
-
-    Ratio pivots from the state's optimal basis, which is feasible for the
-    same rows; the state is left unchanged (Tableau.of_state copies the
-    row list).
-    """
-    tab = Tableau.of_state(state)
+    """The maximum of `objective` over the rows `state` was solved on plus
+    `rows`, and the final state of the vertex that attains it; the state is
+    left unchanged. With no rows, ratio pivots run from the state's optimal
+    basis, whatever it was solved for. With rows, `state` must be an
+    optimum of `objective`, re-solved as a search child is (see solve_lfp),
+    and the rows must leave the region non-empty (InvariantViolated)."""
+    if rows:
+        tab = _resolved(state, rows, objective)
+        if tab is None:
+            raise InvariantViolated("the appended rows empty the region of a maximum")
+    else:
+        tab = Tableau.of_state(state)
     value = _ratio_phase(tab, objective)
     return value, tab.state(Status.OPTIMAL)
+
+
+def _resolved(
+    parent: SimplexState, rows: Sequence[LinearRow], objective: FractionalObjective
+) -> Tableau | None:
+    """The dual re-solve of a search child (see the module docstring) from
+    `parent`, an optimal final state of `objective` (else NotOptimal), over
+    its rows plus `rows`: a feasible tableau, or None when they are empty."""
+    if parent.priced != _costs(objective):
+        raise NotOptimal("the parent state was solved for another objective")
+    # The parent's gamma, priced at its vertex for the whole re-solve.
+    p, q, _ = _gamma(parent, objective)
+    return resolve_after(parent, rows, lambda tab: [q * a - p * b for a, b in zip(*tab.costs)])
 
 
 def _ratio_phase(tab: Tableau, objective: FractionalObjective) -> Fraction:

@@ -340,20 +340,29 @@ class TestIdealFathoming:
     @pytest.mark.parametrize("strategy", ["dfs", "bfs"])
     @pytest.mark.parametrize("objective", [0, 1])
     def test_a_reused_companion_maximum_is_the_nodes_own(self, monkeypatch, strategy, objective):
-        """A node whose parent's companion argmax satisfies its rows takes
-        the parent's maximum with no pivot; that maximum equals a
-        continuation from the node's own final basis, and the argmax, one
-        coordinate per variable of the node, attains it. A node fathomed on
-        its parent's maximum as a bound, with no pivot, is fathomed at its
-        own maximum too. Nodes with an archived rival at or above their
-        vertex's image, each of which ran a continuation before maxima were
-        passed down, now run strictly fewer."""
-        tested = reused = bounded = 0
-        beaten = branch_cut.ideal_point_beaten
-        continuations = count_calls(monkeypatch, branch_cut.maximize_from)
+        """A node with an archived rival at or above its vertex's image is
+        first tested on its nearest ancestor's companion maximum as a bound;
+        a node fathomed that way, with nothing solved, is fathomed at its own
+        maximum too. Otherwise it reads its maximum, by a dual re-solve of
+        the ancestor's companion state over the rows appended since, or,
+        with none, by a continuation from its own final basis; either equals
+        a continuation from the node's own basis, its state's vertex attains
+        it, and it passes on with no rows pending. Continuations, which
+        every node with a rival ran before ancestors' maxima were carried
+        down, now run strictly fewer times than there are such nodes."""
+        tested = read = bounded = primal = dual = 0
+        beaten, maximize = branch_cut.ideal_point_beaten, branch_cut.maximize_from
+
+        def counted(state, objective, rows=()):
+            nonlocal primal, dual
+            if rows:
+                dual += 1
+            else:
+                primal += 1
+            return maximize(state, objective, rows)
 
         def checked(archive, result, companion, solved, known=None):
-            nonlocal tested, reused, bounded
+            nonlocal tested, read, bounded
 
             def corner(other):
                 return (result.value, other) if solved == 0 else (other, result.value)
@@ -366,30 +375,28 @@ class TestIdealFathoming:
             ]
             tested += bool(rivals)
             exact = maximize_from(result.state, companion)[0]
-            if known is not None and known.argmax is not None:
-                reused += 1
-                assert known.value == exact
-                # One coordinate per variable of the node, slacks included.
-                assert len(known.argmax) == result.state.num_vars
-                assert min(known.argmax) >= 0
-                argmax = [Fraction(v, known.det) for v in known.argmax]
-                assert evaluate(companion, argmax[: len(result.point)]) == known.value
-            before = continuations["branch_cut"]
             fathom, after = beaten(archive, result, companion, solved, known)
-            if fathom and continuations["branch_cut"] == before and known.argmax is None:
+            if after is not known:
+                read += 1
+                value, state, pending = after
+                assert value == exact and pending == ()
+                assert evaluate(companion, state.structural_point(len(result.point))) == value
+                assert fathom == any(dominates(u, corner(exact)) for u in rivals)
+            elif fathom:
                 bounded += 1
-                assert known.value >= exact
+                assert known[0] >= exact
                 assert any(dominates(u, corner(exact)) for u in rivals)
             return fathom, after
 
+        monkeypatch.setattr(branch_cut, "maximize_from", counted)
         monkeypatch.setattr(branch_cut, "ideal_point_beaten", checked)
         for seed in range(10):
             inst = generate(
                 GeneratorConfig(num_vars=5, num_constraints=10, num_criteria=3, seed=seed)
             )
             run(inst, strategy=strategy, objective=objective, validate=False)
-        assert reused > 0 and bounded > 0
-        assert 0 < continuations["branch_cut"] < tested
+        assert read > 0 and bounded > 0 and dual > 0
+        assert 0 < primal < tested
 
 
 def _rational_instances():
@@ -531,16 +538,28 @@ def test_four_walks_match_the_oracle_on_tied_instances():
 @pytest.mark.parametrize("seed", [None, 0], ids=["demo", "3x10x5-seed0"])
 def test_only_the_root_is_solved_from_scratch(monkeypatch, seed):
     """Every other node is solved once, from its parent's tableau, by a dual
-    re-solve."""
+    re-solve. Companion maxima re-solved from an ancestor's state reach
+    resolve_after from fractional too, so only the node solves' own calls
+    are counted."""
     if seed is None:
         inst = build_demo()
     else:
         inst = generate(GeneratorConfig(num_vars=5, num_constraints=10, num_criteria=3, seed=seed))
     from_scratch = count_calls(monkeypatch, simplex.feasible_tableau)
     from_parent = count_calls(monkeypatch, simplex.resolve_after)
+    per_node = []
+
+    def node_solve(*args):
+        before = from_parent["fractional"]
+        result = solve_lfp(*args)
+        per_node.append(from_parent["fractional"] - before)
+        return result
+
+    monkeypatch.setattr(branch_cut, "solve_lfp", node_solve)
     report = run(inst)
     assert from_scratch["fractional"] == 1
-    assert from_parent["fractional"] == report.nodes_processed - 1 > 0
+    assert per_node == [0] + [1] * (report.nodes_processed - 1)
+    assert report.nodes_processed > 1
 
 
 @pytest.mark.parametrize("strategy, objective", [("dfs", 0), ("bfs", 0), ("dfs", 1), ("bfs", 1)])

@@ -351,3 +351,38 @@ class TestReadme:
             words = re.sub(r"\[[^]]*\]", "", line).split()[1:]
             args = parser.parse_args([values.get(w, w) for w in words])
             assert args.command == words[0], line
+
+
+GENERATE = ["generate", "-n", "2", "-m", "2", "-k", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["generate", "-n", "{digit}", "-m", "2", "-k", "2"], "--vars/-n"),
+        (["generate", "--vars", "{digit}", "-m", "2", "-k", "2"], "--vars/-n"),
+        (["generate", "-n", "2", "-m", "{digit}", "-k", "2"], "--constraints/-m"),
+        (["generate", "-n", "2", "-m", "2", "-k", "{digit}"], "--criteria/-k"),
+        (GENERATE + ["--seed", "{digit}"], "--seed"),
+        (["bench", "2x2x2", "--seeds", "1", "--seed", "{digit}"], "--seed"),
+        (["bench", "2x2x2", "--seeds", "1", "--budget", "{digit}"], "--budget"),
+        (["enumerate", "x.txt", "--budget", "{digit}"], "--budget"),
+        (["check", "x.txt", "--budget", "{digit}"], "--budget"),
+    ],
+)
+def test_a_non_ascii_digit_option_exits_two(capsys, argv, option):
+    """int() takes any Unicode decimal digit; U+0662 and U+0663 are the
+    Arabic-Indic two and three, which every integer option refuses."""
+    for digit in ("\u0662", "\u0663", "-\u0663"):
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(digit=digit) for arg in argv])
+        assert exc.value.code == 2
+        assert f"argument {option}: {digit!r} must be a whole number" in capsys.readouterr().err
+
+
+def test_integer_options_keep_their_ascii_values(capsys):
+    """ASCII whole numbers, negative ones included, parse as before."""
+    args = build_parser().parse_args(GENERATE + ["--seed", "-3"])
+    assert (args.vars, args.constraints, args.criteria, args.seed) == (2, 2, 2, -3)
+    args = build_parser().parse_args(["bench", "2x2x2", "--seeds", "4", "--budget", "7"])
+    assert (args.seeds, args.seed, args.budget) == (4, 0, 7)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from effset.errors import AssumptionViolated, NotOptimal, UnboundedDomain
+from effset.errors import AssumptionViolated, InvariantViolated, NotOptimal, UnboundedDomain
 import effset.fractional as fractional
 from effset.fractional import (
     fractional_gradient,
@@ -222,11 +222,19 @@ objective_data = st.tuples(
     lower=st.integers(0, 6),
     solved=objective_data,
     companion=objective_data,
+    appended=st.lists(
+        st.tuples(st.integers(0, 5), st.sampled_from((LESS_EQ, GREATER_EQ)), st.integers(0, 6)),
+        min_size=1,
+        max_size=2,
+    ),
 )
-def test_continuation_matches_a_solve_from_scratch(a, b, lower, solved, companion):
+def test_continuation_matches_a_solve_from_scratch(a, b, lower, solved, companion, appended):
     """maximize_from pivots on from a solved state to the companion's
     maximum over the same rows, ends at a vertex that attains it, and
-    leaves that state as it was."""
+    leaves that state as it was. From the companion's own optimum it
+    re-solves appended rows (bounds on a structural or slack variable) to
+    the maximum a solve from scratch over the extended system reaches, or
+    refuses rows that empty the region."""
     rows = [
         LinearRow.of({0: r[0], 1: r[1]}, LESS_EQ, rhs)
         for r, rhs in zip(a, b)
@@ -243,3 +251,33 @@ def test_continuation_matches_a_solve_from_scratch(a, b, lower, solved, companio
     assert state.basis == basis
     assert [list(r) for r in state.rows] == matrix
     assert full_point(state) == point
+
+    extra = [LinearRow.of({j % state.num_vars: 1}, rel, rhs) for j, rel, rhs in appended]
+    optimum = solve_lfp(2, rows, other).state
+    fresh = solve_lfp(2, rows + extra, other)
+    if fresh.status is Status.INFEASIBLE:
+        with pytest.raises(InvariantViolated):
+            maximize_from(optimum, other, extra)
+        return
+    value, final = maximize_from(optimum, other, extra)
+    assert value == fresh.value
+    assert evaluate(other, final.structural_point(2)) == value
+    assert final.num_vars == state.num_vars + len(extra)
+
+
+def test_appended_rows_that_empty_the_region_are_refused():
+    """The demo region has x0 <= 32/7, so x0 >= 5 leaves nothing to maximize
+    over."""
+    utility = ratio([-1, 1], -3, [2, 1], 1)
+    optimum = solve_lfp(2, demo_rows(), utility).state
+    with pytest.raises(InvariantViolated):
+        maximize_from(optimum, utility, [LinearRow.of({0: 1}, GREATER_EQ, 5)])
+
+
+def test_appended_rows_need_an_optimum_of_the_objective():
+    """A re-solve over appended rows starts from the objective's own
+    optimum; a state solved for another objective is refused."""
+    first, other = ratio([-1, 1], -3, [2, 1], 1), ratio([-4, 3], 1, [2, 1], 2)
+    state = solve_lfp(2, demo_rows(), first).state
+    with pytest.raises(NotOptimal):
+        maximize_from(state, other, [LinearRow.of({0: 1}, LESS_EQ, 3)])
