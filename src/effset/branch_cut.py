@@ -30,6 +30,9 @@ in criteria space (and likewise for H' in utility space), so discarding a
 node when either set is empty loses no solution. Every solution survives in
 the successor: solutions distinct from x* keep a positive coordinate in
 both sets, and coordinates are integral, so each round stays satisfied.
+x* itself, whose nonbasic coordinates are all zero, violates the H round,
+and branch children split their parent's region, so no integer optimum
+recurs and each is tested once.
 The gradients' signs are read in integers off one tableau of the node's
 state; the solved utility's are its carried rows.
 
@@ -255,7 +258,6 @@ def run(
     open_nodes: deque[SearchNode] = deque([root])
     next_id = 1
     report = SearchReport([], [], {ARCHIVE: 0, MILP: 0})
-    seen_points: set[Point] = set()
     # Every integer point met so far with its criteria and utility images.
     archive: list[SolutionRecord] = []
 
@@ -274,8 +276,7 @@ def run(
         point = result.point
         branch = branch_rows(result.state, n)
         integer_point = None if branch else tuple(int(v) for v in point)
-        if integer_point is not None and integer_point not in seen_points:
-            seen_points.add(integer_point)
+        if integer_point is not None:
             candidate = _record(inst, integer_point)
             dominator = next(
                 (

@@ -282,14 +282,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="brute-force the efficient sets")
     p.add_argument("file")
-    p.add_argument("--budget", type=_whole(), default=oracle.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_whole(0), default=oracle.DEFAULT_BUDGET)
     add_format_flag(p)
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("check", help="solve and brute-force, compare the answers")
     p.add_argument("file")
     add_search_flags(p)
-    p.add_argument("--budget", type=_whole(), default=oracle.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_whole(0), default=oracle.DEFAULT_BUDGET)
     add_format_flag(p)
     p.set_defaults(handler=_cmd_check)
 
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("groups", nargs="+", type=_parse_group, metavar="RxMxN")
     p.add_argument("--seeds", type=_whole(1), default=10)
     p.add_argument("--seed", type=_whole(), default=0, help="first seed of the run")
-    p.add_argument("--budget", type=_whole(), default=oracle.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_whole(0), default=oracle.DEFAULT_BUDGET)
     p.add_argument("--no-compare", action="store_true", help="skip brute force")
     p.add_argument("--detail", help="also write one CSV row per instance here")
     add_format_flag(p)

@@ -124,7 +124,7 @@ def solve_lfp(
     differ from a solve from scratch; the status and the value do not.
     """
     if parent is None:
-        tab = feasible_tableau(LinearProgram.of(num_vars, {}, rows))
+        tab = feasible_tableau(num_vars, rows)
     else:
         tab = _resolved(parent, rows, objective)
     if tab is None:

@@ -97,6 +97,8 @@ def _rational(token: str, lineno: int) -> Fraction:
         return Fraction(token)
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in literal {token!r}", lineno) from None
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"a literal of {len(token)} characters is too long", lineno) from None
 
 
 def _rationals(tokens: list[str], count: int, lineno: int, what: str) -> list[Fraction]:
@@ -108,9 +110,15 @@ def _rationals(tokens: list[str], count: int, lineno: int, what: str) -> list[Fr
 def _count(tokens: list[str], lineno: int, what: str) -> int:
     text = tokens[0] if len(tokens) == 1 else ""
     # ASCII digits only, as dumps writes them: str.isdigit alone accepts '²'.
-    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+    if not (text.isascii() and text.isdigit()):
         raise ParseError(f"{what} takes one positive integer", lineno)
-    return int(text)
+    try:
+        count = int(text)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"{what}: a count of {len(text)} digits is too long", lineno) from None
+    if count < 1:
+        raise ParseError(f"{what} takes one positive integer", lineno)
+    return count
 
 
 def _objective(reader: _Reader, keyword: str, n: int) -> FractionalObjective:

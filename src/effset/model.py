@@ -273,14 +273,3 @@ def denominator_lcm(values: Iterable[Fraction]) -> int:
         scale = math.lcm(scale, v.denominator)
     return scale
 
-
-def scaled_constraints(inst: ProblemInstance) -> tuple[list[list[int]], list[int]]:
-    """The instance's rows as dense integer data: each row of Ax <= b
-    scaled by the lcm of its denominators, the same halfspaces."""
-    a_int = []
-    for row in inst.rows:
-        dense = [0] * inst.variable_count
-        for j, c in row.coeffs:
-            dense[j] = c
-        a_int.append(dense)
-    return a_int, [row.rhs for row in inst.rows]

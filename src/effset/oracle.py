@@ -13,13 +13,7 @@ import itertools
 import math
 
 from .errors import EnumerationBudgetExceeded, UnboundedDomain
-from .model import (
-    Point,
-    ProblemInstance,
-    evaluate,
-    pareto_filter,
-    scaled_constraints,
-)
+from .model import Point, ProblemInstance, evaluate, pareto_filter
 from .simplex import LinearProgram, Status, solve_lp
 
 DEFAULT_BUDGET = 10**7
@@ -45,7 +39,9 @@ def enumerate_feasible(inst: ProblemInstance, budget: int = DEFAULT_BUDGET) -> l
 
     The candidate box is the per-variable floor of the continuous maxima;
     if it holds more than `budget` lattice points the enumeration refuses
-    to start rather than grind unboundedly.
+    to start rather than grind unboundedly. Each box point is tested
+    against the instance's integer rows of scale 1 (`ProblemInstance.rows`),
+    the halfspaces of Ax <= b.
     """
     bounds = variable_upper_bounds(inst)
     if bounds is None:
@@ -57,14 +53,10 @@ def enumerate_feasible(inst: ProblemInstance, budget: int = DEFAULT_BUDGET) -> l
             f"candidate box holds {total} points, budget is {budget}"
         )
 
-    a_int, b_int = scaled_constraints(inst)
-    rows = list(zip(a_int, b_int))
     return [
         pt
         for pt in itertools.product(*(range(d) for d in dims))
-        if all(
-            sum(c * v for c, v in zip(row, pt) if v) <= rhs for row, rhs in rows
-        )
+        if all(sum(c * pt[j] for j, c in row.coeffs) <= row.rhs for row in inst.rows)
     ]
 
 

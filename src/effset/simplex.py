@@ -52,17 +52,20 @@ smallest leaves; of that row's negative entries a, the column with the
 smallest |reduced cost| / |a| enters, ties to the smallest variable. A
 leaving row with no negative entry proves the system infeasible. It
 needs a basis that is dual feasible for its cost, and the rule is finite
-under any degeneracy. `feasible_tableau` re-solves the empty state for
-the zero cost, for which every basis is dual feasible, so it is a
-complete phase one: `solve_lp` (each MILP root and the instance checks)
-and the search root (`fractional.solve_lfp` without a parent) start
-there. `resolve_after`
-re-solves every child for a cost its parent's basis is optimal for: a
-branch-and-bound child (`milp.solve_milp`) for the program's objective,
-and every search node but the root (`fractional.solve_lfp` with a
-parent) for the linear cost q*P - p*Q whose reduced row is the parent's
-ratio gradient. The appended rows leave that basis dual feasible, and
-the objective value never rises across a dual pivot.
+under any degeneracy; its first cost row is priced once, and a positive
+entry in it refuses the basis (NotOptimal). `feasible_tableau(n, rows)`
+re-solves the empty state over n structural columns for the zero cost,
+for which every basis is dual feasible, so it is a complete phase one
+that reads rows and no objective: `solve_lp` (each MILP root and the
+instance checks) passes its program's rows, and the search root
+(`fractional.solve_lfp` without a parent) the instance's rows as they
+are. `resolve_after` re-solves every child for a cost its parent's
+basis is optimal for: a branch-and-bound child (`milp.solve_milp`) for
+the program's objective, and every search node but the root
+(`fractional.solve_lfp` with a parent) for the linear cost q*P - p*Q
+whose reduced row is the parent's ratio gradient. The appended rows
+leave that basis dual feasible, and the objective value never rises
+across a dual pivot.
 
 A tableau carries the reduced rows of the integer costs it prices
 (`Tableau.costs`, seeded by `carry`, which names the costs in
@@ -354,14 +357,13 @@ def _written(
     return new
 
 
-def feasible_tableau(program: LinearProgram) -> Tableau | None:
-    """A primal-feasible tableau over the program's rows, or None when they
-    are infeasible: `resolve_after` from the empty state over the
-    structural columns for the zero cost, which every basis is optimal
-    for."""
-    n = program.num_vars
+def feasible_tableau(n: int, rows: Sequence[LinearRow]) -> Tableau | None:
+    """A primal-feasible tableau over `rows` on n structural variables, or
+    None when they are infeasible: `resolve_after` from the empty state
+    over the structural columns for the zero cost, which every basis is
+    optimal for."""
     empty = SimplexState(Status.OPTIMAL, n, (), (), 1, tuple(range(n)), ([0] * (n + 1),), ((),))
-    return resolve_after(empty, program.rows)
+    return resolve_after(empty, rows)
 
 
 def resolve_after(
@@ -376,7 +378,8 @@ def resolve_after(
     through every pivot. `price(tab)` gives the cost's reduced row over the
     dictionary columns, then -det times its value, as a combination of
     them; by default it is the one carried row, the cost the parent was
-    optimized for. The parent's basis must be optimal for it.
+    optimized for. The parent's basis must be optimal for it: `_dual_bland`
+    prices the first row once and refuses a positive entry (NotOptimal).
 
     Each row is appended with its slack, the next variable from tab.ncols
     on, basic in it, even at a negative right-hand side, so the basis stays
@@ -388,7 +391,8 @@ def resolve_after(
     branch row), on the parent's objective row, and `fractional.solve_lfp`
     for every search node but the root (its branch row or round rows), on
     q*nu - p*mu from the parent's carried ratio rows, which goes on to the
-    ratio phase on the returned tableau.
+    ratio phase on the returned tableau; `fractional.maximize_from`
+    re-solves a companion maximum the same way.
     """
     tab = Tableau.of_state(parent)
     column = {var: k for k, var in enumerate(tab.cols)}
@@ -399,8 +403,6 @@ def resolve_after(
         tab.rows.append(new)
         tab.basis.append(tab.ncols)
         tab.ncols += 1
-    if any(v > 0 for v in price(tab)[:-1]):
-        raise NotOptimal("the parent's basis is not optimal for the cost")
     return tab if _dual_bland(tab, price) else None
 
 
@@ -408,7 +410,9 @@ def _dual_bland(tab: Tableau, price) -> bool:
     """Dual simplex from a dual-feasible tableau whose cost row, `price(tab)`
     over tab's carried rows, ends in -det times the objective value: True
     at a primal-feasible basis, which is then optimal, and False when the
-    rows are infeasible.
+    rows are infeasible. A first cost row with a positive reduced cost
+    means the basis is not dual feasible (NotOptimal); each later row is
+    priced once per pivot.
 
     Bland's rule for the dual (Bland 1977): of the rows with a negative
     right-hand side, the one whose basic variable is smallest leaves; of its
@@ -419,6 +423,8 @@ def _dual_bland(tab: Tableau, price) -> bool:
     across a pivot is a defect (InvariantViolated).
     """
     red = price(tab)
+    if any(v > 0 for v in red[:-1]):
+        raise NotOptimal("the basis is not optimal for the cost")
     while True:
         rows, cols = tab.rows, tab.cols
         leaving = min(
@@ -458,7 +464,7 @@ def optimize(tab: Tableau, cost: Sequence[int]) -> SimplexState:
 def solve_lp(program: LinearProgram) -> SimplexState:
     """Exact simplex: dual pivots to a feasible tableau, then phase two.
     Deterministic: equal inputs give equal final bases."""
-    tab = feasible_tableau(program)
+    tab = feasible_tableau(program.num_vars, program.rows)
     if tab is None:
         return SimplexState(Status.INFEASIBLE, program.num_vars, (), ())
     return optimize(tab, program.integer_cost[0])

@@ -19,6 +19,13 @@ DEMO_CRITERIA_EFFICIENT = {(0, 0), (1, 0), (2, 0), (3, 0), (4, 1)}
 DEMO_UTILITY_EFFICIENT = {(0, 0), (1, 0), (4, 1)}
 DEMO_SOLUTION_SET = {(0, 0), (1, 0), (4, 1)}
 
+# int() refuses a string of more digits than this: Python's limit, 4300 by
+# default, and 0 where the interpreter has none.
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_int_digit_limit = pytest.mark.skipif(
+    INT_DIGIT_LIMIT == 0, reason="int() converts integer strings of any length"
+)
+
 
 def build_demo():
     criteria = [

@@ -36,7 +36,6 @@ from effset.model import (
     evaluate,
     instance,
     ratio,
-    scaled_constraints,
     utility_image,
 )
 from effset.oracle import efficient_sets, enumerate_feasible
@@ -430,7 +429,10 @@ class TestRationalConstraintData:
             verdict = is_in_solution_set(inst, point)
             assert verdict.moilfp_efficient == (point in x_e), point
             assert verdict.boilfp_efficient == (point in x_ep), point
-        a_int, b_int = scaled_constraints(inst)
+        # The instance's integer rows of scale 1, as dense data.
+        columns = range(inst.variable_count)
+        a_int = [[dict(row.coeffs).get(j, 0) for j in columns] for row in inst.rows]
+        b_int = [row.rhs for row in inst.rows]
         integer_copy = instance(a_int, b_int, inst.criteria, inst.utilities)
         assert validate_instance(inst) == validate_instance(integer_copy)
 

@@ -6,7 +6,7 @@ import pytest
 from effset.cli import build_parser, main
 from effset.instances import dumps, loads
 
-from conftest import build_demo
+from conftest import INT_DIGIT_LIMIT, build_demo, needs_int_digit_limit
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -297,6 +297,15 @@ class TestFailures:
         assert out == ""
         assert "integer or p/q rational" in err
 
+    @needs_int_digit_limit
+    def test_a_literal_past_the_digit_limit_exits_three(self, tmp_path, capsys):
+        # One more digit than int() converts.
+        path = write(tmp_path, EMPTY_INTERSECTION.replace("a 1", "a 1" + "0" * INT_DIGIT_LIMIT))
+        code, out, err = run_cli(capsys, "solve", path)
+        assert code == 3
+        assert out == ""
+        assert "too long" in err
+
     def test_a_single_criterion_exits_three(self, tmp_path, capsys):
         one = EMPTY_INTERSECTION.replace("criteria 2", "criteria 1").replace(
             "criterion num 1 0 den 0 1\n", "", 1
@@ -368,16 +377,21 @@ GENERATE = ["generate", "-n", "2", "-m", "2", "-k", "2"]
         (["bench", "2x2x2", "--seeds", "1", "--budget", "{digit}"], "--budget"),
         (["enumerate", "x.txt", "--budget", "{digit}"], "--budget"),
         (["check", "x.txt", "--budget", "{digit}"], "--budget"),
+        (["bench", "2x2x2", "--seeds", "1", "--budget", "-1"], "--budget"),
+        (["enumerate", "x.txt", "--budget", "-1"], "--budget"),
+        (["check", "x.txt", "--budget", "-1"], "--budget"),
     ],
 )
 def test_a_non_ascii_digit_option_exits_two(capsys, argv, option):
     """int() takes any Unicode decimal digit; U+0662 and U+0663 are the
-    Arabic-Indic two and three, which every integer option refuses."""
-    for digit in ("\u0662", "\u0663", "-\u0663"):
+    Arabic-Indic two and three, which every integer option refuses. A
+    budget is also at least 0, so -1 exits 2 before any work."""
+    tokens = ("\u0662", "\u0663", "-\u0663") if "{digit}" in argv else (argv[-1],)
+    for token in tokens:
         with pytest.raises(SystemExit) as exc:
-            main([arg.format(digit=digit) for arg in argv])
+            main([arg.format(digit=token) for arg in argv])
         assert exc.value.code == 2
-        assert f"argument {option}: {digit!r} must be a whole number" in capsys.readouterr().err
+        assert f"argument {option}: {token!r} must be a whole number" in capsys.readouterr().err
 
 
 def test_integer_options_keep_their_ascii_values(capsys):

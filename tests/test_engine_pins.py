@@ -103,6 +103,18 @@ def walk_digest(report) -> str:
     )
 
 
+def assert_integer_optima_are_distinct(report) -> None:
+    """No integer optimum recurs in a walk (a branch child splits its
+    parent's region, a round successor cuts its vertex off), so each
+    integral node optimum on the trace is tested once, as a candidate."""
+    optima = [
+        rec.point
+        for rec in report.trace
+        if rec.point is not None and all(v.denominator == 1 for v in rec.point)
+    ]
+    assert len(set(optima)) == len(optima) == sum(report.candidates.values())
+
+
 def membership_digest(inst) -> str:
     verdicts = []
     for point in oracle.enumerate_feasible(inst):
@@ -287,6 +299,7 @@ def test_membership_verdicts_are_pinned(seed):
 def test_search_walk_is_pinned(seed):
     report = branch_cut.run(_instance(seed))
     assert (report.nodes_processed, walk_digest(report)) == SEARCH_PINS[seed]
+    assert_integer_optima_are_distinct(report)
 
 
 @pytest.mark.parametrize(
@@ -296,6 +309,7 @@ def test_other_walks_are_pinned(walk, seed):
     strategy, objective = walk
     report = branch_cut.run(_instance(seed), strategy=strategy, objective=objective)
     assert (report.nodes_processed, walk_digest(report)) == WALK_PINS[walk][seed]
+    assert_integer_optima_are_distinct(report)
 
 
 @pytest.mark.parametrize(
@@ -306,3 +320,4 @@ def test_the_four_walks_at_ten_variables_are_pinned(walk, seed):
     strategy, objective = walk
     report = branch_cut.run(_instance(seed, num_vars=10), strategy=strategy, objective=objective)
     assert (report.nodes_processed, walk_digest(report)) == WALK_PINS_3X10X10[walk][seed]
+    assert_integer_optima_are_distinct(report)

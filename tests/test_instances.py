@@ -4,7 +4,7 @@ from effset.errors import ParseError
 from effset.generator import GeneratorConfig, generate
 from effset.instances import dumps, load, loads, save
 
-from conftest import build_demo
+from conftest import INT_DIGIT_LIMIT, build_demo, needs_int_digit_limit
 
 GOOD = """\
 # small two-variable example
@@ -97,6 +97,13 @@ class TestRejection:
     )
     def test_non_ascii_digit_literal(self, line, bad):
         _expect_error(GOOD.replace(*bad), "integer or p/q rational", lineno=line)
+
+    @needs_int_digit_limit
+    @pytest.mark.parametrize("line, bad", [(3, ("vars 2", "vars 1")), (8, ("a 2 -1", "a 2 -1"))])
+    def test_an_integer_past_the_digit_limit(self, line, bad):
+        before, after = bad
+        long_text = GOOD.replace(before, after + "0" * INT_DIGIT_LIMIT)
+        _expect_error(long_text, "too long", lineno=line)
 
     def test_objective_missing_den(self):
         bad = GOOD.replace(" den 2 1 2", "")

@@ -14,7 +14,6 @@ from effset.model import (
     is_feasible,
     pareto_filter,
     ratio,
-    scaled_constraints,
 )
 
 rationals = st.fractions(
@@ -134,10 +133,14 @@ class TestDominance:
 
 
 class TestScaledConstraints:
+    """ProblemInstance.rows: each row of Ax <= b over integer data of
+    scale 1, the lcm of its denominators times the row."""
+
     def test_integer_data_unchanged(self, demo):
-        a, b = scaled_constraints(demo)
-        assert a == [[-1, 4], [2, -1]]
-        assert b == [0, 8]
+        rows = demo.rows
+        assert [row.coeffs for row in rows] == [((0, -1), (1, 4)), ((0, 2), (1, -1))]
+        assert [row.rhs for row in rows] == [0, 8]
+        assert all(row.scale == 1 and row.relation == "<=" for row in rows)
 
     def test_fractional_rows_scaled_to_integers(self):
         obj = ratio([1, 1], 0, [0, 0], 1)
@@ -147,9 +150,9 @@ class TestScaledConstraints:
             [obj, obj],
             [obj, obj],
         )
-        a, b = scaled_constraints(inst)
-        assert a[0] == [3, 2] and b[0] == 5
-        assert a[1] == [1, 1] and b[1] == 7
+        first, second = inst.rows
+        assert first.coeffs == ((0, 3), (1, 2)) and first.rhs == 5 and first.scale == 1
+        assert second.coeffs == ((0, 1), (1, 1)) and second.rhs == 7 and second.scale == 1
 
     @given(
         st.lists(rationals, min_size=2, max_size=2),
@@ -158,8 +161,10 @@ class TestScaledConstraints:
     def test_same_halfspace(self, row, rhs):
         obj = ratio([1, 1], 0, [0, 0], 1)
         inst = instance([row, [1, 1]], [rhs, 9], [obj, obj], [obj, obj])
-        a, b = scaled_constraints(inst)
+        scaled = inst.rows[0]
+        assert scaled.scale == 1
+        assert all(isinstance(v, int) for _, v in scaled.coeffs + ((0, scaled.rhs),))
         for point in [(0, 0), (1, 2), (3, 1), (7, 5)]:
             original = sum(c * v for c, v in zip(inst.a_matrix[0], point)) <= rhs
-            scaled = sum(c * v for c, v in zip(a[0], point)) <= b[0]
-            assert original == scaled
+            integer = sum(c * point[j] for j, c in scaled.coeffs) <= scaled.rhs
+            assert original == integer
