@@ -49,13 +49,13 @@ image can beat the corner, so with none there the maximum is not needed.
 Otherwise the nearest ancestor's companion maximum (`SearchNode.companion`)
 bounds the node's, whose region lies in the ancestor's, and a met image
 strictly dominating the corner built on it fathoms the node with nothing
-solved. Else the exact maximum is read (`fractional.maximize_from`): by the
-dual re-solve every child takes, from the ancestor's companion-optimal
-state over the rows appended since (no pivot when its vertex satisfies
-them), or with no such ancestor by ratio pivots from the node's final
-basis; it then passes on. Either way the node is decided as at its exact
-maximum, and because the optimum is tested first, every integer optimum is
-decided and counted as before.
+solved. The root's maximum is solved before the walk, so every node has
+such an ancestor, and the root has its own. Else the exact maximum is read
+(`fractional.maximize`) by the dual re-solve every child takes, from the
+ancestor's companion-optimal state over the rows appended since (no pivot
+when its vertex satisfies them); it then passes on. Either way the node is
+decided as at its exact maximum, and because the optimum is tested first,
+every integer optimum is decided and counted as before.
 """
 from __future__ import annotations
 
@@ -65,9 +65,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import NodeLimitExceeded, NonIntegerPoint, NotOptimal
+from .errors import InvariantViolated, NodeLimitExceeded, NonIntegerPoint, NotOptimal
 from .efficiency import is_in_solution_set
-from .fractional import LfpResult, maximize_from, ratio_gradient, solve_lfp
+from .fractional import LfpResult, maximize, ratio_gradient, solve_lfp
 from .milp import branch_rows
 from .model import (
     FractionalObjective,
@@ -102,9 +102,9 @@ class SearchNode:
     """`rows` are the rows the node adds to its parent's system, solved from
     the parent's final state; the root's are the instance's rows.
     `companion` is the companion utility's maximum over the nearest ancestor
-    that read it, with the final state attaining it and the rows appended
-    since (this node's included), or None before any node on the path read
-    it."""
+    that read it (the root's is solved before the walk), with the final
+    state attaining it and the rows appended since (this node's included),
+    or None at an empty root."""
 
     id: int
     parent: int | None
@@ -165,8 +165,8 @@ def ideal_point_beaten(
     result: LfpResult,
     companion: FractionalObjective,
     solved: int,
-    known: AncestorMaximum | None = None,
-) -> tuple[bool, AncestorMaximum | None]:
+    known: AncestorMaximum,
+) -> tuple[bool, AncestorMaximum]:
     """Whether an archived point strictly dominates the node's utility ideal
     point (the corner of its value and the companion utility's maximum over
     it), and the companion maximum to pass on: `known` (an ancestor's, see
@@ -174,8 +174,8 @@ def ideal_point_beaten(
     pending. Only archived images at or above the node vertex's image can
     dominate; with none, nothing is solved. A rival beating the corner of
     `known`'s maximum, which bounds the node's, beats the true corner too.
-    Otherwise the maximum is read: re-solved from `known`'s state over its
-    pending rows, or without it by ratio pivots from the node's basis."""
+    With no rows pending, that maximum is the node's own. Otherwise the
+    maximum is read, re-solved from `known`'s state over its pending rows."""
 
     def corner(other):
         return (result.value, other) if solved == 0 else (other, result.value)
@@ -191,13 +191,13 @@ def ideal_point_beaten(
     ]
     if not rivals:
         return False, known
-    if known is None:
-        value, state = maximize_from(result.state, companion)
-    elif beaten(known[0]):
-        return True, known
-    else:
-        value, state = maximize_from(known[1], companion, known[2])
-    return beaten(value), (value, state, ())
+    fathom = beaten(known[0])
+    if fathom or not known[2]:
+        return fathom, known
+    read = maximize(len(result.point), known[2], companion, known[1])
+    if read is None:
+        raise InvariantViolated("the appended rows empty the region of a maximum")
+    return beaten(read[0]), (*read, ())
 
 
 def build_cut_sets(
@@ -254,7 +254,8 @@ def run(
     n = inst.variable_count
     utility, companion = inst.utilities[objective], inst.utilities[1 - objective]
 
-    root = SearchNode(0, None, inst.rows)
+    root_maximum = maximize(n, inst.rows, companion)
+    root = SearchNode(0, None, inst.rows, companion=root_maximum and (*root_maximum, ()))
     open_nodes: deque[SearchNode] = deque([root])
     next_id = 1
     report = SearchReport([], [], {ARCHIVE: 0, MILP: 0})
@@ -319,7 +320,7 @@ def run(
             continue
 
         def child(node_id: int, rows: tuple[LinearRow, ...]) -> SearchNode:
-            inherited = known and (known[0], known[1], known[2] + rows)
+            inherited = (known[0], known[1], known[2] + rows)
             return SearchNode(node_id, node.id, rows, result.state, inherited)
 
         if branch:

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 no solutions (infeasible instance or empty
 intersection, the empty set is still printed), 2 assumption violation,
 3 unreadable, malformed or unwritable file, 4 enumeration budget exceeded,
-5 internal invariant violated (a solver defect, not an input problem).
+5 a solver defect, not an input problem: an internal invariant violated,
+or the search and the exhaustive scan disagreeing in `check` or `bench`.
 """
 from __future__ import annotations
 
@@ -160,7 +161,7 @@ def _cmd_check(args) -> int:
     print(f"exhaustive: {' '.join(map(_point_text, sorted(oracle_set))) or '(empty)'}")
     if solver_set != oracle_set:
         print("verdict: MISMATCH")
-        return EXIT_EMPTY
+        return _fail("the search and the exhaustive scan disagree", EXIT_INVARIANT)
     print("verdict: agree")
     return EXIT_OK if solver_set else EXIT_EMPTY
 
@@ -240,6 +241,9 @@ def _cmd_bench(args) -> int:
                 else:
                     cells.append(f"{v:>10}")
             print(" ".join(cells))
+    mismatched = [f"{r.r}x{r.m}x{r.n} seed {r.seed}" for r in records if r.agreed is False]
+    if mismatched:
+        return _fail(f"search and scan disagree on {', '.join(mismatched)}", EXIT_INVARIANT)
     return EXIT_OK
 
 

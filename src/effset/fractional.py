@@ -22,10 +22,6 @@ the dual pivots into the ratio phase, which goes on from there, and its
 certificate proves a global maximum however the start vertex was reached
 (pseudolinearity; Martos 1964).
 
-maximize_from reads another ratio's maximum (the search's companion
-utility) by the same re-solve from that ratio's optimum over fewer rows,
-or by the ratio phase alone from a state solved over the same rows.
-
 solve_lfp_cc solves the same problem through the variable-change
 t = 1/(q.x + beta), y = t x, which turns the ratio program into a plain LP.
 It shares the pivot loop with solve_lfp but keeps its own formulation and
@@ -102,6 +98,24 @@ def ratio_gradient(tab: Tableau, objective: FractionalObjective) -> list[int]:
     return _gamma(tab, objective)[2]
 
 
+def maximize(
+    num_vars: int,
+    rows: Sequence[LinearRow],
+    objective: FractionalObjective,
+    parent: SimplexState | None = None,
+) -> tuple[Fraction, SimplexState] | None:
+    """solve_lfp's maximum and the final state attaining it, or None when
+    the rows are empty. The search reads its companion maxima here, since
+    solve_lfp is its node solve."""
+    if parent is None:
+        tab = feasible_tableau(num_vars, rows)
+    else:
+        tab = _resolved(parent, rows, objective)
+    if tab is None:
+        return None
+    return _ratio_phase(tab, objective), tab.state(Status.OPTIMAL)
+
+
 def solve_lfp(
     num_vars: int,
     rows: Sequence[LinearRow],
@@ -123,36 +137,12 @@ def solve_lfp(
     row as written. The final basis, and the point where optima tie, may
     differ from a solve from scratch; the status and the value do not.
     """
-    if parent is None:
-        tab = feasible_tableau(num_vars, rows)
-    else:
-        tab = _resolved(parent, rows, objective)
-    if tab is None:
+    solved = maximize(num_vars, rows, objective, parent)
+    if solved is None:
         state = SimplexState(Status.INFEASIBLE, num_vars, (), ())
         return LfpResult(Status.INFEASIBLE, None, None, state)
-
-    value = _ratio_phase(tab, objective)
-    state = tab.state(Status.OPTIMAL)
+    value, state = solved
     return LfpResult(Status.OPTIMAL, state.structural_point(num_vars), value, state)
-
-
-def maximize_from(
-    state: SimplexState, objective: FractionalObjective, rows: Sequence[LinearRow] = ()
-) -> tuple[Fraction, SimplexState]:
-    """The maximum of `objective` over the rows `state` was solved on plus
-    `rows`, and the final state of the vertex that attains it; the state is
-    left unchanged. With no rows, ratio pivots run from the state's optimal
-    basis, whatever it was solved for. With rows, `state` must be an
-    optimum of `objective`, re-solved as a search child is (see solve_lfp),
-    and the rows must leave the region non-empty (InvariantViolated)."""
-    if rows:
-        tab = _resolved(state, rows, objective)
-        if tab is None:
-            raise InvariantViolated("the appended rows empty the region of a maximum")
-    else:
-        tab = Tableau.of_state(state)
-    value = _ratio_phase(tab, objective)
-    return value, tab.state(Status.OPTIMAL)
 
 
 def _resolved(

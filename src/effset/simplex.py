@@ -57,9 +57,9 @@ entry in it refuses the basis (NotOptimal). `feasible_tableau(n, rows)`
 re-solves the empty state over n structural columns for the zero cost,
 for which every basis is dual feasible, so it is a complete phase one
 that reads rows and no objective: `solve_lp` (each MILP root and the
-instance checks) passes its program's rows, and the search root
-(`fractional.solve_lfp` without a parent) the instance's rows as they
-are. `resolve_after` re-solves every child for a cost its parent's
+instance checks) passes its program's rows, and the search root and
+its companion maximum (`fractional.maximize` without a parent) the
+instance's rows as they are. `resolve_after` re-solves every child for a cost its parent's
 basis is optimal for: a branch-and-bound child (`milp.solve_milp`) for
 the program's objective, and every search node but the root
 (`fractional.solve_lfp` with a parent) for the linear cost q*P - p*Q
@@ -391,8 +391,8 @@ def resolve_after(
     branch row), on the parent's objective row, and `fractional.solve_lfp`
     for every search node but the root (its branch row or round rows), on
     q*nu - p*mu from the parent's carried ratio rows, which goes on to the
-    ratio phase on the returned tableau; `fractional.maximize_from`
-    re-solves a companion maximum the same way.
+    ratio phase on the returned tableau; `fractional.maximize` re-solves
+    the search's companion maxima so from an ancestor's companion state.
     """
     tab = Tableau.of_state(parent)
     column = {var: k for k, var in enumerate(tab.cols)}

@@ -23,11 +23,12 @@ from effset.branch_cut import (
 from effset.efficiency import is_in_solution_set
 from effset.errors import (
     AssumptionViolated,
+    InvariantViolated,
     NodeLimitExceeded,
     NonIntegerPoint,
     NotOptimal,
 )
-from effset.fractional import _expand_rows, maximize_from, solve_lfp
+from effset.fractional import _expand_rows, maximize, solve_lfp
 from effset.generator import GeneratorConfig, generate
 from effset.milp import branch_rows
 from effset.model import (
@@ -342,26 +343,35 @@ class TestIdealFathoming:
         """A node with an archived rival at or above its vertex's image is
         first tested on its nearest ancestor's companion maximum as a bound;
         a node fathomed that way, with nothing solved, is fathomed at its own
-        maximum too. Otherwise it reads its maximum, by a dual re-solve of
-        the ancestor's companion state over the rows appended since, or,
-        with none, by a continuation from its own final basis; either equals
-        a continuation from the node's own basis, its state's vertex attains
-        it, and it passes on with no rows pending. Continuations, which
-        every node with a rival ran before ancestors' maxima were carried
-        down, now run strictly fewer times than there are such nodes."""
-        tested = read = bounded = primal = dual = 0
-        beaten, maximize = branch_cut.ideal_point_beaten, branch_cut.maximize_from
+        maximum too. Otherwise the ancestor's maximum is the node's own when
+        no rows were appended since (the root's, solved before the walk), or
+        the node reads it by a dual re-solve of the ancestor's companion
+        state over those rows. Either equals a solve from scratch over the
+        node's rows, its state's vertex attains it, and it passes on with no
+        rows pending. The root's is the one companion maximum solved from
+        scratch in a search; every other read re-solves an ancestor's
+        state."""
+        read = bounded = 0
+        solve, beaten, maximize = (
+            branch_cut.solve_lfp,
+            branch_cut.ideal_point_beaten,
+            branch_cut.maximize,
+        )
+        node_rows = {}  # id of a node's final state: (state, the node's whole row system)
+        calls = Counter()
 
-        def counted(state, objective, rows=()):
-            nonlocal primal, dual
-            if rows:
-                dual += 1
-            else:
-                primal += 1
-            return maximize(state, objective, rows)
+        def recorded(n, rows, utility, parent=None):
+            result = solve(n, rows, utility, parent)
+            above = () if parent is None else node_rows[id(parent)][1]
+            node_rows[id(result.state)] = (result.state, above + tuple(rows))
+            return result
 
-        def checked(archive, result, companion, solved, known=None):
-            nonlocal tested, read, bounded
+        def counted(n, rows, objective, parent=None):
+            calls["from parent" if parent is not None else "from scratch"] += 1
+            return maximize(n, rows, objective, parent)
+
+        def checked(archive, result, companion, solved, known):
+            nonlocal read, bounded
 
             def corner(other):
                 return (result.value, other) if solved == 0 else (other, result.value)
@@ -372,9 +382,12 @@ class TestIdealFathoming:
                 for r in archive
                 if all(a >= b for a, b in zip(r.utility_values, vertex))
             ]
-            tested += bool(rivals)
-            exact = maximize_from(result.state, companion)[0]
+            before = calls["from parent"]
             fathom, after = beaten(archive, result, companion, solved, known)
+            assert calls["from parent"] - before == (after is not known)
+            if not rivals:
+                return fathom, after
+            exact = solve_lfp(5, node_rows[id(result.state)][1], companion).value
             if after is not known:
                 read += 1
                 value, state, pending = after
@@ -385,17 +398,21 @@ class TestIdealFathoming:
                 bounded += 1
                 assert known[0] >= exact
                 assert any(dominates(u, corner(exact)) for u in rivals)
+            else:
+                assert known[2] == () and known[0] == exact
             return fathom, after
 
-        monkeypatch.setattr(branch_cut, "maximize_from", counted)
+        monkeypatch.setattr(branch_cut, "solve_lfp", recorded)
+        monkeypatch.setattr(branch_cut, "maximize", counted)
         monkeypatch.setattr(branch_cut, "ideal_point_beaten", checked)
         for seed in range(10):
             inst = generate(
                 GeneratorConfig(num_vars=5, num_constraints=10, num_criteria=3, seed=seed)
             )
+            calls.clear()
             run(inst, strategy=strategy, objective=objective, validate=False)
-        assert read > 0 and bounded > 0 and dual > 0
-        assert 0 < primal < tested
+            assert calls["from scratch"] == 1, seed
+        assert read > 0 and bounded > 0
 
 
 def _rational_instances():
@@ -540,7 +557,8 @@ def test_four_walks_match_the_oracle_on_tied_instances():
 @pytest.mark.parametrize("seed", [None, 0], ids=["demo", "3x10x5-seed0"])
 def test_only_the_root_is_solved_from_scratch(monkeypatch, seed):
     """Every other node is solved once, from its parent's tableau, by a dual
-    re-solve. Companion maxima re-solved from an ancestor's state reach
+    re-solve. The root's companion maximum is the one other solve from
+    scratch. Companion maxima re-solved from an ancestor's state reach
     resolve_after from fractional too, so only the node solves' own calls
     are counted."""
     if seed is None:
@@ -559,7 +577,7 @@ def test_only_the_root_is_solved_from_scratch(monkeypatch, seed):
 
     monkeypatch.setattr(branch_cut, "solve_lfp", node_solve)
     report = run(inst)
-    assert from_scratch["fractional"] == 1
+    assert from_scratch["fractional"] == 2
     assert per_node == [0] + [1] * (report.nodes_processed - 1)
     assert report.nodes_processed > 1
 
@@ -598,6 +616,21 @@ class TestGuards:
         result = solve_lfp(2, constraint_rows(demo.a_matrix, demo.b_vector), demo.utilities[0])
         with pytest.raises(NonIntegerPoint):
             build_cut_sets(result.state, demo)
+
+    def test_a_carried_maximum_over_an_empty_region_is_a_defect(self, demo):
+        """Pending rows that empty the region of an ancestor's maximum
+        cannot come from the search, whose nodes lie in their ancestors'
+        regions, so a re-solve that finds them empty raises. The demo
+        region has x0 <= 32/7, so x0 >= 5 empties it; the vertex's own
+        image is a rival that does not beat the corner, so the maximum is
+        read."""
+        rows, (utility, companion) = demo.rows, demo.utilities
+        result = solve_lfp(2, rows, utility)
+        value, state = maximize(2, rows, companion)
+        rival = branch_cut.SolutionRecord((), (), (result.value, evaluate(companion, result.point)))
+        known = (value, state, (LinearRow.of({0: 1}, GREATER_EQ, 5),))
+        with pytest.raises(InvariantViolated):
+            branch_cut.ideal_point_beaten([rival], result, companion, 0, known)
 
     def test_rejects_unknown_strategy_and_objective(self, demo):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import effset.branch_cut as branch_cut
 from effset.cli import build_parser, main
 from effset.instances import dumps, loads
 
@@ -41,6 +42,20 @@ criterion num 0 1 0 den 0 0 1
 utility num 1 0 0 den 0 0 1
 utility num 0 1 0 den 0 0 1
 """
+
+
+@pytest.fixture
+def search_drops_a_point(monkeypatch):
+    """A defective search: every run loses its first solution."""
+    run = branch_cut.run
+
+    def dropping(*args, **kwargs):
+        report = run(*args, **kwargs)
+        assert report.solutions
+        report.solutions.pop(0)
+        return report
+
+    monkeypatch.setattr(branch_cut, "run", dropping)
 
 
 @pytest.fixture
@@ -168,6 +183,12 @@ class TestCheck:
         assert "verdict: agree" in out
         assert "solver:     (empty)" in out
 
+    def test_disagreement_exits_five(self, demo_file, capsys, search_drops_a_point):
+        code, out, err = run_cli(capsys, "check", demo_file)
+        assert code == 5
+        assert "verdict: MISMATCH" in out
+        assert "disagree" in err
+
 
 class TestGenerate:
     def test_stdout_is_loadable(self, capsys):
@@ -211,6 +232,19 @@ class TestBench:
         assert code == 0
         assert out.splitlines()[0].startswith("r,m,n,cpu_mean")
         assert detail.read_text().splitlines()[0].startswith("r,m,n,seed")
+
+    def test_disagreement_exits_five(self, tmp_path, capsys, search_drops_a_point):
+        """The summary is still printed, and the detail CSV marks the
+        instance that disagreed."""
+        detail = tmp_path / "detail.csv"
+        code, out, err = run_cli(
+            capsys, "bench", "2x2x2", "--seeds", "1", "--format", "csv", "--detail", str(detail)
+        )
+        assert code == 5
+        assert out.splitlines()[0].startswith("r,m,n,cpu_mean")
+        assert "2x2x2 seed 0" in err
+        header, row = detail.read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["agreed"] == "no"
 
     @pytest.mark.parametrize("seeds", ["0", "-1"])
     def test_seed_count_below_one_exits_two(self, capsys, seeds):

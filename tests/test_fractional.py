@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from effset.errors import AssumptionViolated, InvariantViolated, NotOptimal, UnboundedDomain
+from effset.errors import AssumptionViolated, NotOptimal, UnboundedDomain
 import effset.fractional as fractional
 from effset.fractional import (
     fractional_gradient,
-    maximize_from,
+    maximize,
     solve_lfp,
     solve_lfp_cc,
 )
@@ -220,7 +220,6 @@ objective_data = st.tuples(
     a=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=1, max_size=3),
     b=st.lists(st.integers(3, 15), min_size=3, max_size=3),
     lower=st.integers(0, 6),
-    solved=objective_data,
     companion=objective_data,
     appended=st.lists(
         st.tuples(st.integers(0, 5), st.sampled_from((LESS_EQ, GREATER_EQ)), st.integers(0, 6)),
@@ -228,41 +227,36 @@ objective_data = st.tuples(
         max_size=2,
     ),
 )
-def test_continuation_matches_a_solve_from_scratch(a, b, lower, solved, companion, appended):
-    """maximize_from pivots on from a solved state to the companion's
-    maximum over the same rows, ends at a vertex that attains it, and
-    leaves that state as it was. From the companion's own optimum it
-    re-solves appended rows (bounds on a structural or slack variable) to
-    the maximum a solve from scratch over the extended system reaches, or
-    refuses rows that empty the region."""
+def test_continuation_matches_a_solve_from_scratch(a, b, lower, companion, appended):
+    """From the companion's own optimum, maximize re-solves appended rows
+    (bounds on a structural or slack variable) to the maximum a solve from
+    scratch over the extended system reaches, ends at a vertex that attains
+    it and leaves the optimum's state as it was; rows that empty the region
+    give None."""
     rows = [
         LinearRow.of({0: r[0], 1: r[1]}, LESS_EQ, rhs)
         for r, rhs in zip(a, b)
     ] + [LinearRow.of({0: 1, 1: 1}, GREATER_EQ, lower)]
-    first, other = (ratio([p[0], p[1]], p[2], [q[0], q[1]], q[2]) for p, q in (solved, companion))
-    result = solve_lfp(2, rows, first)
+    p, q = companion
+    other = ratio([p[0], p[1]], p[2], [q[0], q[1]], q[2])
+    result = solve_lfp(2, rows, other)
     if result.status is not Status.OPTIMAL:
         return
-    state = result.state
-    basis, matrix, point = state.basis, [list(r) for r in state.rows], full_point(state)
-    value, final = maximize_from(state, other)
-    assert value == solve_lfp(2, rows, other).value
-    assert evaluate(other, final.structural_point(2)) == value
-    assert state.basis == basis
-    assert [list(r) for r in state.rows] == matrix
-    assert full_point(state) == point
-
-    extra = [LinearRow.of({j % state.num_vars: 1}, rel, rhs) for j, rel, rhs in appended]
-    optimum = solve_lfp(2, rows, other).state
+    optimum = result.state
+    basis, matrix, point = optimum.basis, [list(r) for r in optimum.rows], full_point(optimum)
+    extra = [LinearRow.of({j % optimum.num_vars: 1}, rel, rhs) for j, rel, rhs in appended]
     fresh = solve_lfp(2, rows + extra, other)
+    solved = maximize(2, extra, other, parent=optimum)
+    assert optimum.basis == basis
+    assert [list(r) for r in optimum.rows] == matrix
+    assert full_point(optimum) == point
     if fresh.status is Status.INFEASIBLE:
-        with pytest.raises(InvariantViolated):
-            maximize_from(optimum, other, extra)
+        assert solved is None
         return
-    value, final = maximize_from(optimum, other, extra)
+    value, final = solved
     assert value == fresh.value
     assert evaluate(other, final.structural_point(2)) == value
-    assert final.num_vars == state.num_vars + len(extra)
+    assert final.num_vars == optimum.num_vars + len(extra)
 
 
 def test_appended_rows_that_empty_the_region_are_refused():
@@ -270,8 +264,7 @@ def test_appended_rows_that_empty_the_region_are_refused():
     over."""
     utility = ratio([-1, 1], -3, [2, 1], 1)
     optimum = solve_lfp(2, demo_rows(), utility).state
-    with pytest.raises(InvariantViolated):
-        maximize_from(optimum, utility, [LinearRow.of({0: 1}, GREATER_EQ, 5)])
+    assert maximize(2, [LinearRow.of({0: 1}, GREATER_EQ, 5)], utility, parent=optimum) is None
 
 
 def test_appended_rows_need_an_optimum_of_the_objective():
@@ -280,4 +273,4 @@ def test_appended_rows_need_an_optimum_of_the_objective():
     first, other = ratio([-1, 1], -3, [2, 1], 1), ratio([-4, 3], 1, [2, 1], 2)
     state = solve_lfp(2, demo_rows(), first).state
     with pytest.raises(NotOptimal):
-        maximize_from(state, other, [LinearRow.of({0: 1}, LESS_EQ, 3)])
+        maximize(2, [LinearRow.of({0: 1}, LESS_EQ, 3)], other, parent=state)
