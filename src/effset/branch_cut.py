@@ -74,6 +74,7 @@ from .model import (
     ObjectiveVector,
     Point,
     ProblemInstance,
+    at_least,
     criteria_image,
     dominates,
     evaluate,
@@ -184,11 +185,7 @@ def ideal_point_beaten(
         return any(dominates(u, corner(maximum)) for u in rivals)
 
     vertex = corner(evaluate(companion, result.point))
-    rivals = [
-        rec.utility_values
-        for rec in archive
-        if all(a >= b for a, b in zip(rec.utility_values, vertex))
-    ]
+    rivals = [rec.utility_values for rec in archive if at_least(rec.utility_values, vertex)]
     if not rivals:
         return False, known
     fathom = beaten(known[0])

@@ -54,14 +54,15 @@ def _level_row(obj: FractionalObjective, point: Point) -> LinearRow:
     """[c - Z(x*) d] . y >= Z(x*) d0 - c0 for Z = obj at the integer point
     x*, built in integers. With (C, C0, sn) = obj.numerator.scaled and
     (D, D0, sd) = obj.denominator.scaled, P = C.x* + C0 and Q = D.x* + D0
-    are sn and sd times the two values, so Z(x*) = P sd / (Q sn), and the
-    row times Q sn (Q > 0, or all of P, Q negated) is
-    (Q C - P D) . y >= P D0 - Q C0. LinearRow.over divides it by its gcd,
-    so its scale is the lcm of the rational row's denominators."""
+    (`AffineForm.scaled_at`) are sn and sd times the two values, so
+    Z(x*) = P sd / (Q sn), and the row times Q sn (Q > 0, or all of P, Q
+    negated) is (Q C - P D) . y >= P D0 - Q C0. LinearRow.over divides it
+    by its gcd, so its scale is the lcm of the rational row's
+    denominators."""
     c, c0, sn = obj.numerator.scaled
     d, d0, _ = obj.denominator.scaled
-    p = c0 + sum(a * v for a, v in zip(c, point))
-    q = d0 + sum(a * v for a, v in zip(d, point))
+    p = obj.numerator.scaled_at(point)
+    q = obj.denominator.scaled_at(point)
     if q == 0:
         raise ZeroDenominator(f"denominator vanishes at {point}")
     if q < 0:

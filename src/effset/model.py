@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import LengthMismatch, ZeroDenominator
@@ -74,14 +76,24 @@ class AffineForm:
     def _at(self, point: Sequence) -> tuple[int, int]:
         """The value at point as an unreduced (numerator, denominator > 0),
         summed over the form's integer data."""
+        self._check(point)
+        coeffs, constant, scale = self.scaled
+        num, den = _dot(coeffs, point, constant)
+        return num, den * scale
+
+    def scaled_at(self, point: Sequence[int]) -> int:
+        """`scale` times the value at an integer point: the constant plus
+        the dot product of the form's integer data (`scaled`) with it."""
+        self._check(point)
+        coeffs, constant, _ = self.scaled
+        return constant + sum(map(mul, coeffs, point))
+
+    def _check(self, point: Sequence) -> None:
         if len(point) != len(self.coeffs):
             raise LengthMismatch(
                 f"form over {len(self.coeffs)} variables evaluated at "
                 f"{len(point)}-vector"
             )
-        coeffs, constant, scale = self.scaled
-        num, den = _dot(coeffs, point, constant)
-        return num, den * scale
 
 
 @dataclass(frozen=True)
@@ -106,10 +118,18 @@ def ratio(num_coeffs, num_const, den_coeffs, den_const) -> FractionalObjective:
 
 
 def evaluate(objective: FractionalObjective, point: Sequence) -> Fraction:
-    q_num, q_den = objective.denominator._at(point)
+    """The ratio at point. At an all-int point both forms are summed in
+    ints (`AffineForm.scaled_at`); other points go through `_dot`."""
+    num, den = objective.numerator, objective.denominator
+    if all(map(isinstance, point, repeat(int))):
+        q = den.scaled_at(point)
+        if q == 0:
+            raise ZeroDenominator(f"denominator vanishes at {tuple(point)}")
+        return Fraction(num.scaled_at(point) * den.scaled[2], q * num.scaled[2])
+    q_num, q_den = den._at(point)
     if q_num == 0:
         raise ZeroDenominator(f"denominator vanishes at {tuple(point)}")
-    p_num, p_den = objective.numerator._at(point)
+    p_num, p_den = num._at(point)
     return Fraction(p_num * q_den, p_den * q_num)
 
 
@@ -239,32 +259,56 @@ def utility_image(inst: ProblemInstance, point: Sequence) -> ObjectiveVector:
     return tuple(evaluate(obj, point) for obj in inst.utilities)
 
 
-def dominates(a: Sequence, b: Sequence) -> bool:
-    """True iff a >= b componentwise with at least one strict coordinate
-    (maximization sense)."""
+def _compare(a: Sequence, b: Sequence) -> bool | None:
+    """None when some coordinate of a is below b's, else whether some
+    coordinate is above. Every image comparison comes here. Coordinates
+    (ints or Fractions) x and y are compared as x.numerator * y.denominator
+    against y.numerator * x.denominator in ints, which is exact because
+    denominators are positive."""
     if len(a) != len(b):
         raise LengthMismatch(f"vectors of length {len(a)} and {len(b)}")
     strict = False
     for x, y in zip(a, b):
-        if x < y:
-            return False
-        if x > y:
+        lhs = x.numerator * y.denominator
+        rhs = y.numerator * x.denominator
+        if lhs < rhs:
+            return None
+        if lhs > rhs:
             strict = True
     return strict
 
 
-def pareto_filter(entries: Sequence[tuple[Point, ObjectiveVector]]) -> list[Point]:
-    """Keep the points whose objective vectors no other entry dominates.
+def dominates(a: Sequence, b: Sequence) -> bool:
+    """True iff a >= b componentwise with at least one strict coordinate
+    (maximization sense), decided in ints (`_compare`)."""
+    return _compare(a, b) is True
 
-    Points with identical vectors are all kept (none dominates the other),
-    so duplicated optima survive filtering.
+
+def at_least(a: Sequence, b: Sequence) -> bool:
+    """True iff a >= b componentwise, decided in ints (`_compare`)."""
+    return _compare(a, b) is not None
+
+
+def pareto_filter(entries: Sequence[tuple[Point, ObjectiveVector]]) -> list[Point]:
+    """Keep the points whose objective vectors no other entry dominates,
+    in input order.
+
+    The vectors are swept in descending lexicographic order, in which a
+    vector sorts strictly after every vector that dominates it, and each is
+    tested against the vectors kept so far only: strict dominance is
+    transitive, so a dropped dominator is itself dominated by a kept one,
+    which then dominates the vector too. Points with identical vectors are
+    all kept (none dominates the other), so duplicated optima survive
+    filtering.
     """
-    vectors = [v for _, v in entries]
-    kept = []
-    for i, (point, vec) in enumerate(entries):
-        if not any(j != i and dominates(vectors[j], vec) for j in range(len(vectors))):
-            kept.append(point)
-    return kept
+    front: list[ObjectiveVector] = []
+    kept = [False] * len(entries)
+    for i in sorted(range(len(entries)), key=lambda i: entries[i][1], reverse=True):
+        vec = entries[i][1]
+        if not any(dominates(u, vec) for u in front):
+            front.append(vec)
+            kept[i] = True
+    return [point for (point, _), keep in zip(entries, kept) if keep]
 
 
 def denominator_lcm(values: Iterable[Fraction]) -> int:

@@ -2,10 +2,12 @@
 
 Enumerates the feasible integer points inside the lattice bounding box of
 the relaxation, then filters each objective family down to its maximal
-points by pairwise comparison. This is deliberately the plainest exact
-implementation that can be written down: it serves as ground truth for the
-search and as the baseline it is timed against, so unarguable correctness
-beats cleverness. All arithmetic is integer or Fraction, never float.
+points (`model.pareto_filter`: a sweep in descending lexicographic order
+against the maximal points kept so far, which keeps exactly what pairwise
+comparison keeps). This is deliberately the plainest exact implementation
+that can be written down: it serves as ground truth for the search and as
+the baseline it is timed against, so unarguable correctness beats
+cleverness. All arithmetic is integer or Fraction, never float.
 """
 from __future__ import annotations
 

@@ -8,6 +8,7 @@ from effset.errors import LengthMismatch, ZeroDenominator
 from effset.model import (
     AffineForm,
     ProblemInstance,
+    at_least,
     dominates,
     evaluate,
     instance,
@@ -19,6 +20,44 @@ from effset.model import (
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=12
 )
+
+# Image coordinates as the program meets them, ints and Fractions mixed,
+# drawn from a small range so that ties and dominance are common.
+coordinates = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=4),
+)
+
+
+@st.composite
+def vector_lists(draw, min_size=1, max_size=20):
+    """Vectors of one width in 1-5, some of them repeated."""
+    width = draw(st.integers(min_value=1, max_value=5))
+    vector = st.tuples(*[coordinates] * width)
+    pool = draw(st.lists(vector, min_size=1, max_size=6))
+    return draw(
+        st.lists(st.one_of(vector, st.sampled_from(pool)), min_size=min_size, max_size=max_size)
+    )
+
+
+def fraction_at_least(a, b) -> bool:
+    """a >= b componentwise by Fraction's own comparison, as a reference
+    independent of the integer kernel."""
+    return not any(Fraction(x) < Fraction(y) for x, y in zip(a, b))
+
+
+def fraction_dominates(a, b) -> bool:
+    return fraction_at_least(a, b) and any(Fraction(x) > Fraction(y) for x, y in zip(a, b))
+
+
+def pairwise_filter(entries):
+    """The plain O(N^2) filter: each point whose vector no entry dominates."""
+    vectors = [vec for _, vec in entries]
+    return [
+        point
+        for point, vec in entries
+        if not any(fraction_dominates(other, vec) for other in vectors)
+    ]
 
 
 class TestAffineForm:
@@ -56,12 +95,44 @@ class TestObjectives:
 
     def test_zero_denominator_raises(self):
         obj = ratio([1], 0, [1], -1)
-        with pytest.raises(ZeroDenominator):
-            evaluate(obj, (1,))
+        for point in ((1,), (Fraction(1),)):
+            with pytest.raises(ZeroDenominator):
+                evaluate(obj, point)
 
     def test_mismatched_spaces_rejected(self):
         with pytest.raises(LengthMismatch):
             ratio([1, 2], 0, [1], 1)
+
+    @given(
+        st.lists(rationals, min_size=1, max_size=5),
+        rationals,
+        st.data(),
+    )
+    def test_integer_points_agree_with_the_fraction_path(self, coeffs, constant, data):
+        """An all-int point is summed in ints (AffineForm.scaled_at), the
+        same point as Fractions through _dot: both give the ratio of the
+        two forms' values."""
+        n = len(coeffs)
+        den_coeffs = data.draw(st.lists(rationals, min_size=n, max_size=n))
+        den_constant = data.draw(rationals)
+        point = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)))
+        obj = ratio(coeffs, constant, den_coeffs, den_constant)
+        q = sum(d * v for d, v in zip(den_coeffs, point)) + den_constant
+        as_fractions = tuple(Fraction(v) for v in point)
+        if q == 0:
+            for at in (point, as_fractions):
+                with pytest.raises(ZeroDenominator):
+                    evaluate(obj, at)
+            return
+        p = sum(c * v for c, v in zip(coeffs, point)) + constant
+        assert evaluate(obj, point) == evaluate(obj, as_fractions) == p / q
+        assert obj.numerator.scaled_at(point) == p * obj.numerator.scaled[2]
+
+    def test_both_paths_raise_length_mismatch(self):
+        obj = ratio([1, 0], 1, [0, 1], 1)
+        for point in ((1, 2, 3), (1,), (Fraction(1), Fraction(2), Fraction(3)), (Fraction(1),)):
+            with pytest.raises(LengthMismatch):
+                evaluate(obj, point)
 
 
 class TestProblemInstance:
@@ -100,6 +171,17 @@ class TestDominance:
         assert not dominates((1, 1), (1, 1))
         assert not dominates((2, 0), (1, 1))
 
+    def test_length_mismatch(self):
+        for compare in (dominates, at_least):
+            with pytest.raises(LengthMismatch):
+                compare((1, 2), (1,))
+
+    @given(vector_lists(min_size=2, max_size=2))
+    def test_kernel_matches_fraction_comparison(self, pair):
+        a, b = pair
+        assert dominates(a, b) == fraction_dominates(a, b)
+        assert at_least(a, b) == fraction_at_least(a, b)
+
     @given(
         st.lists(rationals, min_size=1, max_size=4),
         st.lists(rationals, min_size=1, max_size=4),
@@ -117,19 +199,11 @@ class TestDominance:
         ]
         assert pareto_filter(entries) == [(0, 0), (1, 1)]
 
-    @given(
-        st.lists(
-            st.tuples(rationals, rationals),
-            min_size=1,
-            max_size=20,
-        )
-    )
+    @given(vector_lists())
     def test_pareto_filter_is_exactly_the_nondominated_set(self, vectors):
+        """The sweep keeps what the pairwise filter keeps, in input order."""
         entries = [((i,), vec) for i, vec in enumerate(vectors)]
-        kept = set(pareto_filter(entries))
-        for i, vec in enumerate(vectors):
-            dominated = any(dominates(other, vec) for other in vectors)
-            assert ((i,) in kept) == (not dominated)
+        assert pareto_filter(entries) == pairwise_filter(entries)
 
 
 class TestScaledConstraints:
