@@ -50,12 +50,14 @@ Otherwise the nearest ancestor's companion maximum (`SearchNode.companion`)
 bounds the node's, whose region lies in the ancestor's, and a met image
 strictly dominating the corner built on it fathoms the node with nothing
 solved. The root's maximum is solved before the walk, so every node has
-such an ancestor, and the root has its own. Else the exact maximum is read
-(`fractional.maximize`) by the dual re-solve every child takes, from the
-ancestor's companion-optimal state over the rows appended since (no pivot
-when its vertex satisfies them); it then passes on. Either way the node is
-decided as at its exact maximum, and because the optimum is tested first,
-every integer optimum is decided and counted as before.
+such an ancestor, and the root has its own. When the ancestor's vertex
+satisfies the rows appended since (`SimplexState.satisfies`, in
+integers), it lies in the node, so that maximum is the node's own and
+nothing is solved. Else the exact maximum is read (`fractional.maximize`)
+by the dual re-solve every child takes, from the ancestor's
+companion-optimal state over those rows; it then passes on. Either way
+the node is decided as at its exact maximum, and because the optimum is
+tested first, every integer optimum is decided and counted as before.
 """
 from __future__ import annotations
 
@@ -175,8 +177,10 @@ def ideal_point_beaten(
     pending. Only archived images at or above the node vertex's image can
     dominate; with none, nothing is solved. A rival beating the corner of
     `known`'s maximum, which bounds the node's, beats the true corner too.
-    With no rows pending, that maximum is the node's own. Otherwise the
-    maximum is read, re-solved from `known`'s state over its pending rows."""
+    When the vertex of `known`'s state satisfies its pending rows (none
+    pending included), it lies in the node, so that maximum is the node's
+    own and passes on as it is. Otherwise the maximum is read, re-solved
+    from `known`'s state over its pending rows."""
 
     def corner(other):
         return (result.value, other) if solved == 0 else (other, result.value)
@@ -189,7 +193,7 @@ def ideal_point_beaten(
     if not rivals:
         return False, known
     fathom = beaten(known[0])
-    if fathom or not known[2]:
+    if fathom or known[1].satisfies(known[2]):
         return fathom, known
     read = maximize(len(result.point), known[2], companion, known[1])
     if read is None:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import AssumptionViolated, GenerationFailed
-from .model import AffineForm, FractionalObjective, LinearRow, ProblemInstance, constraint_rows, instance
-from .validate import check_relaxation, denominator_minimum, integer_witness
+from .model import AffineForm, FractionalObjective, ProblemInstance, constraint_rows, instance
+from .simplex import SimplexState
+from .validate import check_relaxation, denominator_minimum, feasible_start, integer_witness
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class GeneratorConfig:
 
 
 def _draw_objective(
-    rng: random.Random, cfg: GeneratorConfig, rows: Sequence[LinearRow]
+    rng: random.Random, cfg: GeneratorConfig, start: SimplexState | None
 ) -> FractionalObjective:
     num_lo, num_hi = cfg.numerator_range
     den_lo, den_hi = cfg.denominator_range
@@ -54,7 +54,7 @@ def _draw_objective(
     constant = rng.randint(den_lo, den_hi)
     # Redraws change only the constant, so the linear part's minimum is
     # solved once.
-    linear = denominator_minimum(rows, cfg.num_vars, AffineForm.of(den_coeffs))
+    linear = denominator_minimum(start, AffineForm.of(den_coeffs))
     if linear is None:
         raise GenerationFailed("the denominator has no minimum over the region")
     positive_lo = max(den_lo, 1)
@@ -79,13 +79,16 @@ def generate(cfg: GeneratorConfig) -> ProblemInstance:
         ]
         b = [rng.randint(*cfg.b_range) for _ in range(cfg.num_constraints)]
         rows = constraint_rows(a, b)
+        # The attempt's denominator and relaxation LPs all optimize from
+        # this one feasible tableau.
+        start = feasible_start(rows, cfg.num_vars)
         try:
             criteria = tuple(
-                _draw_objective(rng, cfg, rows) for _ in range(cfg.num_criteria)
+                _draw_objective(rng, cfg, start) for _ in range(cfg.num_criteria)
             )
-            utilities = tuple(_draw_objective(rng, cfg, rows) for _ in range(2))
+            utilities = tuple(_draw_objective(rng, cfg, start) for _ in range(2))
             # _draw_objective proved each denominator positive over these rows.
-            check_relaxation(rows, cfg.num_vars)
+            check_relaxation(start, cfg.num_vars)
             integer_witness(rows, cfg.num_vars)
             return instance(a, b, criteria, utilities)
         except (GenerationFailed, AssumptionViolated) as exc:

@@ -156,14 +156,10 @@ class LinearRow:
         """coeffs may be a {index: value} mapping or a dense sequence of
         ints, strings like '-4/7' or Fractions; each is converted once."""
         items = coeffs.items() if isinstance(coeffs, Mapping) else enumerate(coeffs)
-        merged: dict[int, Fraction] = {}
-        for j, v in items:
-            v = as_fraction(v)
-            if v:
-                merged[j] = merged.get(j, ZERO) + v
+        entries = [(j, v) for j, v in ((j, as_fraction(v)) for j, v in items) if v]
         rhs = as_fraction(rhs)
-        scale = denominator_lcm((rhs, *merged.values()))
-        pairs = sorted((j, v.numerator * (scale // v.denominator)) for j, v in merged.items() if v)
+        scale = denominator_lcm((rhs, *(v for _, v in entries)))
+        pairs = sorted((j, v.numerator * (scale // v.denominator)) for j, v in entries)
         return cls(tuple(pairs), relation, rhs.numerator * (scale // rhs.denominator), scale)
 
     @classmethod

@@ -56,10 +56,12 @@ under any degeneracy; its first cost row is priced once, and a positive
 entry in it refuses the basis (NotOptimal). `feasible_tableau(n, rows)`
 re-solves the empty state over n structural columns for the zero cost,
 for which every basis is dual feasible, so it is a complete phase one
-that reads rows and no objective: `solve_lp` (each MILP root and the
-instance checks) passes its program's rows, and the search root and
-its companion maximum (`fractional.maximize` without a parent) the
-instance's rows as they are. `resolve_after` re-solves every child for a cost its parent's
+that reads rows and no objective: `solve_lp` (each MILP root) passes
+its program's rows; the instance checks and the oracle's variable maxima
+(`validate.feasible_start`) pass the rows once and optimize each cost
+from a copy of the tableau; and the search root and its companion
+maximum (`fractional.maximize` without a parent) pass the instance's
+rows as they are. `resolve_after` re-solves every child for a cost its parent's
 basis is optimal for: a branch-and-bound child (`milp.solve_milp`) for
 the program's objective, and every search node but the root
 (`fractional.solve_lfp` with a parent) for the linear cost q*P - p*Q
@@ -184,6 +186,28 @@ class SimplexState:
             if var < n:
                 point[var] = Fraction(row[-1], self.det)
         return tuple(point)
+
+    def satisfies(self, rows: Sequence[LinearRow]) -> bool:
+        """Whether the state's vertex satisfies `rows` appended to its
+        system as `resolve_after` appends them (each row's slack the next
+        column, which later rows may reference), decided in integers over
+        det: every appended slack is >= 0, so a re-solve over the rows from
+        this state would make no dual pivot."""
+        det = self.det
+        values = [0] * self.num_vars
+        for var, row in zip(self.basis, self.rows):
+            values[var] = row[-1]
+        for row in rows:
+            gap = det * row.rhs - sum(c * values[j] for j, c in row.coeffs)
+            if row.relation == GREATER_EQ:
+                gap = -gap
+            if gap < 0:
+                return False
+            if row.scale != 1:
+                values = [row.scale * v for v in values]
+                det *= row.scale
+            values.append(gap)
+        return True
 
 
 class Tableau:

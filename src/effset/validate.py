@@ -10,7 +10,15 @@ from typing import Sequence
 from .errors import AssumptionViolated, InvariantViolated
 from .milp import solve_milp
 from .model import AffineForm, ProblemInstance
-from .simplex import LinearProgram, LinearRow, Status, solve_lp
+from .simplex import (
+    LinearProgram,
+    LinearRow,
+    SimplexState,
+    Status,
+    Tableau,
+    feasible_tableau,
+    optimize,
+)
 
 
 @dataclass(frozen=True)
@@ -26,26 +34,38 @@ class InstanceCertificate:
     integer_witness: tuple[int, ...]
 
 
-def check_relaxation(rows: Sequence[LinearRow], n: int) -> None:
-    """Raise AssumptionViolated unless the rows plus x >= 0 describe a
-    nonempty bounded region. Over x >= 0 the region is bounded exactly when
-    max sum(x) is finite, so one LP decides both."""
-    status = solve_lp(LinearProgram.of(n, [1] * n, rows)).status
-    if status is Status.INFEASIBLE:
+def feasible_start(rows: Sequence[LinearRow], n: int) -> SimplexState | None:
+    """The feasible tableau of the rows plus x >= 0 (`feasible_tableau`)
+    as a state, or None when they are infeasible. Each LP over the rows
+    then optimizes its own integer cost from a copy of it
+    (`optimize(Tableau.of_state(start), cost)`), the path `solve_lp` takes
+    from scratch, so a caller makes the rows feasible once."""
+    tab = feasible_tableau(n, rows)
+    return None if tab is None else tab.state(Status.OPTIMAL)
+
+
+def check_relaxation(start: SimplexState | None, n: int) -> None:
+    """Raise AssumptionViolated unless the rows `start` was built from
+    (see feasible_start) describe a nonempty bounded region. Over x >= 0
+    the region is bounded exactly when max sum(x) is finite, so one LP
+    decides both."""
+    if start is None:
         raise AssumptionViolated("the continuous relaxation is empty", reason="empty-domain")
-    if status is Status.UNBOUNDED:
+    if optimize(Tableau.of_state(start), [1] * n).status is Status.UNBOUNDED:
         raise AssumptionViolated("the continuous relaxation is unbounded", reason="unbounded")
 
 
 def denominator_minimum(
-    rows: Sequence[LinearRow], n: int, den: AffineForm
+    start: SimplexState | None, den: AffineForm
 ) -> tuple[Fraction, tuple[Fraction, ...]] | None:
-    """(minimum, minimizer) of an affine form over the rows plus x >= 0,
-    or None when that LP has no optimum."""
-    state = solve_lp(LinearProgram.of(n, [-c for c in den.coeffs], rows))
+    """(minimum, minimizer) of an affine form over the rows `start` was
+    built from (see feasible_start), or None when that LP has no optimum."""
+    if start is None:
+        return None
+    state = optimize(Tableau.of_state(start), [-c for c in den.scaled[0]])
     if state.status is not Status.OPTIMAL:
         return None
-    point = state.structural_point(n)
+    point = state.structural_point(len(den.coeffs))
     return den.at(point), point
 
 
@@ -60,11 +80,12 @@ def integer_witness(rows: Sequence[LinearRow], n: int) -> tuple[int, ...]:
 def validate_instance(inst: ProblemInstance) -> InstanceCertificate:
     n = inst.variable_count
     rows = inst.rows
-    check_relaxation(rows, n)
+    start = feasible_start(rows, n)
+    check_relaxation(start, n)
 
     minima = []
     for idx, obj in enumerate(inst.criteria + inst.utilities):
-        found = denominator_minimum(rows, n, obj.denominator)
+        found = denominator_minimum(start, obj.denominator)
         if found is None:
             raise InvariantViolated(f"denominator {idx} has no minimum over a bounded region")
         value, point = found

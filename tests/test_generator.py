@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -64,15 +65,19 @@ class TestGenerate:
         assert certificate.integer_witness is not None
 
     def test_each_denominator_solved_once(self, monkeypatch):
-        """k+2 denominator LPs, one relaxation LP and the witness MILP."""
+        """One feasible tableau, from which the k+2 denominator LPs and the
+        relaxation LP are optimized, then the witness MILP."""
         minima = count_calls(monkeypatch, validate.denominator_minimum)
+        tableaus = count_calls(monkeypatch, simplex.feasible_tableau)
+        optimized = count_calls(monkeypatch, simplex.optimize)
         lps = count_calls(monkeypatch, simplex.solve_lp)
         inst = generate(cfg(num_vars=5, num_constraints=10, num_criteria=3, seed=0))
         k = len(inst.criteria)
         assert sum(minima.values()) == k + 2
-        assert lps["validate"] == k + 2 + 1
-        assert lps["milp"] >= 1
-        assert set(lps) == {"validate", "milp"}
+        assert set(lps) == {"milp"} and lps["milp"] >= 1
+        # The others are the witness MILP's root solves, inside solve_lp.
+        assert tableaus == Counter(validate=1, simplex=lps["milp"])
+        assert optimized == Counter(validate=k + 2 + 1, simplex=lps["milp"])
 
     def test_positive_denominator_unreachable(self):
         with pytest.raises(GenerationFailed):

@@ -1,9 +1,14 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effset.errors import EnumerationBudgetExceeded, UnboundedDomain
 from effset.model import instance, ratio
+from effset.simplex import LinearProgram, Status, solve_lp
 from effset.oracle import (
     efficient_sets,
     enumerate_feasible,
@@ -53,6 +58,68 @@ class TestEnumeration:
     def test_three_point_segment(self):
         inst = tiny([[1, 0], [0, 1]], [2, 0])
         assert enumerate_feasible(inst) == [(0, 0), (1, 0), (2, 0)]
+
+    @pytest.mark.parametrize(
+        "a, b, points",
+        [
+            # The origin alone.
+            ([[1, 1]], [0], [(0, 0)]),
+            # 1/3 <= x1 <= 2/3 over 0 <= x0 <= 1: a nonempty relaxation whose
+            # row on x1 rules out the whole box before the walk starts.
+            ([[1, 0], [0, 3], [0, -3]], [1, 2, -1], []),
+            # x1 >= x0 - 1 lifts the second coordinate's lower end.
+            ([[1, 1], [1, -1]], [3, 1], [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (2, 1)]),
+            # Fractional data: x0 + x1 <= 5/2 and x0 - x1/2 >= 1/2.
+            ([[1, 1], ["-1", "1/2"]], ["5/2", "-1/2"], [(1, 0), (1, 1), (2, 0)]),
+        ],
+    )
+    def test_small_regions(self, a, b, points):
+        assert enumerate_feasible(tiny(a, b)) == points
+
+
+def in_region(inst, point) -> bool:
+    """Ax <= b at the point, summed in the instance's own Fractions."""
+    return all(
+        sum(c * v for c, v in zip(row, point)) <= rhs
+        for row, rhs in zip(inst.a_matrix, inst.b_vector)
+    )
+
+
+@st.composite
+def box_instances(draw):
+    """One to three variables under a row of coefficients in [1/2, 4], which
+    keeps the box small, and up to three rows of any sign, zeros and
+    fractions included, whose right-hand sides may be negative: empty
+    relaxations, relaxations with no lattice point and single points all
+    occur."""
+    n = draw(st.integers(1, 3))
+    positive = st.fractions(min_value=Fraction(1, 2), max_value=4, max_denominator=3)
+    coef = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    a = [[draw(positive) for _ in range(n)]]
+    b = [draw(st.fractions(min_value=-1, max_value=6, max_denominator=3))]
+    for _ in range(draw(st.integers(0, 3))):
+        a.append([draw(coef) for _ in range(n)])
+        b.append(draw(st.fractions(min_value=-4, max_value=4, max_denominator=3)))
+    objectives = [ratio([0] * n, 1, [0] * n, 1)] * 2
+    return instance(a, b, objectives, objectives)
+
+
+@settings(max_examples=300, deadline=None)
+@given(box_instances())
+def test_walk_matches_from_scratch_bounds_and_the_box_filter(inst):
+    """variable_upper_bounds equals one solve_lp from scratch per variable,
+    and the walk lists exactly the box points the literal filter keeps, in
+    the same order."""
+    n = inst.variable_count
+    states = [solve_lp(LinearProgram.of(n, {j: 1}, inst.rows)) for j in range(n)]
+    if states[0].status is Status.INFEASIBLE:
+        assert variable_upper_bounds(inst) is None
+        assert enumerate_feasible(inst) == []
+        return
+    bounds = [state.structural_point(n)[j] for j, state in enumerate(states)]
+    assert variable_upper_bounds(inst) == bounds
+    box = itertools.product(*(range(math.floor(v) + 1) for v in bounds))
+    assert enumerate_feasible(inst) == [point for point in box if in_region(inst, point)]
 
 
 class TestMaximalPoints:

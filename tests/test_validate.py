@@ -1,15 +1,18 @@
+import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from effset import oracle, simplex
-from effset.errors import AssumptionViolated, UnboundedDomain
+from effset import simplex
+from effset.errors import AssumptionViolated
 from effset.generator import GeneratorConfig, generate
 from effset.model import instance, is_feasible, ratio
-from effset.simplex import constraint_rows
-from effset.validate import denominator_minimum, validate_instance
+from effset.simplex import LinearProgram, Status, constraint_rows
+from effset.validate import validate_instance
 
 from conftest import count_calls
 
@@ -82,14 +85,18 @@ def test_denominator_checked_before_integer_point():
 
 
 def test_lp_count(monkeypatch):
-    """One relaxation LP, one LP per denominator, then the witness MILP's
-    node LPs; nothing else."""
+    """One feasible tableau, from which the relaxation LP and one LP per
+    denominator are optimized, then the witness MILP's node LPs; nothing
+    else."""
     inst = generate(GeneratorConfig(num_vars=5, num_constraints=10, num_criteria=3, seed=0))
+    tableaus = count_calls(monkeypatch, simplex.feasible_tableau)
+    optimized = count_calls(monkeypatch, simplex.optimize)
     lps = count_calls(monkeypatch, simplex.solve_lp)
     validate_instance(inst)
-    assert lps["validate"] == 1 + len(inst.criteria) + 2
-    assert lps["milp"] >= 1
-    assert set(lps) == {"validate", "milp"}
+    assert set(lps) == {"milp"} and lps["milp"] >= 1
+    # The others are the witness MILP's root solves, inside solve_lp.
+    assert tableaus == Counter(validate=1, simplex=lps["milp"])
+    assert optimized == Counter(validate=1 + len(inst.criteria) + 2, simplex=lps["milp"])
 
 
 @st.composite
@@ -110,18 +117,27 @@ def tiny_instances(draw):
 
 
 def reference_reason(inst) -> str | None:
-    """The verdict validate_instance must reach, from the oracle's n
-    variable maxima and its lattice scan, in the same order of checks."""
-    try:
-        if oracle.variable_upper_bounds(inst) is None:
-            return "empty-domain"
-    except UnboundedDomain:
-        return "unbounded"
+    """The verdict validate_instance must reach, in the same order of
+    checks, from solves that share nothing: each variable's maximum and
+    each denominator's minimum by its own `solve_lp` from scratch, then
+    the literal scan of the lattice box those maxima span."""
+    n = inst.variable_count
     rows = constraint_rows(inst.a_matrix, inst.b_vector)
+    tops = []
+    for j in range(n):
+        state = simplex.solve_lp(LinearProgram.of(n, {j: 1}, rows))
+        if state.status is Status.INFEASIBLE:
+            return "empty-domain"
+        if state.status is Status.UNBOUNDED:
+            return "unbounded"
+        tops.append(math.floor(state.structural_point(n)[j]))
     for obj in inst.criteria + inst.utilities:
-        if denominator_minimum(rows, inst.variable_count, obj.denominator)[0] <= 0:
+        den = obj.denominator
+        state = simplex.solve_lp(LinearProgram.of(n, [-c for c in den.coeffs], rows))
+        if den.at(state.structural_point(n)) <= 0:
             return "denominator"
-    return None if oracle.enumerate_feasible(inst) else "empty-domain"
+    box = itertools.product(*(range(top + 1) for top in tops))
+    return None if any(is_feasible(inst, point) for point in box) else "empty-domain"
 
 
 @settings(max_examples=300, deadline=None)
