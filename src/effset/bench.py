@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 from . import branch_cut, oracle
@@ -38,23 +38,6 @@ SUMMARY_COLUMNS = (
     "mu",
 )
 
-DETAIL_COLUMNS = (
-    "r",
-    "m",
-    "n",
-    "seed",
-    "cpu",
-    "nodes",
-    "solutions",
-    "oracle_cpu",
-    "oracle_feasible",
-    "oracle_efficient",
-    "agreed",
-    "win",
-    "evaluated",
-    "efficient_unvisited",
-)
-
 
 @dataclass(frozen=True)
 class BenchRecord:
@@ -72,6 +55,9 @@ class BenchRecord:
     win: bool
     evaluated: int
     efficient_unvisited: int | None
+
+
+DETAIL_COLUMNS = tuple(f.name for f in fields(BenchRecord))
 
 
 def coverage(
@@ -126,8 +112,8 @@ def run_benchmark(
                 start = time.process_time()
                 try:
                     points = oracle.enumerate_feasible(inst, oracle_budget)
-                    x_e = oracle.maximal_points(inst, points, inst.criteria)
-                    x_ep = oracle.maximal_points(inst, points, inst.utilities)
+                    x_e = oracle.maximal_points(points, inst.criteria)
+                    x_ep = oracle.maximal_points(points, inst.utilities)
                 except EnumerationBudgetExceeded:
                     pass
                 else:

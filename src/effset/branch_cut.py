@@ -50,14 +50,13 @@ Otherwise the nearest ancestor's companion maximum (`SearchNode.companion`)
 bounds the node's, whose region lies in the ancestor's, and a met image
 strictly dominating the corner built on it fathoms the node with nothing
 solved. The root's maximum is solved before the walk, so every node has
-such an ancestor, and the root has its own. When the ancestor's vertex
-satisfies the rows appended since (`SimplexState.satisfies`, in
-integers), it lies in the node, so that maximum is the node's own and
-nothing is solved. Else the exact maximum is read (`fractional.maximize`)
-by the dual re-solve every child takes, from the ancestor's
-companion-optimal state over those rows; it then passes on. Either way
-the node is decided as at its exact maximum, and because the optimum is
-tested first, every integer optimum is decided and counted as before.
+such an ancestor, and the root has its own. A maximum with no rows
+appended since is the node's own. Else the exact maximum is read
+(`fractional.maximize`) by the dual re-solve every child takes, from the
+ancestor's companion-optimal state over those rows; it then passes on
+with none pending. Either way the node is decided as at its exact
+maximum, and because the optimum is tested first, every integer optimum
+is decided and counted as before.
 """
 from __future__ import annotations
 
@@ -177,10 +176,9 @@ def ideal_point_beaten(
     pending. Only archived images at or above the node vertex's image can
     dominate; with none, nothing is solved. A rival beating the corner of
     `known`'s maximum, which bounds the node's, beats the true corner too.
-    When the vertex of `known`'s state satisfies its pending rows (none
-    pending included), it lies in the node, so that maximum is the node's
-    own and passes on as it is. Otherwise the maximum is read, re-solved
-    from `known`'s state over its pending rows."""
+    With no rows pending, `known`'s maximum is the node's own and passes
+    on as it is. Otherwise the maximum is read by one re-solve from
+    `known`'s state over its pending rows."""
 
     def corner(other):
         return (result.value, other) if solved == 0 else (other, result.value)
@@ -193,7 +191,7 @@ def ideal_point_beaten(
     if not rivals:
         return False, known
     fathom = beaten(known[0])
-    if fathom or known[1].satisfies(known[2]):
+    if fathom or not known[2]:
         return fathom, known
     read = maximize(len(result.point), known[2], companion, known[1])
     if read is None:
@@ -269,10 +267,16 @@ def run(
             raise NodeLimitExceeded(f"node limit {node_limit} exceeded")
 
         result = solve_lfp(n, node.rows, utility, node.parent_state)
-        if result.status is Status.INFEASIBLE:
+
+        def record(
+            action: str, h: frozenset[int] | None = None, hp: frozenset[int] | None = None
+        ) -> None:
             report.trace.append(
-                TraceRecord(node.id, node.parent, FATHOM_INFEASIBLE, None, None, None, None)
+                TraceRecord(node.id, node.parent, action, result.point, result.value, h, hp)
             )
+
+        if result.status is Status.INFEASIBLE:
+            record(FATHOM_INFEASIBLE)
             continue
 
         point = result.point
@@ -315,9 +319,7 @@ def run(
 
         beaten, known = ideal_point_beaten(archive, result, companion, objective, node.companion)
         if beaten:
-            report.trace.append(
-                TraceRecord(node.id, node.parent, FATHOM_IDEAL, point, result.value, None, None)
-            )
+            record(FATHOM_IDEAL)
             continue
 
         def child(node_id: int, rows: tuple[LinearRow, ...]) -> SearchNode:
@@ -329,9 +331,7 @@ def run(
             floor_child = child(next_id, (floor_row,))
             ceil_child = child(next_id + 1, (ceil_row,))
             next_id += 2
-            report.trace.append(
-                TraceRecord(node.id, node.parent, BRANCH, point, result.value, None, None)
-            )
+            record(BRANCH)
             if strategy == "dfs":
                 open_nodes.append(ceil_child)
                 open_nodes.append(floor_child)
@@ -342,14 +342,10 @@ def run(
 
         h, hp = build_cut_sets(result.state, inst, solved=objective)
         if not h:
-            report.trace.append(
-                TraceRecord(node.id, node.parent, FATHOM_EMPTY_H, point, result.value, h, hp)
-            )
+            record(FATHOM_EMPTY_H, h, hp)
             continue
         if not hp:
-            report.trace.append(
-                TraceRecord(node.id, node.parent, FATHOM_EMPTY_HPRIME, point, result.value, h, hp)
-            )
+            record(FATHOM_EMPTY_HPRIME, h, hp)
             continue
 
         cut_rows = [LinearRow(tuple((j, 1) for j in sorted(h)), GREATER_EQ, 1)]
@@ -357,9 +353,7 @@ def run(
             cut_rows.append(LinearRow(tuple((j, 1) for j in sorted(hp)), GREATER_EQ, 1))
         successor = child(next_id, tuple(cut_rows))
         next_id += 1
-        report.trace.append(
-            TraceRecord(node.id, node.parent, CUT, point, result.value, h, hp)
-        )
+        record(CUT, h, hp)
         open_nodes.append(successor)
 
     return report

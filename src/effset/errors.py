@@ -23,7 +23,7 @@ class InvariantViolated(EffsetError):
 
 
 class NodeLimitExceeded(EffsetError):
-    """A search or branch-and-bound processed more nodes than its
+    """A search (`branch_cut.run`) processed more nodes than its
     node_limit allows."""
 
 

@@ -106,11 +106,17 @@ def maximize(
 ) -> tuple[Fraction, SimplexState] | None:
     """solve_lfp's maximum and the final state attaining it, or None when
     the rows are empty. The search reads its companion maxima here, since
-    solve_lfp is its node solve."""
+    solve_lfp is its node solve. With `parent`, an optimal final state of
+    `objective` (else NotOptimal), this is the dual re-solve of a search
+    child (see the module docstring) over its rows plus `rows`."""
     if parent is None:
         tab = feasible_tableau(num_vars, rows)
+    elif parent.priced != _costs(objective):
+        raise NotOptimal("the parent state was solved for another objective")
     else:
-        tab = _resolved(parent, rows, objective)
+        # The parent's gamma, priced at its vertex for the whole re-solve.
+        p, q, _ = _gamma(parent, objective)
+        tab = resolve_after(parent, rows, lambda tab: [q * a - p * b for a, b in zip(*tab.costs)])
     if tab is None:
         return None
     return _ratio_phase(tab, objective), tab.state(Status.OPTIMAL)
@@ -143,19 +149,6 @@ def solve_lfp(
         return LfpResult(Status.INFEASIBLE, None, None, state)
     value, state = solved
     return LfpResult(Status.OPTIMAL, state.structural_point(num_vars), value, state)
-
-
-def _resolved(
-    parent: SimplexState, rows: Sequence[LinearRow], objective: FractionalObjective
-) -> Tableau | None:
-    """The dual re-solve of a search child (see the module docstring) from
-    `parent`, an optimal final state of `objective` (else NotOptimal), over
-    its rows plus `rows`: a feasible tableau, or None when they are empty."""
-    if parent.priced != _costs(objective):
-        raise NotOptimal("the parent state was solved for another objective")
-    # The parent's gamma, priced at its vertex for the whole re-solve.
-    p, q, _ = _gamma(parent, objective)
-    return resolve_after(parent, rows, lambda tab: [q * a - p * b for a, b in zip(*tab.costs)])
 
 
 def _ratio_phase(tab: Tableau, objective: FractionalObjective) -> Fraction:

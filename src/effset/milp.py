@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import NodeLimitExceeded, UnboundedRelaxation
+from .errors import UnboundedRelaxation
 from .simplex import (
     GREATER_EQ,
     LESS_EQ,
@@ -98,14 +98,12 @@ def solve_milp(
     program: LinearProgram,
     cutoff: Fraction | None = None,
     incumbent: tuple[Sequence[Fraction], Fraction] | None = None,
-    node_limit: int | None = None,
 ) -> MilpResult:
     """Maximize over the integer points of the program's rows.
 
     cutoff: stop as soon as some integral solution exceeds it (the caller
     only cares whether anything beats that threshold, not by how much).
     incumbent: known feasible (point, value) used to seed pruning.
-    node_limit: most nodes to solve, infeasible ones included.
     """
     scale = program.integer_cost[1]
     best_point: tuple[Fraction, ...] | None = None
@@ -117,12 +115,8 @@ def solve_milp(
     # A node to solve: its parent's final state (None at the root) and the
     # branch row it appends to the parent's system.
     stack: list[tuple[SimplexState | None, LinearRow | None]] = [(None, None)]
-    nodes = 0
     while stack:
         parent, row = stack.pop()
-        nodes += 1
-        if node_limit is not None and nodes > node_limit:
-            raise NodeLimitExceeded(f"node limit {node_limit} exceeded")
         state = _relaxation(program, parent, row)
         if state is None:
             continue

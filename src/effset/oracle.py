@@ -125,11 +125,9 @@ def _box_walk(rows: Sequence[LinearRow], top: Sequence[int]) -> list[Point]:
     return points
 
 
-def maximal_points(inst: ProblemInstance, points: list[Point], objectives) -> list[Point]:
+def maximal_points(points: list[Point], objectives) -> list[Point]:
     """Subset of `points` not dominated by any other under the given
     objective family, in the input order."""
-    if not points:
-        return []
     images = [(pt, tuple(evaluate(obj, pt) for obj in objectives)) for pt in points]
     return pareto_filter(images)
 
@@ -140,7 +138,7 @@ def efficient_sets(
     """(criteria-efficient points, utility-efficient points, intersection),
     each lexicographically ordered."""
     points = enumerate_feasible(inst, budget)
-    x_e = maximal_points(inst, points, inst.criteria)
-    x_ep = maximal_points(inst, points, inst.utilities)
+    x_e = maximal_points(points, inst.criteria)
+    x_ep = maximal_points(points, inst.utilities)
     both = set(x_e) & set(x_ep)
     return x_e, x_ep, [pt for pt in points if pt in both]

@@ -187,28 +187,6 @@ class SimplexState:
                 point[var] = Fraction(row[-1], self.det)
         return tuple(point)
 
-    def satisfies(self, rows: Sequence[LinearRow]) -> bool:
-        """Whether the state's vertex satisfies `rows` appended to its
-        system as `resolve_after` appends them (each row's slack the next
-        column, which later rows may reference), decided in integers over
-        det: every appended slack is >= 0, so a re-solve over the rows from
-        this state would make no dual pivot."""
-        det = self.det
-        values = [0] * self.num_vars
-        for var, row in zip(self.basis, self.rows):
-            values[var] = row[-1]
-        for row in rows:
-            gap = det * row.rhs - sum(c * values[j] for j, c in row.coeffs)
-            if row.relation == GREATER_EQ:
-                gap = -gap
-            if gap < 0:
-                return False
-            if row.scale != 1:
-                values = [row.scale * v for v in values]
-                det *= row.scale
-            values.append(gap)
-        return True
-
 
 class Tableau:
     """Mutable integer dictionary: rows / det is B^-1 [N | b], one row per

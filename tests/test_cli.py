@@ -372,7 +372,7 @@ class TestFailures:
         from effset.milp import MilpResult
         from effset.simplex import Status
 
-        def broken_milp(program, cutoff=None, incumbent=None, node_limit=None):
+        def broken_milp(program, cutoff=None, incumbent=None):
             return MilpResult(Status.OPTIMAL, incumbent[0], -1)
 
         monkeypatch.setattr(efficiency, "solve_milp", broken_milp)

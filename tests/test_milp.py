@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from effset import milp as milp_module
 from effset import simplex
 from effset.efficiency import _membership_program, is_in_solution_set
-from effset.errors import NodeLimitExceeded, UnboundedRelaxation
+from effset.errors import UnboundedRelaxation
 from effset.generator import GeneratorConfig, generate
 from effset.milp import MilpResult, branch_rows, solve_milp
 from effset.oracle import enumerate_feasible
@@ -73,16 +73,6 @@ def test_unbounded_relaxation_raises():
     problem = milp(2, {0: 1}, [({1: 1}, LESS_EQ, 1)])
     with pytest.raises(UnboundedRelaxation):
         solve_milp(problem)
-
-
-def test_node_limit():
-    problem = milp(
-        2,
-        {0: 2, 1: 2},
-        [({0: 2, 1: 2}, LESS_EQ, 21)],
-    )
-    with pytest.raises(NodeLimitExceeded):
-        solve_milp(problem, node_limit=1)
 
 
 def test_cutoff_early_stop():

@@ -125,22 +125,22 @@ def test_walk_matches_from_scratch_bounds_and_the_box_filter(inst):
 class TestMaximalPoints:
     def test_demo_families(self, demo):
         points = enumerate_feasible(demo)
-        assert set(maximal_points(demo, points, demo.criteria)) == DEMO_CRITERIA_EFFICIENT
-        assert set(maximal_points(demo, points, demo.utilities)) == DEMO_UTILITY_EFFICIENT
+        assert set(maximal_points(points, demo.criteria)) == DEMO_CRITERIA_EFFICIENT
+        assert set(maximal_points(points, demo.utilities)) == DEMO_UTILITY_EFFICIENT
 
     def test_empty_input(self, demo):
-        assert maximal_points(demo, [], demo.criteria) == []
+        assert maximal_points([], demo.criteria) == []
 
     def test_preserves_input_order(self, demo):
         points = list(reversed(enumerate_feasible(demo)))
-        kept = maximal_points(demo, points, demo.criteria)
+        kept = maximal_points(points, demo.criteria)
         assert kept == [p for p in points if p in DEMO_CRITERIA_EFFICIENT]
 
     def test_equal_images_never_dominate_each_other(self):
         # Two distinct points with identical images must both be kept.
         inst = tiny([[1, 1]], [2])
         same = [ratio([0, 0], 5, [0, 0], 7), ratio([0, 0], 1, [0, 0], 1)]
-        kept = maximal_points(inst, [(0, 0), (1, 0), (0, 1)], same)
+        kept = maximal_points([(0, 0), (1, 0), (0, 1)], same)
         assert kept == [(0, 0), (1, 0), (0, 1)]
 
 

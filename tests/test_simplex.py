@@ -740,24 +740,14 @@ def test_a_row_over_an_appended_slack_means_the_same_in_one_call_or_two(
     optimum) give the status and exact value of solve_lp on all the rows,
     and a point that fits every row as written. The carried objective row
     equals a fresh reduced row, then -det times the value, across each
-    append's row scale, every pivot and each state round trip. A state's
-    vertex satisfies the rows (SimplexState.satisfies) exactly when their
-    re-solve from it is feasible with no dual pivot."""
+    append's row scale, every pivot and each state round trip."""
     rows = _parent_system(extra_rows, box, doubled_box)
     coeffs, relation, rhs = first
     fractional = LinearRow.of(coeffs, relation, rhs)
     assume(fractional.scale != 1)
 
     def solved(parent, new_rows):
-        pivots, pivot = [], Tableau.pivot
-
-        def counted(tab, *args):
-            pivots.append(args)
-            pivot(tab, *args)
-
-        with mock.patch.object(Tableau, "pivot", counted):
-            tab = resolve_after(parent, new_rows)
-        assert parent.satisfies(new_rows) == (tab is not None and not pivots)
+        tab = resolve_after(parent, new_rows)
         if tab is None:
             return SimplexState(Status.INFEASIBLE, 3, (), ())
         return tab.state(Status.OPTIMAL)
