@@ -31,14 +31,25 @@ A node is read in integers: its value times det and the objective's
 scale is the carried objective row's last entry, negated. `Fraction`s
 are built only for a kept incumbent, whose point is the structural part
 of the node's point.
+
+Each fractional node that survives bounding also tries simple rounding
+(Achterberg 2007, ch. 9; Berthold 2006), before its children are pushed:
+`rounded_down` reads y = floor of its vertex in integers, checks y exactly
+against every row of the program (not the node's branch rows) and prices
+it, slack columns included. A feasible y that beats the incumbent becomes
+the incumbent, and one that beats the cutoff ends the search as an
+integral node does, so a membership MILP (cutoff 0) can stop at a
+dominating point several nodes before the floor-first dive reaches one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import UnboundedRelaxation
+from .model import row_gaps
 from .simplex import (
     GREATER_EQ,
     LESS_EQ,
@@ -77,6 +88,35 @@ def branch_rows(state: SimplexState, n: int) -> tuple[LinearRow, LinearRow] | No
         return None
     lo, unit = rhs // det, ((j, 1),)
     return LinearRow(unit, LESS_EQ, lo), LinearRow(unit, GREATER_EQ, lo + 1)
+
+
+def rounded_down(
+    program: LinearProgram, state: SimplexState
+) -> tuple[tuple[Fraction, ...], Fraction] | None:
+    """Simple rounding at a node: y = floor of the state's structural
+    point, read in integers (each basic structural variable's right-hand
+    side // det, 0 for each nonbasic one), with its exact objective value,
+    slack columns included, when y satisfies every row of the program
+    (`model.row_gaps`). None when y violates a row, or when some row names
+    a slack column, whose value at y the program does not fix."""
+    rows = program.dense_rows
+    if rows is None:
+        return None
+    n, det = program.num_vars, state.det
+    y = [0] * n
+    for var, row in zip(state.basis, state.rows):
+        if var < n:
+            y[var] = row[-1] // det
+    gaps = row_gaps(rows, y)
+    if gaps is None:
+        return None
+    # Row i's slack is its gap over its scale; cost is scale times the objective.
+    cost, scale = program.integer_cost
+    num, den = sum(map(mul, cost, y)), 1
+    for c, gap, row in zip(cost[n:], gaps, program.rows):
+        if c and gap:
+            num, den = num * row.scale + c * gap * den, den * row.scale
+    return tuple(map(Fraction, y)), Fraction(num, den * scale)
 
 
 def _relaxation(
@@ -129,12 +169,18 @@ def solve_milp(
         ):
             continue
 
+        # An integral node is a solution; a fractional one offers its
+        # rounded-down vertex when that is feasible.
         rows = branch_rows(state, program.num_vars)
         if rows is None:
-            best_point = state.structural_point(program.num_vars)
-            best_value = Fraction(scaled, det * scale)
+            found = state.structural_point(program.num_vars), Fraction(scaled, det * scale)
+        else:
+            found = rounded_down(program, state)
+        if found is not None and (best_value is None or found[1] > best_value):
+            best_point, best_value = found
             if cutoff is not None and best_value > cutoff:
                 return MilpResult(Status.OPTIMAL, best_point, best_value, early_stop=True)
+        if rows is None:
             continue
 
         floor_row, ceil_row = rows

@@ -3,9 +3,12 @@
 Instance data are `fractions.Fraction`s. A constraint row (`LinearRow`)
 holds integers over one positive scale, and each affine form keeps its
 integer data (`AffineForm.scaled`), so the solvers read integers without
-rescaling a row or a form again. The solvers decide branching, cuts and
-efficiency from the signs of computed quantities, so arithmetic has to be
-exact; floats never appear on any decision path.
+rescaling a row or a form again. An integer point is checked against
+dense integer rows (`LinearRow.dense`, `row_gaps`) and evaluated on each
+objective's integer data (`FractionalObjective.scaled`). The solvers
+decide branching, cuts and efficiency from the signs of computed
+quantities, so arithmetic has to be exact; floats never appear on any
+decision path.
 """
 from __future__ import annotations
 
@@ -109,6 +112,13 @@ class FractionalObjective:
         if len(self.numerator.coeffs) != len(self.denominator.coeffs):
             raise LengthMismatch("numerator and denominator over different spaces")
 
+    @cached_property
+    def scaled(self) -> tuple[tuple[int, ...], int, int, tuple[int, ...], int, int]:
+        """(C, C0, sn, D, D0, sd): the numerator's and the denominator's
+        integer data (`AffineForm.scaled`) in one tuple, kept once per
+        objective for evaluation at integer points."""
+        return (*self.numerator.scaled, *self.denominator.scaled)
+
 
 def ratio(num_coeffs, num_const, den_coeffs, den_const) -> FractionalObjective:
     """Shorthand constructor: ratio([1,0], -4, [0,-1], 2) is (x0-4)/(-x1+2)."""
@@ -117,20 +127,37 @@ def ratio(num_coeffs, num_const, den_coeffs, den_const) -> FractionalObjective:
     )
 
 
+def _ratio_at_ints(objective: FractionalObjective, point: Sequence[int]) -> Fraction:
+    """The ratio at an all-int point, both forms summed in ints over the
+    objective's integer data (`FractionalObjective.scaled`)."""
+    c, c0, sn, d, d0, sd = objective.scaled
+    if len(point) != len(c):
+        objective.numerator._check(point)
+    q = d0 + sum(map(mul, d, point))
+    if q == 0:
+        raise ZeroDenominator(f"denominator vanishes at {tuple(point)}")
+    return Fraction((c0 + sum(map(mul, c, point))) * sd, q * sn)
+
+
 def evaluate(objective: FractionalObjective, point: Sequence) -> Fraction:
-    """The ratio at point. At an all-int point both forms are summed in
-    ints (`AffineForm.scaled_at`); other points go through `_dot`."""
-    num, den = objective.numerator, objective.denominator
+    """The ratio at point: summed in ints at an all-int point
+    (`_ratio_at_ints`), through `_dot` at other points."""
     if all(map(isinstance, point, repeat(int))):
-        q = den.scaled_at(point)
-        if q == 0:
-            raise ZeroDenominator(f"denominator vanishes at {tuple(point)}")
-        return Fraction(num.scaled_at(point) * den.scaled[2], q * num.scaled[2])
+        return _ratio_at_ints(objective, point)
+    num, den = objective.numerator, objective.denominator
     q_num, q_den = den._at(point)
     if q_num == 0:
         raise ZeroDenominator(f"denominator vanishes at {tuple(point)}")
     p_num, p_den = num._at(point)
     return Fraction(p_num * q_den, p_den * q_num)
+
+
+def image(objectives: Iterable[FractionalObjective], point: Sequence) -> ObjectiveVector:
+    """Each objective's ratio at point (`evaluate`), the point's int check
+    made once for all of them."""
+    if all(map(isinstance, point, repeat(int))):
+        return tuple([_ratio_at_ints(obj, point) for obj in objectives])
+    return tuple([evaluate(obj, point) for obj in objectives])
 
 
 @dataclass(frozen=True)
@@ -170,6 +197,31 @@ class LinearRow:
         g = math.gcd(scale, rhs, *coeffs)
         pairs = tuple((j, c // g) for j, c in enumerate(coeffs) if c)
         return cls(pairs, relation, rhs // g, scale // g)
+
+    @cached_property
+    def dense(self) -> tuple[tuple[int, ...], int]:
+        """(a, h): the row as a . x <= h over its integer data, a dense up
+        to the last column the row names (a >= row is negated), so h - a . x
+        is the row's scale times its slack. Built once per row; the
+        dataclass's equality and hash ignore it."""
+        sign = -1 if self.relation == GREATER_EQ else 1
+        a = [0] * (self.coeffs[-1][0] + 1 if self.coeffs else 0)
+        for j, c in self.coeffs:
+            a[j] = sign * c
+        return tuple(a), sign * self.rhs
+
+
+def row_gaps(rows: Iterable[tuple[Sequence[int], int]], point: Sequence[int]) -> list[int] | None:
+    """h - a . x for each dense row (a, h) (`LinearRow.dense`) at a point,
+    summed in ints at an integer point; None at the first row the point
+    violates. Every row is evaluated at a point here."""
+    gaps = []
+    for a, h in rows:
+        gap = h - sum(map(mul, a, point))
+        if gap < 0:
+            return None
+        gaps.append(gap)
+    return gaps
 
 
 def constraint_rows(a_matrix, b_vector) -> tuple[LinearRow, ...]:
@@ -218,6 +270,12 @@ class ProblemInstance:
         instance; the dataclass's equality and hash ignore them."""
         return constraint_rows(self.a_matrix, self.b_vector)
 
+    @cached_property
+    def dense_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The rows' dense forms (`LinearRow.dense`), kept once per
+        instance for `is_feasible`."""
+        return tuple(row.dense for row in self.rows)
+
     @property
     def variable_count(self) -> int:
         return len(self.a_matrix[0])
@@ -238,21 +296,19 @@ def instance(a, b, criteria, utilities) -> ProblemInstance:
 
 
 def is_feasible(inst: ProblemInstance, point: Sequence) -> bool:
-    """Ax <= b and x >= 0, tested on the instance's integer rows.
-    Integrality is the caller's concern."""
+    """Ax <= b and x >= 0, tested on the instance's dense integer rows
+    (`row_gaps`). Integrality is the caller's concern."""
     if len(point) != inst.variable_count:
         raise LengthMismatch("point has wrong dimension")
-    if any(v < 0 for v in point):
-        return False
-    return all(sum(c * point[j] for j, c in row.coeffs) <= row.rhs for row in inst.rows)
+    return min(point, default=0) >= 0 and row_gaps(inst.dense_rows, point) is not None
 
 
 def criteria_image(inst: ProblemInstance, point: Sequence) -> ObjectiveVector:
-    return tuple(evaluate(obj, point) for obj in inst.criteria)
+    return image(inst.criteria, point)
 
 
 def utility_image(inst: ProblemInstance, point: Sequence) -> ObjectiveVector:
-    return tuple(evaluate(obj, point) for obj in inst.utilities)
+    return image(inst.utilities, point)
 
 
 def _compare(a: Sequence, b: Sequence) -> bool | None:

@@ -20,7 +20,7 @@ import math
 from typing import Sequence
 
 from .errors import EnumerationBudgetExceeded, UnboundedDomain
-from .model import LinearRow, Point, ProblemInstance, evaluate, pareto_filter
+from .model import LinearRow, Point, ProblemInstance, image, pareto_filter
 from .simplex import Status, Tableau, optimize
 from .validate import feasible_start
 
@@ -128,7 +128,7 @@ def _box_walk(rows: Sequence[LinearRow], top: Sequence[int]) -> list[Point]:
 def maximal_points(points: list[Point], objectives) -> list[Point]:
     """Subset of `points` not dominated by any other under the given
     objective family, in the input order."""
-    images = [(pt, tuple(evaluate(obj, pt) for obj in objectives)) for pt in points]
+    images = [(pt, image(objectives, pt)) for pt in points]
     return pareto_filter(images)
 
 

@@ -155,6 +155,15 @@ class LinearProgram:
         cost, _, scale = AffineForm(self.objective).scaled
         return cost, scale
 
+    @cached_property
+    def dense_rows(self) -> tuple[tuple[tuple[int, ...], int], ...] | None:
+        """The rows' dense forms (`LinearRow.dense`), built once per
+        program, or None when some row names a slack column."""
+        n = self.num_vars
+        if any(row.coeffs and row.coeffs[-1][0] >= n for row in self.rows):
+            return None
+        return tuple(row.dense for row in self.rows)
+
 
 @dataclass(frozen=True)
 class SimplexState:

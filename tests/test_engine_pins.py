@@ -8,12 +8,14 @@ node programs of the 3x10x5 walk on seeds 0-9, and ENGINE_PINS digests
 solve_lfp's status, basis, value and point on each, solved from scratch.
 MEMBERSHIP_PINS digest every membership verdict and witness. Neither depends
 on the search, so any change of engine that moves a single Bland decision
-fails here, and a change of the search alone does not. The membership
-digests of seeds 0-1 were computed with the Fraction-tableau engine that
-preceded the integer-preserving one, those of seeds 2-9 with the
-dictionary-form integer tableau that re-solved each branch-and-bound child
-by two-phase primal simplex. The programs are the walk's as it stood when they
-were recorded; they stay fixed when the search changes.
+fails here, and a change of the search alone does not. The programs are the
+walk's as it stood when they were recorded; they stay fixed when the search
+changes. The membership digests were last recomputed when every membership
+MILP came to try the rounded-down vertex of each fractional node and to stop
+at the dominating point it gives (`milp.rounded_down`): a digest of the
+verdicts alone was unchanged over 3x10x5 seeds 0-44, and on seeds 0-9, 67
+of the 293 witnesses moved (seed 5's none), each new one feasible and
+strictly dominating its point.
 
 A change of engine that moves Bland decisions on purpose recomputes
 ENGINE_PINS and checks, against the parent engine, that status, value and
@@ -39,6 +41,12 @@ other three walks (bfs/0, dfs/1, bfs/1) on the same seeds, so a change in a
 rule they share, such as branching, is seen from every walk order.
 WALK_PINS_3X10X10 pin all four walks on the 3x10x10 instances of seeds 0-9,
 whose larger trees fathom far more nodes at their utility ideal point.
+Membership witnesses enter the search's archive, which rejects candidates
+and fathoms nodes, so moved witnesses move walks too. The rounding that
+moved the membership pins moved two entries: bfs/0 seed 4 went from 102 to
+104 nodes and dfs/1 seed 8 from 153 to 167, with every solution set of the
+four walks equal to the oracle's on 3x10x5 seeds 0-49 and 3x10x10 seeds
+0-9.
 """
 import hashlib
 from fractions import Fraction
@@ -140,16 +148,16 @@ ENGINE_PINS = {
 # seed: SHA-256 of (point, criteria verdict, utility verdict, witness) over
 # every feasible point, in enumeration order
 MEMBERSHIP_PINS = {
-    0: "a2afa46a57e5178b69c19fbc63217d269b21347a43ad1622c54b8ce52572dca5",
-    1: "b5db3a42f092106bed82f6b7b2dec68d48d3eff7a8fc78221aaf5779099d8d54",
-    2: "c7b62665d10d3cbc08b59211461aa8b21d176537f502e6ef413403a731fdff52",
-    3: "6e55daa741de578aac626deba636863fee964667c7150765fd640954caa9bd1f",
-    4: "768a8344e9243267eecb1f815fb7c1ef850b037850701bef04adff846c8bc5d6",
+    0: "520753985f92bddc0c31684fead54db7688573210ca0661e5ed1be2df17d7325",
+    1: "14a62566b28351aa118c5a3d9f408f957c60983f78d664d4ba036565677c16a7",
+    2: "dedd63d7b8634638b5a3f1f9c965530d6efd39a7a7adc4cf2191a22994965d2c",
+    3: "c015dc626ede90b346d7b000c2b12e16f3376771e8b8ffd6247c1f77c4260f45",
+    4: "738062a2a57d38f4df1a9a9519d962ccdea0a1dbc79a61252770024233683a99",
     5: "fa16f389dc29138af9b6ad658514174bf002f8a844f8d614f8884e6a6483897e",
-    6: "a3e9b356d9b4be1d0c00406318a0d6ccb8524411d60b78a349e80a2af47c2674",
-    7: "3d33caa51c32f0889576fba4199349e00ef8551828ee4eb47ac34a7cc1766f1f",
-    8: "1eefbbe8b2081d73779ff90b7e55e5b1635d8aeca36ac41535de92076aab2307",
-    9: "8416061284fc87296e862ab5dde9b24dfeb925c9afde473413f2e97b1f5b8fda",
+    6: "f0d9df9e0e93c87ff5a6d241466e654ac1b7404e495344835b5d20284cad4b17",
+    7: "e514c3721098f42c55fc2df3d24bf8d316803abb4144bc9f01ab2bdbc2a7d8ab",
+    8: "344e17f4ac1b15322e9dd52d17c623adededca4cb064985c168620bec0ebc96f",
+    9: "c39702b285a28b4cde95ba218082cc4b12ce2a6901b05ddb5071024f5179b1b5",
 }
 
 # seed: (nodes_processed, SHA-256 of the trace tuples)
@@ -227,7 +235,7 @@ WALK_PINS_3X10X10 = {
         1: (33, "56422d045326433cb135a0f9afd5155b09302073616c4b5509cdd8bbdea23a12"),
         2: (51, "24808850814dcd1a646413e4bec021bf35da1ad252e3d28ecc0dc1d4d8d2d5c0"),
         3: (125, "a53e2607bb313a4364432117846e52989b427334f6507cd9d4c5a46f388bcf17"),
-        4: (102, "3778b9e03fe4b39a15965e16d3885f2b2ceeb7e676398ab91ed48202e7ea6c88"),
+        4: (104, "6228427d33a0031d58ed25ca29aa3f36446246e3a1a97762e673ab0a61e8bad1"),
         5: (98, "1c9859734c3e47e00cbe0ec6d024ba29943941b084937e1b9809e1d9eea95149"),
         6: (22, "f8f459031ccc9b0a45ef9ca15231945a511a9f1d2707ff0bac3f96dece0b91e3"),
         7: (53, "160482f5c0b1ab21129c807cff2351265cf5099ef4b08f8c72c0148269e8dcbe"),
@@ -243,7 +251,7 @@ WALK_PINS_3X10X10 = {
         5: (142, "e856aa3f1261f5be7cc209743656b7c14eeb0e42ac427350c0bf71509b2c2f3a"),
         6: (80, "7e877859c66cc51110ec6213626b1f6a3148bdbb01f9a9f919391522d0db624b"),
         7: (65, "8869fc2d042dbb8f90749dc130dd3b4fe3aac86f8e18188bd605d3fdf3c42d00"),
-        8: (153, "182236b49e6dd2d861bb7c80bb10e42fb7b834e7a67f1f5a2fa6c92f7420510d"),
+        8: (167, "b8baab1c3950fa0d819ddcdad201084a53d51e237ed24f0c593f46110ca0c76f"),
         9: (51, "9b4c5a56ccf00f7b97216ff8e43e6f285247478c8055835d2386754115d0beaa"),
     },
     ("bfs", 1): {

@@ -10,7 +10,7 @@ from effset import simplex
 from effset.efficiency import _membership_program, is_in_solution_set
 from effset.errors import UnboundedRelaxation
 from effset.generator import GeneratorConfig, generate
-from effset.milp import MilpResult, branch_rows, solve_milp
+from effset.milp import MilpResult, branch_rows, rounded_down, solve_milp
 from effset.oracle import enumerate_feasible
 from effset.simplex import GREATER_EQ, LESS_EQ, LinearProgram, LinearRow, SimplexState, Status
 
@@ -107,88 +107,160 @@ def test_incumbent_seeds_pruning():
     assert improved.value == 4
 
 
-def _lattice_max(rows, objective, bound):
-    best = None
-    for p in itertools.product(range(bound + 1), repeat=2):
-        if all(
-            c.get(0, 0) * p[0] + c.get(1, 0) * p[1] <= rhs for c, _, rhs in rows
-        ):
-            v = objective[0] * p[0] + objective[1] * p[1]
-            if best is None or v > best:
-                best = v
-    return best
+def _assert_lattice_answer(program, fits, value_of, expected, cutoff=None):
+    """solve_milp's answer against the lattice maximum `expected` (None when
+    no lattice point fits). A point it stops at early satisfies every row and
+    is worth more than the cutoff; otherwise its value is the maximum, which
+    is then at most the cutoff."""
+    result = solve_milp(program, cutoff=cutoff)
+    if result.status is Status.INFEASIBLE:
+        assert expected is None
+        return
+    assert all(v.denominator == 1 for v in result.point)
+    assert fits(result.point)
+    assert value_of(result.point) == result.value
+    if result.early_stop:
+        assert cutoff is not None and result.value > cutoff
+    else:
+        assert result.value == expected
+        assert cutoff is None or expected <= cutoff
+
+
+def _lattice_case(rows, objective, bound):
+    """max objective . x over the integer points of [0, bound]^2 under the
+    rows a x0 + b x1 <= r: (program, fits, value_of, lattice maximum)."""
+    all_rows = [({0: 1}, LESS_EQ, bound), ({1: 1}, LESS_EQ, bound)]
+    all_rows += [({0: a, 1: b}, LESS_EQ, r) for a, b, r in rows]
+    problem = milp(2, {0: objective[0], 1: objective[1]}, all_rows)
+
+    def fits(p):
+        rows_hold = all(c.get(0, 0) * p[0] + c.get(1, 0) * p[1] <= rhs for c, _, rhs in all_rows)
+        return min(p) >= 0 and rows_hold
+
+    def value_of(p):
+        return objective[0] * p[0] + objective[1] * p[1]
+
+    points = [p for p in itertools.product(range(bound + 1), repeat=2) if fits(p)]
+    return problem, fits, value_of, max(map(value_of, points), default=None)
+
+
+_lattice_rows = st.lists(
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-5, 25)),
+    min_size=0,
+    max_size=3,
+)
+_lattice_objective = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_lattice_rows, objective=_lattice_objective, bound=st.integers(1, 7))
+def test_matches_lattice_enumeration(rows, objective, bound):
+    _assert_lattice_answer(*_lattice_case(rows, objective, bound))
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    rows=st.lists(
-        st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-5, 25)),
-        min_size=0,
-        max_size=3,
-    ),
-    objective=st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+    rows=_lattice_rows,
+    objective=_lattice_objective,
     bound=st.integers(1, 7),
+    cutoff=st.integers(-20, 40),
 )
-def test_matches_lattice_enumeration(rows, objective, bound):
-    all_rows = [({0: 1}, LESS_EQ, bound), ({1: 1}, LESS_EQ, bound)]
-    all_rows += [({0: a, 1: b}, LESS_EQ, r) for a, b, r in rows]
-    problem = milp(2, {0: objective[0], 1: objective[1]}, all_rows)
-    result = solve_milp(problem)
-    expected = _lattice_max(
-        [(dict(c), rel, rhs) for c, rel, rhs in all_rows], objective, bound
-    )
-    if expected is None:
-        assert result.status is Status.INFEASIBLE
-    else:
-        assert result.status is Status.OPTIMAL
-        assert result.value == expected
+def test_a_cutoff_stops_at_a_feasible_point_above_it(rows, objective, bound, cutoff):
+    _assert_lattice_answer(*_lattice_case(rows, objective, bound), cutoff=Fraction(cutoff))
 
 
 _frac = st.fractions(-4, 4, max_denominator=6)
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    levels=st.lists(st.tuples(st.tuples(_frac, _frac, _frac), _frac), min_size=1, max_size=2),
-    rows=st.lists(
-        st.tuples(st.tuples(_frac, _frac, _frac), st.fractions(-2, 12, max_denominator=4)),
-        max_size=2,
-    ),
-    objective=st.tuples(*[st.fractions(-3, 3, max_denominator=4)] * 5),
-    bound=st.integers(1, 5),
-)
-def test_membership_shaped_programs_match_lattice_enumeration(levels, rows, objective, bound):
+def _membership_case(levels, rows, objective, bound):
     """A membership-shaped program over three integer variables y, as
     efficiency._membership_program builds it: a c . y >= r row per level,
     whose surplus the objective prices (the surplus of level i is column
     3 + i), then a bound row per variable and fractional <= rows. It reaches
     the best lattice point y whose surpluses are >= 0; a child appends an
-    integer branch row to a tableau scaled from the fractional rows."""
+    integer branch row to a tableau scaled from the fractional rows.
+    (program, fits, value_of, lattice maximum)."""
     k = len(levels)
     bounds = [LinearRow.of({j: 1}, LESS_EQ, bound) for j in range(3)]
     bounds += [LinearRow.of(c, LESS_EQ, r) for c, r in rows]
     surplus_rows = [LinearRow.of(c, GREATER_EQ, r) for c, r in levels]
     program = LinearProgram.of(3, objective[: 3 + k], surplus_rows + bounds)
 
-    def value_at(y):
-        surplus = [sum(a * v for a, v in zip(c, y)) - r for c, r in levels]
-        return sum(c * v for c, v in zip(program.objective, (*y, *surplus))), min(surplus)
+    def surplus(y):
+        return [sum(a * v for a, v in zip(c, y)) - r for c, r in levels]
 
-    expected = None
-    for y in itertools.product(range(bound + 1), repeat=3):
-        value, least_surplus = value_at(y)
-        fits = all(sum(a * v for a, v in zip(c, y)) <= r for c, r in rows)
-        if fits and least_surplus >= 0 and (expected is None or value > expected):
-            expected = value
-    result = solve_milp(program)
-    if expected is None:
-        assert result.status is Status.INFEASIBLE
-        return
-    assert result.status is Status.OPTIMAL
-    assert result.value == expected
-    assert len(result.point) == 3
-    assert all(v.denominator == 1 for v in result.point)
-    assert value_at(result.point)[0] == expected
+    def fits(y):
+        in_box = len(y) == 3 and all(0 <= v <= bound for v in y)
+        under = all(sum(a * v for a, v in zip(c, y)) <= r for c, r in rows)
+        return in_box and under and min(surplus(y)) >= 0
+
+    def value_of(y):
+        return sum(c * v for c, v in zip(program.objective, (*y, *surplus(y))))
+
+    points = [y for y in itertools.product(range(bound + 1), repeat=3) if fits(y)]
+    return program, fits, value_of, max(map(value_of, points), default=None)
+
+
+_levels = st.lists(st.tuples(st.tuples(_frac, _frac, _frac), _frac), min_size=1, max_size=2)
+_fractional_rows = st.lists(
+    st.tuples(st.tuples(_frac, _frac, _frac), st.fractions(-2, 12, max_denominator=4)),
+    max_size=2,
+)
+_membership_objective = st.tuples(*[st.fractions(-3, 3, max_denominator=4)] * 5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    levels=_levels,
+    rows=_fractional_rows,
+    objective=_membership_objective,
+    bound=st.integers(1, 5),
+)
+def test_membership_shaped_programs_match_lattice_enumeration(levels, rows, objective, bound):
+    _assert_lattice_answer(*_membership_case(levels, rows, objective, bound))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    levels=_levels,
+    rows=_fractional_rows,
+    objective=_membership_objective,
+    bound=st.integers(1, 5),
+    cutoff=st.fractions(-10, 10, max_denominator=4),
+)
+def test_membership_shaped_cutoffs_stop_at_a_feasible_point_above_them(
+    levels, rows, objective, bound, cutoff
+):
+    _assert_lattice_answer(*_membership_case(levels, rows, objective, bound), cutoff=cutoff)
+
+
+def test_a_root_vertex_that_rounds_down_to_a_better_point_ends_the_search(monkeypatch):
+    """The root's vertex (5/2, 0) rounds down to (2, 0), which satisfies
+    every row and beats the cutoff, so it is returned after the root LP
+    alone; the floor-first dive would solve two children to reach it."""
+    problem = milp(2, {0: 1, 1: 1}, [({0: 2, 1: 2}, LESS_EQ, 5)])
+    assert simplex.solve_lp(problem).structural_point(2) == (Fraction(5, 2), 0)
+    from_scratch = count_calls(monkeypatch, simplex.solve_lp)
+    from_parent = count_calls(monkeypatch, simplex.resolve_after)
+    result = solve_milp(problem, cutoff=Fraction(0))
+    assert result == MilpResult(Status.OPTIMAL, (2, 0), Fraction(2), early_stop=True)
+    assert (from_scratch["milp"], from_parent["milp"]) == (1, 0)
+
+
+def test_rounded_down_reads_priced_slacks_and_checks_every_row():
+    """The rounded-down vertex's value counts each priced slack at its
+    exact value; a point that violates a row, or a program with a row over
+    a slack column, gives None."""
+    # x0 <= 5/2, priced at 1 with its slack at 1/3: y = (2,), slack 1/2.
+    program = milp(1, {0: 1, 1: Fraction(1, 3)}, [({0: 1}, LESS_EQ, Fraction(5, 2))])
+    assert rounded_down(program, simplex.solve_lp(program)) == ((2,), Fraction(13, 6))
+    # Minimizing x0 over 2 x0 >= 1: the vertex x0 = 1/2 rounds down to 0,
+    # which violates the row.
+    lowest = milp(1, {0: -1}, [({0: 2}, GREATER_EQ, 1)])
+    assert rounded_down(lowest, simplex.solve_lp(lowest)) is None
+    # x1 <= 1 over x0's slack x1: x0 <= 5/2 and 5/2 - x0 <= 1.
+    over_slack = milp(1, {0: 1}, [({0: 1}, LESS_EQ, Fraction(5, 2)), ({1: 1}, LESS_EQ, 1)])
+    assert rounded_down(over_slack, simplex.solve_lp(over_slack)) is None
 
 
 def test_only_the_root_is_solved_from_scratch(monkeypatch):

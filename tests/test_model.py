@@ -11,11 +11,14 @@ from effset.model import (
     at_least,
     dominates,
     evaluate,
+    image,
     instance,
     is_feasible,
     pareto_filter,
     ratio,
+    row_gaps,
 )
+from effset.simplex import GREATER_EQ, LESS_EQ, LinearRow
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=12
@@ -109,9 +112,10 @@ class TestObjectives:
         st.data(),
     )
     def test_integer_points_agree_with_the_fraction_path(self, coeffs, constant, data):
-        """An all-int point is summed in ints (AffineForm.scaled_at), the
-        same point as Fractions through _dot: both give the ratio of the
-        two forms' values."""
+        """An all-int point is summed in ints over the objective's integer
+        data (FractionalObjective.scaled), the same point as Fractions
+        through _dot: both give the ratio of the two forms' values, alone
+        and in an image."""
         n = len(coeffs)
         den_coeffs = data.draw(st.lists(rationals, min_size=n, max_size=n))
         den_constant = data.draw(rationals)
@@ -126,6 +130,7 @@ class TestObjectives:
             return
         p = sum(c * v for c, v in zip(coeffs, point)) + constant
         assert evaluate(obj, point) == evaluate(obj, as_fractions) == p / q
+        assert image([obj, obj], point) == image([obj, obj], as_fractions) == (p / q, p / q)
         assert obj.numerator.scaled_at(point) == p * obj.numerator.scaled[2]
 
     def test_both_paths_raise_length_mismatch(self):
@@ -242,3 +247,17 @@ class TestScaledConstraints:
             original = sum(c * v for c, v in zip(inst.a_matrix[0], point)) <= rhs
             integer = sum(c * point[j] for j, c in scaled.coeffs) <= scaled.rhs
             assert original == integer
+
+    @given(
+        st.lists(rationals, min_size=1, max_size=4),
+        st.sampled_from((LESS_EQ, GREATER_EQ)),
+        rationals,
+        st.lists(st.integers(-9, 9), min_size=4, max_size=4),
+    )
+    def test_dense_rows_give_scaled_slacks(self, coeffs, relation, rhs, point):
+        """row_gaps over a row's dense form gives its scale times its slack
+        at an integer point, and None exactly where the slack is negative."""
+        row = LinearRow.of(coeffs, relation, rhs)
+        lhs = sum(c * v for c, v in zip(coeffs, point))
+        slack = rhs - lhs if relation == LESS_EQ else lhs - rhs
+        assert row_gaps([row.dense], point) == (None if slack < 0 else [slack * row.scale])
