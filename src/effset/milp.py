@@ -30,7 +30,7 @@ program's.
 A node is read in integers: its value times det and the objective's
 scale is the carried objective row's last entry, negated. `Fraction`s
 are built only for a kept incumbent, whose point is the structural part
-of the node's point.
+of the node's point, and for a feasible rounded-down point.
 
 Each fractional node that survives bounding also tries simple rounding
 (Achterberg 2007, ch. 9; Berthold 2006), before its children are pushed:
