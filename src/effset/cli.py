@@ -79,7 +79,8 @@ def _run_search(inst: ProblemInstance, args) -> branch_cut.SearchReport:
 
 
 def _cmd_solve(args) -> int:
-    report = _run_search(_load(args.file), args)
+    inst = _load(args.file)
+    report = _run_search(inst, args)
     if args.format == "csv":
         print(_CSV_HEADER["solve"])
         for rec in report.solutions:
@@ -100,6 +101,8 @@ def _cmd_solve(args) -> int:
             f"candidates: {report.candidates[branch_cut.ARCHIVE]} by archive, "
             f"{report.candidates[branch_cut.MILP]} by MILP"
         )
+        implied = sum(row.implied for row in inst.rows)
+        print(f"presolve: {implied} of {len(inst.rows)} rows implied by the others")
     return EXIT_OK if report.solutions else EXIT_EMPTY
 
 

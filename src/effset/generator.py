@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import AssumptionViolated, GenerationFailed
 from .model import AffineForm, FractionalObjective, ProblemInstance, constraint_rows, instance
-from .simplex import SimplexState
+from .simplex import SimplexState, presolve
 from .validate import check_relaxation, denominator_minimum, feasible_start, integer_witness
 
 
@@ -78,9 +78,10 @@ def generate(cfg: GeneratorConfig) -> ProblemInstance:
             for _ in range(cfg.num_constraints)
         ]
         b = [rng.randint(*cfg.b_range) for _ in range(cfg.num_constraints)]
-        rows = constraint_rows(a, b)
-        # The attempt's denominator and relaxation LPs all optimize from
-        # this one feasible tableau.
+        # The instance's rows (`ProblemInstance.rows`), presolved once: the
+        # attempt's denominator and relaxation LPs all optimize from this
+        # one feasible tableau over them.
+        rows = presolve(cfg.num_vars, constraint_rows(a, b))
         start = feasible_start(rows, cfg.num_vars)
         try:
             criteria = tuple(
@@ -90,7 +91,11 @@ def generate(cfg: GeneratorConfig) -> ProblemInstance:
             # _draw_objective proved each denominator positive over these rows.
             check_relaxation(start, cfg.num_vars)
             integer_witness(rows, cfg.num_vars)
-            return instance(a, b, criteria, utilities)
+            inst = instance(a, b, criteria, utilities)
+            # These are the rows the instance would build from a and b:
+            # fill its cached property with them.
+            vars(inst)["rows"] = rows
+            return inst
         except (GenerationFailed, AssumptionViolated) as exc:
             last_error = exc
     raise GenerationFailed(f"no valid instance after {cfg.max_attempts} attempts: {last_error}")

@@ -3,7 +3,10 @@
 Instance data are `fractions.Fraction`s. A constraint row (`LinearRow`)
 holds integers over one positive scale, and each affine form keeps its
 integer data (`AffineForm.scaled`), so the solvers read integers without
-rescaling a row or a form again. An integer point is checked against
+rescaling a row or a form again. An instance builds its rows once
+(`ProblemInstance.rows`) and marks those the others imply with strict
+slack (`simplex.presolve`), which no tableau writes and `is_feasible`
+skips. An integer point is checked against
 dense integer rows (`LinearRow.dense`, `row_gaps`) and evaluated on each
 objective's integer data (`FractionalObjective.scaled`). The solvers
 decide branching, cuts and efficiency from the signs of computed
@@ -13,7 +16,7 @@ decision path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
@@ -165,12 +168,17 @@ class LinearRow:
     """One constraint over integer data: (coeffs / scale) . x relation
     rhs / scale. coeffs is sparse: ((var_index, numerator), ...) sorted by
     index, zeros dropped. scale > 0 is the lcm of the denominators of the
-    row's rational entries, so a row has one integer form (see `of`)."""
+    row's rational entries, so a row has one integer form (see `of`).
+
+    implied marks a row the other rows of its system imply with strict
+    slack (`simplex.presolve`): a tableau reserves its slack column but
+    writes no row for it. Equality and hash ignore the mark."""
 
     coeffs: tuple[tuple[int, int], ...]
     relation: str
     rhs: int
     scale: int = 1
+    implied: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if self.relation not in _RELATIONS:
@@ -228,11 +236,15 @@ def constraint_rows(a_matrix, b_vector) -> tuple[LinearRow, ...]:
     """Ax <= b as rows, each scaled by the lcm of its denominators to a row
     of scale 1: the same halfspaces over integer data, so slacks take
     integer values at integer points (the branch-and-cut rounds rely on
-    this). An instance builds these once (`ProblemInstance.rows`)."""
+    this). Entries are ints or Fractions, and each row is built once, in
+    integers. An instance builds these once (`ProblemInstance.rows`)."""
     rows = []
     for a_row, rhs in zip(a_matrix, b_vector):
-        row = LinearRow.of(a_row, LESS_EQ, rhs)
-        rows.append(LinearRow(row.coeffs, LESS_EQ, row.rhs))
+        scale = denominator_lcm((rhs, *a_row))
+        coeffs = tuple(
+            (j, v.numerator * (scale // v.denominator)) for j, v in enumerate(a_row) if v
+        )
+        rows.append(LinearRow(coeffs, LESS_EQ, rhs.numerator * (scale // rhs.denominator)))
     return tuple(rows)
 
 
@@ -266,15 +278,20 @@ class ProblemInstance:
 
     @cached_property
     def rows(self) -> tuple[LinearRow, ...]:
-        """The constraint rows (see constraint_rows), built once per
+        """The constraint rows (see constraint_rows) with the rows the
+        others strictly imply marked (`simplex.presolve`), built once per
         instance; the dataclass's equality and hash ignore them."""
-        return constraint_rows(self.a_matrix, self.b_vector)
+        # simplex imports this module, so it is imported where it is used.
+        from .simplex import presolve
+
+        return presolve(self.variable_count, constraint_rows(self.a_matrix, self.b_vector))
 
     @cached_property
     def dense_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """The rows' dense forms (`LinearRow.dense`), kept once per
-        instance for `is_feasible`."""
-        return tuple(row.dense for row in self.rows)
+        """The dense forms (`LinearRow.dense`) of the rows no other row
+        implies, kept once per instance for `is_feasible`: an implied row
+        holds at every point x >= 0 where the others do."""
+        return tuple(row.dense for row in self.rows if not row.implied)
 
     @property
     def variable_count(self) -> int:

@@ -49,27 +49,25 @@ def variable_upper_bounds(inst: ProblemInstance) -> list | None:
 def enumerate_feasible(inst: ProblemInstance, budget: int = DEFAULT_BUDGET) -> list[Point]:
     """All feasible integer points, lexicographically ordered.
 
-    The candidate box is the per-variable floor of the continuous maxima;
-    if it holds more than `budget` lattice points the enumeration refuses
-    to start rather than grind unboundedly. Its feasible points are those
-    of the instance's integer rows of scale 1 (`ProblemInstance.rows`),
-    the halfspaces of Ax <= b (see `_box_walk`).
+    The candidate box is the per-variable floor of the continuous maxima.
+    Its feasible points are those of the instance's integer rows of scale
+    1 (`ProblemInstance.rows`, every row as written), the halfspaces of
+    Ax <= b (see `_box_walk`). If the walk would visit more than `budget`
+    prefixes of box points, the points themselves included, it refuses to
+    go on rather than grind unboundedly: the budget follows the walk's
+    work, not the box's volume.
     """
     bounds = variable_upper_bounds(inst)
     if bounds is None:
         return []
-    dims = [math.floor(b) + 1 for b in bounds]
-    total = math.prod(dims)
-    if total > budget:
-        raise EnumerationBudgetExceeded(
-            f"candidate box holds {total} points, budget is {budget}"
-        )
-    return _box_walk(inst.rows, [d - 1 for d in dims])
+    return _box_walk(inst.rows, [math.floor(b) for b in bounds], budget)
 
 
-def _box_walk(rows: Sequence[LinearRow], top: Sequence[int]) -> list[Point]:
+def _box_walk(rows: Sequence[LinearRow], top: Sequence[int], budget: int) -> list[Point]:
     """The integer points x of the box 0 <= x <= top that satisfy every
-    row, of scale 1 and relation <=, in lexicographic order.
+    row, of scale 1 and relation <=, in lexicographic order, or
+    EnumerationBudgetExceeded once more than `budget` prefixes are to be
+    visited (each interval below is counted before it is walked).
 
     Depth-first over x_0, x_1, ...: at depth k, a row's room is its slack
     after the prefix minus the least the coordinates after k can add over
@@ -101,8 +99,10 @@ def _box_walk(rows: Sequence[LinearRow], top: Sequence[int]) -> list[Point]:
     if not n:
         return [()]
     points: list[Point] = []
+    visited = 0
 
     def walk(k: int, prefix: Point) -> None:
+        nonlocal visited
         lo, hi = 0, top[k]
         below, column = least[k + 1], columns[k]
         for i, c in column:
@@ -111,6 +111,11 @@ def _box_walk(rows: Sequence[LinearRow], top: Sequence[int]) -> list[Point]:
                 hi = min(hi, room // c)
             else:
                 lo = max(lo, -(room // -c))
+        visited += max(hi - lo + 1, 0)
+        if visited > budget:
+            raise EnumerationBudgetExceeded(
+                f"the box walk visits over {visited} prefixes, budget is {budget}"
+            )
         if k == n - 1:
             points.extend([(*prefix, x) for x in range(lo, hi + 1)])
             return

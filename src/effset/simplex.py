@@ -43,7 +43,19 @@ matrix is block triangular over the old basis and the slack's entry s
 the integer standard form and every later division stays exact. Each
 slack belongs to its row as written, on every path, and is basic in it
 when the row is appended, even at a negative right-hand side. Every
-variable is structural or a slack, and no row is dropped.
+variable is structural or a slack.
+
+A row marked `implied` is the one exception: its column is reserved
+(`ncols` counts it, so every later slack keeps its number) but no row is
+written, and the variable is neither basic nor in `cols`. `presolve` marks
+an instance's rows the others imply with strict slack, once per instance
+(`ProblemInstance.rows`), so no tableau built over them, at a search node,
+a membership MILP node, an instance check or an oracle bound, updates
+them. Such a slack is positive at every feasible point, so it is basic
+at every feasible basis, never leaves in a primal ratio test and never
+enters a round's index set; the basis matrix is block triangular over
+its unit column, so det and every other row are unchanged. Only the dual
+loop's choice of leaving row at an infeasible basis could see the row.
 
 The dual loop makes the tableau feasible: dual simplex (Lemke 1954,
 `_dual_bland`), under Bland's rule for the dual (Bland 1977): of the
@@ -96,6 +108,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Mapping, Sequence
 
 from .errors import InvariantViolated, NotOptimal
@@ -172,7 +185,9 @@ class SimplexState:
     rows / det is B^-1 [N | b]. The rows are the tableau's own lists,
     shared without a copy; pivots replace rows instead of writing into
     them. num_vars counts every column, structural and slack (row i adds
-    column n + i over n structural variables), and det is |det B| for the
+    column n + i over n structural variables), an implied row's included,
+    whose slack is neither basic nor in `cols` and reads 0 in
+    `structural_point`; det is |det B| for the
     basis columns B of the integer standard form. `costs` are the tableau's
     carried reduced rows, the reduced rows of the integer costs `priced`
     (see Tableau.carry), so a re-solve from the state starts from them. An
@@ -353,7 +368,12 @@ def _written(
             raise ValueError(f"a row references variable x{j}, which does not exist yet")
         k = column.get(j)
         if k is None:
-            eliminate.append((coeff, tab.rows[basic[j]]))
+            i = basic.get(j)
+            if i is None:
+                raise InvariantViolated(
+                    f"a row references x{j}, the slack of an implied row, which no tableau holds"
+                )
+            eliminate.append((coeff, tab.rows[i]))
         else:
             new[k] = det * coeff
     for factor, basic_row in eliminate:
@@ -409,10 +429,11 @@ def resolve_after(
     column = {var: k for k, var in enumerate(tab.cols)}
     basic = {var: i for i, var in enumerate(tab.basis)}
     for row in rows:
-        new = _written(tab, row, column, basic)
-        basic[tab.ncols] = len(tab.rows)
-        tab.rows.append(new)
-        tab.basis.append(tab.ncols)
+        if not row.implied:
+            new = _written(tab, row, column, basic)
+            basic[tab.ncols] = len(tab.rows)
+            tab.rows.append(new)
+            tab.basis.append(tab.ncols)
         tab.ncols += 1
     return tab if _dual_bland(tab, price) else None
 
@@ -479,6 +500,89 @@ def solve_lp(program: LinearProgram) -> SimplexState:
     if tab is None:
         return SimplexState(Status.INFEASIBLE, program.num_vars, (), ())
     return optimize(tab, program.integer_cost[0])
+
+
+def presolve(n: int, rows: Sequence[LinearRow]) -> tuple[LinearRow, ...]:
+    """The rows over n structural variables, each marked `implied` whose
+    maximum over the region of all the rows (with x >= 0) is strictly
+    below its right-hand side: its slack is positive at every point of the
+    region, so dropping every marked row at once leaves the region as it
+    is (Brearley, Mitra & Williams 1975). Over an empty region every row
+    is vacuously slack, so nothing is marked there; a row whose maximum
+    equals its right-hand side (a duplicate of a tight row, say) is kept.
+
+    The rows are made feasible once (`feasible_tableau`). Exact
+    certificates settle most rows without an LP: a row tight at a vertex
+    read, or at a vertex next to it, is kept, and a basic slack with a
+    positive value and no positive entry is marked (`_read_vertex`), as is
+    a row that one other row times some lambda >= 0 implies strictly
+    (`_dominated`). Each row still undecided has its slack minimized from
+    a copy of the feasible tableau, and the optimum is read the same way:
+    the slack is 0 there, or it is basic, positive and, by optimality, has
+    no positive entry.
+    """
+    rows = tuple(rows)
+    tab = feasible_tableau(n, rows)
+    if tab is None:
+        return rows
+    implied: list[bool | None] = [None] * len(rows)
+    _read_vertex(tab, n, implied)
+    start = tab.state(Status.OPTIMAL)
+    dense = [row.dense for row in rows]
+    for i, row in enumerate(dense):
+        if implied[i] is None and any(_dominated(row, other) for other in dense):
+            implied[i] = True
+    for i, mark in enumerate(implied):
+        if mark is None:
+            # The least slack's optimum settles row i (see _read_vertex).
+            tab = Tableau.of_state(start)
+            optimize(tab, [0] * (n + i) + [-1])
+            _read_vertex(tab, n, implied)
+    return tuple(
+        LinearRow(row.coeffs, row.relation, row.rhs, row.scale, True) if mark else row
+        for row, mark in zip(rows, implied)
+    )
+
+
+def _read_vertex(tab: Tableau, n: int, implied: list[bool | None]) -> None:
+    """Settle the undecided rows a primal-feasible tableau decides. Every
+    variable is nonnegative over the region, so a basic slack with a
+    positive value and no positive entry stays positive there (Telgen
+    1983), and its row is marked. A row is kept when its slack is 0 at the
+    vertex, or when it leaves in the ratio test of some column: the edge
+    along that column reaches the row at a point of the region."""
+    for var in tab.cols:
+        if var >= n:
+            implied[var - n] = False
+    for var, row in zip(tab.basis, tab.rows):
+        i = var - n
+        if i >= 0 and implied[i] is None:
+            if row[-1] == 0:
+                implied[i] = False
+            elif max(row[:-1], default=0) <= 0:
+                implied[i] = True
+    for k in range(len(tab.cols)):
+        leave = tab.leaving_row(k)
+        if leave >= 0 and tab.basis[leave] >= n:
+            implied[tab.basis[leave] - n] = False
+
+
+def _dominated(row: tuple[Sequence[int], int], other: tuple[Sequence[int], int]) -> bool:
+    """Whether lambda times the dense row `other` (c . x <= g), for some
+    lambda >= 0, implies the dense row a . x <= h with strict slack over
+    x >= 0: a <= lambda c entrywise and lambda g < h. lambda = p / q is
+    the least value the first condition allows, which is the best one when
+    g >= 0 and a sound one otherwise. A row against itself gets lambda = 1,
+    which never holds strictly, or lambda = 0, the certificate that x >= 0
+    alone implies it."""
+    (a, h), (c, g) = row, other
+    p, q = 0, 1
+    for ak, ck in zip_longest(a, c, fillvalue=0):
+        if ck > 0 and ak * q > p * ck:
+            p, q = ak, ck
+    return p * g < q * h and all(
+        ak * q <= p * ck for ak, ck in zip_longest(a, c, fillvalue=0)
+    )
 
 
 def reduced_row(state: SimplexState, form: AffineForm) -> tuple[dict[int, Fraction], Fraction]:

@@ -6,6 +6,7 @@ import pytest
 import effset.branch_cut as branch_cut
 from effset.cli import build_parser, main
 from effset.instances import dumps, loads
+from effset.model import instance
 
 from conftest import INT_DIGIT_LIMIT, build_demo, needs_int_digit_limit
 
@@ -87,6 +88,19 @@ class TestSolve:
         assert "x = (0, 0)" in out
         assert "nodes processed: 10" in out
         assert "candidates: 2 by archive, 3 by MILP" in out
+        assert "presolve: 0 of 2 rows implied by the others" in out
+
+    def test_text_output_counts_the_implied_rows(self, tmp_path, capsys):
+        """x0 + x1 <= 9 holds with slack over the demo's region, whose
+        largest x0 + x1 is 40/7: the presolve marks it, and the answer is
+        the demo's."""
+        demo = build_demo()
+        a, b = [*demo.a_matrix, (1, 1)], [*demo.b_vector, 9]
+        path = write(tmp_path, dumps(instance(a, b, demo.criteria, demo.utilities)))
+        code, out, _ = run_cli(capsys, "solve", path)
+        assert code == 0
+        assert "solution set: 3 point(s)" in out
+        assert "presolve: 1 of 3 rows implied by the others" in out
 
     def test_csv_output(self, demo_file, capsys):
         code, out, _ = run_cli(capsys, "solve", demo_file, "--format", "csv")

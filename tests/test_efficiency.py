@@ -1,14 +1,16 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from effset import branch_cut, model
+from effset import branch_cut, model, simplex
 from effset.efficiency import _level_row, _membership_program, is_in_solution_set
 from effset.errors import InfeasiblePoint
 from effset.generator import GeneratorConfig, generate
+from effset.instances import dumps, loads
 from effset.milp import solve_milp
 from effset.model import (
     AffineForm,
@@ -230,20 +232,26 @@ def test_membership_on_rational_data_agrees_with_the_oracle():
 
 
 def test_an_instance_builds_its_constraint_rows_once(monkeypatch):
-    """Membership on every feasible point of one instance, and one search
-    (validation, root and every membership call), each build the
-    instance's constraint rows once; each objective form keeps its integer
-    data."""
+    """A generated instance keeps the rows its generator built and
+    presolved; an instance read from a file builds and presolves them at
+    the first read. Then membership on every feasible point, and one search
+    (validation, root and every membership call), build none again; each
+    objective form keeps its integer data."""
     cfg = GeneratorConfig(num_vars=5, num_constraints=10, num_criteria=3, seed=0)
-    inst, searched = generate(cfg), generate(cfg)
     builds = count_calls(monkeypatch, model.constraint_rows)
+    presolves = count_calls(monkeypatch, simplex.presolve)
+    inst = generate(cfg)
     points = enumerate_feasible(inst)
     for p in points:
         is_in_solution_set(inst, p)
-    assert len(points) > 1 and sum(builds.values()) == 1
+    assert len(points) > 1
+    assert builds == Counter(generator=1) and presolves == Counter(generator=1)
     for obj in (*inst.criteria, *inst.utilities):
         assert "scaled" in vars(obj.numerator) and "scaled" in vars(obj.denominator)
 
+    searched = loads(dumps(inst))
     builds.clear()
+    presolves.clear()
     report = branch_cut.run(searched)
-    assert report.candidates[branch_cut.MILP] > 0 and sum(builds.values()) == 1
+    assert report.candidates[branch_cut.MILP] > 0
+    assert builds == Counter(model=1) and presolves == Counter(simplex=1)

@@ -6,6 +6,7 @@ import pytest
 from effset import generator, simplex, validate
 from effset.errors import GenerationFailed
 from effset.generator import GeneratorConfig, generate
+from effset.instances import dumps, loads
 from effset.validate import validate_instance
 
 from conftest import count_calls
@@ -65,19 +66,33 @@ class TestGenerate:
         assert certificate.integer_witness is not None
 
     def test_each_denominator_solved_once(self, monkeypatch):
-        """One feasible tableau, from which the k+2 denominator LPs and the
-        relaxation LP are optimized, then the witness MILP."""
+        """One presolve of the rows (its feasible tableau and its one
+        least-slack LP at this seed, see test_validate.py's
+        test_presolve_lp_count), then one feasible tableau over them, from
+        which the k+2 denominator LPs and the relaxation LP are optimized,
+        then the witness MILP."""
+        presolves = count_calls(monkeypatch, simplex.presolve)
         minima = count_calls(monkeypatch, validate.denominator_minimum)
         tableaus = count_calls(monkeypatch, simplex.feasible_tableau)
         optimized = count_calls(monkeypatch, simplex.optimize)
         lps = count_calls(monkeypatch, simplex.solve_lp)
         inst = generate(cfg(num_vars=5, num_constraints=10, num_criteria=3, seed=0))
         k = len(inst.criteria)
+        assert presolves == Counter(generator=1)
         assert sum(minima.values()) == k + 2
         assert set(lps) == {"milp"} and lps["milp"] >= 1
-        # The others are the witness MILP's root solves, inside solve_lp.
-        assert tableaus == Counter(validate=1, simplex=lps["milp"])
-        assert optimized == Counter(validate=k + 2 + 1, simplex=lps["milp"])
+        # The others are the presolve's and the witness MILP's root solves.
+        assert tableaus == Counter(validate=1, simplex=1 + lps["milp"])
+        assert optimized == Counter(validate=k + 2 + 1, simplex=1 + lps["milp"])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rows_are_those_the_instance_builds(self, seed):
+        """The rows a generated instance keeps are the ones the same data
+        read from a file builds and presolves, implied marks included."""
+        inst = generate(cfg(num_vars=5, num_constraints=10, num_criteria=3, seed=seed))
+        loaded = loads(dumps(inst))
+        assert "rows" not in vars(loaded)
+        assert [(r, r.implied) for r in inst.rows] == [(r, r.implied) for r in loaded.rows]
 
     def test_positive_denominator_unreachable(self):
         with pytest.raises(GenerationFailed):

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effset.errors import EnumerationBudgetExceeded, UnboundedDomain
+from effset.generator import GeneratorConfig, generate
 from effset.model import instance, ratio
 from effset.simplex import LinearProgram, Status, solve_lp
 from effset.oracle import (
+    DEFAULT_BUDGET,
     efficient_sets,
     enumerate_feasible,
     maximal_points,
@@ -50,10 +52,19 @@ class TestEnumeration:
         assert points == sorted(DEMO_FEASIBLE)
 
     def test_budget_refusal(self, demo):
-        # The demo box is 5 x 2 = 10 candidates.
+        # The walk visits 11 prefixes: x0 in 0..4, then x1's feasible
+        # values, one for each x0 < 4 and two for x0 = 4 (the six points).
         with pytest.raises(EnumerationBudgetExceeded):
-            enumerate_feasible(demo, budget=9)
-        assert len(enumerate_feasible(demo, budget=10)) == len(DEMO_FEASIBLE)
+            enumerate_feasible(demo, budget=10)
+        assert len(enumerate_feasible(demo, budget=11)) == len(DEMO_FEASIBLE)
+
+    def test_budget_follows_the_walk_not_the_box(self):
+        """3x10x15 seed 0: a box of more than the default budget of points
+        (25.5 million) holds 870 feasible points, which the walk lists."""
+        inst = generate(GeneratorConfig(num_vars=15, num_constraints=10, num_criteria=3, seed=0))
+        box = math.prod(math.floor(v) + 1 for v in variable_upper_bounds(inst))
+        assert box > DEFAULT_BUDGET
+        assert len(enumerate_feasible(inst)) == 870
 
     def test_three_point_segment(self):
         inst = tiny([[1, 0], [0, 1]], [2, 0])

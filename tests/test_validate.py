@@ -87,8 +87,10 @@ def test_denominator_checked_before_integer_point():
 def test_lp_count(monkeypatch):
     """One feasible tableau, from which the relaxation LP and one LP per
     denominator are optimized, then the witness MILP's node LPs; nothing
-    else."""
+    else. The rows are read first: their presolve runs at the first read
+    (here inside `generate`) and is counted in test_presolve_lp_count."""
     inst = generate(GeneratorConfig(num_vars=5, num_constraints=10, num_criteria=3, seed=0))
+    inst.rows
     tableaus = count_calls(monkeypatch, simplex.feasible_tableau)
     optimized = count_calls(monkeypatch, simplex.optimize)
     lps = count_calls(monkeypatch, simplex.solve_lp)
@@ -97,6 +99,19 @@ def test_lp_count(monkeypatch):
     # The others are the witness MILP's root solves, inside solve_lp.
     assert tableaus == Counter(validate=1, simplex=lps["milp"])
     assert optimized == Counter(validate=1 + len(inst.criteria) + 2, simplex=lps["milp"])
+
+
+@pytest.mark.parametrize("n, lps, implied", [(5, 1, 3), (10, 3, 2), (30, 2, 0)])
+def test_presolve_lp_count(monkeypatch, n, lps, implied):
+    """The presolve of 3x10xN seed 0 makes one feasible tableau and
+    optimizes one least-slack LP per row its certificates leave undecided."""
+    inst = generate(GeneratorConfig(num_vars=n, num_constraints=10, num_criteria=3, seed=0))
+    rows = constraint_rows(inst.a_matrix, inst.b_vector)
+    tableaus = count_calls(monkeypatch, simplex.feasible_tableau)
+    optimized = count_calls(monkeypatch, simplex.optimize)
+    marked = simplex.presolve(n, rows)
+    assert tableaus == Counter(simplex=1) and optimized == Counter(simplex=lps)
+    assert sum(row.implied for row in marked) == implied
 
 
 @st.composite
