@@ -103,7 +103,7 @@ def run_benchmark(
             inst = generate(cfg)
 
             start = time.process_time()
-            report = branch_cut.run(inst, validate=False)
+            report = branch_cut.run(inst)
             cpu = time.process_time() - start
 
             oracle_cpu = feasible = efficient = agreed = None

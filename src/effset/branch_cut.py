@@ -82,7 +82,6 @@ from .model import (
     utility_image,
 )
 from .simplex import GREATER_EQ, LinearRow, SimplexState, Status, Tableau
-from .validate import validate_instance
 
 log = logging.getLogger(__name__)
 
@@ -233,7 +232,6 @@ def run(
     inst: ProblemInstance,
     strategy: str = "dfs",
     objective: int = 0,
-    validate: bool = True,
     node_limit: int | None = None,
 ) -> SearchReport:
     """Enumerate every integer point simultaneously efficient for the
@@ -241,14 +239,14 @@ def run(
 
     strategy: "dfs" (floor child first) or "bfs". objective: which utility
     (0 or 1) each node maximizes. Neither choice changes the returned set,
-    only the walk order.
+    only the walk order. The instance's assumptions are proved first,
+    once per instance (`ProblemInstance.certificate`).
     """
     if strategy not in ("dfs", "bfs"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if objective not in (0, 1):
         raise ValueError("objective must be 0 or 1")
-    if validate:
-        validate_instance(inst)
+    inst.certificate  # AssumptionViolated unless the instance meets them
 
     n = inst.variable_count
     utility, companion = inst.utilities[objective], inst.utilities[1 - objective]

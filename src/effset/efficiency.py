@@ -27,7 +27,6 @@ programs; a point is checked against them in integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import InfeasiblePoint, InvariantViolated, ZeroDenominator
@@ -75,10 +74,9 @@ def _membership_program(
 ) -> LinearProgram:
     """The program for `objectives` at a checked point (see _checked): one
     level row per objective, then the instance's rows."""
-    n = inst.variable_count
-    rows = [_level_row(obj, point) for obj in objectives]
-    rows.extend(inst.rows)
-    return LinearProgram.of(n, {n + i: 1 for i in range(len(objectives))}, rows)
+    n, k = inst.variable_count, len(objectives)
+    rows = (*(_level_row(obj, point) for obj in objectives), *inst.rows)
+    return LinearProgram(n, (0,) * n + (1,) * k, 1, rows)
 
 
 def _checked(inst: ProblemInstance, point: Sequence[int]) -> Point:
@@ -90,8 +88,7 @@ def _checked(inst: ProblemInstance, point: Sequence[int]) -> Point:
 
 
 def _run(program: LinearProgram, point: Point) -> MilpResult:
-    seed = tuple(Fraction(v) for v in point)
-    return solve_milp(program, cutoff=ZERO, incumbent=(seed, ZERO))
+    return solve_milp(program, cutoff=ZERO, incumbent=(point, ZERO))
 
 
 def _efficient(result: MilpResult) -> bool:
@@ -99,13 +96,6 @@ def _efficient(result: MilpResult) -> bool:
     if result.value < 0:
         raise InvariantViolated(f"membership value {result.value} below the seed's 0")
     return result.value == 0
-
-
-def _witness(result: MilpResult) -> Point:
-    xs = result.point
-    if any(v.denominator != 1 for v in xs):
-        raise InvariantViolated(f"membership witness {xs} is not integral")
-    return tuple(int(v) for v in xs)
 
 
 def is_in_solution_set(
@@ -123,12 +113,12 @@ def is_in_solution_set(
     mm_result = _run(_membership_program(inst, point, inst.criteria), point)
     mo = _efficient(mm_result)
     if decide and not mo:
-        return EfficiencyVerdict(False, None, _witness(mm_result))
+        return EfficiencyVerdict(False, None, mm_result.point)
     t2_result = _run(_membership_program(inst, point, inst.utilities), point)
     bo = _efficient(t2_result)
     witness = None
     if not mo:
-        witness = _witness(mm_result)
+        witness = mm_result.point
     elif not bo:
-        witness = _witness(t2_result)
+        witness = t2_result.point
     return EfficiencyVerdict(mo, bo, witness)

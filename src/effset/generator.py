@@ -11,11 +11,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import AssumptionViolated, GenerationFailed
 from .model import AffineForm, FractionalObjective, ProblemInstance, constraint_rows, instance
 from .simplex import SimplexState, presolve
-from .validate import check_relaxation, denominator_minimum, feasible_start, integer_witness
+from .validate import (
+    InstanceCertificate,
+    check_relaxation,
+    denominator_minimum,
+    feasible_start,
+    integer_witness,
+)
 
 
 @dataclass(frozen=True)
@@ -43,7 +50,9 @@ class GeneratorConfig:
 
 def _draw_objective(
     rng: random.Random, cfg: GeneratorConfig, start: SimplexState | None
-) -> FractionalObjective:
+) -> tuple[FractionalObjective, Fraction]:
+    """An objective whose denominator stays positive over the region, and
+    that denominator's minimum there."""
     num_lo, num_hi = cfg.numerator_range
     den_lo, den_hi = cfg.denominator_range
     numerator = AffineForm.of(
@@ -59,8 +68,9 @@ def _draw_objective(
         raise GenerationFailed("the denominator has no minimum over the region")
     positive_lo = max(den_lo, 1)
     for _ in range(cfg.max_attempts):
-        if linear[0] + constant > 0:
-            return FractionalObjective(numerator, AffineForm.of(den_coeffs, constant))
+        minimum = linear[0] + constant
+        if minimum > 0:
+            return FractionalObjective(numerator, AffineForm.of(den_coeffs, constant)), minimum
         if positive_lo > den_hi:
             break
         constant = rng.randint(positive_lo, den_hi)
@@ -84,17 +94,18 @@ def generate(cfg: GeneratorConfig) -> ProblemInstance:
         rows = presolve(cfg.num_vars, constraint_rows(a, b))
         start = feasible_start(rows, cfg.num_vars)
         try:
-            criteria = tuple(
-                _draw_objective(rng, cfg, start) for _ in range(cfg.num_criteria)
-            )
-            utilities = tuple(_draw_objective(rng, cfg, start) for _ in range(2))
+            # Criteria first, then the two utilities.
+            drawn = [_draw_objective(rng, cfg, start) for _ in range(cfg.num_criteria + 2)]
             # _draw_objective proved each denominator positive over these rows.
             check_relaxation(start, cfg.num_vars)
-            integer_witness(rows, cfg.num_vars)
-            inst = instance(a, b, criteria, utilities)
-            # These are the rows the instance would build from a and b:
-            # fill its cached property with them.
+            witness = integer_witness(rows, cfg.num_vars)
+            objectives, minima = zip(*drawn)
+            inst = instance(a, b, objectives[:-2], objectives[-2:])
+            # These are the rows the instance would build from a and b, and
+            # the certificate `validate_instance` would prove over them:
+            # fill the cached properties with them.
             vars(inst)["rows"] = rows
+            vars(inst)["certificate"] = InstanceCertificate(minima, witness)
             return inst
         except (GenerationFailed, AssumptionViolated) as exc:
             last_error = exc

@@ -20,7 +20,7 @@ branch row cuts off the parent's vertex: its slack starts basic at a
 negative value, the extended basis stays dual feasible for the objective,
 and dual simplex pivots reach the child's optimum or prove it
 infeasible; the returned tableau's state is the child's. The program
-keeps its integer cost (`LinearProgram.integer_cost`), which the root
+keeps its integer cost (`LinearProgram.cost`), which the root
 prices; its reduced row rides in each node's state, and every child
 re-solves on its parent's. A stack entry is (parent state, branch row), so
 no child's program is built. An appended slack belongs to its row as
@@ -28,18 +28,19 @@ written, as in a from-scratch solve, so a child's system is its extended
 program's.
 
 A node is read in integers: its value times det and the objective's
-scale is the carried objective row's last entry, negated. `Fraction`s
-are built only for a kept incumbent, whose point is the structural part
-of the node's point, and for a feasible rounded-down point.
+scale is the carried objective row's last entry, negated, and the floor
+of its point (`_floor`), the point itself at an integral node, is read
+off its right-hand sides. Only a kept value is built as a `Fraction`.
 
 Each fractional node that survives bounding also tries simple rounding
 (Achterberg 2007, ch. 9; Berthold 2006), before its children are pushed:
-`rounded_down` reads y = floor of its vertex in integers, checks y exactly
-against every row of the program (not the node's branch rows) and prices
-it, slack columns included. A feasible y that beats the incumbent becomes
-the incumbent, and one that beats the cutoff ends the search as an
-integral node does, so a membership MILP (cutoff 0) can stop at a
-dominating point several nodes before the floor-first dive reaches one.
+`rounded_down` reads y = floor of its vertex, checks y exactly against
+the program's rows a tableau holds (not the node's branch rows) and
+prices it, slack columns included. A feasible y that beats the
+incumbent becomes the incumbent, and one that beats the cutoff ends the
+search as an integral node does, so a membership MILP (cutoff 0) can
+stop at a dominating point several nodes before the floor-first dive
+reaches one.
 """
 from __future__ import annotations
 
@@ -64,12 +65,12 @@ from .simplex import (
 
 @dataclass(frozen=True)
 class MilpResult:
-    """point/value describe the best integral solution found. value is the
-    exact optimum unless early_stop is set, in which case the search quit
-    as soon as the incumbent rose above the requested cutoff."""
+    """point (ints)/value describe the best integral solution found. value
+    is the exact optimum unless early_stop is set, in which case the search
+    quit as soon as the incumbent rose above the requested cutoff."""
 
     status: Status
-    point: tuple[Fraction, ...] | None
+    point: tuple[int, ...] | None
     value: Fraction | None
     early_stop: bool = False
 
@@ -90,33 +91,38 @@ def branch_rows(state: SimplexState, n: int) -> tuple[LinearRow, LinearRow] | No
     return LinearRow(unit, LESS_EQ, lo), LinearRow(unit, GREATER_EQ, lo + 1)
 
 
-def rounded_down(
-    program: LinearProgram, state: SimplexState
-) -> tuple[tuple[Fraction, ...], Fraction] | None:
-    """Simple rounding at a node: y = floor of the state's structural
-    point, read in integers (each basic structural variable's right-hand
-    side // det, 0 for each nonbasic one), with its exact objective value,
-    slack columns included, when y satisfies every row of the program
-    (`model.row_gaps`). None when y violates a row, or when some row names
-    a slack column, whose value at y the program does not fix."""
-    rows = program.dense_rows
-    if rows is None:
-        return None
-    n, det = program.num_vars, state.det
-    y = [0] * n
+def _floor(state: SimplexState, n: int) -> tuple[int, ...]:
+    """The floor of the state's first n coordinates: each basic structural
+    variable's right-hand side // det, 0 for each nonbasic one."""
+    y, det = [0] * n, state.det
     for var, row in zip(state.basis, state.rows):
         if var < n:
             y[var] = row[-1] // det
-    gaps = row_gaps(rows, y)
-    if gaps is None:
+    return tuple(y)
+
+
+def rounded_down(
+    program: LinearProgram, state: SimplexState
+) -> tuple[tuple[int, ...], Fraction] | None:
+    """Simple rounding at a node: y = `_floor` of the state's point, with
+    its exact objective value, slack columns included, when y satisfies
+    every row a tableau holds (`LinearProgram.dense_rows`), which with
+    y >= 0 imply the rest. None when y violates a row, or when some row
+    names a slack column, whose value at y the program does not fix."""
+    rows = program.dense_rows
+    if rows is None:
+        return None
+    n, cost = program.num_vars, program.cost
+    y = _floor(state, n)
+    if row_gaps(rows, y) is None:
         return None
     # Row i's slack is its gap over its scale; cost is scale times the objective.
-    cost, scale = program.integer_cost
     num, den = sum(map(mul, cost, y)), 1
-    for c, gap, row in zip(cost[n:], gaps, program.rows):
-        if c and gap:
+    for c, row in zip(cost[n:], program.rows):
+        a, h = row.dense
+        if c and (gap := h - sum(map(mul, a, y))):
             num, den = num * row.scale + c * gap * den, den * row.scale
-    return tuple(map(Fraction, y)), Fraction(num, den * scale)
+    return y, Fraction(num, den * program.scale)
 
 
 def _relaxation(
@@ -137,7 +143,7 @@ def _relaxation(
 def solve_milp(
     program: LinearProgram,
     cutoff: Fraction | None = None,
-    incumbent: tuple[Sequence[Fraction], Fraction] | None = None,
+    incumbent: tuple[Sequence[int], Fraction] | None = None,
 ) -> MilpResult:
     """Maximize over the integer points of the program's rows.
 
@@ -145,8 +151,8 @@ def solve_milp(
     only cares whether anything beats that threshold, not by how much).
     incumbent: known feasible (point, value) used to seed pruning.
     """
-    scale = program.integer_cost[1]
-    best_point: tuple[Fraction, ...] | None = None
+    n, scale = program.num_vars, program.scale
+    best_point: tuple[int, ...] | None = None
     best_value: Fraction | None = None
     if incumbent is not None:
         best_point = tuple(incumbent[0])
@@ -171,9 +177,9 @@ def solve_milp(
 
         # An integral node is a solution; a fractional one offers its
         # rounded-down vertex when that is feasible.
-        rows = branch_rows(state, program.num_vars)
+        rows = branch_rows(state, n)
         if rows is None:
-            found = state.structural_point(program.num_vars), Fraction(scaled, det * scale)
+            found = _floor(state, n), Fraction(scaled, det * scale)
         else:
             found = rounded_down(program, state)
         if found is not None and (best_value is None or found[1] > best_value):

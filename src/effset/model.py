@@ -21,9 +21,12 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import LengthMismatch, ZeroDenominator
+
+if TYPE_CHECKING:
+    from .validate import InstanceCertificate
 
 Point = tuple[int, ...]
 ObjectiveVector = tuple[Fraction, ...]
@@ -285,6 +288,15 @@ class ProblemInstance:
         from .simplex import presolve
 
         return presolve(self.variable_count, constraint_rows(self.a_matrix, self.b_vector))
+
+    @cached_property
+    def certificate(self) -> InstanceCertificate:
+        """`validate.validate_instance` of the instance, proved once per
+        instance (the generator fills it from its own solves); the
+        dataclass's equality and hash ignore it."""
+        from .validate import validate_instance
+
+        return validate_instance(self)
 
     @cached_property
     def dense_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:

@@ -5,7 +5,8 @@ Every row is an inequality, <= or >=. A row (`model.LinearRow`) holds
 integers over one positive scale s, the lcm of the denominators of its
 rational entries: its coefficients and right-hand side are s times the
 row's. A row is converted once, where it is built, and no solver rescales
-it. Standardization appends one slack or surplus variable per row, in row
+it; so is a program's objective (`LinearProgram.cost` over its `scale`).
+Standardization appends one slack or surplus variable per row, in row
 order, so row i adds column n + i over n structural variables. Added
 variables are first-class: later rows may reference them, which is how
 branch-and-cut expresses its rounds over slack coordinates.
@@ -122,6 +123,7 @@ from .model import (
     LinearRow,
     as_fraction,
     constraint_rows,
+    denominator_lcm,
 )
 
 
@@ -133,49 +135,46 @@ class Status(enum.Enum):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Maximize objective . x over the rows plus x >= 0.
+    """Maximize (cost / scale) . x over the rows plus x >= 0.
 
     num_vars counts structural variables. Row i adds column num_vars + i,
     its slack. Row coefficients may also touch slack variables of earlier
-    rows, and the objective may price any of the num_vars + len(rows)
-    columns.
+    rows, and the cost may price any of the num_vars + len(rows) columns.
+    The cost is integer over one positive scale, as a row is (`of`).
     """
 
     num_vars: int
-    objective: tuple[Fraction, ...]
+    cost: tuple[int, ...]
+    scale: int
     rows: tuple[LinearRow, ...]
 
     @classmethod
     def of(cls, num_vars, objective, rows) -> "LinearProgram":
-        """objective may be a {index: value} mapping or a dense sequence;
-        it is sized to num_vars or to the last column it names."""
+        """objective may be a {index: value} mapping or a dense sequence of
+        ints, strings like '-4/7' or Fractions; it is sized to num_vars or
+        to the last column it names, and converted once, over the lcm of
+        its denominators, as `LinearRow.of` converts a row."""
         rows = tuple(rows)
         items = objective.items() if isinstance(objective, Mapping) else enumerate(objective)
         named = {j: as_fraction(v) for j, v in items}
         columns = num_vars + len(rows)
         if any(not 0 <= j < columns for j in named):
             raise ValueError(f"the objective names a column outside the program's {columns}")
-        dense = [ZERO] * max(num_vars, 1 + max(named, default=-1))
+        scale = denominator_lcm(named.values())
+        cost = [0] * max(num_vars, 1 + max(named, default=-1))
         for j, v in named.items():
-            dense[j] = v
-        return cls(num_vars, tuple(dense), rows)
-
-    @cached_property
-    def integer_cost(self) -> tuple[tuple[int, ...], int]:
-        """(cost, scale): scale times the objective as integers, scale the
-        lcm of its denominators, built once per program; the dataclass's
-        equality and hash ignore it."""
-        cost, _, scale = AffineForm(self.objective).scaled
-        return cost, scale
+            cost[j] = v.numerator * (scale // v.denominator)
+        return cls(num_vars, tuple(cost), scale, rows)
 
     @cached_property
     def dense_rows(self) -> tuple[tuple[tuple[int, ...], int], ...] | None:
-        """The rows' dense forms (`LinearRow.dense`), built once per
-        program, or None when some row names a slack column."""
+        """The dense forms (`LinearRow.dense`) of the rows a tableau holds,
+        built once per program, or None when some row names a slack
+        column. The held rows and x >= 0 imply every implied row."""
         n = self.num_vars
         if any(row.coeffs and row.coeffs[-1][0] >= n for row in self.rows):
             return None
-        return tuple(row.dense for row in self.rows)
+        return tuple(row.dense for row in self.rows if not row.implied)
 
 
 @dataclass(frozen=True)
@@ -486,7 +485,7 @@ def _dual_bland(tab: Tableau, price) -> bool:
 
 def optimize(tab: Tableau, cost: Sequence[int]) -> SimplexState:
     """Phase two: maximize cost . x, an integer cost over the leading
-    columns (the rest cost zero; see LinearProgram.integer_cost), by Bland
+    columns (the rest cost zero; see LinearProgram.cost), by Bland
     pivots from the primal-feasible `tab`, which it pivots in place. The
     final state is OPTIMAL or UNBOUNDED."""
     tab.carry(cost)
@@ -499,7 +498,7 @@ def solve_lp(program: LinearProgram) -> SimplexState:
     tab = feasible_tableau(program.num_vars, program.rows)
     if tab is None:
         return SimplexState(Status.INFEASIBLE, program.num_vars, (), ())
-    return optimize(tab, program.integer_cost[0])
+    return optimize(tab, program.cost)
 
 
 def presolve(n: int, rows: Sequence[LinearRow]) -> tuple[LinearRow, ...]:

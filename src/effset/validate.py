@@ -74,7 +74,7 @@ def integer_witness(rows: Sequence[LinearRow], n: int) -> tuple[int, ...]:
     result = solve_milp(LinearProgram.of(n, {}, rows))
     if result.point is None:
         raise AssumptionViolated("no feasible integer point exists", reason="empty-domain")
-    return tuple(int(v) for v in result.point)
+    return result.point
 
 
 def validate_instance(inst: ProblemInstance) -> InstanceCertificate:

@@ -30,6 +30,7 @@ from effset.errors import (
 )
 from effset.fractional import _expand_rows, maximize, solve_lfp
 from effset.generator import GeneratorConfig, generate
+from effset.instances import dumps, loads
 from effset.milp import branch_rows
 from effset.model import (
     criteria_image,
@@ -252,7 +253,7 @@ class TestInvariance:
         expected = set(efficient_sets(inst)[2])
         for strategy in ("dfs", "bfs"):
             for objective in (0, 1):
-                report = run(inst, strategy=strategy, objective=objective, validate=False)
+                report = run(inst, strategy=strategy, objective=objective)
                 assert report.solution_points() == expected, (seed, strategy, objective)
 
 
@@ -274,7 +275,7 @@ class TestArchive:
                 GeneratorConfig(num_vars=5, num_constraints=10, num_criteria=3, seed=seed)
             )
             tested.clear()
-            report = run(inst, validate=False)
+            report = run(inst)
             optima = {
                 tuple(int(v) for v in rec.point)
                 for rec in report.trace
@@ -318,7 +319,7 @@ class TestIdealFathoming:
             inst = generate(
                 GeneratorConfig(num_vars=5, num_constraints=10, num_criteria=3, seed=seed)
             )
-            report = run(inst, strategy=strategy, objective=objective, validate=False)
+            report = run(inst, strategy=strategy, objective=objective)
             base = constraint_rows(inst.a_matrix, inst.b_vector)
             _, added_rows = edges_and_rows(report)
             images = {p: utility_image(inst, p) for p in enumerate_feasible(inst)}
@@ -412,7 +413,7 @@ class TestIdealFathoming:
                 GeneratorConfig(num_vars=5, num_constraints=10, num_criteria=3, seed=seed)
             )
             calls.clear()
-            run(inst, strategy=strategy, objective=objective, validate=False)
+            run(inst, strategy=strategy, objective=objective)
             assert calls["from scratch"] == 1, seed
         assert read > 0 and bounded > 0
 
@@ -534,7 +535,7 @@ def test_four_walks_match_the_oracle_on_tied_instances():
         for case in (inst, scaled):
             for strategy in ("dfs", "bfs"):
                 for objective in (0, 1):
-                    report = run(case, strategy=strategy, objective=objective, validate=False)
+                    report = run(case, strategy=strategy, objective=objective)
                     assert report.solution_points() == expected, (case, strategy, objective)
         drawn["non-empty" if expected else "empty"] += 1
         drawn["single point"] += len(domain) == 1
@@ -643,6 +644,20 @@ class TestGuards:
     def test_node_limit(self, demo):
         with pytest.raises(NodeLimitExceeded):
             run(demo, node_limit=3)
+
+    def test_each_instance_is_validated_once_over_the_four_walks(self, monkeypatch):
+        """`run` reads the instance's certificate: a loaded instance proves
+        it in its first walk only, and a generated one never, since the
+        generator proved the same facts."""
+        calls = count_calls(monkeypatch, validate_instance)
+        generated = generate(GeneratorConfig(num_vars=5, num_constraints=10, num_criteria=3))
+        loaded = loads(dumps(generated))
+        for inst in (generated, loaded):
+            for strategy in ("dfs", "bfs"):
+                for objective in (0, 1):
+                    run(inst, strategy=strategy, objective=objective)
+        assert calls == Counter(validate=1)
+        assert loaded.certificate == generated.certificate
 
     def test_validation_rejects_unbounded_domain(self):
         inst = instance(

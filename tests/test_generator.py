@@ -65,6 +65,18 @@ class TestGenerate:
         assert all(m > 0 for m in certificate.denominator_minima)
         assert certificate.integer_witness is not None
 
+    @pytest.mark.parametrize(
+        "size, seeds", [((3, 10, 5), 30), ((3, 10, 10), 30), ((2, 4, 3), 30), ((3, 10, 30), 5)]
+    )
+    def test_certificate_is_the_one_validation_proves(self, size, seeds):
+        """generate fills each instance's certificate from its own solves;
+        it is the one validate_instance proves on the same data read back."""
+        r, m, n = size
+        for seed in range(seeds):
+            inst = generate(cfg(num_vars=n, num_constraints=m, num_criteria=r, seed=seed))
+            assert "certificate" in vars(inst)
+            assert inst.certificate == validate_instance(loads(dumps(inst))), seed
+
     def test_each_denominator_solved_once(self, monkeypatch):
         """One presolve of the rows (its feasible tableau and its one
         least-slack LP at this seed, see test_validate.py's

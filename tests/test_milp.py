@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from effset.efficiency import _membership_program, is_in_solution_set
 from effset.errors import UnboundedRelaxation
 from effset.generator import GeneratorConfig, generate
 from effset.milp import MilpResult, branch_rows, rounded_down, solve_milp
+from effset.model import row_gaps
 from effset.oracle import enumerate_feasible
 from effset.simplex import GREATER_EQ, LESS_EQ, LinearProgram, LinearRow, SimplexState, Status
 
@@ -99,11 +101,11 @@ def test_incumbent_seeds_pruning():
     )
     # An incumbent matching the true optimum means no strictly better point
     # exists, so the seed itself is returned.
-    seeded = solve_milp(problem, incumbent=((Fraction(2), Fraction(2)), Fraction(4)))
+    seeded = solve_milp(problem, incumbent=((2, 2), Fraction(4)))
     assert seeded.point == (2, 2)
     assert seeded.value == 4
     # A weaker incumbent is improved upon.
-    improved = solve_milp(problem, incumbent=((Fraction(0), Fraction(0)), Fraction(0)))
+    improved = solve_milp(problem, incumbent=((0, 0), Fraction(0)))
     assert improved.value == 4
 
 
@@ -116,7 +118,7 @@ def _assert_lattice_answer(program, fits, value_of, expected, cutoff=None):
     if result.status is Status.INFEASIBLE:
         assert expected is None
         return
-    assert all(v.denominator == 1 for v in result.point)
+    assert type(result.point) is tuple and all(type(v) is int for v in result.point)
     assert fits(result.point)
     assert value_of(result.point) == result.value
     if result.early_stop:
@@ -195,7 +197,8 @@ def _membership_case(levels, rows, objective, bound):
         return in_box and under and min(surplus(y)) >= 0
 
     def value_of(y):
-        return sum(c * v for c, v in zip(program.objective, (*y, *surplus(y))))
+        scaled = sum(c * v for c, v in zip(program.cost, (*y, *surplus(y))))
+        return Fraction(scaled, program.scale)
 
     points = [y for y in itertools.product(range(bound + 1), repeat=3) if fits(y)]
     return program, fits, value_of, max(map(value_of, points), default=None)
@@ -261,6 +264,33 @@ def test_rounded_down_reads_priced_slacks_and_checks_every_row():
     # x1 <= 1 over x0's slack x1: x0 <= 5/2 and 5/2 - x0 <= 1.
     over_slack = milp(1, {0: 1}, [({0: 1}, LESS_EQ, Fraction(5, 2)), ({1: 1}, LESS_EQ, 1)])
     assert rounded_down(over_slack, simplex.solve_lp(over_slack)) is None
+
+
+@pytest.mark.parametrize("level, expected", [(1, ((2, 3), Fraction(22, 3))), (6, None)])
+def test_rounded_down_skips_implied_rows_and_prices_each_slack_by_its_row(level, expected):
+    """The presolve marks x0 + x1 <= 100, which 2 x0 <= 5 and 2 x1 <= 7
+    imply, and the rows priced after it are priced by their own index:
+    rounding the vertex (5/2, 7/2) gives what a check of every row and a
+    pricing of every slack give. Under x0 + x1 >= 6, y = (2, 3) violates
+    the level row."""
+    box = [({0: 1, 1: 1}, LESS_EQ, 100), ({0: 2}, LESS_EQ, 5), ({1: 2}, LESS_EQ, 7)]
+    rows = simplex.presolve(2, [LinearRow.of(c, rel, rhs) for c, rel, rhs in box])
+    assert [row.implied for row in rows] == [True, False, False]
+    level_row = LinearRow.of({0: 1, 1: 1}, GREATER_EQ, level)
+    objective = {0: 1, 1: 1, 3: Fraction(1, 3), 5: Fraction(1, 2)}
+    program = LinearProgram.of(2, objective, (*rows, level_row))
+    assert program.dense_rows == tuple(row.dense for row in program.rows[1:])
+    state = simplex.solve_lp(program)
+    assert state.structural_point(2) == (Fraction(5, 2), Fraction(7, 2))
+
+    y = tuple(math.floor(v) for v in state.structural_point(2))
+    gaps = row_gaps([row.dense for row in program.rows], y)
+    every_row = None
+    if gaps is not None:
+        slacks = [Fraction(g, row.scale) for g, row in zip(gaps, program.rows)]
+        value = sum(c * v for c, v in zip(program.cost, (*y, *slacks)))
+        every_row = y, Fraction(value, program.scale)
+    assert rounded_down(program, state) == every_row == expected
 
 
 def test_only_the_root_is_solved_from_scratch(monkeypatch):

@@ -41,6 +41,12 @@ def pair(coeffs, rhs):
     return [(coeffs, LESS_EQ, rhs), (coeffs, GREATER_EQ, rhs)]
 
 
+# An objective entry as an int (when it is one), a string or a Fraction.
+_objective_entry = st.fractions(-9, 9, max_denominator=12).flatmap(
+    lambda v: st.sampled_from([v, str(v)] + [int(v)] * (v.denominator == 1))
+)
+
+
 class TestRowConstruction:
     def test_mapping_and_dense_forms_agree(self):
         from_map = LinearRow.of({0: 2, 2: 5}, LESS_EQ, 3)
@@ -64,11 +70,26 @@ class TestRowConstruction:
             LinearRow.of(c, rel, rhs)
             for c, rel, rhs in [({0: 1}, LESS_EQ, 1), *pair({1: 1}, 1), ({1: 1}, GREATER_EQ, 0)]
         ]
-        assert LinearProgram.of(2, {5: 1}, rows).objective == (0, 0, 0, 0, 0, 1)
-        assert LinearProgram.of(2, [1], rows).objective == (1, 0)
+        assert LinearProgram.of(2, {5: 1}, rows).cost == (0, 0, 0, 0, 0, 1)
+        assert LinearProgram.of(2, [1], rows).cost == (1, 0)
         for objective in ({6: 1}, [0, 0, 0, 0, 0, 0, 1], {-1: 1}):
             with pytest.raises(ValueError):
                 LinearProgram.of(2, objective, rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(entries=st.lists(_objective_entry, max_size=6), as_mapping=st.booleans())
+    def test_objective_is_kept_as_integers_over_the_lcm_of_its_denominators(
+        self, entries, as_mapping
+    ):
+        """cost[j] / scale is entry j of the objective, ints, strings and
+        Fractions alike, and scale is the lcm of its denominators."""
+        objective = dict(enumerate(entries)) if as_mapping else entries
+        program = LinearProgram.of(2, objective, [LinearRow.of({0: 1}, LESS_EQ, 1)] * 4)
+        values = [Fraction(v) for v in entries]
+        values += [Fraction(0)] * (2 - len(values))
+        assert program.scale == math.lcm(*(v.denominator for v in values))
+        assert all(type(c) is int for c in program.cost)
+        assert [Fraction(c, program.scale) for c in program.cost] == values
 
 
 class TestSolveLp:
@@ -568,7 +589,7 @@ def test_resolve_after_matches_solve_lp(extra_rows, objective, box, doubled_box,
     assume(state.status is Status.OPTIMAL)
     new_rows = _dual_child_rows(data, state)
     child = LinearProgram.of(3, objective, rows + new_rows)
-    cost = list(program.integer_cost[0])
+    cost = list(program.cost)
     kept = (state.basis, [list(r) for r in state.rows], state.det, state.cols)
     pivot = Tableau.pivot
 
@@ -590,8 +611,8 @@ def test_resolve_after_matches_solve_lp(extra_rows, objective, box, doubled_box,
         return
     warm = tab.state(Status.OPTIMAL)
     assert cold.status is Status.OPTIMAL
-    value = sum(c * v for c, v in zip(child.objective, warm.structural_point(3)))
-    assert value == sum(c * v for c, v in zip(child.objective, cold.structural_point(3)))
+    value = sum(c * v for c, v in zip(child.cost, warm.structural_point(3)))
+    assert value == sum(c * v for c, v in zip(child.cost, cold.structural_point(3)))
     assert_fits(3, child.rows, full_point(warm))
 
 
@@ -623,7 +644,7 @@ def test_optimize_after_feasible_after_matches_solve_lp(
         new_rows = _child_rows(data, state)
         child = LinearProgram.of(3, child_objective or objective, rows + new_rows)
         tab = resolve_after(state, new_rows)
-        warm = None if tab is None else simplex.optimize(tab, child.integer_cost[0])
+        warm = None if tab is None else simplex.optimize(tab, child.cost)
     assert checked[0] > 0
     cold = solve_lp(child)
     if warm is None:
@@ -631,8 +652,8 @@ def test_optimize_after_feasible_after_matches_solve_lp(
         return
     assert warm.status is cold.status
     if warm.status is Status.OPTIMAL:
-        value = sum(c * v for c, v in zip(child.objective, warm.structural_point(3)))
-        assert value == sum(c * v for c, v in zip(child.objective, cold.structural_point(3)))
+        value = sum(c * v for c, v in zip(child.cost, warm.structural_point(3)))
+        assert value == sum(c * v for c, v in zip(child.cost, cold.structural_point(3)))
         assert_fits(3, child.rows, full_point(warm))
 
 
