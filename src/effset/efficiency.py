@@ -10,11 +10,11 @@ with y ranging over the original integer feasible set. Row i's surplus
 aux_i is the difference of the two sides, and because denominators are
 positive, aux_i >= 0 is equivalent to Z_i(y) >= Z_i(x*). The k rows come
 first, so aux_i is column n + i of the program, and the objective
-sum(aux) prices those surplus columns; y is the only variable. The optimum
-is 0 exactly when no feasible y weakly improves every objective with one
-strict improvement, i.e. when x* is efficient. Any feasible solution with
-positive sum exhibits a dominating y, so the search may stop at the first
-one.
+sum(aux) prices those surplus columns; y is the only variable. x* itself
+is feasible at value 0, and a feasible y is worth more than 0 exactly when
+it weakly improves every objective with one strict improvement. So x* is
+efficient exactly when `solve_milp` finds no integer point above 0, and
+the first point it finds above 0 is a dominating witness.
 
 Level rows are built in integers from each objective's integer data
 (`AffineForm.scaled`, computed once per form) and the two integer values
@@ -29,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InfeasiblePoint, InvariantViolated, ZeroDenominator
-from .milp import MilpResult, solve_milp
+from .errors import InfeasiblePoint, ZeroDenominator
+from .milp import solve_milp
 from .model import FractionalObjective, Point, ProblemInstance, is_feasible
-from .simplex import GREATER_EQ, ZERO, LinearProgram, LinearRow
+from .simplex import GREATER_EQ, LinearProgram, LinearRow
 
 
 @dataclass(frozen=True)
@@ -87,38 +87,21 @@ def _checked(inst: ProblemInstance, point: Sequence[int]) -> Point:
     return tuple(int(v) for v in point)
 
 
-def _run(program: LinearProgram, point: Point) -> MilpResult:
-    return solve_milp(program, cutoff=ZERO, incumbent=(point, ZERO))
-
-
-def _efficient(result: MilpResult) -> bool:
-    """Whether nothing beat the seed's value 0."""
-    if result.value < 0:
-        raise InvariantViolated(f"membership value {result.value} below the seed's 0")
-    return result.value == 0
-
-
 def is_in_solution_set(
     inst: ProblemInstance, point: Sequence[int], *, decide: bool = False
 ) -> EfficiencyVerdict:
-    """Run both membership tests. The candidate x* itself seeds the search
-    at value zero, so the solver only has to decide whether anything beats
-    zero; the first dominating point found (if any) is the witness.
+    """Run both membership tests. Each asks whether some integer point is
+    worth more than the candidate's value 0; the first dominating point
+    found (if any) is the witness.
 
     decide: the search's entry point, which needs only in_solution_set and
     the witness. When the criteria test rejects, the utility test is
     skipped and boilfp_efficient is None. The point is checked once for
     both tests, which share the instance's rows (built once per instance)."""
     point = _checked(inst, point)
-    mm_result = _run(_membership_program(inst, point, inst.criteria), point)
-    mo = _efficient(mm_result)
-    if decide and not mo:
-        return EfficiencyVerdict(False, None, mm_result.point)
-    t2_result = _run(_membership_program(inst, point, inst.utilities), point)
-    bo = _efficient(t2_result)
-    witness = None
-    if not mo:
-        witness = mm_result.point
-    elif not bo:
-        witness = t2_result.point
-    return EfficiencyVerdict(mo, bo, witness)
+    mm = solve_milp(_membership_program(inst, point, inst.criteria), 0)
+    if decide and mm is not None:
+        return EfficiencyVerdict(False, None, mm.point)
+    t2 = solve_milp(_membership_program(inst, point, inst.utilities), 0)
+    found = mm or t2
+    return EfficiencyVerdict(mm is None, t2 is None, None if found is None else found.point)

@@ -7,10 +7,14 @@ and the search (`branch_cut.run`) branches by it too, so both
 branch-and-bounds of the method share one rule.
 
 Every structural variable is integer; the slack and surplus columns the
-rows add are not. Depth-first, floor child explored first. Bounding
-prunes any node whose relaxation value is <= the incumbent, so
-equal-value alternatives are dropped once one optimum is known.
-Deterministic by construction.
+rows add are not. The one question `solve_milp` answers is whether some
+integer point is worth more than a bound, `above`: it dives depth-first,
+floor child first, prunes every node whose relaxation value is at most
+`above`, and returns the first integer point it meets above it, or None
+once the dive has proved there is none. Membership asks with above 0,
+the candidate's own value; the instance check with above -1 over a zero
+objective, so any integer point answers it. Deterministic by
+construction.
 
 Only the root relaxation is solved from scratch (`simplex.solve_lp`). A
 child is its parent's system plus one branch row, x_j <= floor or
@@ -30,24 +34,22 @@ program's.
 A node is read in integers: its value times det and the objective's
 scale is the carried objective row's last entry, negated, and the floor
 of its point (`_floor`), the point itself at an integral node, is read
-off its right-hand sides. Only a kept value is built as a `Fraction`.
+off its right-hand sides. Only a returned value is built as a `Fraction`.
 
 Each fractional node that survives bounding also tries simple rounding
 (Achterberg 2007, ch. 9; Berthold 2006), before its children are pushed:
 `rounded_down` reads y = floor of its vertex, checks y exactly against
 the program's rows a tableau holds (not the node's branch rows) and
-prices it, slack columns included. A feasible y that beats the
-incumbent becomes the incumbent, and one that beats the cutoff ends the
-search as an integral node does, so a membership MILP (cutoff 0) can
-stop at a dominating point several nodes before the floor-first dive
-reaches one.
+prices it, slack columns included. A feasible y above the bound ends the
+dive as an integral node above it does, so a membership MILP can stop at
+a dominating point several nodes before the floor-first dive reaches
+one. A point at or below the bound is dropped.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
 
 from .errors import UnboundedRelaxation
 from .model import row_gaps
@@ -65,14 +67,13 @@ from .simplex import (
 
 @dataclass(frozen=True)
 class MilpResult:
-    """point (ints)/value describe the best integral solution found. value
-    is the exact optimum unless early_stop is set, in which case the search
-    quit as soon as the incumbent rose above the requested cutoff."""
+    """The first integer point (ints) the dive met above the bound, with
+    its exact value. A returned point always ends the dive: early_stop is
+    a constant, for readers that count stopped dives."""
 
-    status: Status
-    point: tuple[int, ...] | None
-    value: Fraction | None
-    early_stop: bool = False
+    point: tuple[int, ...]
+    value: Fraction
+    early_stop = True
 
 
 def branch_rows(state: SimplexState, n: int) -> tuple[LinearRow, LinearRow] | None:
@@ -140,24 +141,10 @@ def _relaxation(
     return None if tab is None else tab.state(Status.OPTIMAL)
 
 
-def solve_milp(
-    program: LinearProgram,
-    cutoff: Fraction | None = None,
-    incumbent: tuple[Sequence[int], Fraction] | None = None,
-) -> MilpResult:
-    """Maximize over the integer points of the program's rows.
-
-    cutoff: stop as soon as some integral solution exceeds it (the caller
-    only cares whether anything beats that threshold, not by how much).
-    incumbent: known feasible (point, value) used to seed pruning.
-    """
+def solve_milp(program: LinearProgram, above: Fraction | int) -> MilpResult | None:
+    """The first integer point of the program's rows, in the floor-first
+    dive, whose value exceeds `above`, or None when there is none."""
     n, scale = program.num_vars, program.scale
-    best_point: tuple[int, ...] | None = None
-    best_value: Fraction | None = None
-    if incumbent is not None:
-        best_point = tuple(incumbent[0])
-        best_value = incumbent[1]
-
     # A node to solve: its parent's final state (None at the root) and the
     # branch row it appends to the parent's system.
     stack: list[tuple[SimplexState | None, LinearRow | None]] = [(None, None)]
@@ -170,29 +157,19 @@ def solve_milp(
         det = state.det
         # det * scale * value, negated, ends the carried objective row.
         scaled = -state.costs[0][-1]
-        if best_value is not None and (
-            scaled * best_value.denominator <= best_value.numerator * det * scale
-        ):
+        if scaled * above.denominator <= above.numerator * det * scale:
             continue
 
-        # An integral node is a solution; a fractional one offers its
-        # rounded-down vertex when that is feasible.
+        # An integral node is a point above the bound; a fractional one
+        # offers its rounded-down vertex when that is feasible.
         rows = branch_rows(state, n)
         if rows is None:
-            found = _floor(state, n), Fraction(scaled, det * scale)
-        else:
-            found = rounded_down(program, state)
-        if found is not None and (best_value is None or found[1] > best_value):
-            best_point, best_value = found
-            if cutoff is not None and best_value > cutoff:
-                return MilpResult(Status.OPTIMAL, best_point, best_value, early_stop=True)
-        if rows is None:
-            continue
+            return MilpResult(_floor(state, n), Fraction(scaled, det * scale))
+        found = rounded_down(program, state)
+        if found is not None and found[1] > above:
+            return MilpResult(*found)
 
         floor_row, ceil_row = rows
         stack.append((state, ceil_row))
         stack.append((state, floor_row))
-
-    if best_point is None:
-        return MilpResult(Status.INFEASIBLE, None, None)
-    return MilpResult(Status.OPTIMAL, best_point, best_value)
+    return None

@@ -139,7 +139,8 @@ class LinearProgram:
 
     num_vars counts structural variables. Row i adds column num_vars + i,
     its slack. Row coefficients may also touch slack variables of earlier
-    rows, and the cost may price any of the num_vars + len(rows) columns.
+    rows, and the cost may price any of the num_vars + len(rows) columns
+    but an implied row's slack, which no tableau holds.
     The cost is integer over one positive scale, as a row is (`of`).
     """
 
@@ -160,6 +161,8 @@ class LinearProgram:
         columns = num_vars + len(rows)
         if any(not 0 <= j < columns for j in named):
             raise ValueError(f"the objective names a column outside the program's {columns}")
+        if any(v and j >= num_vars and rows[j - num_vars].implied for j, v in named.items()):
+            raise ValueError("the objective prices the slack of an implied row")
         scale = denominator_lcm(named.values())
         cost = [0] * max(num_vars, 1 + max(named, default=-1))
         for j, v in named.items():

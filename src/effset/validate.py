@@ -70,9 +70,11 @@ def denominator_minimum(
 
 
 def integer_witness(rows: Sequence[LinearRow], n: int) -> tuple[int, ...]:
-    """One integer point of the rows plus x >= 0, or AssumptionViolated."""
-    result = solve_milp(LinearProgram.of(n, {}, rows))
-    if result.point is None:
+    """One integer point of the rows plus x >= 0, or AssumptionViolated:
+    over the zero objective every point is above -1, so the MILP returns
+    the first one it meets."""
+    result = solve_milp(LinearProgram.of(n, {}, rows), -1)
+    if result is None:
         raise AssumptionViolated("no feasible integer point exists", reason="empty-domain")
     return result.point
 

@@ -380,16 +380,17 @@ class TestFailures:
         assert "unbounded" in err
 
     def test_invariant_violation_exits_five(self, demo_file, capsys, monkeypatch):
-        # A membership MILP is seeded with the candidate at value 0, so a
-        # negative optimum can only come from a solver defect.
-        from effset import efficiency
-        from effset.milp import MilpResult
-        from effset.simplex import Status
+        # A search node lies in its ancestors' regions, so a re-solve of a
+        # carried maximum that finds its region empty can only come from a
+        # solver defect.
+        from effset import branch_cut
 
-        def broken_milp(program, cutoff=None, incumbent=None):
-            return MilpResult(Status.OPTIMAL, incumbent[0], -1)
+        maximize = branch_cut.maximize
 
-        monkeypatch.setattr(efficiency, "solve_milp", broken_milp)
+        def broken_maximize(num_vars, rows, objective, parent=None):
+            return None if parent is not None else maximize(num_vars, rows, objective)
+
+        monkeypatch.setattr(branch_cut, "maximize", broken_maximize)
         code, _, err = run_cli(capsys, "solve", demo_file)
         assert code == 5
         assert "internal invariant violated" in err

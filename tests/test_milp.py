@@ -28,7 +28,7 @@ def milp(num_vars, objective, rows):
 
 
 def test_knapsack():
-    # max 5a + 4b + 3c  s.t.  2a + 3b + c <= 5, binaries.
+    # max 5a + 4b + 3c  s.t.  2a + 3b + c <= 5, binaries: 9 at (1, 1, 0).
     problem = milp(
         3,
         {0: 5, 1: 4, 2: 3},
@@ -39,26 +39,20 @@ def test_knapsack():
             ({2: 1}, LESS_EQ, 1),
         ],
     )
-    result = solve_milp(problem)
-    assert result.status is Status.OPTIMAL
-    assert result.point == (1, 1, 0)
-    assert result.value == 9
-    assert not result.early_stop
+    assert solve_milp(problem, 8) == MilpResult((1, 1, 0), Fraction(9))
+    assert solve_milp(problem, 9) is None
 
 
 def test_slack_columns_are_not_integer():
     # x0 <= 5/2: branching on x0 reaches x0 = 2, whose row slack is 1/2. An
     # integer slack would need a half-integer x0, leaving no solution.
-    result = solve_milp(milp(1, {0: 1}, [({0: 1}, LESS_EQ, Fraction(5, 2))]))
-    assert result.status is Status.OPTIMAL
-    assert result.point == (2,)
-    assert result.value == 2
+    result = solve_milp(milp(1, {0: 1}, [({0: 1}, LESS_EQ, Fraction(5, 2))]), 1)
+    assert result == MilpResult((2,), Fraction(2))
 
 
 def test_infeasible():
     problem = milp(1, {0: 1}, [({0: 1}, GREATER_EQ, 2), ({0: 1}, LESS_EQ, 1)])
-    result = solve_milp(problem)
-    assert result == MilpResult(Status.INFEASIBLE, None, None)
+    assert solve_milp(problem, -1) is None
 
 
 def test_integer_gap_infeasible():
@@ -68,69 +62,75 @@ def test_integer_gap_infeasible():
         {0: 1},
         [({0: 3}, GREATER_EQ, 1), ({0: 3}, LESS_EQ, 2)],
     )
-    assert solve_milp(problem).status is Status.INFEASIBLE
+    assert solve_milp(problem, -1) is None
 
 
 def test_unbounded_relaxation_raises():
     problem = milp(2, {0: 1}, [({1: 1}, LESS_EQ, 1)])
     with pytest.raises(UnboundedRelaxation):
-        solve_milp(problem)
+        solve_milp(problem, 0)
 
 
 def test_cutoff_early_stop():
-    problem = milp(
-        2,
-        {0: 1, 1: 1},
-        [({0: 1}, LESS_EQ, 4), ({1: 1}, LESS_EQ, 4)],
-    )
-    eager = solve_milp(problem, cutoff=Fraction(0))
-    assert eager.early_stop
-    assert eager.value > 0
-    exact = solve_milp(problem)
-    assert exact.value == 8 and not exact.early_stop
-    # A cutoff at or above the optimum can never trigger the early exit.
-    capped = solve_milp(problem, cutoff=Fraction(8))
-    assert not capped.early_stop and capped.value == 8
+    """The first point above the bound ends the dive, whatever its margin.
+    Over x0 + 2 x1 <= 3 the root vertex (0, 3/2) rounds down to (0, 1),
+    worth 3, which answers the bound 0 though (1, 1) is worth 4; above 3
+    only (1, 1) answers, and above 4 nothing does."""
+    problem = milp(2, {0: 1, 1: 3}, [({0: 1, 1: 2}, LESS_EQ, 3)])
+    eager = solve_milp(problem, 0)
+    assert eager == MilpResult((0, 1), Fraction(3)) and eager.early_stop
+    assert solve_milp(problem, 3) == MilpResult((1, 1), Fraction(4))
+    assert solve_milp(problem, 4) is None
 
 
-def test_incumbent_seeds_pruning():
+def test_a_bound_at_the_maximum_prunes_the_root(monkeypatch):
+    """A bound at the maximum, as a known point's value, prunes the root,
+    whose relaxation value is that maximum, and no child is solved; a
+    bound below it is beaten."""
     problem = milp(
         2,
         {0: 1, 1: 1},
         [({0: 1}, LESS_EQ, 2), ({1: 1}, LESS_EQ, 2)],
     )
-    # An incumbent matching the true optimum means no strictly better point
-    # exists, so the seed itself is returned.
-    seeded = solve_milp(problem, incumbent=((2, 2), Fraction(4)))
-    assert seeded.point == (2, 2)
-    assert seeded.value == 4
-    # A weaker incumbent is improved upon.
-    improved = solve_milp(problem, incumbent=((0, 0), Fraction(0)))
-    assert improved.value == 4
+    from_scratch = count_calls(monkeypatch, simplex.solve_lp)
+    from_parent = count_calls(monkeypatch, simplex.resolve_after)
+    assert solve_milp(problem, 4) is None
+    assert (from_scratch["milp"], from_parent["milp"]) == (1, 0)
+    assert solve_milp(problem, Fraction(7, 2)) == MilpResult((2, 2), Fraction(4))
 
 
-def _assert_lattice_answer(program, fits, value_of, expected, cutoff=None):
-    """solve_milp's answer against the lattice maximum `expected` (None when
-    no lattice point fits). A point it stops at early satisfies every row and
-    is worth more than the cutoff; otherwise its value is the maximum, which
-    is then at most the cutoff."""
-    result = solve_milp(program, cutoff=cutoff)
-    if result.status is Status.INFEASIBLE:
-        assert expected is None
+def _assert_lattice_answer(program, fits, value_of, values, above):
+    """solve_milp's answer above `above` against the sorted values of the
+    lattice points that fit: None exactly when none is above it, and
+    otherwise an int point that satisfies every row, whose value is that
+    point's and above the bound."""
+    result = solve_milp(program, above)
+    if not values or values[-1] <= above:
+        assert result is None
         return
     assert type(result.point) is tuple and all(type(v) is int for v in result.point)
     assert fits(result.point)
-    assert value_of(result.point) == result.value
-    if result.early_stop:
-        assert cutoff is not None and result.value > cutoff
-    else:
-        assert result.value == expected
-        assert cutoff is None or expected <= cutoff
+    assert value_of(result.point) == result.value > above
+
+
+def _assert_bound_queries(program, fits, value_of, values):
+    """Bounds just below, at and above the lattice maximum: just below it
+    (at the next lower lattice value) only a point of the maximum answers,
+    at and above it none does. An empty lattice answers no bound."""
+    if not values:
+        _assert_lattice_answer(program, fits, value_of, values, Fraction(-(10**6)))
+        return
+    top = values[-1]
+    below = values[-2] if len(values) > 1 else top - 1
+    assert solve_milp(program, below).value == top
+    for above in (below, top, top + 1):
+        _assert_lattice_answer(program, fits, value_of, values, above)
 
 
 def _lattice_case(rows, objective, bound):
     """max objective . x over the integer points of [0, bound]^2 under the
-    rows a x0 + b x1 <= r: (program, fits, value_of, lattice maximum)."""
+    rows a x0 + b x1 <= r: (program, fits, value_of, sorted distinct values
+    of the lattice points that fit)."""
     all_rows = [({0: 1}, LESS_EQ, bound), ({1: 1}, LESS_EQ, bound)]
     all_rows += [({0: a, 1: b}, LESS_EQ, r) for a, b, r in rows]
     problem = milp(2, {0: objective[0], 1: objective[1]}, all_rows)
@@ -143,7 +143,7 @@ def _lattice_case(rows, objective, bound):
         return objective[0] * p[0] + objective[1] * p[1]
 
     points = [p for p in itertools.product(range(bound + 1), repeat=2) if fits(p)]
-    return problem, fits, value_of, max(map(value_of, points), default=None)
+    return problem, fits, value_of, sorted(set(map(value_of, points)))
 
 
 _lattice_rows = st.lists(
@@ -157,7 +157,7 @@ _lattice_objective = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
 @settings(max_examples=60, deadline=None)
 @given(rows=_lattice_rows, objective=_lattice_objective, bound=st.integers(1, 7))
 def test_matches_lattice_enumeration(rows, objective, bound):
-    _assert_lattice_answer(*_lattice_case(rows, objective, bound))
+    _assert_bound_queries(*_lattice_case(rows, objective, bound))
 
 
 @settings(max_examples=60, deadline=None)
@@ -165,10 +165,10 @@ def test_matches_lattice_enumeration(rows, objective, bound):
     rows=_lattice_rows,
     objective=_lattice_objective,
     bound=st.integers(1, 7),
-    cutoff=st.integers(-20, 40),
+    above=st.integers(-20, 40),
 )
-def test_a_cutoff_stops_at_a_feasible_point_above_it(rows, objective, bound, cutoff):
-    _assert_lattice_answer(*_lattice_case(rows, objective, bound), cutoff=Fraction(cutoff))
+def test_a_cutoff_stops_at_a_feasible_point_above_it(rows, objective, bound, above):
+    _assert_lattice_answer(*_lattice_case(rows, objective, bound), above)
 
 
 _frac = st.fractions(-4, 4, max_denominator=6)
@@ -178,10 +178,11 @@ def _membership_case(levels, rows, objective, bound):
     """A membership-shaped program over three integer variables y, as
     efficiency._membership_program builds it: a c . y >= r row per level,
     whose surplus the objective prices (the surplus of level i is column
-    3 + i), then a bound row per variable and fractional <= rows. It reaches
-    the best lattice point y whose surpluses are >= 0; a child appends an
-    integer branch row to a tableau scaled from the fractional rows.
-    (program, fits, value_of, lattice maximum)."""
+    3 + i), then a bound row per variable and fractional <= rows. Its
+    points are the lattice points y whose surpluses are >= 0; a child
+    appends an integer branch row to a tableau scaled from the fractional
+    rows. (program, fits, value_of, sorted distinct values of the lattice
+    points that fit)."""
     k = len(levels)
     bounds = [LinearRow.of({j: 1}, LESS_EQ, bound) for j in range(3)]
     bounds += [LinearRow.of(c, LESS_EQ, r) for c, r in rows]
@@ -201,7 +202,7 @@ def _membership_case(levels, rows, objective, bound):
         return Fraction(scaled, program.scale)
 
     points = [y for y in itertools.product(range(bound + 1), repeat=3) if fits(y)]
-    return program, fits, value_of, max(map(value_of, points), default=None)
+    return program, fits, value_of, sorted(set(map(value_of, points)))
 
 
 _levels = st.lists(st.tuples(st.tuples(_frac, _frac, _frac), _frac), min_size=1, max_size=2)
@@ -220,7 +221,7 @@ _membership_objective = st.tuples(*[st.fractions(-3, 3, max_denominator=4)] * 5)
     bound=st.integers(1, 5),
 )
 def test_membership_shaped_programs_match_lattice_enumeration(levels, rows, objective, bound):
-    _assert_lattice_answer(*_membership_case(levels, rows, objective, bound))
+    _assert_bound_queries(*_membership_case(levels, rows, objective, bound))
 
 
 @settings(max_examples=80, deadline=None)
@@ -229,25 +230,27 @@ def test_membership_shaped_programs_match_lattice_enumeration(levels, rows, obje
     rows=_fractional_rows,
     objective=_membership_objective,
     bound=st.integers(1, 5),
-    cutoff=st.fractions(-10, 10, max_denominator=4),
+    above=st.fractions(-10, 10, max_denominator=4),
 )
 def test_membership_shaped_cutoffs_stop_at_a_feasible_point_above_them(
-    levels, rows, objective, bound, cutoff
+    levels, rows, objective, bound, above
 ):
-    _assert_lattice_answer(*_membership_case(levels, rows, objective, bound), cutoff=cutoff)
+    _assert_lattice_answer(*_membership_case(levels, rows, objective, bound), above)
 
 
 def test_a_root_vertex_that_rounds_down_to_a_better_point_ends_the_search(monkeypatch):
     """The root's vertex (5/2, 0) rounds down to (2, 0), which satisfies
-    every row and beats the cutoff, so it is returned after the root LP
-    alone; the floor-first dive would solve two children to reach it."""
+    every row and is above the bound 0, so it is returned after the root
+    LP alone; the floor-first dive would solve two children to reach it.
+    Above 2, the rounded point is dropped and the dive goes on."""
     problem = milp(2, {0: 1, 1: 1}, [({0: 2, 1: 2}, LESS_EQ, 5)])
     assert simplex.solve_lp(problem).structural_point(2) == (Fraction(5, 2), 0)
     from_scratch = count_calls(monkeypatch, simplex.solve_lp)
     from_parent = count_calls(monkeypatch, simplex.resolve_after)
-    result = solve_milp(problem, cutoff=Fraction(0))
-    assert result == MilpResult(Status.OPTIMAL, (2, 0), Fraction(2), early_stop=True)
+    assert solve_milp(problem, 0) == MilpResult((2, 0), Fraction(2))
     assert (from_scratch["milp"], from_parent["milp"]) == (1, 0)
+    assert solve_milp(problem, 2) is None
+    assert from_parent["milp"] > 0
 
 
 def test_rounded_down_reads_priced_slacks_and_checks_every_row():
@@ -302,7 +305,7 @@ def test_only_the_root_is_solved_from_scratch(monkeypatch):
     from_parent = count_calls(monkeypatch, simplex.resolve_after)
     children = 0
     for program in programs:
-        solve_milp(program)
+        solve_milp(program, 0)
         assert from_scratch["milp"] == 1
         children += from_parent["milp"]
         from_scratch.clear()

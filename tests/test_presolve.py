@@ -121,3 +121,17 @@ def test_a_row_over_an_implied_rows_slack_is_refused():
     assert feasible_tableau(1, (*rows, LinearRow(((1, 1),), GREATER_EQ, 1))) is not None
     with pytest.raises(InvariantViolated, match="implied row"):
         feasible_tableau(1, (*rows, LinearRow(((2, 1),), GREATER_EQ, 1)))
+
+
+def test_an_objective_over_an_implied_rows_slack_is_refused():
+    """No tableau holds an implied row's slack, so a cost on it would never
+    be priced: the program over x0 + x1 <= 100, which 2 x0 <= 5 and
+    2 x1 <= 7 imply, refuses a cost on that row's slack, and builds with
+    the rows unmarked or with a zero cost there."""
+    rows = constraint_rows([[1, 1], [2, 0], [0, 2]], [100, 5, 7])
+    marked = presolve(2, rows)
+    assert [row.implied for row in marked] == [True, False, False]
+    with pytest.raises(ValueError, match="implied row"):
+        LinearProgram.of(2, {2: 1}, marked)
+    assert LinearProgram.of(2, {2: 1}, rows).cost == (0, 0, 1)
+    assert LinearProgram.of(2, {2: 0}, marked).cost == (0, 0, 0)

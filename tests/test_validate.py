@@ -12,7 +12,7 @@ from effset.errors import AssumptionViolated
 from effset.generator import GeneratorConfig, generate
 from effset.model import instance, is_feasible, ratio
 from effset.simplex import LinearProgram, Status, constraint_rows
-from effset.validate import validate_instance
+from effset.validate import integer_witness, validate_instance
 
 from conftest import count_calls
 
@@ -99,6 +99,18 @@ def test_lp_count(monkeypatch):
     # The others are the witness MILP's root solves, inside solve_lp.
     assert tableaus == Counter(validate=1, simplex=lps["milp"])
     assert optimized == Counter(validate=1 + len(inst.criteria) + 2, simplex=lps["milp"])
+
+
+def test_the_witness_milp_stops_at_its_first_point(monkeypatch):
+    """Over x0 + x1 >= 3/2 the zero objective's root vertex is (3/2, 0),
+    whose floor child x0 <= 1 reaches (1, 1/2) with x0 >= 2 still on the
+    stack; of that node's children y <= 0 is empty and y >= 1 gives the
+    first integer point (1, 1). It is returned after three re-solves, and
+    the sibling x0 >= 2 is never solved."""
+    rows = constraint_rows([[-2, -2], [1, 0], [0, 1]], [-3, 5, 5])
+    from_parent = count_calls(monkeypatch, simplex.resolve_after)
+    assert integer_witness(rows, 2) == (1, 1)
+    assert from_parent["milp"] == 3
 
 
 @pytest.mark.parametrize("n, lps, implied", [(5, 1, 3), (10, 3, 2), (30, 2, 0)])
