@@ -44,8 +44,8 @@ def test_knapsack():
 
 
 def test_slack_columns_are_not_integer():
-    # x0 <= 5/2: branching on x0 reaches x0 = 2, whose row slack is 1/2. An
-    # integer slack would need a half-integer x0, leaving no solution.
+    # x0 <= 5/2: the root vertex rounds down to x0 = 2, whose row slack is
+    # 1/2. An integer slack would need a half-integer x0, leaving no point.
     result = solve_milp(milp(1, {0: 1}, [({0: 1}, LESS_EQ, Fraction(5, 2))]), 1)
     assert result == MilpResult((2,), Fraction(2))
 
