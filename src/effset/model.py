@@ -1,17 +1,21 @@
 """Exact data model shared by every solver component.
 
-Instance data are `fractions.Fraction`s. A constraint row (`LinearRow`)
-holds integers over one positive scale, and each affine form keeps its
-integer data (`AffineForm.scaled`), so the solvers read integers without
-rescaling a row or a form again. An instance builds its rows once
-(`ProblemInstance.rows`) and marks those the others imply with strict
-slack (`simplex.presolve`), which no tableau writes and `is_feasible`
-skips. An integer point is checked against
-dense integer rows (`LinearRow.dense`, `row_gaps`) and evaluated on each
-objective's integer data (`FractionalObjective.scaled`). The solvers
-decide branching, cuts and efficiency from the signs of computed
-quantities, so arithmetic has to be exact; floats never appear on any
-decision path.
+Instance data are `fractions.Fraction`s. Every rational the solvers read
+becomes integers over one positive scale, the lcm of its denominators, in
+one place (`integers`): a constraint row (`LinearRow`), an affine form's
+data (`AffineForm.scaled`, kept once per form), a program's cost
+(`simplex.LinearProgram.of`) and a rational point. So the solvers read
+integers without rescaling a row or a form again. An instance builds its
+rows once (`ProblemInstance.rows`) and marks those the others imply with
+strict slack (`simplex.presolve`), which no tableau writes and
+`is_feasible` skips. An integer point is checked against dense integer
+rows (`LinearRow.dense`, `row_gaps`), and every ratio is evaluated by one
+integer kernel (`_ratio_at_ints`) on each objective's integer data
+(`FractionalObjective.scaled`), at an all-int point as it is and at a
+rational point over its common denominator. The solvers decide
+branching, cuts and efficiency from the signs of computed quantities, so
+arithmetic has to be exact; floats never appear on any decision path, and
+`integers` refuses them.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from operator import mul
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
 
 from .errors import LengthMismatch, ZeroDenominator
 
@@ -39,24 +43,26 @@ _RELATIONS = (LESS_EQ, GREATER_EQ)
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, strings like '-4/7' and Fractions to Fraction."""
+    """Coerce ints, strings like '-4/7' and Fractions to Fraction. A float
+    is refused: its binary value (0.1 is 3602879701896397 / 2**55) is
+    seldom the number meant, and its power-of-two denominator would scale
+    every integer the solvers derive from it."""
+    if isinstance(value, float):
+        raise TypeError(f"{value!r} is a float; pass an int, a string such as '1/10' or a Fraction")
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
-def _dot(coeffs: Sequence, point: Sequence, constant=0) -> tuple[int, int]:
-    """constant + coeffs . point over ints and Fractions, as an unreduced
-    (numerator, denominator > 0). Integer data stays in int arithmetic; one
-    gcd when the caller builds a Fraction replaces one per term."""
-    num, den = constant.numerator, constant.denominator
-    for c, v in zip(coeffs, point):
-        if c and v:
-            n = c.numerator * v.numerator
-            d = c.denominator * v.denominator
-            if d == den:
-                num += n
-            else:
-                num, den = num * d + n * den, den * d
-    return num, den
+def integers(values: Collection) -> tuple[Collection[int], int]:
+    """(ints, scale): scale times each value (an int, a string like '-4/7'
+    or a Fraction, see `as_fraction`) as an int, scale > 0 the lcm of the
+    values' denominators; all ints come back as they are, over 1. Every
+    rational the solvers read becomes integers here: a row, a form, a
+    program's cost and a point."""
+    if all(map(isinstance, values, repeat(int))):
+        return values, 1
+    values = [v if isinstance(v, (int, Fraction)) else as_fraction(v) for v in values]
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 @dataclass(frozen=True)
@@ -71,31 +77,25 @@ class AffineForm:
         return cls(tuple(as_fraction(c) for c in coeffs), as_fraction(constant))
 
     def at(self, point: Sequence) -> Fraction:
-        return Fraction(*self._at(point))
+        """The value at point, summed in ints (`scaled_at`)."""
+        point, den = integers(point)
+        return Fraction(self.scaled_at(point, den), self.scaled[2] * den)
 
     @cached_property
     def scaled(self) -> tuple[tuple[int, ...], int, int]:
-        """(coeffs, constant, scale): scale times the form as integers,
-        scale the lcm of its denominators. Computed once per form."""
-        scale = denominator_lcm((*self.coeffs, self.constant))
-        coeffs = tuple(v.numerator * (scale // v.denominator) for v in self.coeffs)
-        constant = self.constant
-        return coeffs, constant.numerator * (scale // constant.denominator), scale
+        """(coeffs, constant, scale): scale times the form as integers
+        (`integers`). Computed once per form."""
+        (*coeffs, constant), scale = integers((*self.coeffs, self.constant))
+        return tuple(coeffs), constant, scale
 
-    def _at(self, point: Sequence) -> tuple[int, int]:
-        """The value at point as an unreduced (numerator, denominator > 0),
-        summed over the form's integer data."""
-        self._check(point)
-        coeffs, constant, scale = self.scaled
-        num, den = _dot(coeffs, point, constant)
-        return num, den * scale
-
-    def scaled_at(self, point: Sequence[int]) -> int:
-        """`scale` times the value at an integer point: the constant plus
-        the dot product of the form's integer data (`scaled`) with it."""
+    def scaled_at(self, point: Sequence[int], den: int = 1) -> int:
+        """`scale * den` times the value at point / den, for an int point
+        over a common denominator den > 0 (`integers`): den times the
+        constant plus the dot product of the form's integer data (`scaled`)
+        with the point."""
         self._check(point)
         coeffs, constant, _ = self.scaled
-        return constant + sum(map(mul, coeffs, point))
+        return constant * den + sum(map(mul, coeffs, point))
 
     def _check(self, point: Sequence) -> None:
         if len(point) != len(self.coeffs):
@@ -133,37 +133,37 @@ def ratio(num_coeffs, num_const, den_coeffs, den_const) -> FractionalObjective:
     )
 
 
-def _ratio_at_ints(objective: FractionalObjective, point: Sequence[int]) -> Fraction:
-    """The ratio at an all-int point, both forms summed in ints over the
-    objective's integer data (`FractionalObjective.scaled`)."""
+def _ratio_at_ints(objective: FractionalObjective, point: Sequence[int], den: int = 1) -> Fraction:
+    """The ratio at point / den, for an int point over a common
+    denominator den > 0: both forms summed in ints over the objective's
+    integer data (`FractionalObjective.scaled`), in which den cancels.
+    Every ratio is evaluated here."""
     c, c0, sn, d, d0, sd = objective.scaled
     if len(point) != len(c):
         objective.numerator._check(point)
+    if den != 1:
+        c0, d0 = c0 * den, d0 * den
     q = d0 + sum(map(mul, d, point))
     if q == 0:
-        raise ZeroDenominator(f"denominator vanishes at {tuple(point)}")
+        over = f" / {den}" if den != 1 else ""
+        raise ZeroDenominator(f"denominator vanishes at {tuple(point)}{over}")
     return Fraction((c0 + sum(map(mul, c, point))) * sd, q * sn)
 
 
 def evaluate(objective: FractionalObjective, point: Sequence) -> Fraction:
-    """The ratio at point: summed in ints at an all-int point
-    (`_ratio_at_ints`), through `_dot` at other points."""
-    if all(map(isinstance, point, repeat(int))):
-        return _ratio_at_ints(objective, point)
-    num, den = objective.numerator, objective.denominator
-    q_num, q_den = den._at(point)
-    if q_num == 0:
-        raise ZeroDenominator(f"denominator vanishes at {tuple(point)}")
-    p_num, p_den = num._at(point)
-    return Fraction(p_num * q_den, p_den * q_num)
+    """The ratio at point (`_ratio_at_ints`)."""
+    return _ratio_at_ints(objective, *integers(point))
 
 
 def image(objectives: Iterable[FractionalObjective], point: Sequence) -> ObjectiveVector:
-    """Each objective's ratio at point (`evaluate`), the point's int check
-    made once for all of them."""
+    """Each objective's ratio at point (`_ratio_at_ints`), the point
+    brought to ints once for all of them. Every solution record and
+    witness is imaged at an int point, which goes in as it is, a call
+    shorter than through `integers`."""
     if all(map(isinstance, point, repeat(int))):
         return tuple([_ratio_at_ints(obj, point) for obj in objectives])
-    return tuple([evaluate(obj, point) for obj in objectives])
+    point, den = integers(point)
+    return tuple([_ratio_at_ints(obj, point, den) for obj in objectives])
 
 
 @dataclass(frozen=True)
@@ -192,13 +192,12 @@ class LinearRow:
     @classmethod
     def of(cls, coeffs, relation: str, rhs) -> "LinearRow":
         """coeffs may be a {index: value} mapping or a dense sequence of
-        ints, strings like '-4/7' or Fractions; each is converted once."""
-        items = coeffs.items() if isinstance(coeffs, Mapping) else enumerate(coeffs)
-        entries = [(j, v) for j, v in ((j, as_fraction(v)) for j, v in items) if v]
-        rhs = as_fraction(rhs)
-        scale = denominator_lcm((rhs, *(v for _, v in entries)))
-        pairs = sorted((j, v.numerator * (scale // v.denominator)) for j, v in entries)
-        return cls(tuple(pairs), relation, rhs.numerator * (scale // rhs.denominator), scale)
+        ints, strings like '-4/7' or Fractions; the row is converted once
+        (`integers`)."""
+        items = sorted(coeffs.items()) if isinstance(coeffs, Mapping) else list(enumerate(coeffs))
+        (rhs, *values), scale = integers((rhs, *(v for _, v in items)))
+        pairs = tuple((j, c) for (j, _), c in zip(items, values) if c)
+        return cls(pairs, relation, rhs, scale)
 
     @classmethod
     def over(cls, coeffs: Sequence[int], relation: str, rhs: int, scale: int) -> "LinearRow":
@@ -239,15 +238,12 @@ def constraint_rows(a_matrix, b_vector) -> tuple[LinearRow, ...]:
     """Ax <= b as rows, each scaled by the lcm of its denominators to a row
     of scale 1: the same halfspaces over integer data, so slacks take
     integer values at integer points (the branch-and-cut rounds rely on
-    this). Entries are ints or Fractions, and each row is built once, in
-    integers. An instance builds these once (`ProblemInstance.rows`)."""
+    this). Entries are ints or Fractions, and each row is converted once
+    (`integers`). An instance builds these once (`ProblemInstance.rows`)."""
     rows = []
     for a_row, rhs in zip(a_matrix, b_vector):
-        scale = denominator_lcm((rhs, *a_row))
-        coeffs = tuple(
-            (j, v.numerator * (scale // v.denominator)) for j, v in enumerate(a_row) if v
-        )
-        rows.append(LinearRow(coeffs, LESS_EQ, rhs.numerator * (scale // rhs.denominator)))
+        (rhs, *values), _ = integers((rhs, *a_row))
+        rows.append(LinearRow(tuple((j, c) for j, c in enumerate(values) if c), LESS_EQ, rhs))
     return tuple(rows)
 
 
@@ -390,11 +386,4 @@ def pareto_filter(entries: Sequence[tuple[Point, ObjectiveVector]]) -> list[Poin
             front.append(vec)
             kept[i] = True
     return [point for (point, _), keep in zip(entries, kept) if keep]
-
-
-def denominator_lcm(values: Iterable[Fraction]) -> int:
-    scale = 1
-    for v in values:
-        scale = math.lcm(scale, v.denominator)
-    return scale
 

@@ -113,18 +113,9 @@ from itertools import zip_longest
 from typing import Mapping, Sequence
 
 from .errors import InvariantViolated, NotOptimal
-# The row type, its relations and constraint_rows live in model; the
-# solvers' callers import them from here as well.
-from .model import (
-    GREATER_EQ,
-    LESS_EQ,
-    ZERO,
-    AffineForm,
-    LinearRow,
-    as_fraction,
-    constraint_rows,
-    denominator_lcm,
-)
+# The row type and its relations live in model; the solvers' callers
+# import them from here as well.
+from .model import GREATER_EQ, LESS_EQ, ZERO, AffineForm, LinearRow, integers
 
 
 class Status(enum.Enum):
@@ -153,20 +144,20 @@ class LinearProgram:
     def of(cls, num_vars, objective, rows) -> "LinearProgram":
         """objective may be a {index: value} mapping or a dense sequence of
         ints, strings like '-4/7' or Fractions; it is sized to num_vars or
-        to the last column it names, and converted once, over the lcm of
-        its denominators, as `LinearRow.of` converts a row."""
+        to the last column it names, and converted once (`integers`), as
+        `LinearRow.of` converts a row."""
         rows = tuple(rows)
-        items = objective.items() if isinstance(objective, Mapping) else enumerate(objective)
-        named = {j: as_fraction(v) for j, v in items}
+        named = dict(objective.items() if isinstance(objective, Mapping) else enumerate(objective))
+        values, scale = integers(named.values())
+        named = dict(zip(named, values))
         columns = num_vars + len(rows)
         if any(not 0 <= j < columns for j in named):
             raise ValueError(f"the objective names a column outside the program's {columns}")
         if any(v and j >= num_vars and rows[j - num_vars].implied for j, v in named.items()):
             raise ValueError("the objective prices the slack of an implied row")
-        scale = denominator_lcm(named.values())
         cost = [0] * max(num_vars, 1 + max(named, default=-1))
         for j, v in named.items():
-            cost[j] = v.numerator * (scale // v.denominator)
+            cost[j] = v
         return cls(num_vars, tuple(cost), scale, rows)
 
     @cached_property

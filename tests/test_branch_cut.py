@@ -33,6 +33,7 @@ from effset.generator import GeneratorConfig, generate
 from effset.instances import dumps, loads
 from effset.milp import branch_rows
 from effset.model import (
+    constraint_rows,
     criteria_image,
     dominates,
     evaluate,
@@ -41,7 +42,7 @@ from effset.model import (
     utility_image,
 )
 from effset.oracle import efficient_sets, enumerate_feasible
-from effset.simplex import GREATER_EQ, LESS_EQ, LinearRow, constraint_rows
+from effset.simplex import GREATER_EQ, LESS_EQ, LinearRow
 from effset.validate import validate_instance
 
 from conftest import DEMO_SOLUTION_SET, assert_dakin_rows, build_demo, count_calls

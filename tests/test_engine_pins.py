@@ -58,7 +58,8 @@ from effset import branch_cut, oracle
 from effset.efficiency import is_in_solution_set
 from effset.fractional import solve_lfp
 from effset.generator import GeneratorConfig, generate
-from effset.simplex import LinearRow, constraint_rows
+from effset.model import constraint_rows
+from effset.simplex import LinearRow
 
 PROGRAMS = Path(__file__).parent / "data" / "search_node_programs.txt"
 

@@ -1,18 +1,20 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from effset.errors import LengthMismatch, ZeroDenominator
 from effset.model import (
     AffineForm,
     ProblemInstance,
+    as_fraction,
     at_least,
     dominates,
     evaluate,
     image,
     instance,
+    integers,
     is_feasible,
     pareto_filter,
     ratio,
@@ -90,6 +92,22 @@ class TestAffineForm:
         assert form.at(point) == expected
 
 
+class TestIntegers:
+    def test_values_become_ints_over_the_lcm_of_their_denominators(self):
+        assert integers([2, "-4/7", "1/10", Fraction(3, 5)]) == ([140, -40, 7, 42], 70)
+        assert integers([]) == ([], 1)
+
+    def test_floats_are_refused(self):
+        for build in (
+            lambda: integers([1, 0.1]),
+            lambda: as_fraction(0.5),
+            lambda: ratio([0.1, 1], 0, [0, 1], 1),
+            lambda: LinearRow.of({0: 2.5}, LESS_EQ, 1),
+        ):
+            with pytest.raises(TypeError, match="is a float"):
+                build()
+
+
 class TestObjectives:
     def test_evaluate(self):
         obj = ratio([1, 0], -4, [0, -1], 2)
@@ -112,10 +130,9 @@ class TestObjectives:
         st.data(),
     )
     def test_integer_points_agree_with_the_fraction_path(self, coeffs, constant, data):
-        """An all-int point is summed in ints over the objective's integer
-        data (FractionalObjective.scaled), the same point as Fractions
-        through _dot: both give the ratio of the two forms' values, alone
-        and in an image."""
+        """An all-int point goes into the integer kernel as it is, the
+        same point as Fractions through `integers`: both give the ratio of
+        the two forms' values, alone and in an image."""
         n = len(coeffs)
         den_coeffs = data.draw(st.lists(rationals, min_size=n, max_size=n))
         den_constant = data.draw(rationals)
@@ -132,6 +149,44 @@ class TestObjectives:
         assert evaluate(obj, point) == evaluate(obj, as_fractions) == p / q
         assert image([obj, obj], point) == image([obj, obj], as_fractions) == (p / q, p / q)
         assert obj.numerator.scaled_at(point) == p * obj.numerator.scaled[2]
+
+    @given(
+        st.lists(rationals, min_size=1, max_size=5),
+        rationals,
+        st.booleans(),
+        st.data(),
+    )
+    def test_rational_points_match_fraction_arithmetic(self, coeffs, constant, vanish, data):
+        """At a point with some denominator above 1, brought to ints over a
+        common denominator (`integers`), `evaluate`, `image` and
+        `AffineForm.at` equal plain Fraction arithmetic; a denominator that
+        vanishes there (drawn on purpose) raises ZeroDenominator, and a
+        point of the wrong length LengthMismatch."""
+        n = len(coeffs)
+        den_coeffs = data.draw(st.lists(rationals, min_size=n, max_size=n))
+        den = data.draw(st.integers(2, 12))
+        point = [Fraction(v, den) for v in data.draw(st.lists(st.integers(-60, 60), min_size=n, max_size=n))]
+        assume(any(v.denominator > 1 for v in point))
+        q = sum(d * v for d, v in zip(den_coeffs, point))
+        den_constant = -q if vanish else data.draw(rationals)
+        q += den_constant
+        obj = ratio(coeffs, constant, den_coeffs, den_constant)
+        p = sum(c * v for c, v in zip(coeffs, point)) + constant
+        assert obj.numerator.at(point) == p
+        assert obj.denominator.at(point) == q
+        for wrong in (point[:-1], point + [Fraction(1, den)]):
+            with pytest.raises(LengthMismatch):
+                evaluate(obj, wrong)
+            with pytest.raises(LengthMismatch):
+                obj.numerator.at(wrong)
+        if q == 0:
+            with pytest.raises(ZeroDenominator):
+                evaluate(obj, point)
+            with pytest.raises(ZeroDenominator):
+                image([obj], point)
+            return
+        assert evaluate(obj, point) == p / q
+        assert image([obj, obj], point) == (p / q, p / q)
 
     def test_both_paths_raise_length_mismatch(self):
         obj = ratio([1, 0], 1, [0, 1], 1)

@@ -9,14 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effset.errors import InvariantViolated
-from effset.model import instance, is_feasible, ratio
+from effset.model import constraint_rows, instance, is_feasible, ratio
 from effset.simplex import (
     GREATER_EQ,
     LESS_EQ,
     LinearProgram,
     LinearRow,
     Status,
-    constraint_rows,
     feasible_tableau,
     presolve,
     solve_lp,

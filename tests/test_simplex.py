@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from effset import fractional, simplex
 from effset.errors import InvariantViolated, NotOptimal
 from effset.fractional import solve_lfp
-from effset.model import AffineForm, ratio
+from effset.model import AffineForm, constraint_rows, integers, ratio
 from effset.simplex import (
     GREATER_EQ,
     LESS_EQ,
@@ -77,12 +77,19 @@ class TestRowConstruction:
                 LinearProgram.of(2, objective, rows)
 
     @settings(max_examples=100, deadline=None)
-    @given(entries=st.lists(_objective_entry, max_size=6), as_mapping=st.booleans())
+    @given(
+        entries=st.lists(_objective_entry, max_size=6),
+        rhs=_objective_entry,
+        as_mapping=st.booleans(),
+    )
     def test_objective_is_kept_as_integers_over_the_lcm_of_its_denominators(
-        self, entries, as_mapping
+        self, entries, rhs, as_mapping
     ):
         """cost[j] / scale is entry j of the objective, ints, strings and
-        Fractions alike, and scale is the lcm of its denominators."""
+        Fractions alike, and scale is the lcm of its denominators. Every
+        builder converts through `model.integers`: a program's cost, a row
+        (`LinearRow.of`) and a form (`AffineForm.scaled`) keep its ints
+        over its scale, and `constraint_rows` keeps them at scale 1."""
         objective = dict(enumerate(entries)) if as_mapping else entries
         program = LinearProgram.of(2, objective, [LinearRow.of({0: 1}, LESS_EQ, 1)] * 4)
         values = [Fraction(v) for v in entries]
@@ -90,6 +97,13 @@ class TestRowConstruction:
         assert program.scale == math.lcm(*(v.denominator for v in values))
         assert all(type(c) is int for c in program.cost)
         assert [Fraction(c, program.scale) for c in program.cost] == values
+        assert (list(program.cost[: len(entries)]), program.scale) == integers(entries)
+
+        (h, *a), scale = integers([rhs, *entries])
+        sparse = tuple((j, c) for j, c in enumerate(a) if c)
+        assert LinearRow.of(objective, LESS_EQ, rhs) == LinearRow(sparse, LESS_EQ, h, scale)
+        assert AffineForm.of(entries, rhs).scaled == (tuple(a), h, scale)
+        assert constraint_rows([entries], [rhs]) == (LinearRow(sparse, LESS_EQ, h),)
 
 
 class TestSolveLp:

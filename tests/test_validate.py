@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from effset import simplex
 from effset.errors import AssumptionViolated
 from effset.generator import GeneratorConfig, generate
-from effset.model import instance, is_feasible, ratio
-from effset.simplex import LinearProgram, Status, constraint_rows
+from effset.model import constraint_rows, instance, is_feasible, ratio
+from effset.simplex import LinearProgram, Status
 from effset.validate import integer_witness, validate_instance
 
 from conftest import count_calls
