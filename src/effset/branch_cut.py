@@ -75,10 +75,10 @@ from .model import (
     ObjectiveVector,
     Point,
     ProblemInstance,
+    _ratio_at_ints,
     at_least,
     criteria_image,
     dominates,
-    evaluate,
     utility_image,
 )
 from .simplex import GREATER_EQ, LinearRow, SimplexState, Status, Tableau
@@ -185,14 +185,15 @@ def ideal_point_beaten(
     def beaten(maximum):
         return any(dominates(u, corner(maximum)) for u in rivals)
 
-    vertex = corner(evaluate(companion, result.point))
+    n, state = len(companion.numerator.coeffs), result.state
+    vertex = corner(_ratio_at_ints(companion, state.vertex(n), state.det))
     rivals = [rec.utility_values for rec in archive if at_least(rec.utility_values, vertex)]
     if not rivals:
         return False, known
     fathom = beaten(known[0])
     if fathom or not known[2]:
         return fathom, known
-    read = maximize(len(result.point), known[2], companion, known[1])
+    read = maximize(n, known[2], companion, known[1])
     if read is None:
         raise InvariantViolated("the appended rows empty the region of a maximum")
     return beaten(read[0]), (*read, ())
@@ -277,10 +278,10 @@ def run(
             record(FATHOM_INFEASIBLE)
             continue
 
-        point = result.point
         branch = branch_rows(result.state, n)
-        integer_point = None if branch else tuple(int(v) for v in point)
-        if integer_point is not None:
+        if branch is None:
+            det = result.state.det
+            integer_point = tuple([v // det for v in result.state.vertex(n)])
             candidate = _record(inst, integer_point)
             dominator = next(
                 (

@@ -34,11 +34,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import AssumptionViolated, InvariantViolated, NotOptimal, UnboundedDomain
-from .model import AffineForm, FractionalObjective
+from .model import ZERO, AffineForm, FractionalObjective
 from .simplex import (
     GREATER_EQ,
     LESS_EQ,
-    ZERO,
     LinearProgram,
     LinearRow,
     SimplexState,

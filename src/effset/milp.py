@@ -32,9 +32,10 @@ written, as in a from-scratch solve, so a child's system is its extended
 program's.
 
 A node is read in integers: its value times det and the objective's
-scale is the carried objective row's last entry, negated, and the floor
-of its point (`_floor`), the point itself at an integral node, is read
-off its right-hand sides. Only a returned value is built as a `Fraction`.
+scale is the carried objective row's last entry, negated, and its point
+is read off its state (`SimplexState.vertex`, det times the point), whose
+entries // det are the floor of the point, the point itself at an
+integral node. Only a returned value is built as a `Fraction`.
 
 Each fractional node that survives bounding also tries simple rounding
 (Achterberg 2007, ch. 9; Berthold 2006), before its children are pushed:
@@ -78,43 +79,30 @@ class MilpResult:
 
 def branch_rows(state: SimplexState, n: int) -> tuple[LinearRow, LinearRow] | None:
     """Dakin's branch at an optimal state over n structural variables: the
-    rows x_j <= floor and x_j >= floor + 1 on the smallest structural x_j
-    whose value, its right-hand side over det, is fractional, floor being
-    its right-hand side // det; None at an integer vertex."""
+    rows x_j <= floor and x_j >= floor + 1 on the first x_j whose value,
+    its `vertex` entry over det, is fractional, floor being that entry //
+    det; None at an integer vertex."""
     det = state.det
-    j, rhs = min(
-        ((var, row[-1]) for var, row in zip(state.basis, state.rows) if var < n and row[-1] % det),
-        default=(-1, 0),
-    )
-    if j < 0:
-        return None
-    lo, unit = rhs // det, ((j, 1),)
-    return LinearRow(unit, LESS_EQ, lo), LinearRow(unit, GREATER_EQ, lo + 1)
-
-
-def _floor(state: SimplexState, n: int) -> tuple[int, ...]:
-    """The floor of the state's first n coordinates: each basic structural
-    variable's right-hand side // det, 0 for each nonbasic one."""
-    y, det = [0] * n, state.det
-    for var, row in zip(state.basis, state.rows):
-        if var < n:
-            y[var] = row[-1] // det
-    return tuple(y)
+    for j, v in enumerate(state.vertex(n)):
+        if v % det:
+            lo, unit = v // det, ((j, 1),)
+            return LinearRow(unit, LESS_EQ, lo), LinearRow(unit, GREATER_EQ, lo + 1)
+    return None
 
 
 def rounded_down(
     program: LinearProgram, state: SimplexState
 ) -> tuple[tuple[int, ...], Fraction] | None:
-    """Simple rounding at a node: y = `_floor` of the state's point, with
-    its exact objective value, slack columns included, when y satisfies
-    every row a tableau holds (`LinearProgram.dense_rows`), which with
-    y >= 0 imply the rest. None when y violates a row, or when some row
-    names a slack column, whose value at y the program does not fix."""
+    """Simple rounding at a node: y = floor of the state's point (`vertex`
+    // det), with its exact objective value, slack columns included, when y
+    satisfies every row a tableau holds (`LinearProgram.dense_rows`), which
+    with y >= 0 imply the rest. None when y violates a row, or when some
+    row names a slack column, whose value at y the program does not fix."""
     rows = program.dense_rows
     if rows is None:
         return None
-    n, cost = program.num_vars, program.cost
-    y = _floor(state, n)
+    n, cost, det = program.num_vars, program.cost, state.det
+    y = tuple([v // det for v in state.vertex(n)])
     if row_gaps(rows, y) is None:
         return None
     # Row i's slack is its gap over its scale; cost is scale times the objective.
@@ -164,7 +152,8 @@ def solve_milp(program: LinearProgram, above: Fraction | int) -> MilpResult | No
         # offers its rounded-down vertex when that is feasible.
         rows = branch_rows(state, n)
         if rows is None:
-            return MilpResult(_floor(state, n), Fraction(scaled, det * scale))
+            point = tuple([v // det for v in state.vertex(n)])
+            return MilpResult(point, Fraction(scaled, det * scale))
         found = rounded_down(program, state)
         if found is not None and found[1] > above:
             return MilpResult(*found)

@@ -321,11 +321,13 @@ def instance(a, b, criteria, utilities) -> ProblemInstance:
 
 
 def is_feasible(inst: ProblemInstance, point: Sequence) -> bool:
-    """Ax <= b and x >= 0, tested on the instance's dense integer rows
-    (`row_gaps`). Integrality is the caller's concern."""
+    """Ax <= b and x >= 0, decided exactly on the instance's dense integer
+    rows (`row_gaps`); a float is refused. Integrality is the caller's."""
     if len(point) != inst.variable_count:
         raise LengthMismatch("point has wrong dimension")
-    return min(point, default=0) >= 0 and row_gaps(inst.dense_rows, point) is not None
+    if isinstance(sum(point), float):  # a float anywhere makes the sum one
+        integers(point)  # raises TypeError naming the float
+    return (not point or min(point) >= 0) and row_gaps(inst.dense_rows, point) is not None
 
 
 def criteria_image(inst: ProblemInstance, point: Sequence) -> ObjectiveVector:

@@ -28,8 +28,9 @@ times sigma, except column s, which becomes sigma * det. Then det = |p|,
 the determinant of the new basis, so every division is exact and entries
 stay bounded by minors of the scaled input. This is the full
 integer tableau's pivot restricted to the new nonbasic columns. A
-`SimplexState` keeps the final integer rows; `Fraction`s are built only
-when a point or a reduced row is read off it.
+`SimplexState` keeps the final integer rows and reads its point off them
+in ints (`vertex`); `Fraction`s are built only for its Fraction view
+(`structural_point`) or a reduced row.
 
 One path builds every tableau (`resolve_after`): append rows to a solved
 state, then run the dual loop. A solve from scratch appends every row to
@@ -115,7 +116,7 @@ from typing import Mapping, Sequence
 from .errors import InvariantViolated, NotOptimal
 # The row type and its relations live in model; the solvers' callers
 # import them from here as well.
-from .model import GREATER_EQ, LESS_EQ, ZERO, AffineForm, LinearRow, integers
+from .model import GREATER_EQ, LESS_EQ, AffineForm, LinearRow, integers
 
 
 class Status(enum.Enum):
@@ -179,11 +180,11 @@ class SimplexState:
     shared without a copy; pivots replace rows instead of writing into
     them. num_vars counts every column, structural and slack (row i adds
     column n + i over n structural variables), an implied row's included,
-    whose slack is neither basic nor in `cols` and reads 0 in
-    `structural_point`; det is |det B| for the
-    basis columns B of the integer standard form. `costs` are the tableau's
-    carried reduced rows, the reduced rows of the integer costs `priced`
-    (see Tableau.carry), so a re-solve from the state starts from them. An
+    whose slack is neither basic nor in `cols`; det is |det B| for the
+    basis columns B of the integer standard form. `vertex` is the one
+    reader of the state's point. `costs` are the tableau's carried reduced
+    rows, the reduced rows of the integer costs `priced` (see
+    Tableau.carry), so a re-solve from the state starts from them. An
     INFEASIBLE state has no basis, rows, columns or costs, and its num_vars
     counts the structural variables only."""
 
@@ -196,13 +197,20 @@ class SimplexState:
     costs: tuple[list[int], ...] = ()
     priced: tuple[Sequence[int], ...] = ()
 
-    def structural_point(self, n: int) -> tuple[Fraction, ...]:
-        """The first n coordinates of the state's point."""
-        point = [ZERO] * n
+    def vertex(self, n: int) -> list[int]:
+        """det times the first n coordinates of the state's point, as ints:
+        each basic variable's right-hand side, 0 for a nonbasic one (an
+        implied row's slack included). Every reader of the point reads it
+        here, the Fraction view `structural_point` too."""
+        x = [0] * n
         for var, row in zip(self.basis, self.rows):
             if var < n:
-                point[var] = Fraction(row[-1], self.det)
-        return tuple(point)
+                x[var] = row[-1]
+        return x
+
+    def structural_point(self, n: int) -> tuple[Fraction, ...]:
+        """The first n coordinates of the state's point (`vertex` over det)."""
+        return tuple([Fraction(v, self.det) for v in self.vertex(n)])
 
 
 class Tableau:

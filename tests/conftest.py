@@ -86,6 +86,16 @@ def assert_dakin_rows(state, n, rows):
     assert rows == (LinearRow.of({j: 1}, LESS_EQ, lo), LinearRow.of({j: 1}, GREATER_EQ, lo + 1))
 
 
+def assert_vertex_read(state, n):
+    """The state's one point reader (`SimplexState.vertex`, det times the
+    point in ints) over det is its Fraction point, and its entries // det
+    are the floor of each coordinate, the rounded point both
+    branch-and-bounds read."""
+    point, x = state.structural_point(n), state.vertex(n)
+    assert tuple(Fraction(v, state.det) for v in x) == point
+    assert [v // state.det for v in x] == [math.floor(v) for v in point]
+
+
 def assert_fits(num_vars, rows, full_point):
     """The full point (structural coordinates, then one slack per row in
     row order) is >= 0, gives each row's slack its value as the row is

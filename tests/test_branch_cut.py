@@ -45,7 +45,13 @@ from effset.oracle import efficient_sets, enumerate_feasible
 from effset.simplex import GREATER_EQ, LESS_EQ, LinearRow
 from effset.validate import validate_instance
 
-from conftest import DEMO_SOLUTION_SET, assert_dakin_rows, build_demo, count_calls
+from conftest import (
+    DEMO_SOLUTION_SET,
+    assert_dakin_rows,
+    assert_vertex_read,
+    build_demo,
+    count_calls,
+)
 from test_model import rationals
 
 
@@ -606,6 +612,7 @@ def test_branch_rows_on_every_node_state_of_the_four_walks(monkeypatch, strategy
     rows = [branch_rows(state, 5) for state in states]
     for state, branch in zip(states, rows):
         assert_dakin_rows(state, 5, branch)
+        assert_vertex_read(state, 5)
     assert None in rows and any(rows)
 
 

@@ -16,7 +16,7 @@ from effset.model import row_gaps
 from effset.oracle import enumerate_feasible
 from effset.simplex import GREATER_EQ, LESS_EQ, LinearProgram, LinearRow, SimplexState, Status
 
-from conftest import assert_dakin_rows, count_calls
+from conftest import assert_dakin_rows, assert_vertex_read, count_calls
 
 
 def milp(num_vars, objective, rows):
@@ -332,14 +332,15 @@ def test_branch_rows_on_every_membership_milp_node(monkeypatch):
     """On each feasible node state of the membership MILPs (every feasible
     point of 3x10x5 seeds 0-9), the shared branching rule returns None
     exactly at an integral point, and otherwise the rows on the first
-    fractional coordinate and its floor."""
+    fractional coordinate and its floor; the point read off the state is
+    its Fraction point, and a rounded-down point is its floor."""
     states = []
     relaxation = milp_module._relaxation
 
     def recorded(program, parent, row):
         state = relaxation(program, parent, row)
         if state is not None:
-            states.append((state, program.num_vars))
+            states.append((state, program))
         return state
 
     monkeypatch.setattr(milp_module, "_relaxation", recorded)
@@ -347,7 +348,14 @@ def test_branch_rows_on_every_membership_milp_node(monkeypatch):
         inst = generate(GeneratorConfig(num_vars=5, num_constraints=10, num_criteria=3, seed=seed))
         for point in enumerate_feasible(inst):
             is_in_solution_set(inst, point)
-    rows = [branch_rows(state, n) for state, n in states]
-    for (state, n), branch in zip(states, rows):
+    rows = [branch_rows(state, program.num_vars) for state, program in states]
+    rounded = 0
+    for (state, program), branch in zip(states, rows):
+        n = program.num_vars
         assert_dakin_rows(state, n, branch)
-    assert None in rows and any(rows)
+        assert_vertex_read(state, n)
+        found = rounded_down(program, state)
+        if found is not None:
+            rounded += 1
+            assert found[0] == tuple(math.floor(v) for v in state.structural_point(n))
+    assert None in rows and any(rows) and rounded

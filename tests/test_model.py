@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from effset.efficiency import is_in_solution_set
 from effset.errors import LengthMismatch, ZeroDenominator
 from effset.model import (
     AffineForm,
@@ -98,14 +99,25 @@ class TestIntegers:
         assert integers([]) == ([], 1)
 
     def test_floats_are_refused(self):
+        """Over the one row 3 x0 + 3 x1 <= 1, the floats below sum to 1 in
+        float arithmetic, yet their exact values violate the row: a point
+        check refuses them as every builder does, and decides a point of
+        Fractions exactly, on the row and just past it."""
+        obj = ratio([1, 0], 0, [0, 0], 1)
+        inst = instance([[3, 3]], [1], [obj, obj], [obj, obj])
         for build in (
             lambda: integers([1, 0.1]),
             lambda: as_fraction(0.5),
             lambda: ratio([0.1, 1], 0, [0, 1], 1),
             lambda: LinearRow.of({0: 2.5}, LESS_EQ, 1),
+            lambda: is_feasible(inst, (0.0033333333333333335, 0.33)),
+            lambda: is_feasible(inst, (0, 0.0)),
+            lambda: is_in_solution_set(inst, (0.0, 0.0)),
         ):
             with pytest.raises(TypeError, match="is a float"):
                 build()
+        assert is_feasible(inst, (Fraction(1, 6), Fraction(1, 6)))
+        assert not is_feasible(inst, (Fraction(1, 6), Fraction(1, 6) + Fraction(1, 10**30)))
 
 
 class TestObjectives:

@@ -1,4 +1,6 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "effset"
@@ -54,3 +56,21 @@ def test_every_definition_is_used_or_exported():
         and name not in effset.__all__
     ]
     assert sorted(unused) == sorted(TEST_ONLY)
+
+
+def test_the_package_loads_the_standard_library_only():
+    """pyproject.toml declares no dependency: with site-packages off
+    (`python -S`), importing the package and its command line loads no
+    top-level module outside the standard library."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import effset, effset.cli; "
+        "print(sorted({name.partition('.')[0] for name in sys.modules}"
+        " - set(sys.stdlib_module_names) - {'effset', '__main__'}))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert run.stdout.strip() == "[]"
