@@ -66,7 +66,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InvariantViolated, NodeLimitExceeded, NonIntegerPoint, NotOptimal
+from .errors import InvariantViolated, NodeLimitExceeded, NonIntegerPoint
 from .efficiency import is_in_solution_set
 from .fractional import LfpResult, maximize, ratio_gradient, solve_lfp
 from .milp import branch_rows
@@ -81,7 +81,7 @@ from .model import (
     dominates,
     utility_image,
 )
-from .simplex import GREATER_EQ, LinearRow, SimplexState, Status, Tableau
+from .simplex import GREATER_EQ, LinearRow, SimplexState, Tableau
 
 log = logging.getLogger(__name__)
 
@@ -204,8 +204,6 @@ def build_cut_sets(
 ) -> tuple[frozenset[int], frozenset[int]]:
     """Rounds at an integer optimum. `solved` names the utility the node
     maximized; the companion utility drives H'."""
-    if state.status is not Status.OPTIMAL:
-        raise NotOptimal("cut sets need an optimal state")
     if branch_rows(state, inst.variable_count) is not None:
         point = state.structural_point(inst.variable_count)
         raise NonIntegerPoint(f"cut sets need an integer optimum, got {point}")
@@ -266,6 +264,9 @@ def run(
             raise NodeLimitExceeded(f"node limit {node_limit} exceeded")
 
         result = solve_lfp(n, node.rows, utility, node.parent_state)
+        if result is None:
+            report.trace.append(TraceRecord(node.id, node.parent, FATHOM_INFEASIBLE, *[None] * 4))
+            continue
 
         def record(
             action: str, h: frozenset[int] | None = None, hp: frozenset[int] | None = None
@@ -273,10 +274,6 @@ def run(
             report.trace.append(
                 TraceRecord(node.id, node.parent, action, result.point, result.value, h, hp)
             )
-
-        if result.status is Status.INFEASIBLE:
-            record(FATHOM_INFEASIBLE)
-            continue
 
         branch = branch_rows(result.state, n)
         if branch is None:

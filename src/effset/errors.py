@@ -14,7 +14,9 @@ class LengthMismatch(EffsetError):
 
 
 class NotOptimal(EffsetError):
-    """An operation needed an optimal simplex state but got another status."""
+    """A basis is not optimal for the cost a re-solve prices: a dual
+    re-solve's first cost row has a positive entry, or its parent state
+    was solved for another objective."""
 
 
 class InvariantViolated(EffsetError):
@@ -30,10 +32,6 @@ class NodeLimitExceeded(EffsetError):
 class UnboundedDomain(EffsetError):
     """The feasible region admits an unbounded improving ray; the model
     requires a bounded polytope."""
-
-
-class UnboundedRelaxation(EffsetError):
-    """The root LP relaxation of an integer program is unbounded."""
 
 
 class NonIntegerPoint(EffsetError):

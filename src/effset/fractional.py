@@ -41,7 +41,6 @@ from .simplex import (
     LinearProgram,
     LinearRow,
     SimplexState,
-    Status,
     Tableau,
     _bland,
     feasible_tableau,
@@ -53,9 +52,8 @@ from .simplex import (
 
 @dataclass(frozen=True)
 class LfpResult:
-    status: Status
-    point: tuple[Fraction, ...] | None
-    value: Fraction | None
+    point: tuple[Fraction, ...]
+    value: Fraction
     state: SimplexState
 
 
@@ -118,7 +116,7 @@ def maximize(
         tab = resolve_after(parent, rows, lambda tab: [q * a - p * b for a, b in zip(*tab.costs)])
     if tab is None:
         return None
-    return _ratio_phase(tab, objective), tab.state(Status.OPTIMAL)
+    return _ratio_phase(tab, objective), tab.state()
 
 
 def solve_lfp(
@@ -126,8 +124,9 @@ def solve_lfp(
     rows: Sequence[LinearRow],
     objective: FractionalObjective,
     parent: SimplexState | None = None,
-) -> LfpResult:
-    """Maximize a fractional objective over the row system plus x >= 0.
+) -> LfpResult | None:
+    """Maximize a fractional objective over the row system plus x >= 0:
+    None when the rows are infeasible, UnboundedDomain on an improving ray.
 
     The returned point is the structural part; the full state (with slack
     coordinates, final tableau and the objective's carried rows) rides
@@ -140,14 +139,14 @@ def solve_lfp(
     rows appended to the parent's system, and may reference its columns
     and the slacks of earlier rows among them; each slack is that of its
     row as written. The final basis, and the point where optima tie, may
-    differ from a solve from scratch; the status and the value do not.
+    differ from a solve from scratch; the value does not, nor whether
+    there is one.
     """
     solved = maximize(num_vars, rows, objective, parent)
     if solved is None:
-        state = SimplexState(Status.INFEASIBLE, num_vars, (), ())
-        return LfpResult(Status.INFEASIBLE, None, None, state)
+        return None
     value, state = solved
-    return LfpResult(Status.OPTIMAL, state.structural_point(num_vars), value, state)
+    return LfpResult(state.structural_point(num_vars), value, state)
 
 
 def _ratio_phase(tab: Tableau, objective: FractionalObjective) -> Fraction:
@@ -175,7 +174,7 @@ def _ratio_phase(tab: Tableau, objective: FractionalObjective) -> Fraction:
         last = p_val, q_val
         return gamma
 
-    if _bland(tab, price) is Status.UNBOUNDED:
+    if not _bland(tab, price):
         raise UnboundedDomain(
             "improving ray with no blocking row; the domain is not a polytope"
         )
@@ -229,14 +228,15 @@ def _expand_rows(num_vars: int, rows: Sequence[LinearRow]):
 
 def solve_lfp_cc(
     num_vars: int, rows: Sequence[LinearRow], objective: FractionalObjective
-) -> tuple[Status, Fraction | None]:
+) -> Fraction | None:
     """Transform-based solve used as an independent oracle for solve_lfp.
 
     Variables are y = t x and t = 1/(q.x + beta) (Charnes & Cooper 1962).
     Each row a.x <= b becomes a.y - b t <= 0, the denominator is pinned by
     the pair q.y + beta t <= 1 and q.y + beta t >= 1, and the numerator
-    p.y + alpha t is maximized as a plain LP. Returns the optimal ratio
-    value; the maximizer is not recovered.
+    p.y + alpha t is maximized as a plain LP (`solve_lp`). Returns the
+    optimal ratio value, or None when the rows are infeasible, and raises
+    UnboundedDomain as solve_lp does; the maximizer is not recovered.
     """
     structural = _expand_rows(num_vars, rows)
     t_index = num_vars
@@ -256,10 +256,7 @@ def solve_lfp_cc(
     cc_objective[t_index] = p.constant
     program = LinearProgram.of(num_vars + 1, cc_objective, cc_rows)
     state = solve_lp(program)
-    if state.status is Status.INFEASIBLE:
-        return Status.INFEASIBLE, None
-    if state.status is Status.UNBOUNDED:
-        raise UnboundedDomain("transformed program unbounded; domain is no polytope")
+    if state is None:
+        return None
     form = AffineForm.of(list(p.coeffs) + [p.constant], 0)
-    _, value = reduced_row(state, form)
-    return Status.OPTIMAL, value
+    return reduced_row(state, form)[1]

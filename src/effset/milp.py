@@ -52,7 +52,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .errors import UnboundedRelaxation
 from .model import row_gaps
 from .simplex import (
     GREATER_EQ,
@@ -60,7 +59,6 @@ from .simplex import (
     LinearProgram,
     LinearRow,
     SimplexState,
-    Status,
     resolve_after,
     solve_lp,
 )
@@ -118,15 +116,13 @@ def _relaxation(
     program: LinearProgram, parent: SimplexState | None, row: LinearRow | None
 ) -> SimplexState | None:
     """A node's optimal LP state, or None when its LP is infeasible: the
-    root (no parent) from scratch, a child from its parent's final state
-    plus its branch row, on the parent's carried objective row."""
+    root (no parent) from scratch (`solve_lp`, which raises
+    UnboundedDomain on an unbounded root), a child from its parent's final
+    state plus its branch row, on the parent's carried objective row."""
     if parent is None:
-        state = solve_lp(program)
-        if state.status is Status.UNBOUNDED:
-            raise UnboundedRelaxation("root relaxation has no finite optimum")
-        return state if state.status is Status.OPTIMAL else None
+        return solve_lp(program)
     tab = resolve_after(parent, (row,))
-    return None if tab is None else tab.state(Status.OPTIMAL)
+    return None if tab is None else tab.state()
 
 
 def solve_milp(program: LinearProgram, above: Fraction | int) -> MilpResult | None:

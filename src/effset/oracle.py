@@ -19,9 +19,9 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .errors import EnumerationBudgetExceeded, UnboundedDomain
+from .errors import EnumerationBudgetExceeded
 from .model import LinearRow, Point, ProblemInstance, image, pareto_filter
-from .simplex import Status, Tableau, optimize
+from .simplex import Tableau, optimize
 from .validate import feasible_start
 
 DEFAULT_BUDGET = 10**7
@@ -29,10 +29,10 @@ DEFAULT_BUDGET = 10**7
 
 def variable_upper_bounds(inst: ProblemInstance) -> list | None:
     """Continuous max of each variable, or None when the relaxation is
-    empty. Raises UnboundedDomain if any variable can grow forever. The
-    rows are made feasible once (`validate.feasible_start`), and each
-    variable is maximized from its own copy of that tableau, the path
-    `solve_lp` takes from scratch."""
+    empty. Raises UnboundedDomain (`optimize`) if a variable can grow
+    forever. The rows are made feasible once (`validate.feasible_start`),
+    and each variable is maximized from its own copy of that tableau, the
+    path `solve_lp` takes from scratch."""
     n = inst.variable_count
     start = feasible_start(inst.rows, n)
     if start is None:
@@ -40,8 +40,6 @@ def variable_upper_bounds(inst: ProblemInstance) -> list | None:
     bounds = []
     for j in range(n):
         state = optimize(Tableau.of_state(start), [0] * j + [1])
-        if state.status is Status.UNBOUNDED:
-            raise UnboundedDomain(f"variable x{j} is unbounded over the relaxation")
         bounds.append(state.structural_point(n)[j])
     return bounds
 

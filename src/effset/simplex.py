@@ -103,26 +103,24 @@ and never cycle. Every
 test compares the sign of an integer multiple (by a positive factor) of
 the rational quantity it stands for, so the walk is the one the rational
 tableau takes.
+
+Every `SimplexState` is an optimal basis, and a solve with no optimum
+says why one way, for LP and ratio solves alike: None when the rows are
+infeasible, and `UnboundedDomain` on an improving ray with no blocking
+row (`optimize`, so `solve_lp`, and the ratio phase).
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Mapping, Sequence
 
-from .errors import InvariantViolated, NotOptimal
+from .errors import InvariantViolated, NotOptimal, UnboundedDomain
 # The row type and its relations live in model; the solvers' callers
 # import them from here as well.
 from .model import GREATER_EQ, LESS_EQ, AffineForm, LinearRow, integers
-
-
-class Status(enum.Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
 
 
 @dataclass(frozen=True)
@@ -174,7 +172,7 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class SimplexState:
-    """Final tableau snapshot in dictionary form: one integer row per basic
+    """An optimal basis in dictionary form: one integer row per basic
     variable over the nonbasic columns `cols`, its right-hand side last, so
     rows / det is B^-1 [N | b]. The rows are the tableau's own lists,
     shared without a copy; pivots replace rows instead of writing into
@@ -184,11 +182,8 @@ class SimplexState:
     basis columns B of the integer standard form. `vertex` is the one
     reader of the state's point. `costs` are the tableau's carried reduced
     rows, the reduced rows of the integer costs `priced` (see
-    Tableau.carry), so a re-solve from the state starts from them. An
-    INFEASIBLE state has no basis, rows, columns or costs, and its num_vars
-    counts the structural variables only."""
+    Tableau.carry), so a re-solve from the state starts from them."""
 
-    status: Status
     num_vars: int
     basis: tuple[int, ...]
     rows: tuple[list[int], ...]
@@ -241,8 +236,6 @@ class Tableau:
         """The integer tableau behind an optimal state, with its carried
         rows, for reduced rows or further pivots; pivoting it leaves the
         state unchanged."""
-        if state.status is not Status.OPTIMAL:
-            raise NotOptimal(f"reduced rows need an optimal state, got {state.status}")
         tab = cls(state.num_vars, list(state.rows), list(state.basis), state.det, list(state.cols))
         tab.costs, tab.priced = list(state.costs), state.priced
         return tab
@@ -320,9 +313,9 @@ class Tableau:
                     leave, best_var, best_num, best_den = i, basis[i], row[-1], a
         return leave
 
-    def state(self, status: Status) -> SimplexState:
+    def state(self) -> SimplexState:
         return SimplexState(
-            status, self.ncols, tuple(self.basis), tuple(self.rows), self.det, tuple(self.cols),
+            self.ncols, tuple(self.basis), tuple(self.rows), self.det, tuple(self.cols),
             tuple(self.costs), self.priced,
         )
 
@@ -332,20 +325,21 @@ def _carried_cost(tab: Tableau) -> list[int]:
     return tab.costs[0]
 
 
-def _bland(tab: Tableau, price) -> Status:
-    """The pivot loop of every solver. `price(tab)` gives one value per
-    dictionary column; of the columns with a positive value, the one naming
-    the smallest variable enters (Bland), and none at an optimum. Bland's
-    ratio test picks the leaving row."""
+def _bland(tab: Tableau, price) -> bool:
+    """The pivot loop of every solver: True at an optimum, False on an
+    improving ray. `price(tab)` gives one value per dictionary column; of
+    the columns with a positive value, the one naming the smallest variable
+    enters (Bland), and none at an optimum. Bland's ratio test picks the
+    leaving row; an entering column with none is the ray."""
     while True:
         cols = tab.cols
         enter = min((var for var, v in zip(cols, price(tab)) if v > 0), default=-1)
         if enter < 0:
-            return Status.OPTIMAL
+            return True
         col = cols.index(enter)
         leave = tab.leaving_row(col)
         if leave < 0:
-            return Status.UNBOUNDED
+            return False
         tab.pivot(leave, col)
 
 
@@ -394,7 +388,7 @@ def feasible_tableau(n: int, rows: Sequence[LinearRow]) -> Tableau | None:
     None when they are infeasible: `resolve_after` from the empty state
     over the structural columns for the zero cost, which every basis is
     optimal for."""
-    empty = SimplexState(Status.OPTIMAL, n, (), (), 1, tuple(range(n)), ([0] * (n + 1),), ((),))
+    empty = SimplexState(n, (), (), 1, tuple(range(n)), ([0] * (n + 1),), ((),))
     return resolve_after(empty, rows)
 
 
@@ -488,19 +482,20 @@ def _dual_bland(tab: Tableau, price) -> bool:
 def optimize(tab: Tableau, cost: Sequence[int]) -> SimplexState:
     """Phase two: maximize cost . x, an integer cost over the leading
     columns (the rest cost zero; see LinearProgram.cost), by Bland
-    pivots from the primal-feasible `tab`, which it pivots in place. The
-    final state is OPTIMAL or UNBOUNDED."""
+    pivots from the primal-feasible `tab`, which it pivots in place: the
+    optimal state, or UnboundedDomain on an improving ray."""
     tab.carry(cost)
-    return tab.state(_bland(tab, _carried_cost))
+    if not _bland(tab, _carried_cost):
+        raise UnboundedDomain("improving ray with no blocking row; the LP has no finite optimum")
+    return tab.state()
 
 
-def solve_lp(program: LinearProgram) -> SimplexState:
+def solve_lp(program: LinearProgram) -> SimplexState | None:
     """Exact simplex: dual pivots to a feasible tableau, then phase two.
-    Deterministic: equal inputs give equal final bases."""
+    The optimal state, None when the rows are infeasible, or
+    UnboundedDomain. Deterministic: equal inputs give equal final bases."""
     tab = feasible_tableau(program.num_vars, program.rows)
-    if tab is None:
-        return SimplexState(Status.INFEASIBLE, program.num_vars, (), ())
-    return optimize(tab, program.cost)
+    return None if tab is None else optimize(tab, program.cost)
 
 
 def presolve(n: int, rows: Sequence[LinearRow]) -> tuple[LinearRow, ...]:
@@ -528,7 +523,7 @@ def presolve(n: int, rows: Sequence[LinearRow]) -> tuple[LinearRow, ...]:
         return rows
     implied: list[bool | None] = [None] * len(rows)
     _read_vertex(tab, n, implied)
-    start = tab.state(Status.OPTIMAL)
+    start = tab.state()
     dense = [row.dense for row in rows]
     for i, row in enumerate(dense):
         if implied[i] is None and any(_dominated(row, other) for other in dense):

@@ -7,14 +7,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import AssumptionViolated, InvariantViolated
+from .errors import AssumptionViolated, InvariantViolated, UnboundedDomain
 from .milp import solve_milp
 from .model import AffineForm, ProblemInstance
 from .simplex import (
     LinearProgram,
     LinearRow,
     SimplexState,
-    Status,
     Tableau,
     feasible_tableau,
     optimize,
@@ -41,7 +40,7 @@ def feasible_start(rows: Sequence[LinearRow], n: int) -> SimplexState | None:
     (`optimize(Tableau.of_state(start), cost)`), the path `solve_lp` takes
     from scratch, so a caller makes the rows feasible once."""
     tab = feasible_tableau(n, rows)
-    return None if tab is None else tab.state(Status.OPTIMAL)
+    return None if tab is None else tab.state()
 
 
 def check_relaxation(start: SimplexState | None, n: int) -> None:
@@ -51,7 +50,9 @@ def check_relaxation(start: SimplexState | None, n: int) -> None:
     decides both."""
     if start is None:
         raise AssumptionViolated("the continuous relaxation is empty", reason="empty-domain")
-    if optimize(Tableau.of_state(start), [1] * n).status is Status.UNBOUNDED:
+    try:
+        optimize(Tableau.of_state(start), [1] * n)
+    except UnboundedDomain:
         raise AssumptionViolated("the continuous relaxation is unbounded", reason="unbounded")
 
 
@@ -59,11 +60,13 @@ def denominator_minimum(
     start: SimplexState | None, den: AffineForm
 ) -> tuple[Fraction, tuple[Fraction, ...]] | None:
     """(minimum, minimizer) of an affine form over the rows `start` was
-    built from (see feasible_start), or None when that LP has no optimum."""
+    built from (see feasible_start), or None when that LP has no optimum
+    (empty, or unbounded below)."""
     if start is None:
         return None
-    state = optimize(Tableau.of_state(start), [-c for c in den.scaled[0]])
-    if state.status is not Status.OPTIMAL:
+    try:
+        state = optimize(Tableau.of_state(start), [-c for c in den.scaled[0]])
+    except UnboundedDomain:
         return None
     point = state.structural_point(len(den.coeffs))
     return den.at(point), point

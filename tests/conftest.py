@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from effset.errors import UnboundedDomain
 from effset.model import instance, ratio
 from effset.simplex import GREATER_EQ, LESS_EQ, LinearRow
 
@@ -65,6 +66,19 @@ def count_calls(monkeypatch, fn) -> Counter:
 
                 monkeypatch.setattr(module, attr, counted)
     return counts
+
+
+UNBOUNDED = "unbounded"
+
+
+def outcome(solve, *args):
+    """solve(*args), or UNBOUNDED where it raises UnboundedDomain, so the
+    outcomes of two solves compare: an optimum, None (infeasible) or
+    UNBOUNDED."""
+    try:
+        return solve(*args)
+    except UnboundedDomain:
+        return UNBOUNDED
 
 
 def full_point(state):

@@ -26,7 +26,6 @@ from effset.errors import (
     InvariantViolated,
     NodeLimitExceeded,
     NonIntegerPoint,
-    NotOptimal,
 )
 from effset.fractional import _expand_rows, maximize, solve_lfp
 from effset.generator import GeneratorConfig, generate
@@ -371,8 +370,9 @@ class TestIdealFathoming:
 
         def recorded(n, rows, utility, parent=None):
             result = solve(n, rows, utility, parent)
-            above = () if parent is None else node_rows[id(parent)][1]
-            node_rows[id(result.state)] = (result.state, above + tuple(rows))
+            if result is not None:
+                above = () if parent is None else node_rows[id(parent)][1]
+                node_rows[id(result.state)] = (result.state, above + tuple(rows))
             return result
 
         def counted(n, rows, objective, parent=None):
@@ -601,7 +601,7 @@ def test_branch_rows_on_every_node_state_of_the_four_walks(monkeypatch, strategy
 
     def recorded(*args):
         result = solve_lfp(*args)
-        if result.status is simplex.Status.OPTIMAL:
+        if result is not None:
             states.append(result.state)
         return result
 
@@ -618,10 +618,9 @@ def test_branch_rows_on_every_node_state_of_the_four_walks(monkeypatch, strategy
 
 class TestGuards:
     def test_cut_sets_need_an_optimal_state(self, demo):
+        # An infeasible node has no state to cut at: its solve returns None.
         rows = constraint_rows(demo.a_matrix, demo.b_vector) + (LinearRow.of({0: 1}, ">=", 9),)
-        result = solve_lfp(2, rows, demo.utilities[0])
-        with pytest.raises(NotOptimal):
-            build_cut_sets(result.state, demo)
+        assert solve_lfp(2, rows, demo.utilities[0]) is None
 
     def test_cut_sets_need_an_integer_point(self, demo):
         result = solve_lfp(2, constraint_rows(demo.a_matrix, demo.b_vector), demo.utilities[0])

@@ -5,7 +5,8 @@ node counts, the final basis at degenerate optima (which decides H and H')
 and the witnesses of the membership MILPs all follow from the exact pivot
 sequence Bland's rule picks. `data/search_node_programs.txt` holds the 379
 node programs of the 3x10x5 walk on seeds 0-9, and ENGINE_PINS digests
-solve_lfp's status, basis, value and point on each, solved from scratch.
+solve_lfp's answer on each, solved from scratch: "infeasible" or "optimal"
+with the basis, value and point.
 MEMBERSHIP_PINS digest every membership verdict and witness. Neither depends
 on the search, so any change of engine that moves a single Bland decision
 fails here, and a change of the search alone does not. The programs are the
@@ -18,8 +19,8 @@ of the 293 witnesses moved (seed 5's none), each new one feasible and
 strictly dominating its point.
 
 A change of engine that moves Bland decisions on purpose recomputes
-ENGINE_PINS and checks, against the parent engine, that status, value and
-point are unchanged on every program; only the basis may move, at
+ENGINE_PINS and checks, against the parent engine, that feasibility, value
+and point are unchanged on every program; only the basis may move, at
 degenerate and tied optima. They were last recomputed when a solve from
 scratch came to reach feasibility by dual simplex for the zero cost in place
 of a primal phase one with artificials: status, value and point were
@@ -274,28 +275,26 @@ WALK_PINS_3X10X10 = {
 def test_node_program_solves_are_pinned(seed):
     """Each program solved from scratch matches its pin, and solving the rows
     it adds to its parent's from the parent's final state (the search's
-    path) gives the same status and value."""
+    path) gives the same value, or None where the program is infeasible."""
     inst = _instance(seed)
     base = constraint_rows(inst.a_matrix, inst.b_vector)
     n, utility = inst.variable_count, inst.utilities[0]
-    added, states, solved = {}, {}, []
+    added, results, solved = {}, {}, []
     for node, parent, rows in node_programs(seed):
         result = solve_lfp(n, base + rows, utility)
-        added[node], states[node] = rows, result.state
+        added[node], results[node] = rows, result
+        value = None if result is None else result.value
         if parent is not None:
             before = added[parent]
             assert rows[: len(before)] == before, (seed, node)
-            warm = solve_lfp(n, rows[len(before) :], utility, states[parent])
-            assert (warm.status, warm.value) == (result.status, result.value), (seed, node)
-        solved.append(
-            (
-                node,
-                result.status.value,
-                result.state.basis,
-                None if result.value is None else str(result.value),
-                _text(result.point),
-            )
-        )
+            warm = solve_lfp(n, rows[len(before) :], utility, results[parent].state)
+            assert (None if warm is None else warm.value) == value, (seed, node)
+        # An infeasible program keeps the digest entry it had when it was
+        # pinned: status "infeasible", no basis, no value, no point.
+        if result is None:
+            solved.append((node, "infeasible", (), None, None))
+        else:
+            solved.append((node, "optimal", result.state.basis, str(value), _text(result.point)))
     assert (len(solved), _digest(solved)) == ENGINE_PINS[seed]
 
 

@@ -13,7 +13,7 @@ from effset.fractional import (
     solve_lfp_cc,
 )
 from effset.model import AffineForm, evaluate, ratio
-from effset.simplex import GREATER_EQ, LESS_EQ, LinearRow, Status, Tableau, reduced_row
+from effset.simplex import GREATER_EQ, LESS_EQ, LinearRow, Tableau, reduced_row
 
 from conftest import DEMO_A, DEMO_B, assert_fits, full_point
 
@@ -33,7 +33,6 @@ class TestDemoRootNode:
 
     def test_optimum(self, demo):
         result = solve_lfp(2, demo_rows(), demo.utilities[0])
-        assert result.status is Status.OPTIMAL
         assert result.point == (Fraction(32, 7), Fraction(8, 7))
         assert result.value == Fraction(-45, 79)
 
@@ -90,9 +89,9 @@ def _warm_child_matches_cold(utility, child):
     rows = demo_rows() + child
     warm = solve_lfp(2, child, utility, root.state)
     cold = solve_lfp(2, rows, utility)
-    assert warm.status is cold.status
-    assert warm.value == cold.value
-    if warm.status is Status.OPTIMAL:
+    assert (warm is None) == (cold is None)
+    if warm is not None:
+        assert warm.value == cold.value
         assert_fits(2, rows, full_point(warm.state))
         assert evaluate(utility, warm.point) == warm.value
 
@@ -102,9 +101,7 @@ class TestBehaviors:
         rows = demo_rows() + (
             LinearRow.of({0: 1}, GREATER_EQ, 9),
         )
-        result = solve_lfp(2, rows, demo.utilities[0])
-        assert result.status is Status.INFEASIBLE
-        assert result.point is None and result.value is None
+        assert solve_lfp(2, rows, demo.utilities[0]) is None
 
     def test_unbounded_domain_raises(self):
         rows = (LinearRow.of({1: 1}, LESS_EQ, 1),)
@@ -123,8 +120,9 @@ class TestBehaviors:
     @pytest.mark.parametrize("child", CHILDREN)
     def test_parent_state_leaves_the_answer_unchanged(self, demo, child):
         # x0 >= 5 and x0 >= 9 are infeasible children of the root (32/7, 8/7).
-        # Solved from the root's state, a child has the status and value of
-        # a solve from scratch; where optima tie, the point may differ.
+        # Solved from the root's state, a child is infeasible (None) where a
+        # solve from scratch is, and otherwise has its value; where optima
+        # tie, the point may differ.
         _warm_child_matches_cold(demo.utilities[0], child)
 
     @pytest.mark.parametrize("child", CHILDREN)
@@ -195,17 +193,17 @@ coeff = st.integers(-6, 6)
 )
 def test_pivot_and_transform_solvers_agree(a, b, lower, p, q):
     """The adjacent-vertex method and the variable-change method share no
-    code; on bounded regions with positive denominators they must return
-    identical exact statuses and values."""
+    code; on bounded regions with positive denominators both must find the
+    rows infeasible (None) or return the same exact value."""
     rows = [
         LinearRow.of({0: r[0], 1: r[1]}, LESS_EQ, rhs)
         for r, rhs in zip(a, b)
     ] + [LinearRow.of({0: 1, 1: 1}, GREATER_EQ, lower)]
     objective = ratio([p[0], p[1]], p[2], [q[0], q[1]], q[2])
     direct = solve_lfp(2, rows, objective)
-    status, value = solve_lfp_cc(2, rows, objective)
-    assert direct.status is status
-    if status is Status.OPTIMAL:
+    value = solve_lfp_cc(2, rows, objective)
+    assert (direct is None) == (value is None)
+    if value is not None:
         assert direct.value == value
         assert evaluate(objective, direct.point) == value
 
@@ -240,7 +238,7 @@ def test_continuation_matches_a_solve_from_scratch(a, b, lower, companion, appen
     p, q = companion
     other = ratio([p[0], p[1]], p[2], [q[0], q[1]], q[2])
     result = solve_lfp(2, rows, other)
-    if result.status is not Status.OPTIMAL:
+    if result is None:
         return
     optimum = result.state
     basis, matrix, point = optimum.basis, [list(r) for r in optimum.rows], full_point(optimum)
@@ -250,7 +248,7 @@ def test_continuation_matches_a_solve_from_scratch(a, b, lower, companion, appen
     assert optimum.basis == basis
     assert [list(r) for r in optimum.rows] == matrix
     assert full_point(optimum) == point
-    if fresh.status is Status.INFEASIBLE:
+    if fresh is None:
         assert solved is None
         return
     value, final = solved

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from effset import milp as milp_module
 from effset import simplex
 from effset.efficiency import _membership_program, is_in_solution_set
-from effset.errors import UnboundedRelaxation
+from effset.errors import UnboundedDomain
 from effset.generator import GeneratorConfig, generate
 from effset.milp import MilpResult, branch_rows, rounded_down, solve_milp
 from effset.model import row_gaps
 from effset.oracle import enumerate_feasible
-from effset.simplex import GREATER_EQ, LESS_EQ, LinearProgram, LinearRow, SimplexState, Status
+from effset.simplex import GREATER_EQ, LESS_EQ, LinearProgram, LinearRow, SimplexState
 
 from conftest import assert_dakin_rows, assert_vertex_read, count_calls
 
@@ -67,7 +67,7 @@ def test_integer_gap_infeasible():
 
 def test_unbounded_relaxation_raises():
     problem = milp(2, {0: 1}, [({1: 1}, LESS_EQ, 1)])
-    with pytest.raises(UnboundedRelaxation):
+    with pytest.raises(UnboundedDomain):
         solve_milp(problem, 0)
 
 
@@ -318,13 +318,13 @@ def test_branch_rows_on_the_smallest_fractional_structural_variable():
     value, whatever its row, and none at an integer vertex; a basic slack's
     value is never read. Only the basis, the right-hand sides and det are."""
     # x3 = 5/6 (a slack), x2 = 7/3, x1 = 1/2, x0 = 3
-    state = SimplexState(Status.OPTIMAL, 5, (3, 2, 1, 0), ([1, 5], [1, 14], [1, 3], [1, 18]), 6, (4,))
+    state = SimplexState(5, (3, 2, 1, 0), ([1, 5], [1, 14], [1, 3], [1, 18]), 6, (4,))
     assert branch_rows(state, 3) == (
         LinearRow.of({1: 1}, LESS_EQ, 0),
         LinearRow.of({1: 1}, GREATER_EQ, 1),
     )
     # x3 = 3/2 (a slack), x1 = 0, x0 = 2
-    state = SimplexState(Status.OPTIMAL, 5, (3, 1, 0), ([1, 1, 3], [1, 1, 0], [1, 1, 4]), 2, (2, 4))
+    state = SimplexState(5, (3, 1, 0), ([1, 1, 3], [1, 1, 0], [1, 1, 4]), 2, (2, 4))
     assert branch_rows(state, 3) is None
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from effset.errors import EnumerationBudgetExceeded, UnboundedDomain
 from effset.generator import GeneratorConfig, generate
 from effset.model import instance, ratio
-from effset.simplex import LinearProgram, Status, solve_lp
+from effset.simplex import LinearProgram, solve_lp
 from effset.oracle import (
     DEFAULT_BUDGET,
     efficient_sets,
@@ -123,7 +123,7 @@ def test_walk_matches_from_scratch_bounds_and_the_box_filter(inst):
     the same order."""
     n = inst.variable_count
     states = [solve_lp(LinearProgram.of(n, {j: 1}, inst.rows)) for j in range(n)]
-    if states[0].status is Status.INFEASIBLE:
+    if states[0] is None:
         assert variable_upper_bounds(inst) is None
         assert enumerate_feasible(inst) == []
         return

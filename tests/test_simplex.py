@@ -8,24 +8,25 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from effset import fractional, simplex
-from effset.errors import InvariantViolated, NotOptimal
+from effset import fractional, oracle, simplex
+from effset.errors import AssumptionViolated, InvariantViolated, NotOptimal, UnboundedDomain
 from effset.fractional import solve_lfp
-from effset.model import AffineForm, constraint_rows, integers, ratio
+from effset.milp import solve_milp
+from effset.model import AffineForm, constraint_rows, instance, integers, ratio
 from effset.simplex import (
     GREATER_EQ,
     LESS_EQ,
     LinearProgram,
     LinearRow,
     SimplexState,
-    Status,
     Tableau,
     reduced_row,
     resolve_after,
     solve_lp,
 )
+from effset.validate import validate_instance
 
-from conftest import assert_fits, full_point
+from conftest import UNBOUNDED, assert_fits, full_point, outcome
 
 
 def lp(num_vars, objective, rows):
@@ -110,16 +111,16 @@ class TestSolveLp:
     def test_simple_maximum(self):
         program = lp(2, {0: 3, 1: 2}, [({0: 1, 1: 1}, LESS_EQ, 4), ({0: 1}, LESS_EQ, 2)])
         state = solve_lp(program)
-        assert state.status is Status.OPTIMAL
         assert state.structural_point(2) == (2, 2)
 
     def test_infeasible(self):
         program = lp(1, {0: 1}, [({0: 1}, GREATER_EQ, 3), ({0: 1}, LESS_EQ, 1)])
-        assert solve_lp(program).status is Status.INFEASIBLE
+        assert solve_lp(program) is None
 
     def test_unbounded(self):
         program = lp(2, {0: 1}, [({1: 1}, LESS_EQ, 1)])
-        assert solve_lp(program).status is Status.UNBOUNDED
+        with pytest.raises(UnboundedDomain):
+            solve_lp(program)
 
     def test_equality_rows(self):
         program = lp(2, {1: 1}, [*pair({0: 1, 1: 1}, 5), ({1: 1}, LESS_EQ, 3)])
@@ -134,17 +135,15 @@ class TestSolveLp:
             [*pair({0: 1, 1: 1}, 4), *pair({0: 2, 1: 2}, 8), ({0: 1}, LESS_EQ, 3)],
         )
         state = solve_lp(program)
-        assert state.status is Status.OPTIMAL
         assert state.structural_point(2) == (3, 1)
 
     def test_contradictory_equalities_infeasible(self):
         program = lp(2, {0: 1}, [*pair({0: 1, 1: 1}, 4), *pair({0: 1, 1: 1}, 5)])
-        assert solve_lp(program).status is Status.INFEASIBLE
+        assert solve_lp(program) is None
 
     def test_negative_rhs_handled(self):
         program = lp(2, {0: -1, 1: -1}, [({0: -1, 1: -1}, LESS_EQ, -3)])
         state = solve_lp(program)
-        assert state.status is Status.OPTIMAL
         assert sum(state.structural_point(2)) == 3
 
     def test_degenerate_vertex_terminates(self):
@@ -158,9 +157,45 @@ class TestSolveLp:
             ],
         )
         state = solve_lp(program)
-        assert state.status is Status.OPTIMAL
         value = AffineForm.of([1, 1]).at(state.structural_point(2))
         assert value == 1
+
+
+def test_every_solve_says_infeasible_and_unbounded_one_way():
+    """Every state is an optimum: each solve returns None over an
+    infeasible system and raises UnboundedDomain on an improving ray, LP,
+    MILP and ratio solves alike, and the instance check turns the ray into
+    its "unbounded" verdict."""
+    empty = [LinearRow.of({0: 1, 1: 1}, GREATER_EQ, 3), LinearRow.of({0: 1, 1: 1}, LESS_EQ, 1)]
+    parent = solve_lp(LinearProgram.of(2, [1, 1], empty[1:]))
+    utility = ratio([1, 0], 0, [0, 1], 1)
+    assert [
+        simplex.feasible_tableau(2, empty),
+        resolve_after(parent, empty[:1]),
+        solve_lp(LinearProgram.of(2, [1, 1], empty)),
+        solve_milp(LinearProgram.of(2, [1, 1], empty), -1),
+        solve_lfp(2, empty, utility),
+        fractional.maximize(2, empty, utility),
+        fractional.solve_lfp_cc(2, empty, utility),
+    ] == [None] * 7
+
+    # x0 grows without bound along x1 = 0, and so does the utility.
+    ray = [LinearRow.of({1: 1}, LESS_EQ, 1)]
+    growing = LinearProgram.of(2, [1], ray)
+    inst = instance([[0, 1]], [1], [utility] * 2, [utility] * 2)
+    for solve in (
+        lambda: simplex.optimize(simplex.feasible_tableau(2, ray), growing.cost),
+        lambda: solve_lp(growing),
+        lambda: solve_milp(growing, 0),
+        lambda: solve_lfp(2, ray, utility),
+        lambda: fractional.solve_lfp_cc(2, ray, utility),
+        lambda: oracle.variable_upper_bounds(inst),
+    ):
+        with pytest.raises(UnboundedDomain):
+            solve()
+    with pytest.raises(AssumptionViolated) as raised:
+        validate_instance(inst)
+    assert raised.value.reason == "unbounded"
 
 
 def _lhs(coeffs, x, y):
@@ -258,8 +293,8 @@ def carried_costs_checked():
         check(tab)
         return new
 
-    def recording_state(tab, status):
-        snapshot = state(tab, status)
+    def recording_state(tab):
+        snapshot = state(tab)
         if id(tab) in seeded:
             seeded[id(snapshot)] = (snapshot, seeded[id(tab)][1])
         return snapshot
@@ -315,12 +350,11 @@ def test_solve_lp_matches_vertex_enumeration(extra_rows, duplicated, objective, 
     with carried_costs_checked():
         state = solve_lp(program)
         utility = ratio([objective[0], objective[1]], 1, [1, 2], box)
-        assert solve_lfp(2, program.rows, utility).status is state.status
+        assert (solve_lfp(2, program.rows, utility) is None) == (state is None)
     expected = _vertex_oracle_max(rows, objective)
     if expected is None:
-        assert state.status is Status.INFEASIBLE
+        assert state is None
         return
-    assert state.status is Status.OPTIMAL
     point = state.structural_point(2)
     value = objective[0] * point[0] + objective[1] * point[1]
     assert value == expected
@@ -376,9 +410,8 @@ def test_huge_coefficients_and_tied_vertices_match_vertex_enumeration(
         result = solve_lfp(2, program.rows, utility)
     vertices = _feasible_vertices(rows)
     if not vertices:
-        assert state.status is result.status is Status.INFEASIBLE
+        assert state is result is None
         return
-    assert state.status is result.status is Status.OPTIMAL
     assert_fits(2, program.rows, full_point(state))
     assert_fits(2, program.rows, full_point(result.state))
     x, y = state.structural_point(2)
@@ -427,10 +460,12 @@ class TestReducedRow:
             assert predicted == form.at(y)
 
     def test_requires_optimal_state(self):
+        # Only an optimum is a state: an infeasible program's solve returns
+        # none, and an unbounded one's raises.
         program = lp(1, {0: 1}, [({0: 1}, GREATER_EQ, 3), ({0: 1}, LESS_EQ, 1)])
-        state = solve_lp(program)
-        with pytest.raises(NotOptimal):
-            reduced_row(state, AffineForm.of([1]))
+        assert solve_lp(program) is None
+        with pytest.raises(UnboundedDomain):
+            solve_lp(lp(1, {0: 1}, [({0: 1}, GREATER_EQ, 3)]))
 
 
 class TestContinuation:
@@ -526,8 +561,8 @@ def test_a_search_child_matches_a_solve_from_scratch(
 ):
     """A child solved from its parent's ratio optimum (solve_lfp with a
     parent: one dual re-solve for the linearized cost, then the ratio
-    phase) has the status and the exact optimal value of a solve from
-    scratch, and a point that fits every row. No solve from scratch runs,
+    phase) is infeasible (None) where a solve from scratch is, and
+    otherwise has its exact optimal value and a point that fits every row. No solve from scratch runs,
     every pivot divides exactly, the parent's carried ratio rows ride
     through every pivot of both phases equal to fresh reduced rows, and
     the parent is unchanged."""
@@ -535,7 +570,7 @@ def test_a_search_child_matches_a_solve_from_scratch(
     utility = ratio(list(objective), 0, list(denominator[:3]), denominator[3])
     with carried_costs_checked() as checked:
         parent = solve_lfp(3, rows, utility)
-        assume(parent.status is Status.OPTIMAL)
+        assume(parent is not None)
         state = parent.state
         new_rows = _child_rows(data, state)
         kept = (state.basis, [list(r) for r in state.rows], state.det, state.cols)
@@ -556,9 +591,9 @@ def test_a_search_child_matches_a_solve_from_scratch(
         assert checked[0] > before
 
     cold = solve_lfp(3, rows + new_rows, utility)
-    assert warm.status is cold.status
-    assert warm.value == cold.value
-    if warm.status is Status.OPTIMAL:
+    assert (warm is None) == (cold is None)
+    if warm is not None:
+        assert warm.value == cold.value
         assert_fits(3, rows + new_rows, full_point(warm.state))
     assert kept == (state.basis, [list(r) for r in state.rows], state.det, state.cols)
 
@@ -591,16 +626,16 @@ def _dual_child_rows(data, state):
 )
 def test_resolve_after_matches_solve_lp(extra_rows, objective, box, doubled_box, data):
     """A dual re-solve from an optimal parent plus appended inequality rows,
-    as every child is solved, has the status of solve_lp on the extended
-    program, INFEASIBLE included, and at an optimum its exact value and a
+    as every child is solved, is infeasible (None) where solve_lp on the
+    extended program is, and at an optimum has its exact value and a
     point that fits every row. Without the box row the parent's region may
-    be unbounded. After every pivot, each division of which is exact, the
+    be unbounded, and such a draw is skipped. After every pivot, each division of which is exact, the
     carried cost row equals a fresh reduced row and stays <= 0, and its
     last entry is -det times the value. The parent is unchanged."""
     rows = _parent_system(extra_rows, box, doubled_box)
     program = LinearProgram.of(3, objective, rows)
-    state = solve_lp(program)
-    assume(state.status is Status.OPTIMAL)
+    state = outcome(solve_lp, program)
+    assume(isinstance(state, SimplexState))
     new_rows = _dual_child_rows(data, state)
     child = LinearProgram.of(3, objective, rows + new_rows)
     cost = list(program.cost)
@@ -621,10 +656,10 @@ def test_resolve_after_matches_solve_lp(extra_rows, objective, box, doubled_box,
     cold = solve_lp(child)
     assert kept == (state.basis, [list(r) for r in state.rows], state.det, state.cols)
     if tab is None:
-        assert cold.status is Status.INFEASIBLE
+        assert cold is None
         return
-    warm = tab.state(Status.OPTIMAL)
-    assert cold.status is Status.OPTIMAL
+    warm = tab.state()
+    assert cold is not None
     value = sum(c * v for c, v in zip(child.cost, warm.structural_point(3)))
     assert value == sum(c * v for c, v in zip(child.cost, cold.structural_point(3)))
     assert_fits(3, child.rows, full_point(warm))
@@ -643,9 +678,9 @@ def test_optimize_after_feasible_after_matches_solve_lp(
     extra_rows, objective, child_objective, box, doubled_box, data
 ):
     """Phase two (optimize) on the tableau resolve_after returns, feasible
-    after the appended rows, has the status of solve_lp on the extended
-    program, INFEASIBLE and UNBOUNDED included, and at an optimum its exact
-    value and a point that fits every row. The carried cost row equals a
+    after the appended rows, has the outcome of solve_lp on the extended
+    program, infeasible (None) and UnboundedDomain included, and at an
+    optimum its exact value and a point that fits every row. The carried cost row equals a
     fresh reduced row, then -det times the value, after every pivot, every
     append and the round trip through the parent's state, on the parent's
     solve and the child's. A child objective other than the
@@ -653,36 +688,34 @@ def test_optimize_after_feasible_after_matches_solve_lp(
     rows = _parent_system(extra_rows, box, doubled_box)
     program = LinearProgram.of(3, objective, rows)
     with carried_costs_checked() as checked:
-        state = solve_lp(program)
-        assume(state.status is Status.OPTIMAL)
+        state = outcome(solve_lp, program)
+        assume(isinstance(state, SimplexState))
         new_rows = _child_rows(data, state)
         child = LinearProgram.of(3, child_objective or objective, rows + new_rows)
         tab = resolve_after(state, new_rows)
-        warm = None if tab is None else simplex.optimize(tab, child.cost)
+        warm = None if tab is None else outcome(simplex.optimize, tab, child.cost)
     assert checked[0] > 0
-    cold = solve_lp(child)
-    if warm is None:
-        assert cold.status is Status.INFEASIBLE
+    cold = outcome(solve_lp, child)
+    if warm is None or warm is UNBOUNDED:
+        assert cold is warm
         return
-    assert warm.status is cold.status
-    if warm.status is Status.OPTIMAL:
-        value = sum(c * v for c, v in zip(child.cost, warm.structural_point(3)))
-        assert value == sum(c * v for c, v in zip(child.cost, cold.structural_point(3)))
-        assert_fits(3, child.rows, full_point(warm))
+    value = sum(c * v for c, v in zip(child.cost, warm.structural_point(3)))
+    assert value == sum(c * v for c, v in zip(child.cost, cold.structural_point(3)))
+    assert_fits(3, child.rows, full_point(warm))
 
 
 class TestInfeasibleAfter:
     """Rows appended to a solved parent, which may leave its optimum
-    infeasible: resolve_after starts only from an optimal parent."""
+    infeasible: resolve_after starts only from an optimal parent, the only
+    state there is."""
 
     def test_needs_an_optimal_state(self):
-        program = lp(1, {0: 1}, [({0: 1}, GREATER_EQ, 3), ({0: 1}, LESS_EQ, 1)])
-        with pytest.raises(NotOptimal):
-            resolve_after(solve_lp(program), [LinearRow.of({0: 1}, LESS_EQ, 1)])
-        unbounded = solve_lp(lp(1, {0: 1}, [({0: 1}, GREATER_EQ, 3)]))
-        assert unbounded.status is Status.UNBOUNDED
-        with pytest.raises(NotOptimal):
-            resolve_after(unbounded, [LinearRow.of({0: 1}, LESS_EQ, 5)])
+        # The paths that once built an infeasible or unbounded parent build
+        # none: feasible_tableau returns None, optimize raises.
+        rows = [LinearRow.of({0: 1}, GREATER_EQ, 3), LinearRow.of({0: 1}, LESS_EQ, 1)]
+        assert simplex.feasible_tableau(1, rows) is None
+        with pytest.raises(UnboundedDomain):
+            simplex.optimize(simplex.feasible_tableau(1, rows[:1]), [1])
 
 
 class TestResolveAfter:
@@ -701,7 +734,7 @@ class TestResolveAfter:
         with mock.patch.object(Tableau, "pivot", autospec=True, side_effect=Tableau.pivot) as piv:
             child = resolve_after(state, [LinearRow.of({0: 1}, LESS_EQ, 4)])
         assert piv.call_count == 1
-        assert full_point(child.state(Status.OPTIMAL)) == (4, 1, 0, 1, 0)
+        assert full_point(child.state()) == (4, 1, 0, 1, 0)
         assert resolve_after(state, [LinearRow.of({1: 1}, GREATER_EQ, 2)]) is None
 
     def test_needs_inequality_rows_and_an_optimal_parent(self):
@@ -711,9 +744,8 @@ class TestResolveAfter:
             # not optimal for.
             opposite = lambda tab: [-v for v in tab.costs[0]]  # noqa: E731
             resolve_after(state, [LinearRow.of({0: 1}, LESS_EQ, 4)], opposite)
-        infeasible = solve_lp(lp(1, {0: 1}, [({0: 1}, GREATER_EQ, 3), ({0: 1}, LESS_EQ, 1)]))
-        with pytest.raises(NotOptimal):
-            resolve_after(infeasible, [LinearRow.of({0: 1}, LESS_EQ, 1)])
+        # An infeasible system has no state to re-solve from.
+        assert solve_lp(lp(1, {0: 1}, [({0: 1}, GREATER_EQ, 3), ({0: 1}, LESS_EQ, 1)])) is None
 
     def test_rows_reference_existing_variables_only(self):
         # The parent has x0-x3; the appended row's own slack would be x4.
@@ -727,7 +759,7 @@ class TestResolveAfter:
         # 10/7.
         state = self.solved()
         half = LinearRow.of({0: Fraction(1, 2)}, LESS_EQ, 3)
-        full = full_point(resolve_after(state, [half]).state(Status.OPTIMAL))
+        full = full_point(resolve_after(state, [half]).state())
         assert full[4] == Fraction(5, 7)
         assert_fits(2, self.ROWS + [half], full)
         cold = solve_lp(LinearProgram.of(2, self.COST, self.ROWS + [half]))
@@ -772,8 +804,9 @@ def test_a_row_over_an_appended_slack_means_the_same_in_one_call_or_two(
 ):
     """A fractional-data row, then a row over that row's slack, appended in
     one resolve_after call or in two chained ones (each solved to its
-    optimum) give the status and exact value of solve_lp on all the rows,
-    and a point that fits every row as written. The carried objective row
+    optimum) are infeasible (None) where solve_lp on all the rows is, and
+    otherwise give its exact value and a point that fits every row as
+    written. The carried objective row
     equals a fresh reduced row, then -det times the value, across each
     append's row scale, every pivot and each state round trip."""
     rows = _parent_system(extra_rows, box, doubled_box)
@@ -783,26 +816,24 @@ def test_a_row_over_an_appended_slack_means_the_same_in_one_call_or_two(
 
     def solved(parent, new_rows):
         tab = resolve_after(parent, new_rows)
-        if tab is None:
-            return SimplexState(Status.INFEASIBLE, 3, (), ())
-        return tab.state(Status.OPTIMAL)
+        return None if tab is None else tab.state()
 
     with carried_costs_checked() as checked:
         state = solve_lp(LinearProgram.of(3, objective, rows))
-        assume(state.status is Status.OPTIMAL)
+        assume(state is not None)
         on_slack, j, on_j, relation, rhs = second
         over_slack = LinearRow.of({j: on_j, state.num_vars: on_slack}, relation, rhs)
         one_call = solved(state, [fractional, over_slack])
         first_call = solved(state, [fractional])
         chained = first_call
-        if first_call.status is Status.OPTIMAL:
+        if first_call is not None:
             chained = solved(first_call, [over_slack])
     assert checked[0] > 0
     program = LinearProgram.of(3, objective, rows + [fractional, over_slack])
     cold = solve_lp(program)
     for warm in (one_call, chained):
-        assert warm.status is cold.status
-        if warm.status is Status.OPTIMAL:
+        assert (warm is None) == (cold is None)
+        if warm is not None:
             value = sum(c * v for c, v in zip(objective, full_point(warm)))
             assert value == sum(c * v for c, v in zip(objective, full_point(cold)))
             assert_fits(3, program.rows, full_point(warm))
@@ -890,16 +921,16 @@ def test_the_dictionary_is_the_scaled_inverse_basis_system(
     split the variables between them. No row is ever dropped, so det is
     exactly |det B| over the integer standard form."""
     rows = _parent_system(extra_rows, box, doubled_box)
-    state = solve_lp(LinearProgram.of(3, objective, rows))
-    assume(state.status is Status.OPTIMAL)
+    state = outcome(solve_lp, LinearProgram.of(3, objective, rows))
+    assume(isinstance(state, SimplexState))
     new_rows = _child_rows(data, state)
     child = LinearProgram.of(3, objective, rows + new_rows)
     tab = resolve_after(state, new_rows)
     solved = [(state, rows), (solve_lp(child), child.rows)]
     if tab is not None:
-        solved.append((tab.state(Status.OPTIMAL), child.rows))
+        solved.append((tab.state(), child.rows))
     for final, system in solved:
-        if final.status is Status.INFEASIBLE:
+        if final is None:
             continue
         assert sorted(final.basis + final.cols) == list(range(final.num_vars))
         assert _expanded(final) == _scaled_inverse_system(final, _standard_form(3, system))
@@ -921,10 +952,10 @@ def test_an_all_inequality_dictionary_keeps_n_columns_at_any_depth(
     the dictionary keeps 3 columns at every optimum down a chain of
     children, while only its row count grows."""
     state = solve_lp(LinearProgram.of(3, objective, _parent_system(extra_rows, box, doubled_box)))
-    assume(state.status is Status.OPTIMAL)
+    assume(state is not None)
     for _ in range(4):
         assert len(state.cols) == 3 and len(state.rows) == state.num_vars - 3
         tab = resolve_after(state, _child_rows(data, state))
         if tab is None:
             break
-        state = tab.state(Status.OPTIMAL)
+        state = tab.state()

@@ -11,10 +11,10 @@ from effset import simplex
 from effset.errors import AssumptionViolated
 from effset.generator import GeneratorConfig, generate
 from effset.model import constraint_rows, instance, is_feasible, ratio
-from effset.simplex import LinearProgram, Status
+from effset.simplex import LinearProgram
 from effset.validate import integer_witness, validate_instance
 
-from conftest import count_calls
+from conftest import UNBOUNDED, count_calls, outcome
 
 
 def one_var(a, b, den_coeff=0, den_const=1):
@@ -152,10 +152,10 @@ def reference_reason(inst) -> str | None:
     rows = constraint_rows(inst.a_matrix, inst.b_vector)
     tops = []
     for j in range(n):
-        state = simplex.solve_lp(LinearProgram.of(n, {j: 1}, rows))
-        if state.status is Status.INFEASIBLE:
+        state = outcome(simplex.solve_lp, LinearProgram.of(n, {j: 1}, rows))
+        if state is None:
             return "empty-domain"
-        if state.status is Status.UNBOUNDED:
+        if state is UNBOUNDED:
             return "unbounded"
         tops.append(math.floor(state.structural_point(n)[j]))
     for obj in inst.criteria + inst.utilities:
